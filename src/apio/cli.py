@@ -11,7 +11,8 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import Executor, ThreadPoolExecutor
 from pathlib import Path
 
 from .config import ConfigurationError, RunConfig, load_config, split_pairs
@@ -31,10 +32,12 @@ from .metrics.report import MetricReport
 from .optimizer import (
     Candidate,
     PromptOptimizer,
+    score_prompt,
     select_best,
     select_dev_subsample,
 )
 from .prompts import (
+    INPUT_SLOT,
     Prompt,
     PromptError,
     TASK_TEMPLATES,
@@ -47,6 +50,8 @@ from .state import RunDir, RunStateError, pool_from_state, pool_to_state
 log = logging.getLogger(__name__)
 
 FAILED_PLACEHOLDER = "<FAILED>"
+# inference requests in flight at once unless --workers says otherwise
+DEFAULT_WORKERS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +92,12 @@ def _build_backend(args: argparse.Namespace, cfg: RunConfig, run: RunDir | None)
     return CachedBackend(inner, cache_dir) if cache_dir else inner
 
 
+def _executor(args: argparse.Namespace) -> ThreadPoolExecutor:
+    """The command's inference pool of ``--workers`` threads; callers shut
+    it down when the command ends."""
+    return ThreadPoolExecutor(max_workers=args.workers, thread_name_prefix="apio-infer")
+
+
 def _backend_state(args: argparse.Namespace, backend: Backend) -> dict:
     if isinstance(backend, ScriptedBackend):
         return {
@@ -113,27 +124,25 @@ def _flatten(output: str) -> str:
 
 
 def _infer_lines(
-    prompt: Prompt, lines: list[str], backend: Backend, workers: int = 1
+    render: Callable[[str], str], lines: list[str], backend: Backend, executor: Executor
 ) -> tuple[list[str], int]:
-    """Order-preserving inference over input lines; empty lines pass
-    through untouched. Returns (outputs, failure count)."""
+    """Order-preserving inference over input lines, each rendered into a
+    prompt by ``render`` and retried once; a line that still fails becomes
+    ``<FAILED>`` and empty lines pass through untouched. Returns (outputs,
+    failure count)."""
 
     def one(line: str) -> str:
         if not line.strip():
             return ""
         for attempt in (0, 1):
             try:
-                raw = backend.complete(user_request(prompt.render(line), INFER, attempt_tag=attempt))
+                raw = backend.complete(user_request(render(line), INFER, attempt_tag=attempt))
                 return _flatten(postprocess_output(raw))
             except GatewayError as exc:
                 log.warning("inference failed (attempt %d): %s", attempt, exc)
         return FAILED_PLACEHOLDER
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(one, lines))
-    else:
-        outputs = [one(line) for line in lines]
+    outputs = list(executor.map(one, lines))
     return outputs, sum(1 for o in outputs if o == FAILED_PLACEHOLDER)
 
 
@@ -154,19 +163,12 @@ def cmd_induce(args: argparse.Namespace) -> int:
     try:
         backend = _build_backend(args, cfg, run)
         dev_eval = select_dev_subsample(dev, cfg.optimizer)
+        with _executor(args) as pool:
 
-        def fitness_fn(prompt: Prompt, pairs) -> float:
-            total = 0
-            for pair in pairs:
-                if pair.source:
-                    raw = backend.complete(user_request(prompt.render(pair.source), INFER))
-                    output = postprocess_output(raw)
-                else:
-                    output = ""
-                total += min_ref_levenshtein(output, pair.references)
-            return -total / len(pairs)
+            def fitness_fn(prompt: Prompt, pairs) -> float:
+                return -score_prompt(prompt, pairs, backend, pool)[0]
 
-        prompt, trials = best_of_trials(train, dev_eval, cfg.induction, template, backend, fitness_fn)
+            prompt, trials = best_of_trials(train, dev_eval, cfg.induction, template, backend, fitness_fn)
         run.prompt_path.write_text(prompt.text() + "\n", encoding="utf-8")
         run.write_json(run.trials_path, {"trials": [t.to_dict() for t in trials]})
         run.write_state(
@@ -249,13 +251,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 backend = _build_backend(args, cfg, run)
             train, dev = split_pairs(cfg)
             template = TASK_TEMPLATES[cfg.task]
-            engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template)
-            engine.history = run.read_history()
-            engine.next_id = state["next_id"]
-            pool = pool_from_state(state["pool"])
-            seed_prompt = parse_prompt(state["seed_prompt"])
-            start_epoch = state["epoch"]
-            return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, start_epoch)
+            with _executor(args) as executor:
+                engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template, executor)
+                engine.history = run.read_history()
+                engine.next_id = state["next_id"]
+                pool = pool_from_state(state["pool"])
+                seed_prompt = parse_prompt(state["seed_prompt"])
+                start_epoch = state["epoch"]
+                return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, start_epoch)
         finally:
             run.release_lock()
 
@@ -282,10 +285,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         backend = _build_backend(args, cfg, run)
         train, dev = split_pairs(cfg)
         template = TASK_TEMPLATES[cfg.task]
-        engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template)
-        pool = [engine.score_seed(seed_prompt)]
-        _persist_epoch(run, cfg, args, backend, engine, pool, 0, seed_prompt)
-        return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, 0)
+        with _executor(args) as executor:
+            engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template, executor)
+            pool = [engine.score_seed(seed_prompt)]
+            _persist_epoch(run, cfg, args, backend, engine, pool, 0, seed_prompt)
+            return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, 0)
     finally:
         run.release_lock()
 
@@ -314,11 +318,11 @@ def _run_optimization(
 
     # final reporting: best candidate rescored on the full dev set, top five
     # pool members rescored with the task metric on the fixed subsample
-    full_raw, _, _ = engine.raw_error(best.prompt, engine.dev)
+    full_raw, _, _ = score_prompt(best.prompt, engine.dev, backend, engine.executor)
     top = sorted(pool, key=lambda c: (-c.fitness, c.id))[:5]
     top_report = []
     for cand in top:
-        _, _, outputs = engine.raw_error(cand.prompt, engine.dev_eval)
+        _, _, outputs = score_prompt(cand.prompt, engine.dev_eval, backend, engine.executor)
         metric = _task_metric(cfg, engine.dev_eval, outputs)
         top_report.append(
             {
@@ -358,7 +362,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     prompt = parse_prompt(Path(args.prompt).read_text(encoding="utf-8").rstrip("\n"))
     lines = _read_lines_raw(args.input)
     backend = _build_backend(args, cfg, None)
-    outputs, failures = _infer_lines(prompt, lines, backend, workers=args.workers)
+    with _executor(args) as pool:
+        outputs, failures = _infer_lines(prompt.render, lines, backend, pool)
     _write_lines(args.output, outputs)
     if failures:
         print(f"{failures}/{len(lines)} lines failed after retry", file=sys.stderr)
@@ -474,24 +479,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     # zero/few-shot prompts have no instruction bullets; render directly
     prompt_text = "\n\n".join(blocks) + "\n\n" + template.footer
     backend = _build_backend(args, cfg, None)
-    failures = 0
-    outputs = []
-    for line in lines:
-        if not line.strip():
-            outputs.append("")
-            continue
-        rendered = prompt_text.replace("{input_text}", line)
-        result = FAILED_PLACEHOLDER
-        for attempt in (0, 1):
-            try:
-                raw = backend.complete(user_request(rendered, INFER, attempt_tag=attempt))
-                result = _flatten(postprocess_output(raw))
-                break
-            except GatewayError as exc:
-                log.warning("baseline inference failed (attempt %d): %s", attempt, exc)
-        if result == FAILED_PLACEHOLDER:
-            failures += 1
-        outputs.append(result)
+    with _executor(args) as pool:
+        outputs, failures = _infer_lines(
+            lambda line: prompt_text.replace(INPUT_SLOT, line), lines, backend, pool
+        )
     _write_lines(args.output, outputs)
     Path(str(args.output) + ".meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -508,12 +499,25 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--task", choices=sorted(TASK_TEMPLATES), help="task template")
     sub.add_argument("--seed", type=int, help="run seed")
     sub.add_argument("--dry-run", action="store_true", help="use the scripted backend")
     sub.add_argument("--script", help="script file for --dry-run")
+    sub.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=DEFAULT_WORKERS,
+        help=f"inference requests in flight at once (default {DEFAULT_WORKERS})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--prompt", required=True)
     infer.add_argument("--input", required=True)
     infer.add_argument("--output", required=True)
-    infer.add_argument("--workers", type=int, default=1)
     infer.set_defaults(func=cmd_infer)
 
     evaluate = commands.add_parser("evaluate", help="score predictions against gold data")

@@ -7,7 +7,7 @@ defaults stays auditable.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .corpus import (
@@ -104,22 +104,9 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     cfg = RunConfig.from_dict(data)
     # seeds propagate from the run seed unless set explicitly
     if "seed" not in (data.get("induction") or {}):
-        cfg.induction = InductionConfig(
-            n_instructions=cfg.induction.n_instructions,
-            n_trials=cfg.induction.n_trials,
-            seed=cfg.seed,
-        )
+        cfg.induction = replace(cfg.induction, seed=cfg.seed)
     if "seed" not in (data.get("optimizer") or {}):
-        cfg.optimizer = OptimizerConfig(
-            n_epochs=cfg.optimizer.n_epochs,
-            beam_b=cfg.optimizer.beam_b,
-            n_permute=cfg.optimizer.n_permute,
-            drift_weight=cfg.optimizer.drift_weight,
-            improve_samples=cfg.optimizer.improve_samples,
-            improve_batch=cfg.optimizer.improve_batch,
-            dev_subsample=cfg.optimizer.dev_subsample,
-            seed=cfg.seed,
-        )
+        cfg.optimizer = replace(cfg.optimizer, seed=cfg.seed)
     return cfg
 
 

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import re
 import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+log = logging.getLogger(__name__)
 
 
 class GatewayError(Exception):
@@ -180,7 +183,9 @@ class ScriptedBackend(Backend):
     Each request takes the first matching unconsumed entry; matchers test
     substring presence in the request text. Plain entries are consumed on
     use; ``sticky`` entries answer any number of requests, which the
-    synthetic end-to-end tasks need for inference traffic.
+    synthetic end-to-end tasks need for inference traffic. Inference
+    requests may arrive concurrently, so a plain entry that answers one
+    goes to whichever request comes first; this is logged once.
     """
 
     def __init__(self, entries: list[ScriptEntry]) -> None:
@@ -190,6 +195,7 @@ class ScriptedBackend(Backend):
         self.entries = entries
         self._consumed: set[int] = set()
         self._lock = threading.Lock()
+        self._warned_plain_infer = False
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[str, str]]) -> "ScriptedBackend":
@@ -226,6 +232,14 @@ class ScriptedBackend(Backend):
                 if entry.match in text:
                     if not entry.sticky:
                         self._consumed.add(idx)
+                        if request.profile == INFER and not self._warned_plain_infer:
+                            self._warned_plain_infer = True
+                            log.warning(
+                                "script entry %d answers an inference request but is not"
+                                " sticky; with --workers > 1 the answer order is not"
+                                " deterministic",
+                                idx,
+                            )
                     chosen = entry
                     break
             else:
@@ -250,7 +264,12 @@ _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
 class OpenAIChatBackend(Backend):
-    """OpenAI-style chat-completions client over ``requests``."""
+    """OpenAI-style chat-completions client over ``requests``.
+
+    Each thread posts through its own ``requests.Session``, since a
+    session is not safe to share between threads; a ``session`` passed in
+    is used by every thread.
+    """
 
     def __init__(
         self,
@@ -275,8 +294,18 @@ class OpenAIChatBackend(Backend):
         self.retry_max = retry_max
         self.timeout_s = timeout_s
         self.backoff_base_s = backoff_base_s
-        self._session = session if session is not None else requests.Session()
+        self._shared_session = session
+        self._local = threading.local()
         self._requests = requests
+
+    @property
+    def session(self):
+        """The injected session, else the calling thread's own."""
+        if self._shared_session is not None:
+            return self._shared_session
+        if not hasattr(self._local, "session"):
+            self._local.session = self._requests.Session()
+        return self._local.session
 
     def _complete(self, request: ChatRequest) -> str:
         profile = self.resolve_profile(request.profile)
@@ -294,7 +323,7 @@ class OpenAIChatBackend(Backend):
             if attempt:
                 time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
             try:
-                response = self._session.post(url, json=payload, headers=headers, timeout=self.timeout_s)
+                response = self.session.post(url, json=payload, headers=headers, timeout=self.timeout_s)
             except self._requests.RequestException as exc:
                 last_error = exc
                 continue
@@ -338,11 +367,16 @@ class CachedBackend(Backend):
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._key_locks: dict[str, threading.Lock] = {}
         self._registry_lock = threading.Lock()
+        self._hits_lock = threading.Lock()
         self.hits = 0
 
     def _lock_for(self, key: str) -> threading.Lock:
         with self._registry_lock:
             return self._key_locks.setdefault(key, threading.Lock())
+
+    def _count_hit(self) -> None:
+        with self._hits_lock:
+            self.hits += 1
 
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
@@ -357,12 +391,12 @@ class CachedBackend(Backend):
         key = request_key(request, self.inner.resolve_profile(request.profile))
         cached = self._read(key)
         if cached is not None:
-            self.hits += 1
+            self._count_hit()
             return cached
         with self._lock_for(key):
             cached = self._read(key)
             if cached is not None:
-                self.hits += 1
+                self._count_hit()
                 return cached
             text = self.inner.complete(request)
             entry = {

@@ -122,31 +122,32 @@ def best_of_trials(
 ) -> tuple[Prompt, list[TrialReport]]:
     """Run ``n_trials`` inductions and keep the dev-fitness argmax.
 
-    Ties break to the lowest trial index; trials that fail to induce are
-    recorded and skipped.
+    Ties break to the lowest trial index; trials that fail to induce or to
+    be scored are recorded and skipped.
     """
     reports: list[TrialReport] = []
     best: tuple[float, int, Prompt] | None = None
     for trial in range(cfg.n_trials):
         calls_before = len(backend.calls)
         rng_seed = cfg.seed
+        prompt, pair_ids = None, []
         try:
             prompt, pair_ids = induce_prompt(train, cfg, template, backend, trial_index=trial)
+            fitness = fitness_fn(prompt, dev)
         except (InductionError, GatewayError) as exc:
             log.warning("trial %d failed: %s", trial, exc)
             reports.append(
                 TrialReport(
                     trial=trial,
                     seed=rng_seed,
-                    pair_ids=[],
-                    instructions=[],
+                    pair_ids=pair_ids,
+                    instructions=prompt.instruction_texts() if prompt is not None else [],
                     fitness=None,
                     backend_calls=len(backend.calls) - calls_before,
                     error=str(exc),
                 )
             )
             continue
-        fitness = fitness_fn(prompt, dev)
         reports.append(
             TrialReport(
                 trial=trial,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable, Sequence
+from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 
 from .corpus import SamplePair
@@ -106,6 +107,50 @@ class OptimizerConfig:
             raise ValueError("drift_weight must be >= 0")
 
 
+def _run_inline(fn: Callable, *args) -> Future:
+    """Sequential stand-in for ``Executor.submit``: a finished future
+    holding ``fn(*args)`` or the backend failure it raised."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except GatewayError as exc:
+        future.set_exception(exc)
+    return future
+
+
+def score_prompt(
+    prompt: Prompt,
+    pairs: Sequence[SamplePair],
+    backend: Backend,
+    executor: Executor | None = None,
+) -> tuple[float, list[int], list[str]]:
+    """Score ``prompt`` on ``pairs``: render each source, complete it under
+    the INFER profile, postprocess, and take the word distance to the
+    nearest reference. An empty source scores the empty output.
+
+    Returns (mean error, per-pair errors, outputs) in input order; the
+    mean over no pairs is 0. With an ``executor`` the requests run
+    concurrently, without one they run in the calling thread. Either way
+    every request completes before the first failure in input order is
+    raised, so the calls a scoring makes do not depend on scheduling and
+    none is still in flight when it returns.
+    """
+
+    def one(pair: SamplePair) -> tuple[str, int]:
+        output = ""
+        if pair.source:
+            raw = backend.complete(user_request(prompt.render(pair.source), INFER))
+            output = postprocess_output(raw)
+        return output, min_ref_levenshtein(output, pair.references)
+
+    submit = executor.submit if executor is not None else _run_inline
+    futures = [submit(one, pair) for pair in pairs]
+    wait(futures)
+    scored = [future.result() for future in futures]
+    errors = [error for _, error in scored]
+    return sum(errors) / max(len(errors), 1), errors, [output for output, _ in scored]
+
+
 def select_dev_subsample(dev: Sequence[SamplePair], cfg: OptimizerConfig) -> list[SamplePair]:
     """Fixed seeded dev subsample, constant across a run so fitness values
     stay comparable between epochs."""
@@ -127,6 +172,7 @@ class PromptOptimizer:
         cfg: OptimizerConfig,
         backend: Backend,
         template: TaskTemplate,
+        executor: Executor | None = None,
     ) -> None:
         if not dev:
             raise ValueError("dev set must be non-empty")
@@ -135,6 +181,7 @@ class PromptOptimizer:
         self.cfg = cfg
         self.backend = backend
         self.template = template
+        self.executor = executor
         self.history: list[dict] = []
         self.next_id = 0
         self.dev_eval = self._select_dev()
@@ -149,26 +196,14 @@ class PromptOptimizer:
         self.next_id += 1
         return out
 
-    def _infer(self, prompt: Prompt, source: str) -> str:
-        if not source:
-            return ""
-        raw = self.backend.complete(user_request(prompt.render(source), INFER))
-        return postprocess_output(raw)
-
     # -- fitness ------------------------------------------------------------
-
-    def raw_error(self, prompt: Prompt, pairs: Sequence[SamplePair]) -> tuple[float, list[int], list[str]]:
-        """Mean nearest-reference distance of the prompt's outputs."""
-        outputs = [self._infer(prompt, p.source) for p in pairs]
-        errors = [min_ref_levenshtein(out, p.references) for out, p in zip(outputs, pairs)]
-        return sum(errors) / len(errors), errors, outputs
 
     def fitness(
         self, prompt: Prompt, parent: Prompt | None, pairs: Sequence[SamplePair] | None = None
     ) -> tuple[float, float, float]:
         """(fitness, raw_error, drift_penalty) on the fixed dev subsample."""
         pairs = self.dev_eval if pairs is None else pairs
-        raw, _, _ = self.raw_error(prompt, pairs)
+        raw, _, _ = score_prompt(prompt, pairs, self.backend, self.executor)
         if parent is None:
             drift = 0.0
         else:
@@ -186,17 +221,15 @@ class PromptOptimizer:
         """
         window_size = min(len(self.train), 2 * self.cfg.improve_batch)
         rng = derived_rng(self.cfg.seed, "improve-batch", epoch, parent.id)
-        window = rng.sample(range(len(self.train)), window_size)
+        pairs = [self.train[idx] for idx in rng.sample(range(len(self.train)), window_size)]
+        _, errors, outputs = score_prompt(parent.prompt, pairs, self.backend, self.executor)
+        worst = sorted(range(len(pairs)), key=lambda pos: (-errors[pos], pos))
         rows = []
-        for pos, idx in enumerate(window):
-            pair = self.train[idx]
-            output = self._infer(parent.prompt, pair.source)
-            dists = [word_levenshtein(output, ref) for ref in pair.references]
-            nearest = min(range(len(dists)), key=lambda i: (dists[i], i))
-            rows.append((dists[nearest], pos, pair.source, output, pair.references[nearest]))
-        rows.sort(key=lambda r: (-r[0], r[1]))
-        chosen = sorted(rows[: self.cfg.improve_batch], key=lambda r: r[1])
-        return [(src, out, gold, err) for err, _, src, out, gold in chosen]
+        for pos in sorted(worst[: self.cfg.improve_batch]):
+            pair, output, error = pairs[pos], outputs[pos], errors[pos]
+            gold = next(ref for ref in pair.references if word_levenshtein(output, ref) == error)
+            rows.append((pair.source, output, gold, error))
+        return rows
 
     def improve(self, parent: Candidate, epoch: int) -> list[Prompt]:
         """Children extending the parent by one proposed instruction."""

@@ -77,10 +77,6 @@ class Prompt:
         return Prompt(self.header, tuple(self.instructions[i] for i in order), self.footer)
 
 
-def render(prompt: Prompt, input_text: str) -> str:
-    return prompt.render(input_text)
-
-
 def parse_prompt(text: str) -> Prompt:
     """Invert ``Prompt.text()``: bullets bounded by header and footer lines."""
     lines = text.split("\n")

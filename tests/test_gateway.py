@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -64,6 +65,19 @@ def test_scripted_sticky_entries_repeat():
     backend = ScriptedBackend([ScriptEntry(match="go", response="yes", sticky=True)])
     for _ in range(5):
         assert backend.complete(user_request("go now", INFER)) == "yes"
+
+
+def test_scripted_plain_inference_entry_warns_once(caplog):
+    backend = ScriptedBackend.from_pairs([("go", "a"), ("go", "b"), ("go", "c")])
+    backend.complete(user_request("go", EXPLORE))
+    assert not caplog.records
+    with caplog.at_level("WARNING", logger="apio.gateway"):
+        backend.complete(user_request("go", INFER))
+        backend.complete(user_request("go", INFER))
+    assert [r.getMessage() for r in caplog.records] == [
+        "script entry 1 answers an inference request but is not sticky;"
+        " with --workers > 1 the answer order is not deterministic"
+    ]
 
 
 def test_rewrite_rules_mode():
@@ -158,6 +172,32 @@ def test_inflight_dedup(tmp_path):
     assert len(inner.calls) == 1
 
 
+def test_cache_hits_counted_exactly_across_threads(tmp_path):
+    backend = CachedBackend(CountingBackend(), tmp_path / "c")
+    request = user_request("shared", INFER)
+    backend.complete(request)  # the one miss fills the entry
+    n_threads, per_thread = 16, 50
+    barrier = threading.Barrier(n_threads)
+
+    def hammer():
+        barrier.wait(timeout=10)
+        for _ in range(per_thread):
+            backend.complete(request)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert backend.hits == n_threads * per_thread
+
+
 # -- openai-compatible http ----------------------------------------------------
 
 
@@ -244,6 +284,26 @@ def test_openai_max_tokens_override():
     backend, session = _backend([FakeResponse()], max_tokens=77)
     backend.complete(user_request("x", INFER))
     assert session.requests[0]["json"]["max_tokens"] == 77
+
+
+def test_openai_session_per_thread_unless_injected():
+    own = OpenAIChatBackend(base_url="http://llm.test/v1", model="m", api_key="k")
+    injected, session = _backend([])
+    seen = {}
+
+    def grab(name):
+        seen[name] = (own.session, injected.session)
+
+    threads = [threading.Thread(target=grab, args=(name,)) for name in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert seen["a"][0] is not seen["b"][0]
+    assert seen["a"][0] is not own.session
+    assert own.session is own.session  # stable within a thread
+    assert seen["a"][1] is seen["b"][1] is session
 
 
 def test_profile_resolution_fills_model_and_tokens():

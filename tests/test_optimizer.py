@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import random
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apio.corpus import SamplePair
-from apio.gateway import ScriptEntry, ScriptedBackend
+from apio.gateway import Backend, ScriptEntry, ScriptedBackend, ScriptExhaustedError
 from apio.optimizer import (
     Candidate,
     OptimizerConfig,
     PromptOptimizer,
     optimize,
+    score_prompt,
     select_best,
     select_dev_subsample,
 )
@@ -59,6 +63,58 @@ def test_fitness_mean_error_no_parent():
     assert fit == pytest.approx(-1.5)
     # candidate scoring runs under the low-randomness inference profile
     assert all(c.profile.temperature == 0.0 and c.profile.top_p == 0.1 for c in backend.calls)
+
+
+class SlowEchoBackend(Backend):
+    """Echoes the rendered input after a delay that shrinks with the
+    pair's index, so concurrent answers arrive out of input order; inputs
+    containing ``fail`` raise."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.threads: set[int] = set()
+        self.finished: list[str] = []
+
+    def _complete(self, request):
+        self.threads.add(threading.get_ident())
+        source = request.text().split("Input: ")[-1].split("\n")[0]
+        time.sleep(0.002 * (20 - int(source.split()[1])))
+        self.finished.append(source)
+        if "fail" in source:
+            raise ScriptExhaustedError(f"scripted failure for {source!r}")
+        return source
+
+
+def _indexed_pairs(n=20, failing=()):
+    return [
+        SamplePair(f"s{i}", f"item {i} {'fail' if i in failing else 'ok'}", (f"item {i} ok",))
+        for i in range(n)
+    ]
+
+
+def test_score_prompt_concurrent_keeps_input_order():
+    pairs = _indexed_pairs() + [SamplePair("empty", "", ("x y",))]
+    sequential = score_prompt(_prompt(DECOY), pairs, SlowEchoBackend())
+    backend = SlowEchoBackend()
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        concurrent = score_prompt(_prompt(DECOY), pairs, backend, pool)
+    assert concurrent == sequential
+    mean, errors, outputs = concurrent
+    assert outputs == [p.source for p in pairs]
+    assert errors == [0] * 20 + [2]
+    assert mean == pytest.approx(2 / 21)
+    assert len(backend.threads) > 1
+
+
+@pytest.mark.parametrize("workers", [None, 1, 8])
+def test_score_prompt_failure_waits_for_every_request(workers):
+    pairs = _indexed_pairs(failing=(3, 11))
+    backend = SlowEchoBackend()
+    with ThreadPoolExecutor(max_workers=workers or 1) as pool:
+        with pytest.raises(ScriptExhaustedError, match="item 3 fail"):
+            score_prompt(_prompt(DECOY), pairs, backend, pool if workers else None)
+        # nothing is left in flight once the first failure surfaces
+        assert len(backend.finished) == len(pairs)
 
 
 def test_fitness_zero_drift_for_identical_parent():

@@ -87,6 +87,24 @@ def test_induce_missing_dataset_path_exits_2(tmp_path, capsys):
     assert "missing.jsonl" in capsys.readouterr().err
 
 
+def test_induce_scoring_failure_fails_only_that_trial(tmp_path):
+    paths = make_workspace(tmp_path, n_trials=2, n_instructions=1)
+    # trial 1 induces "Rule two." and no script entry answers its inference
+    paths["script"].write_text(json.dumps([
+        {"match": INDUCE_MATCH, "response": "Rule one."},
+        {"match": INDUCE_MATCH, "response": "Rule two.", "sticky": True},
+        {"match": "* Rule one.\n", "mode": "rewrite_rules", "sticky": True},
+    ]))
+    assert _induce(paths) == 0
+    run = paths["runs"] / "r1"
+    trials = json.loads((run / "trials.json").read_text())["trials"]
+    assert trials[0]["error"] is None and trials[0]["fitness"] is not None
+    assert "no script entry" in trials[1]["error"]
+    assert trials[1]["fitness"] is None
+    assert trials[1]["instructions"] == ["Rule two."]
+    assert (run / "prompt.txt").read_text().startswith("* Rule one.\n")
+
+
 def test_induce_exhausted_script_is_engine_failure(tmp_path):
     paths = make_workspace(tmp_path)
     paths["script"].write_text(json.dumps([{"match": "never matches", "response": "x"}]))
@@ -174,6 +192,47 @@ def test_optimize_determinism_across_runs(tmp_path, no_network):
         assert paths[name].read_bytes() == before, name
 
 
+def test_concurrency_leaves_run_artifacts_unchanged(tmp_path, no_network, monkeypatch):
+    import apio.cli as cli
+
+    paths = make_workspace(tmp_path, n_epochs=6, beam_b=6)
+    pool_sizes = []
+
+    class RecordingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+
+    def run(runs_dir, workers, extra=()):
+        args = ["--config", str(paths["config"]), "--run-id", "r", "--runs-dir", str(runs_dir),
+                "--dry-run", "--script", str(paths["script"]), "--workers", str(workers)]
+        assert main(["induce", *args]) == 0
+        assert main(["optimize", *args, *extra]) == 0
+
+    run(tmp_path / "one", 1)
+    run(tmp_path / "eight", 8)
+    # stopped at concurrency 1, resumed without --workers at the default
+    run(tmp_path / "resumed", 1, extra=("--stop-after-epoch", "3"))
+    assert main(["optimize", "--resume", "r", "--runs-dir", str(tmp_path / "resumed")]) == 0
+    assert pool_sizes == [1, 1, 8, 8, 1, 1, cli.DEFAULT_WORKERS]
+    names = ("trials.json", "state.json", "history.json", "best_prompt.txt", "final_report.json")
+    for other in ("eight", "resumed"):
+        for name in names:
+            expected = (tmp_path / "one" / "r" / name).read_bytes()
+            assert (tmp_path / other / "r" / name).read_bytes() == expected, (other, name)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "eight"])
+def test_induce_invalid_workers_exits_2_before_creating_run(tmp_path, workers, capsys):
+    paths = make_workspace(tmp_path)
+    assert _induce(paths, extra=("--workers", workers)) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (paths["runs"] / "r1").exists()
+    assert _induce(paths) == 0
+
+
 def test_dev_subsample_flag_recorded_and_applied(tmp_path, no_network):
     paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
     assert _induce(paths, extra=("--dev-subsample", "3")) == 0
@@ -221,7 +280,7 @@ def test_infer_parallel_workers_preserve_order(tmp_path):
     sequential, parallel = tmp_path / "seq.txt", tmp_path / "par.txt"
     base = ["infer", "--prompt", str(prompt), "--input", str(source),
             "--dry-run", "--script", str(script)]
-    assert main([*base, "--output", str(sequential)]) == 0
+    assert main([*base, "--output", str(sequential), "--workers", "1"]) == 0
     assert main([*base, "--output", str(parallel), "--workers", "4"]) == 0
     assert parallel.read_bytes() == sequential.read_bytes()
     expected = [line.replace("foo", "bar") for line in lines]
@@ -459,6 +518,21 @@ def test_baseline_few_shot_exemplars_recorded_and_rendered(tmp_path):
     assert meta["shots"] == 2
     assert len(meta["exemplar_ids"]) == 2
     assert all(e.startswith("toy-") for e in meta["exemplar_ids"])
+
+
+def test_baseline_workers_preserve_order(tmp_path):
+    source = tmp_path / "in.txt"
+    lines = [f"item {i} foo" if i % 3 else "" for i in range(40)]
+    source.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    script = tmp_path / "s.json"
+    # the zero-shot prompt has no rule bullets, so each output is its input
+    script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
+    sequential, parallel = tmp_path / "seq.txt", tmp_path / "par.txt"
+    base = ["baseline", "--kind", "zero_shot", "--input", str(source),
+            "--dry-run", "--script", str(script)]
+    assert main([*base, "--output", str(sequential), "--workers", "1"]) == 0
+    assert main([*base, "--output", str(parallel), "--workers", "4"]) == 0
+    assert parallel.read_bytes() == sequential.read_bytes() == source.read_bytes()
 
 
 def test_baseline_few_shot_insufficient_train_exits_2(tmp_path):
