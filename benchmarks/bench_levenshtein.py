@@ -1,28 +1,36 @@
 #!/usr/bin/env python3
-"""Benchmark the numba and numpy edit-distance kernels.
+"""Benchmark the word-level edit-distance functions of ``apio.metrics``.
 
-Times the single-pair distance, full-table, and all-pairs matrix kernels
-on random token-id sequences at corpus-like sizes. The numba kernels are
-exercised only when numba imported (run with APIO_NUMBA=0 to confirm the
-fallback wiring; the numpy timings here are measured directly either way).
+Times ``word_levenshtein``, ``min_ref_levenshtein``, ``alignment_table``
+and ``pairwise_word_levenshtein`` on random whitespace-token sentences of
+1-30 tokens over a 2000-word vocabulary, the sizes the optimizer scores.
+Each timing is the best of three runs. Run with ``src`` on the import
+path:
+
+    PYTHONPATH=src python benchmarks/bench_levenshtein.py
 """
 
 from __future__ import annotations
 
+import random
 import time
 
-import numpy as np
-
-from apio.metrics import _kernels
-from apio.metrics.levenshtein import pairwise_word_levenshtein
-
-
-def _sequences(rng, count, max_len, vocab=2000):
-    lengths = rng.integers(1, max_len + 1, size=count)
-    return [rng.integers(0, vocab, size=n).astype(np.int64) for n in lengths]
+from apio.metrics.levenshtein import (
+    alignment_table,
+    min_ref_levenshtein,
+    pairwise_word_levenshtein,
+    word_levenshtein,
+)
 
 
-def _time(fn, repeat=3):
+def _sentences(rng: random.Random, count: int, max_len: int, vocab: int = 2000) -> list[str]:
+    return [
+        " ".join(f"w{rng.randrange(vocab)}" for _ in range(rng.randint(1, max_len)))
+        for _ in range(count)
+    ]
+
+
+def _time(fn, repeat: int = 3) -> float:
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
@@ -31,78 +39,32 @@ def _time(fn, repeat=3):
     return best
 
 
-def bench_pairs(impl_name, distance, pairs):
-    def run():
-        for a, b in pairs:
-            distance(a, b)
-
-    elapsed = _time(run)
-    rate = len(pairs) / elapsed
-    print(f"  {impl_name:>6}  distance x{len(pairs):>6}: {elapsed * 1e3:8.1f} ms  ({rate:,.0f} pairs/s)")
-    return elapsed
+def _report(label: str, count: int, elapsed: float) -> None:
+    print(f"  {label:<40} {elapsed * 1e3:8.1f} ms  ({elapsed / count * 1e6:6.1f} us each)")
 
 
-def bench_tables(impl_name, table, pairs):
-    def run():
-        for a, b in pairs:
-            table(a, b)
+def main() -> None:
+    rng = random.Random(0)
+    texts = _sentences(rng, 2000, 30)
+    pairs = [(texts[i], texts[(i * 7 + 1) % len(texts)]) for i in range(len(texts))]
+    multi = [(texts[i], texts[i + 1 : i + 1 + rng.randint(1, 4)]) for i in range(len(texts) - 5)]
+    tokens = [(a.split(), b.split()) for a, b in pairs[:500]]
+    batch = texts[:400]
 
-    elapsed = _time(run)
-    print(f"  {impl_name:>6}  table    x{len(pairs):>6}: {elapsed * 1e3:8.1f} ms")
-    return elapsed
+    print("sentences: 1-30 tokens\n")
+    _report(f"word_levenshtein x{len(pairs)}", len(pairs),
+            _time(lambda: [word_levenshtein(a, b) for a, b in pairs]))
+    _report(f"min_ref_levenshtein x{len(multi)} (1-4 refs)", len(multi),
+            _time(lambda: [min_ref_levenshtein(o, refs) for o, refs in multi]))
+    _report(f"alignment_table x{len(tokens)}", len(tokens),
+            _time(lambda: [alignment_table(a, b) for a, b in tokens]))
+    _report(f"pairwise_word_levenshtein {len(batch)}x{len(batch)}", len(batch) ** 2,
+            _time(lambda: pairwise_word_levenshtein(batch, batch)))
 
-
-def bench_matrix(impl_name, matrix, packed, lengths):
-    def run():
-        matrix(packed, lengths, packed, lengths)
-
-    elapsed = _time(run)
-    n = len(lengths) ** 2
-    print(f"  {impl_name:>6}  matrix {len(lengths)}x{len(lengths)}: {elapsed * 1e3:8.1f} ms  ({n / elapsed:,.0f} cells/s)")
-    return elapsed
-
-
-def main():
-    rng = np.random.default_rng(0)
-    seqs = _sequences(rng, 2000, 30)
-    pairs = [(seqs[i], seqs[(i * 7 + 1) % len(seqs)]) for i in range(2000)]
-
-    batch = _sequences(rng, 400, 30)
-    max_len = max(s.size for s in batch)
-    packed = np.full((len(batch), max_len), -1, dtype=np.int64)
-    lengths = np.empty(len(batch), dtype=np.int64)
-    for i, s in enumerate(batch):
-        packed[i, : s.size] = s
-        lengths[i] = s.size
-
-    impls = [("numpy", _kernels._distance_np, _kernels._table_np, _kernels._matrix_np)]
-    if _kernels.HAS_NUMBA:
-        # warm the JIT outside the timed region
-        _kernels._distance_nb(seqs[0], seqs[1])
-        _kernels._table_nb(seqs[0], seqs[1])
-        _kernels._matrix_nb(packed[:2], lengths[:2], packed[:2], lengths[:2])
-        impls.append(("numba", _kernels._distance_nb, _kernels._table_nb, _kernels._matrix_nb))
-    else:
-        print("numba unavailable or disabled; timing the numpy path only\n")
-
-    print(f"sequences: up to 30 tokens, active kernel: {'numba' if _kernels.HAS_NUMBA else 'numpy'}\n")
-    results = {}
-    for name, distance, table, matrix in impls:
-        d = bench_pairs(name, distance, pairs)
-        t = bench_tables(name, table, pairs[:500])
-        m = bench_matrix(name, matrix, packed, lengths)
-        results[name] = (d, t, m)
-        print()
-
-    if len(results) == 2:
-        for metric_idx, metric in enumerate(("distance", "table", "matrix")):
-            speedup = results["numpy"][metric_idx] / results["numba"][metric_idx]
-            print(f"numba speedup on {metric}: {speedup:.1f}x")
-
-    # sanity: both paths agree through the public API
-    texts = [" ".join(map(str, s[:10])) for s in batch[:50]]
-    reference = pairwise_word_levenshtein(texts, texts)
-    print(f"\npairwise sanity check: {reference.shape} matrix, max distance {reference.max()}")
+    # sanity: the bit-parallel distance agrees with the DP table
+    for (a, b), (ta, tb) in zip(pairs, tokens):
+        assert word_levenshtein(a, b) == alignment_table(ta, tb)[-1][-1]
+    print(f"\nsanity check: {len(tokens)} distances match the DP table")
 
 
 if __name__ == "__main__":

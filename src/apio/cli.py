@@ -6,17 +6,25 @@ Exit codes: 0 success, 1 engine failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.resources
 import json
 import logging
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
 from pathlib import Path
 
 from .config import ConfigurationError, RunConfig, load_config, split_pairs
-from .corpus import CorpusFormatError, SamplePair, load_jsonl, load_m2, reference_texts
+from .corpus import (
+    CorpusFormatError,
+    M2Record,
+    SamplePair,
+    load_jsonl,
+    load_m2,
+    reference_texts,
+)
 from .gateway import (
     Backend,
     CachedBackend,
@@ -92,10 +100,17 @@ def _build_backend(args: argparse.Namespace, cfg: RunConfig, run: RunDir | None)
     return CachedBackend(inner, cache_dir) if cache_dir else inner
 
 
-def _executor(args: argparse.Namespace) -> ThreadPoolExecutor:
-    """The command's inference pool of ``--workers`` threads; callers shut
-    it down when the command ends."""
-    return ThreadPoolExecutor(max_workers=args.workers, thread_name_prefix="apio-infer")
+@contextlib.contextmanager
+def _executor(args: argparse.Namespace) -> Iterator[ThreadPoolExecutor]:
+    """The command's inference pool of ``--workers`` threads, shut down
+    when the command ends. An epoch queues the scoring of all its children
+    up front, so a command that fails or is interrupted cancels the queued
+    requests instead of sending them."""
+    pool = ThreadPoolExecutor(max_workers=args.workers, thread_name_prefix="apio-infer")
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _backend_state(args: argparse.Namespace, backend: Backend) -> dict:
@@ -216,12 +231,13 @@ def _persist_epoch(
     run.write_history(engine.history)
 
 
-def _task_metric(cfg: RunConfig, pairs: list[SamplePair], outputs: list[str]) -> tuple[str, float] | None:
+def _task_metric(
+    cfg: RunConfig, records: list[M2Record] | None, pairs: list[SamplePair], outputs: list[str]
+) -> tuple[str, float] | None:
     if cfg.task == "simplify":
         scores = [sari(p.source, o, p.references) for p, o in zip(pairs, outputs)]
         return "sari", sum(scores) / len(scores)
-    if cfg.task == "gec" and cfg.data.format == "m2" and cfg.data.path:
-        records = load_m2(cfg.data.path)
+    if records is not None:
         try:
             aligned = [records[int(p.id.split("-")[1])] for p in pairs]
         except (IndexError, ValueError):
@@ -320,10 +336,12 @@ def _run_optimization(
     # pool members rescored with the task metric on the fixed subsample
     full_raw, _, _ = score_prompt(best.prompt, engine.dev, backend, engine.executor)
     top = sorted(pool, key=lambda c: (-c.fitness, c.id))[:5]
+    gec_m2 = cfg.task == "gec" and cfg.data.format == "m2" and cfg.data.path
+    records = load_m2(cfg.data.path) if gec_m2 else None
     top_report = []
     for cand in top:
         _, _, outputs = score_prompt(cand.prompt, engine.dev_eval, backend, engine.executor)
-        metric = _task_metric(cfg, engine.dev_eval, outputs)
+        metric = _task_metric(cfg, records, engine.dev_eval, outputs)
         top_report.append(
             {
                 "id": cand.id,

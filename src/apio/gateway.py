@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import threading
 import time
@@ -283,8 +284,6 @@ class OpenAIChatBackend(Backend):
         backoff_base_s: float = 0.5,
     ) -> None:
         super().__init__()
-        import os
-
         import requests
 
         self.base_url = base_url.rstrip("/")
@@ -382,10 +381,13 @@ class CachedBackend(Backend):
         return self.cache_dir / f"{key}.json"
 
     def _read(self, key: str) -> str | None:
-        path = self._path(key)
-        if not path.exists():
+        """The cached text, or None on a miss. An entry that cannot be
+        read back (say, truncated by a crash) counts as a miss, so the
+        request is sent again and the entry rewritten."""
+        try:
+            return json.loads(self._path(key).read_text(encoding="utf-8"))["response_text"]
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
-        return json.loads(path.read_text(encoding="utf-8"))["response_text"]
 
     def _complete(self, request: ChatRequest) -> str:
         key = request_key(request, self.inner.resolve_profile(request.profile))
@@ -398,13 +400,17 @@ class CachedBackend(Backend):
             if cached is not None:
                 self._count_hit()
                 return cached
+            if self._path(key).exists():
+                log.warning("unreadable cache entry %s; fetching it again", self._path(key))
             text = self.inner.complete(request)
             entry = {
                 "key": key,
                 "response_text": text,
                 "created_at": time.time(),
             }
-            tmp = self._path(key).with_suffix(".tmp")
+            # processes sharing the cache directory each write their own
+            # temp file, so a writer never renames another's half-written one
+            tmp = self.cache_dir / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
             tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
             tmp.replace(self._path(key))
             return text

@@ -9,13 +9,14 @@ wins (ties to the lowest trial index).
 from __future__ import annotations
 
 import logging
+import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .corpus import SamplePair
 from .gateway import Backend, EXPLORE, GatewayError, user_request
 from .prompts import Instruction, Prompt, TaskTemplate, clean_completion, induction_meta_prompt
-from .seeding import derived_rng
+from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -86,6 +87,11 @@ def induce_instruction(
     )
 
 
+def trial_seed(seed: int, trial_index: int) -> int:
+    """Seed from which induction trial ``trial_index`` samples its pairs."""
+    return derive_seed(seed, "induce", trial_index)
+
+
 def induce_prompt(
     train: Sequence[SamplePair],
     cfg: InductionConfig,
@@ -102,7 +108,7 @@ def induce_prompt(
         raise InductionError(
             f"train size {len(train)} < n_instructions {cfg.n_instructions}"
         )
-    rng = derived_rng(cfg.seed, "induce", trial_index)
+    rng = random.Random(trial_seed(cfg.seed, trial_index))
     picks = rng.sample(range(len(train)), cfg.n_instructions)
     instructions = []
     for k, idx in enumerate(picks):
@@ -129,7 +135,7 @@ def best_of_trials(
     best: tuple[float, int, Prompt] | None = None
     for trial in range(cfg.n_trials):
         calls_before = len(backend.calls)
-        rng_seed = cfg.seed
+        rng_seed = trial_seed(cfg.seed, trial)
         prompt, pair_ids = None, []
         try:
             prompt, pair_ids = induce_prompt(train, cfg, template, backend, trial_index=trial)

@@ -1,6 +1,5 @@
 """Scoring functions: word-level Levenshtein, SARI, edit-overlap F0.5."""
 
-from ._kernels import HAS_NUMBA
 from .gec import EditSet, apply_edit_set, extract_edits, f05, f05_from_counts, f05_with_counts
 from .levenshtein import (
     min_ref_levenshtein,
@@ -11,7 +10,6 @@ from .report import MetricReport, mean_report
 from .sari import sari
 
 __all__ = [
-    "HAS_NUMBA",
     "EditSet",
     "MetricReport",
     "apply_edit_set",

@@ -43,13 +43,13 @@ def extract_edits(source: str, hypothesis: str) -> EditSet:
     ops: list[str] = []
     i, j = len(src), len(hyp)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and src[i - 1] == hyp[j - 1] and table[i, j] == table[i - 1, j - 1]:
+        if i > 0 and j > 0 and src[i - 1] == hyp[j - 1] and table[i][j] == table[i - 1][j - 1]:
             ops.append("eq")
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and table[i, j] == table[i - 1, j - 1] + 1:
+        elif i > 0 and j > 0 and table[i][j] == table[i - 1][j - 1] + 1:
             ops.append("sub")
             i, j = i - 1, j - 1
-        elif i > 0 and table[i, j] == table[i - 1, j] + 1:
+        elif i > 0 and table[i][j] == table[i - 1][j] + 1:
             ops.append("del")
             i -= 1
         else:

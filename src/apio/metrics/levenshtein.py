@@ -1,71 +1,97 @@
 """Word-level Levenshtein edit distance.
 
-Tokenization is whitespace splitting; tokens are interned to integer ids
-before hitting the DP kernels in :mod:`apio.metrics._kernels`.
+Tokenization is whitespace splitting. Distances come from the
+bit-parallel algorithm of Myers (1999) in Hyyrö's (2001) formulation for
+global edit distance: one pattern's DP column is held as vertical +1/-1
+delta bit vectors in Python ints, and each token of the other text
+updates the whole column with a constant number of integer operations.
+The per-token match masks are built once per pattern and reused across
+every text it is compared with.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
-from . import _kernels
-
 
 def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-def _encode(seqs: Sequence[Sequence[str]]) -> list[np.ndarray]:
-    vocab: dict[str, int] = {}
-    out = []
-    for seq in seqs:
-        ids = np.empty(len(seq), dtype=np.int64)
-        for i, tok in enumerate(seq):
-            ids[i] = vocab.setdefault(tok, len(vocab))
-        out.append(ids)
-    return out
+def _match_masks(pattern: Sequence[str]) -> dict[str, int]:
+    """Bit i of ``masks[token]`` is set when ``pattern[i] == token``."""
+    masks: dict[str, int] = {}
+    for i, token in enumerate(pattern):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    return masks
+
+
+def _distance(masks: dict[str, int], m: int, text: Sequence[str]) -> int:
+    """Edit distance between a pattern of ``m`` tokens, given by its match
+    masks, and ``text``.
+
+    Only bits below ``m`` are meaningful. Carries and shifts move bits
+    upward only, so the bits above ``m`` (and the sign that ``~`` sets)
+    never reach them; masking ``pv`` each step keeps the ints small.
+    """
+    if not m:
+        return len(text)
+    full = (1 << m) - 1
+    last = 1 << (m - 1)
+    get = masks.get
+    pv, mv, score = full, 0, m
+    for token in text:
+        eq = get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def word_levenshtein(a: str, b: str) -> int:
     """Minimal number of token insertions/deletions/substitutions turning
     the tokens of ``a`` into the tokens of ``b``."""
-    ea, eb = _encode([tokenize(a), tokenize(b)])
-    return int(_kernels.distance(ea, eb))
+    pattern = tokenize(a)
+    return _distance(_match_masks(pattern), len(pattern), tokenize(b))
 
 
 def min_ref_levenshtein(output: str, references: Sequence[str]) -> int:
     """Distance from ``output`` to the closest reference."""
     if not references:
         raise ValueError("references must be non-empty")
-    seqs = _encode([tokenize(output)] + [tokenize(r) for r in references])
-    out = seqs[0]
-    return int(min(_kernels.distance(out, ref) for ref in seqs[1:]))
+    pattern = tokenize(output)
+    masks = _match_masks(pattern)
+    return min(_distance(masks, len(pattern), tokenize(ref)) for ref in references)
 
 
-def alignment_table(src_tokens: Sequence[str], hyp_tokens: Sequence[str]) -> np.ndarray:
-    """Full (len(src)+1) x (len(hyp)+1) DP table for alignment backtraces."""
-    ea, eb = _encode([src_tokens, hyp_tokens])
-    return _kernels.table(ea, eb)
+def alignment_table(src_tokens: Sequence[str], hyp_tokens: Sequence[str]) -> list[list[int]]:
+    """Full (len(src)+1) x (len(hyp)+1) DP table for alignment backtraces,
+    indexed ``table[i][j]``."""
+    table = [list(range(len(hyp_tokens) + 1))]
+    for i, src in enumerate(src_tokens, 1):
+        prev = table[-1]
+        row = [i]
+        for j, hyp in enumerate(hyp_tokens, 1):
+            row.append(min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + (src != hyp)))
+        table.append(row)
+    return table
 
 
-def pairwise_word_levenshtein(texts_a: Sequence[str], texts_b: Sequence[str]) -> np.ndarray:
-    """All-pairs distance matrix, shape (len(texts_a), len(texts_b))."""
-    tok_a = [tokenize(t) for t in texts_a]
+def pairwise_word_levenshtein(texts_a: Sequence[str], texts_b: Sequence[str]) -> list[list[int]]:
+    """All-pairs distances: ``out[i][j]`` is the distance from
+    ``texts_a[i]`` to ``texts_b[j]``."""
     tok_b = [tokenize(t) for t in texts_b]
-    seqs = _encode(tok_a + tok_b)
-    ids_a, ids_b = seqs[: len(tok_a)], seqs[len(tok_a):]
-    ca = max((s.size for s in ids_a), default=0)
-    cb = max((s.size for s in ids_b), default=0)
-    pa = np.full((len(ids_a), ca), -1, dtype=np.int64)
-    pb = np.full((len(ids_b), cb), -1, dtype=np.int64)
-    la = np.empty(len(ids_a), dtype=np.int64)
-    lb = np.empty(len(ids_b), dtype=np.int64)
-    for i, s in enumerate(ids_a):
-        pa[i, : s.size] = s
-        la[i] = s.size
-    for i, s in enumerate(ids_b):
-        pb[i, : s.size] = s
-        lb[i] = s.size
-    return _kernels.matrix(pa, la, pb, lb)
+    out = []
+    for text in texts_a:
+        pattern = tokenize(text)
+        masks, m = _match_masks(pattern), len(pattern)
+        out.append([_distance(masks, m, tokens) for tokens in tok_b])
+    return out

@@ -118,22 +118,20 @@ def _run_inline(fn: Callable, *args) -> Future:
     return future
 
 
-def score_prompt(
+def submit_scoring(
     prompt: Prompt,
     pairs: Sequence[SamplePair],
     backend: Backend,
     executor: Executor | None = None,
-) -> tuple[float, list[int], list[str]]:
-    """Score ``prompt`` on ``pairs``: render each source, complete it under
-    the INFER profile, postprocess, and take the word distance to the
-    nearest reference. An empty source scores the empty output.
+) -> list[Future]:
+    """Start scoring ``prompt`` on ``pairs``: one future per pair, in input
+    order, each rendering the source, completing it under the INFER
+    profile, postprocessing, and taking the word distance to the nearest
+    reference. An empty source scores the empty output.
 
-    Returns (mean error, per-pair errors, outputs) in input order; the
-    mean over no pairs is 0. With an ``executor`` the requests run
-    concurrently, without one they run in the calling thread. Either way
-    every request completes before the first failure in input order is
-    raised, so the calls a scoring makes do not depend on scheduling and
-    none is still in flight when it returns.
+    With an ``executor`` the requests run concurrently, without one they
+    run in the calling thread before this returns. Pass the result to
+    ``gather_scoring``.
     """
 
     def one(pair: SamplePair) -> tuple[str, int]:
@@ -144,11 +142,32 @@ def score_prompt(
         return output, min_ref_levenshtein(output, pair.references)
 
     submit = executor.submit if executor is not None else _run_inline
-    futures = [submit(one, pair) for pair in pairs]
-    wait(futures)
-    scored = [future.result() for future in futures]
+    return [submit(one, pair) for pair in pairs]
+
+
+def gather_scoring(scoring: list[Future]) -> tuple[float, list[int], list[str]]:
+    """Wait for a ``submit_scoring`` result and return (mean error,
+    per-pair errors, outputs) in input order; the mean over no pairs is 0.
+
+    Every request completes before the first failure in input order is
+    raised, so the calls a scoring makes do not depend on scheduling and
+    none is still in flight when this returns.
+    """
+    wait(scoring)
+    scored = [future.result() for future in scoring]
     errors = [error for _, error in scored]
     return sum(errors) / max(len(errors), 1), errors, [output for output, _ in scored]
+
+
+def score_prompt(
+    prompt: Prompt,
+    pairs: Sequence[SamplePair],
+    backend: Backend,
+    executor: Executor | None = None,
+) -> tuple[float, list[int], list[str]]:
+    """Score ``prompt`` on ``pairs`` and wait for the result: see
+    ``submit_scoring`` and ``gather_scoring``."""
+    return gather_scoring(submit_scoring(prompt, pairs, backend, executor))
 
 
 def select_dev_subsample(dev: Sequence[SamplePair], cfg: OptimizerConfig) -> list[SamplePair]:
@@ -198,12 +217,16 @@ class PromptOptimizer:
 
     # -- fitness ------------------------------------------------------------
 
+    def submit_fitness(self, prompt: Prompt) -> list[Future]:
+        """Start scoring ``prompt`` on the fixed dev subsample."""
+        return submit_scoring(prompt, self.dev_eval, self.backend, self.executor)
+
     def fitness(
-        self, prompt: Prompt, parent: Prompt | None, pairs: Sequence[SamplePair] | None = None
+        self, prompt: Prompt, parent: Prompt | None, scoring: list[Future] | None = None
     ) -> tuple[float, float, float]:
-        """(fitness, raw_error, drift_penalty) on the fixed dev subsample."""
-        pairs = self.dev_eval if pairs is None else pairs
-        raw, _, _ = score_prompt(prompt, pairs, self.backend, self.executor)
+        """(fitness, raw_error, drift_penalty) on the fixed dev subsample,
+        from ``scoring`` when ``submit_fitness`` already started it."""
+        raw, _, _ = gather_scoring(self.submit_fitness(prompt) if scoring is None else scoring)
         if parent is None:
             drift = 0.0
         else:
@@ -299,28 +322,35 @@ class PromptOptimizer:
         )
 
     def run_epoch(self, pool: list[Candidate], epoch: int) -> list[Candidate]:
+        """One beam step. Each new child starts scoring as soon as it is
+        proposed, so its dev requests overlap the generation of later
+        children; children are then gathered, numbered and admitted in
+        proposal order."""
         calls_before = len(self.backend.calls)
-        proposals: list[tuple[Prompt, str, Candidate]] = []
+        seen = {c.prompt.text() for c in pool}
+        proposals: list[tuple[Prompt, str, Candidate, list[Future]]] = []
+
+        def propose(prompt: Prompt, op: str, parent: Candidate) -> None:
+            text = prompt.text()
+            if text not in seen:
+                seen.add(text)
+                proposals.append((prompt, op, parent, self.submit_fitness(prompt)))
+
         for parent in sorted(pool, key=lambda c: c.id):
             for op, generate in (("improve", self.improve), ("rephrase", self.rephrase)):
                 try:
                     for child in generate(parent, epoch):
-                        proposals.append((child, op, parent))
+                        propose(child, op, parent)
                 except GatewayError as exc:
                     log.warning("%s failed for candidate %d: %s", op, parent.id, exc)
             permuted = self.permute(parent, epoch)
             if permuted is not None:
-                proposals.append((permuted, "permute", parent))
+                propose(permuted, "permute", parent)
 
-        seen = {c.prompt.text() for c in pool}
         scored: list[Candidate] = []
-        for prompt, op, parent in proposals:
-            text = prompt.text()
-            if text in seen:
-                continue
-            seen.add(text)
+        for prompt, op, parent, scoring in proposals:
             try:
-                fit, raw, drift = self.fitness(prompt, parent.prompt)
+                fit, raw, drift = self.fitness(prompt, parent.prompt, scoring)
             except GatewayError as exc:
                 log.warning("scoring failed for %s child of %d: %s", op, parent.id, exc)
                 continue

@@ -14,14 +14,12 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from apio.cli import main
 from apio.corpus import load_asset, load_m2, serialize_m2
 from apio.gateway import ScriptEntry, ScriptedBackend
 from apio.induction import InductionConfig, best_of_trials
-from apio.metrics import _kernels
 from apio.metrics.levenshtein import pairwise_word_levenshtein, word_levenshtein
 from apio.metrics.sari import sari
 from apio.optimizer import Candidate, OptimizerConfig, PromptOptimizer, optimize
@@ -57,6 +55,34 @@ def _recursive_distance(a: tuple, b: tuple) -> int:
     )
 
 
+def _recursive_table(seqs: list[tuple]) -> list[list[int]]:
+    """``_recursive_distance`` over all pairs of ``seqs``, which must be
+    sorted by length and closed under dropping the first element.
+
+    Every subproblem of the recursion is a pair of suffixes, so it is
+    evaluated bottom-up in place of memoized calls: row ``a`` reads the
+    rows of ``a[1:]``, which come earlier.
+    """
+    index = {s: i for i, s in enumerate(seqs)}
+    tail = [index[s[1:]] if s else -1 for s in seqs]
+    table: list[list[int]] = []
+    for a_idx, a in enumerate(seqs):
+        if not a:
+            table.append([len(b) for b in seqs])
+            continue
+        head, rest = a[0], table[tail[a_idx]]
+        row = [len(a)]
+        for b_idx in range(1, len(seqs)):
+            b_tail = tail[b_idx]
+            row.append(min(
+                rest[b_tail] + (head != seqs[b_idx][0]),
+                rest[b_idx] + 1,
+                row[b_tail] + 1,
+            ))
+        table.append(row)
+    return table
+
+
 @criterion("C1 levenshtein-oracle")
 def test_c1_levenshtein_property_suite_and_exhaustive_oracle():
     start = time.monotonic()
@@ -68,30 +94,21 @@ def test_c1_levenshtein_property_suite_and_exhaustive_oracle():
     matrix = pairwise_word_levenshtein(texts, texts)
     n = len(texts)
     assert n * n >= 10_000
-    assert np.array_equal(matrix, matrix.T)  # symmetry over all 40,000 pairs
     for i in range(n):
         for j in range(n):
-            assert (matrix[i, j] == 0) == (texts[i] == texts[j])
-    idx = np.random.default_rng(1).integers(0, n, size=(10_000, 3))
-    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-    assert np.all(matrix[i, k] <= matrix[i, j] + matrix[j, k])  # triangle
+            assert matrix[i][j] == matrix[j][i]  # symmetry over all 40,000 pairs
+            assert (matrix[i][j] == 0) == (texts[i] == texts[j])
+    triples = random.Random(1)
+    for _ in range(10_000):
+        i, j, k = (triples.randrange(n) for _ in range(3))
+        assert matrix[i][k] <= matrix[i][j] + matrix[j][k]  # triangle
 
     # exhaustive: all pairs of sequences with length <= 6 over a 3-token
     # alphabet, against the brute-force recursive oracle
     seqs = [s for m in range(7) for s in itertools.product(range(3), repeat=m)]
     assert len(seqs) == 1093
-    expected = np.empty((len(seqs), len(seqs)), dtype=np.int64)
-    for a_idx, a in enumerate(seqs):
-        row = expected[a_idx]
-        for b_idx, b in enumerate(seqs):
-            row[b_idx] = _recursive_distance(a, b)
-    packed = np.full((len(seqs), 6), -1, dtype=np.int64)
-    lengths = np.empty(len(seqs), dtype=np.int64)
-    for s_idx, s in enumerate(seqs):
-        packed[s_idx, : len(s)] = s
-        lengths[s_idx] = len(s)
-    got = _kernels.matrix(packed, lengths, packed, lengths)
-    assert np.array_equal(got, expected)
+    texts = [" ".join(map(str, s)) for s in seqs]
+    assert pairwise_word_levenshtein(texts, texts) == _recursive_table(seqs)
 
     # spot-check the public API against the same oracle
     spot = random.Random(2)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import logging
+import pathlib
 import sys
 import threading
 import time
@@ -156,6 +159,47 @@ def test_cache_persists_across_instances(tmp_path):
     second = CachedBackend(second_inner, tmp_path / "c")
     assert second.complete(request) == "pong"  # byte-identical, no inner call
     assert len(second_inner.calls) == 0
+
+
+@pytest.mark.parametrize("stored", ['{"key": "abc", "respon', "[]", '{"key": "abc"}', "\x00\xff"])
+def test_unreadable_cache_entry_is_refetched(tmp_path, caplog, stored):
+    request = user_request("ping", INFER)
+    inner = CountingBackend()
+    backend = CachedBackend(inner, tmp_path / "c")
+    entry = backend.cache_dir / f"{request_key(request, inner.resolve_profile(INFER))}.json"
+    entry.write_bytes(stored.encode("latin-1"))
+    with caplog.at_level(logging.WARNING, logger="apio.gateway"):
+        assert backend.complete(request) == "pong"
+    assert len(inner.calls) == 1
+    assert len(caplog.records) == 1 and "unreadable cache entry" in caplog.text
+    assert json.loads(entry.read_text(encoding="utf-8"))["response_text"] == "pong"
+    assert backend.complete(request) == "pong"  # the rewritten entry now hits
+    assert (len(inner.calls), backend.hits) == (1, 1)
+
+
+def test_writers_sharing_a_cache_dir_use_their_own_temp_files(tmp_path, monkeypatch):
+    # two caches on one directory stand in for two processes: the second
+    # writes the same entry while the first is between writing its temp
+    # file and renaming it into place
+    request = user_request("shared", INFER)
+    first = CachedBackend(CountingBackend(), tmp_path / "c")
+    second = CachedBackend(CountingBackend(), tmp_path / "c")
+    rename = pathlib.Path.replace
+    interleaved = []
+
+    def replace(self, target):
+        if not interleaved:
+            interleaved.append(self.name)
+            writer = threading.Thread(target=second.complete, args=(request,))
+            writer.start()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        return rename(self, target)
+
+    monkeypatch.setattr(pathlib.Path, "replace", replace)
+    assert first.complete(request) == "pong"
+    assert interleaved and len(second.inner.calls) == 1
+    assert [p.suffix for p in first.cache_dir.iterdir()] == [".json"]
 
 
 def test_inflight_dedup(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from apio.corpus import SamplePair
@@ -12,6 +14,7 @@ from apio.induction import (
     induce_prompt,
 )
 from apio.prompts import GEC_TEMPLATE, GENERIC_TEMPLATE
+from apio.seeding import derive_seed
 
 INDUCE_MATCH = "Could you give an instruction"
 
@@ -126,6 +129,18 @@ def test_best_of_trials_call_accounting(toy_pairs):
     assert len(dev_evaluations) == 10
     assert sum(r.dev_evaluations for r in reports) == 10
     assert sum(r.backend_calls for r in reports) == 30
+
+
+def test_best_of_trials_records_each_trials_seed(toy_pairs):
+    cfg = InductionConfig(n_instructions=2, n_trials=3, seed=5)
+    _, reports = best_of_trials(
+        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), lambda p, d: 0.0
+    )
+    assert [r.seed for r in reports] == [derive_seed(5, "induce", t) for t in range(3)]
+    for report in reports:
+        # the recorded seed alone reproduces the trial's pair sample
+        picks = random.Random(report.seed).sample(range(len(toy_pairs)), cfg.n_instructions)
+        assert report.pair_ids == [toy_pairs[i].id for i in picks]
 
 
 def test_best_of_trials_skips_failed_trials(toy_pairs):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apio.corpus import SamplePair
-from apio.gateway import Backend, ScriptEntry, ScriptedBackend, ScriptExhaustedError
+from apio.gateway import INFER, Backend, ScriptEntry, ScriptedBackend, ScriptExhaustedError
 from apio.optimizer import (
     Candidate,
     OptimizerConfig,
@@ -328,6 +329,50 @@ def test_run_epoch_budget_bound(toy_pairs):
             entry["candidates"]
         ) * len(engine.dev_eval)
         assert entry["backend_calls"] <= bound
+
+
+class InflightBackend(Backend):
+    """Serves the toy script, holding each inference request for a moment,
+    and records the most distinct prompts with inference in flight at once."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.script = ScriptedBackend([ScriptEntry(**e) for e in script_entries()])
+        self.in_flight: Counter[str] = Counter()
+        self.peak_prompts = 0
+        self._lock = threading.Lock()
+
+    def _complete(self, request):
+        if request.profile != INFER:
+            return self.script.complete(request)
+        prompt = request.text().split("\nInput: ")[0]
+        with self._lock:
+            self.in_flight[prompt] += 1
+            self.peak_prompts = max(self.peak_prompts, len(+self.in_flight))
+        try:
+            time.sleep(0.02)
+            return self.script.complete(request)
+        finally:
+            with self._lock:
+                self.in_flight[prompt] -= 1
+
+
+def test_run_epoch_overlaps_scoring_of_several_children(toy_pairs):
+    def run(executor):
+        backend = InflightBackend()
+        cfg = OptimizerConfig(n_epochs=2, beam_b=4, improve_samples=3, dev_subsample=3, seed=13)
+        engine = PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, backend, GENERIC_TEMPLATE, executor)
+        pool = [engine.score_seed(_prompt(DECOY, DECOY))]
+        for epoch in (1, 2):
+            pool = engine.run_epoch(pool, epoch)
+        return backend.peak_prompts, engine.history
+
+    sequential_peak, sequential = run(None)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        concurrent_peak, concurrent = run(pool)
+    assert sequential_peak == 1
+    assert concurrent_peak > 1  # children's dev requests share one wait
+    assert concurrent == sequential
 
 
 def test_zero_successful_candidates_keeps_pool(toy_pairs):

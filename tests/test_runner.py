@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import logging
+import random
+import time
 from pathlib import Path
 
 import pytest
 
 from apio.cli import main
-from apio.corpus import apply_edits, load_m2
+from apio.corpus import apply_edits, load_m2, serialize_m2
+from apio.gateway import INFER, ScriptedBackend, ScriptExhaustedError
+from m2gen import random_record
 from toytask import PLANTED, make_workspace
 
 INDUCE_MATCH = "Could you give an instruction"
@@ -222,6 +227,86 @@ def test_concurrency_leaves_run_artifacts_unchanged(tmp_path, no_network, monkey
         for name in names:
             expected = (tmp_path / "one" / "r" / name).read_bytes()
             assert (tmp_path / other / "r" / name).read_bytes() == expected, (other, name)
+
+
+def test_failed_child_scoring_drops_only_that_child(tmp_path, monkeypatch, caplog):
+    failing = 'Replace "q1" with "q1".'
+    scripted = ScriptedBackend._complete
+
+    def complete(self, request):
+        if request.profile == INFER and failing in request.text():
+            raise ScriptExhaustedError("injected inference failure")
+        return scripted(self, request)
+
+    def run(name, workers):
+        paths = make_workspace(tmp_path / name, n_epochs=3, beam_b=6)
+        assert _induce(paths, extra=("--workers", workers)) == 0
+        assert _optimize(paths, extra=("--workers", workers)) == 0
+        return (paths["runs"] / "r1" / "history.json").read_bytes()
+
+    def epoch_one(history):
+        return [c["prompt"]["instructions"] for c in json.loads(history)["epochs"][0]["candidates"]]
+
+    clean = epoch_one(run("clean", "8"))
+    monkeypatch.setattr(ScriptedBackend, "_complete", complete)
+    with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
+        history = run("one", "1")
+    assert run("eight", "8") == history
+    assert epoch_one(history) == [c for c in clean if failing not in c]
+    assert len(epoch_one(history)) == len(clean) - 1
+    assert "scoring failed for improve child of 0" in caplog.text
+
+
+def test_interrupted_epoch_cancels_queued_scoring(tmp_path, monkeypatch):
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=6)
+    assert _induce(paths) == 0
+    scripted = ScriptedBackend._complete
+    sent, at_interrupt = [], []
+
+    def complete(self, request):
+        if request.profile == INFER:
+            time.sleep(0.005)
+            sent.append(request)
+        elif "Generate a variation" in request.text():
+            at_interrupt.append(len(sent))
+            raise KeyboardInterrupt
+        return scripted(self, request)
+
+    monkeypatch.setattr(ScriptedBackend, "_complete", complete)
+    with pytest.raises(KeyboardInterrupt):
+        _optimize(paths, extra=("--workers", "1"))
+    # the four improve children queued 8 dev requests each before the
+    # first rephrase request; only the one already running still finishes
+    assert len(sent) - at_interrupt[0] <= 1
+
+
+def test_optimize_gec_loads_gold_m2_once_for_final_report(tmp_path, monkeypatch):
+    import apio.cli as cli
+
+    rng = random.Random(3)
+    gold = tmp_path / "gold.m2"
+    gold.write_text("\n".join(serialize_m2(random_record(rng)) for _ in range(12)), encoding="utf-8")
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=6)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["task"] = "gec"
+    config["data"].update(format="m2", path=str(gold))
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    paths["script"].write_text(json.dumps([
+        {"match": INDUCE_MATCH, "response": "Fix the grammar.", "sticky": True},
+        {"match": "Suggest new instruction", "response": "<new_instruction>Fix verbs.</new_instruction>"},
+        {"match": "Suggest new instruction", "response": "<new_instruction>Fix nouns.</new_instruction>",
+         "sticky": True},
+        {"match": "Generate a variation", "mode": "echo_instruction", "sticky": True},
+        {"match": "Corrected sentence:", "response": "the cat sat", "sticky": True},
+    ]), encoding="utf-8")
+    loads = []
+    monkeypatch.setattr(cli, "load_m2", lambda path: loads.append(path) or load_m2(path))
+    assert _induce(paths) == 0
+    assert _optimize(paths) == 0
+    report = json.loads((paths["runs"] / "r1" / "final_report.json").read_text(encoding="utf-8"))
+    assert len(report["top5"]) > 1
+    assert all(entry["task_metric"]["name"] == "f05-approx" for entry in report["top5"])
+    assert loads == [str(gold)]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", "eight"])
