@@ -53,7 +53,7 @@ from .prompts import (
     postprocess_output,
 )
 from .seeding import derived_rng
-from .state import RunDir, RunStateError, pool_from_state, pool_to_state
+from .state import RunDir, RunStateError
 
 log = logging.getLogger(__name__)
 
@@ -168,8 +168,6 @@ def _infer_lines(
 
 def cmd_induce(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
-    if cfg.task not in TASK_TEMPLATES:
-        raise ConfigurationError(f"unknown task {cfg.task!r}")
     template = TASK_TEMPLATES[cfg.task]
     train, dev = split_pairs(cfg)
     run = RunDir(args.runs_dir, args.run_id or _default_run_id())
@@ -223,7 +221,7 @@ def _persist_epoch(
             "config": cfg.to_dict(),
             "epoch": epoch,
             "next_id": engine.next_id,
-            "pool": pool_to_state(pool),
+            "pool": [c.to_dict() for c in pool],
             "seed_prompt": seed_prompt.text(),
             "backend": _backend_state(args, backend),
         }
@@ -248,64 +246,55 @@ def _task_metric(
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    """Optimize a fresh run from its prompt, or resume a persisted run
+    from its state file; both then run the same remaining epochs."""
+    state, consumed = None, None
     if args.resume:
         run = RunDir(args.runs_dir, args.resume)
         state = run.read_state()
         if state["phase"] not in ("optimization", "done"):
             raise RunStateError(f"run {args.resume!r} is in phase {state['phase']!r}, nothing to resume")
         cfg = RunConfig.from_dict(state["config"])
-        run.acquire_lock()
-        try:
-            backend_state = state.get("backend", {"mode": "live"})
-            if backend_state["mode"] == "scripted":
-                script = getattr(args, "script", None) or backend_state["script"]
-                backend = ScriptedBackend.from_file(script)
-                backend.restore_consumed(backend_state.get("consumed", []))
-                args.script = script
-                args.dry_run = True
-            else:
-                backend = _build_backend(args, cfg, run)
-            train, dev = split_pairs(cfg)
-            template = TASK_TEMPLATES[cfg.task]
-            with _executor(args) as executor:
-                engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template, executor)
-                engine.history = run.read_history()
-                engine.next_id = state["next_id"]
-                pool = pool_from_state(state["pool"])
-                seed_prompt = parse_prompt(state["seed_prompt"])
-                start_epoch = state["epoch"]
-                return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, start_epoch)
-        finally:
-            run.release_lock()
-
-    cfg = load_config(args.config, _overrides(args))
-    if cfg.task not in TASK_TEMPLATES:
-        raise ConfigurationError(f"unknown task {cfg.task!r}")
-    run = RunDir(args.runs_dir, args.run_id or _default_run_id())
-    prompt_file = args.prompt or (run.prompt_path if run.prompt_path.exists() else None)
-    if prompt_file is None:
-        raise ConfigurationError("no --prompt file given and the run has no induced prompt")
-    seed_prompt = parse_prompt(Path(prompt_file).read_text(encoding="utf-8").rstrip("\n"))
-    if run.state_path.exists():
-        # continuing an induction run in place is fine; clobbering a prior
-        # optimization needs --force (or --resume to continue it)
-        prior = run.read_state()
-        if prior.get("phase") != "induction" and not args.force:
-            raise RunStateError(
-                f"run {run.run_id!r} already holds an optimization; use --resume or --force"
-            )
+        seed_prompt = parse_prompt(state["seed_prompt"])
+        backend_state = state.get("backend", {"mode": "live"})
+        if backend_state["mode"] == "scripted":
+            args.script = getattr(args, "script", None) or backend_state["script"]
+            args.dry_run = True
+            consumed = backend_state.get("consumed", [])
     else:
-        run.create(force=args.force)
+        cfg = load_config(args.config, _overrides(args))
+        run = RunDir(args.runs_dir, args.run_id or _default_run_id())
+        prompt_file = args.prompt or (run.prompt_path if run.prompt_path.exists() else None)
+        if prompt_file is None:
+            raise ConfigurationError("no --prompt file given and the run has no induced prompt")
+        seed_prompt = parse_prompt(Path(prompt_file).read_text(encoding="utf-8").rstrip("\n"))
+        if run.state_path.exists():
+            # continuing an induction run in place is fine; clobbering a prior
+            # optimization needs --force (or --resume to continue it)
+            prior = run.read_state()
+            if prior.get("phase") != "induction" and not args.force:
+                raise RunStateError(
+                    f"run {run.run_id!r} already holds an optimization; use --resume or --force"
+                )
+        else:
+            run.create(force=args.force)
     run.acquire_lock()
     try:
         backend = _build_backend(args, cfg, run)
+        if consumed is not None:
+            backend.restore_consumed(consumed)
         train, dev = split_pairs(cfg)
         template = TASK_TEMPLATES[cfg.task]
         with _executor(args) as executor:
             engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template, executor)
-            pool = [engine.score_seed(seed_prompt)]
-            _persist_epoch(run, cfg, args, backend, engine, pool, 0, seed_prompt)
-            return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, 0)
+            if state is None:
+                pool, start_epoch = [engine.score_seed(seed_prompt)], 0
+                _persist_epoch(run, cfg, args, backend, engine, pool, 0, seed_prompt)
+            else:
+                engine.history = run.read_history()
+                engine.next_id = state["next_id"]
+                pool, start_epoch = [Candidate.from_dict(c) for c in state["pool"]], state["epoch"]
+            return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, start_epoch)
     finally:
         run.release_lock()
 
@@ -463,44 +452,37 @@ def _zero_shot_text(args: argparse.Namespace, task: str) -> str:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
-    if cfg.task not in TASK_TEMPLATES:
-        raise ConfigurationError(f"unknown task {cfg.task!r}")
     template = TASK_TEMPLATES[cfg.task]
     lines = _read_lines_raw(args.input)
     meta: dict = {"kind": args.kind, "task": cfg.task, "seed": cfg.seed}
 
     if args.kind == "copy":
-        _write_lines(args.output, lines)
-        Path(str(args.output) + ".meta.json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"copied {len(lines)} lines to {args.output}")
-        return 0
-
-    text = _zero_shot_text(args, cfg.task)
-    meta["prompt_text"] = text
-    blocks = [text]
-    if args.kind == "few_shot":
-        if args.shots < 1:
-            raise ConfigurationError("--shots must be >= 1")
-        train, _ = split_pairs(cfg)
-        if len(train) < args.shots:
-            raise ConfigurationError(f"train pool ({len(train)}) smaller than --shots {args.shots}")
-        rng = derived_rng(cfg.seed, "few-shot")
-        exemplars = [train[i] for i in sorted(rng.sample(range(len(train)), args.shots))]
-        meta["shots"] = args.shots
-        meta["exemplar_ids"] = [p.id for p in exemplars]
-        for pair in exemplars:
-            blocks.append(
-                f"{template.input_label}: {pair.source}\n{template.output_label}: {pair.references[0]}"
+        outputs, failures = lines, 0
+    else:
+        text = _zero_shot_text(args, cfg.task)
+        meta["prompt_text"] = text
+        blocks = [text]
+        if args.kind == "few_shot":
+            if args.shots < 1:
+                raise ConfigurationError("--shots must be >= 1")
+            train, _ = split_pairs(cfg)
+            if len(train) < args.shots:
+                raise ConfigurationError(f"train pool ({len(train)}) smaller than --shots {args.shots}")
+            rng = derived_rng(cfg.seed, "few-shot")
+            exemplars = [train[i] for i in sorted(rng.sample(range(len(train)), args.shots))]
+            meta["shots"] = args.shots
+            meta["exemplar_ids"] = [p.id for p in exemplars]
+            for pair in exemplars:
+                blocks.append(
+                    f"{template.input_label}: {pair.source}\n{template.output_label}: {pair.references[0]}"
+                )
+        # zero/few-shot prompts have no instruction bullets; render directly
+        prompt_text = "\n\n".join(blocks) + "\n\n" + template.footer
+        backend = _build_backend(args, cfg, None)
+        with _executor(args) as pool:
+            outputs, failures = _infer_lines(
+                lambda line: prompt_text.replace(INPUT_SLOT, line), lines, backend, pool
             )
-    # zero/few-shot prompts have no instruction bullets; render directly
-    prompt_text = "\n\n".join(blocks) + "\n\n" + template.footer
-    backend = _build_backend(args, cfg, None)
-    with _executor(args) as pool:
-        outputs, failures = _infer_lines(
-            lambda line: prompt_text.replace(INPUT_SLOT, line), lines, backend, pool
-        )
     _write_lines(args.output, outputs)
     Path(str(args.output) + ".meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -508,7 +490,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if failures:
         print(f"{failures}/{len(lines)} lines failed after retry", file=sys.stderr)
         return 1
-    print(f"wrote {len(outputs)} predictions to {args.output}")
+    if args.kind == "copy":
+        print(f"copied {len(lines)} lines to {args.output}")
+    else:
+        print(f"wrote {len(outputs)} predictions to {args.output}")
     return 0
 
 

@@ -22,6 +22,7 @@ from .corpus import (
 )
 from .induction import InductionConfig
 from .optimizer import OptimizerConfig
+from .prompts import TASK_TEMPLATES
 
 
 @dataclass
@@ -63,6 +64,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
+        task = data.get("task", "generic")
+        if task not in TASK_TEMPLATES:
+            raise ConfigurationError(f"unknown task {task!r}")
         opt = dict(data.get("optimizer", {}))
         if "lambda" in opt:
             opt["drift_weight"] = opt.pop("lambda")
@@ -72,7 +76,7 @@ class RunConfig:
         ind = dict(data.get("induction", {}))
         try:
             return cls(
-                task=data.get("task", "generic"),
+                task=task,
                 seed=data.get("seed", 0),
                 backend=BackendConfig(**data.get("backend", {})),
                 data=DataConfig(**data.get("data", {})),

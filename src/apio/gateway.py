@@ -56,13 +56,6 @@ class GenerationProfile:
     max_tokens: int = 1024
     model_id: str = ""
 
-    def with_model(self, model_id: str, max_tokens: int | None = None) -> "GenerationProfile":
-        return replace(
-            self,
-            model_id=model_id,
-            max_tokens=self.max_tokens if max_tokens is None else max_tokens,
-        )
-
 
 EXPLORE = GenerationProfile(temperature=1.0, top_p=1.0)
 INFER = GenerationProfile(temperature=0.0, top_p=0.1)
@@ -106,18 +99,18 @@ def request_key(request: ChatRequest, profile: GenerationProfile | None = None) 
 
 
 class Backend:
-    """Base backend; records every request in ``calls``."""
+    """Base backend; counts the requests it is sent in ``n_calls``."""
 
     model = ""
     max_tokens: int | None = None
 
     def __init__(self) -> None:
-        self.calls: list[ChatRequest] = []
+        self.n_calls = 0
         self._calls_lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> str:
         with self._calls_lock:
-            self.calls.append(request)
+            self.n_calls += 1
         return self._complete(request)
 
     def _complete(self, request: ChatRequest) -> str:
@@ -186,7 +179,8 @@ class ScriptedBackend(Backend):
     use; ``sticky`` entries answer any number of requests, which the
     synthetic end-to-end tasks need for inference traffic. Inference
     requests may arrive concurrently, so a plain entry that answers one
-    goes to whichever request comes first; this is logged once.
+    goes to whichever request comes first; this is logged once. Every
+    request is kept in ``calls``, in arrival order.
     """
 
     def __init__(self, entries: list[ScriptEntry]) -> None:
@@ -194,6 +188,7 @@ class ScriptedBackend(Backend):
         if not entries:
             raise ValueError("script must be non-empty")
         self.entries = entries
+        self.calls: list[ChatRequest] = []
         self._consumed: set[int] = set()
         self._lock = threading.Lock()
         self._warned_plain_infer = False
@@ -227,6 +222,7 @@ class ScriptedBackend(Backend):
     def _complete(self, request: ChatRequest) -> str:
         text = request.text()
         with self._lock:
+            self.calls.append(request)
             for idx, entry in enumerate(self.entries):
                 if not entry.sticky and idx in self._consumed:
                     continue
@@ -414,7 +410,3 @@ class CachedBackend(Backend):
             tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
             tmp.replace(self._path(key))
             return text
-
-    @property
-    def network_calls(self) -> int:
-        return len(self.inner.calls)

@@ -134,7 +134,7 @@ def best_of_trials(
     reports: list[TrialReport] = []
     best: tuple[float, int, Prompt] | None = None
     for trial in range(cfg.n_trials):
-        calls_before = len(backend.calls)
+        calls_before = backend.n_calls
         rng_seed = trial_seed(cfg.seed, trial)
         prompt, pair_ids = None, []
         try:
@@ -149,7 +149,7 @@ def best_of_trials(
                     pair_ids=pair_ids,
                     instructions=prompt.instruction_texts() if prompt is not None else [],
                     fitness=None,
-                    backend_calls=len(backend.calls) - calls_before,
+                    backend_calls=backend.n_calls - calls_before,
                     error=str(exc),
                 )
             )
@@ -161,7 +161,7 @@ def best_of_trials(
                 pair_ids=pair_ids,
                 instructions=prompt.instruction_texts(),
                 fitness=fitness,
-                backend_calls=len(backend.calls) - calls_before,
+                backend_calls=backend.n_calls - calls_before,
                 dev_evaluations=1,
             )
         )

@@ -27,15 +27,6 @@ class MetricReport:
             json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricReport":
-        return cls(
-            metric_name=data["metric"],
-            aggregate=data["aggregate"],
-            per_sample=tuple(tuple(s) if isinstance(s, list) else s for s in data["per_sample"]),
-            n_samples=data["n"],
-        )
-
 
 def mean_report(metric_name: str, per_sample: list[float]) -> MetricReport:
     n = len(per_sample)

@@ -13,7 +13,7 @@ member is never evicted and best-pool fitness is non-decreasing.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 
@@ -33,8 +33,6 @@ from .prompts import (
 from .seeding import derived_rng
 
 log = logging.getLogger(__name__)
-
-OPERATORS = ("init", "improve", "rephrase", "permute")
 
 
 @dataclass
@@ -107,31 +105,17 @@ class OptimizerConfig:
             raise ValueError("drift_weight must be >= 0")
 
 
-def _run_inline(fn: Callable, *args) -> Future:
-    """Sequential stand-in for ``Executor.submit``: a finished future
-    holding ``fn(*args)`` or the backend failure it raised."""
-    future: Future = Future()
-    try:
-        future.set_result(fn(*args))
-    except GatewayError as exc:
-        future.set_exception(exc)
-    return future
-
-
 def submit_scoring(
     prompt: Prompt,
     pairs: Sequence[SamplePair],
     backend: Backend,
-    executor: Executor | None = None,
+    executor: Executor,
 ) -> list[Future]:
-    """Start scoring ``prompt`` on ``pairs``: one future per pair, in input
-    order, each rendering the source, completing it under the INFER
-    profile, postprocessing, and taking the word distance to the nearest
-    reference. An empty source scores the empty output.
-
-    With an ``executor`` the requests run concurrently, without one they
-    run in the calling thread before this returns. Pass the result to
-    ``gather_scoring``.
+    """Start scoring ``prompt`` on ``pairs`` in ``executor``: one future
+    per pair, in input order, each rendering the source, completing it
+    under the INFER profile, postprocessing, and taking the word distance
+    to the nearest reference. An empty source scores the empty output.
+    Pass the result to ``gather_scoring``.
     """
 
     def one(pair: SamplePair) -> tuple[str, int]:
@@ -141,8 +125,7 @@ def submit_scoring(
             output = postprocess_output(raw)
         return output, min_ref_levenshtein(output, pair.references)
 
-    submit = executor.submit if executor is not None else _run_inline
-    return [submit(one, pair) for pair in pairs]
+    return [executor.submit(one, pair) for pair in pairs]
 
 
 def gather_scoring(scoring: list[Future]) -> tuple[float, list[int], list[str]]:
@@ -163,7 +146,7 @@ def score_prompt(
     prompt: Prompt,
     pairs: Sequence[SamplePair],
     backend: Backend,
-    executor: Executor | None = None,
+    executor: Executor,
 ) -> tuple[float, list[int], list[str]]:
     """Score ``prompt`` on ``pairs`` and wait for the result: see
     ``submit_scoring`` and ``gather_scoring``."""
@@ -182,7 +165,8 @@ def select_dev_subsample(dev: Sequence[SamplePair], cfg: OptimizerConfig) -> lis
 
 
 class PromptOptimizer:
-    """Holds the search context and implements the epoch loop."""
+    """Holds the search context and runs one beam step per ``run_epoch``;
+    every dev and train scoring runs in ``executor``."""
 
     def __init__(
         self,
@@ -191,7 +175,7 @@ class PromptOptimizer:
         cfg: OptimizerConfig,
         backend: Backend,
         template: TaskTemplate,
-        executor: Executor | None = None,
+        executor: Executor,
     ) -> None:
         if not dev:
             raise ValueError("dev set must be non-empty")
@@ -203,12 +187,9 @@ class PromptOptimizer:
         self.executor = executor
         self.history: list[dict] = []
         self.next_id = 0
-        self.dev_eval = self._select_dev()
+        self.dev_eval = select_dev_subsample(self.dev, self.cfg)
 
     # -- plumbing -----------------------------------------------------------
-
-    def _select_dev(self) -> list[SamplePair]:
-        return select_dev_subsample(self.dev, self.cfg)
 
     def _take_id(self) -> int:
         out = self.next_id
@@ -222,11 +203,11 @@ class PromptOptimizer:
         return submit_scoring(prompt, self.dev_eval, self.backend, self.executor)
 
     def fitness(
-        self, prompt: Prompt, parent: Prompt | None, scoring: list[Future] | None = None
+        self, prompt: Prompt, parent: Prompt | None, scoring: list[Future]
     ) -> tuple[float, float, float]:
         """(fitness, raw_error, drift_penalty) on the fixed dev subsample,
-        from ``scoring`` when ``submit_fitness`` already started it."""
-        raw, _, _ = gather_scoring(self.submit_fitness(prompt) if scoring is None else scoring)
+        from the ``scoring`` that ``submit_fitness(prompt)`` started."""
+        raw, _, _ = gather_scoring(scoring)
         if parent is None:
             drift = 0.0
         else:
@@ -309,7 +290,7 @@ class PromptOptimizer:
     # -- epoch loop ----------------------------------------------------------
 
     def score_seed(self, prompt: Prompt) -> Candidate:
-        fit, raw, drift = self.fitness(prompt, None)
+        fit, raw, drift = self.fitness(prompt, None, self.submit_fitness(prompt))
         return Candidate(
             id=self._take_id(),
             prompt=prompt,
@@ -326,7 +307,7 @@ class PromptOptimizer:
         proposed, so its dev requests overlap the generation of later
         children; children are then gathered, numbered and admitted in
         proposal order."""
-        calls_before = len(self.backend.calls)
+        calls_before = self.backend.n_calls
         seen = {c.prompt.text() for c in pool}
         proposals: list[tuple[Prompt, str, Candidate, list[Future]]] = []
 
@@ -377,7 +358,7 @@ class PromptOptimizer:
                 "pool": [c.id for c in new_pool],
                 "best_fitness": new_pool[0].fitness,
                 "best_id": new_pool[0].id,
-                "backend_calls": len(self.backend.calls) - calls_before,
+                "backend_calls": self.backend.n_calls - calls_before,
             }
         )
         return new_pool
@@ -386,23 +367,3 @@ class PromptOptimizer:
 def select_best(pool: list[Candidate]) -> Candidate:
     return max(pool, key=lambda c: (c.fitness, -c.id))
 
-
-def optimize(
-    seed_prompt: Prompt,
-    train: Sequence[SamplePair],
-    dev: Sequence[SamplePair],
-    cfg: OptimizerConfig,
-    backend: Backend,
-    template: TaskTemplate,
-    epoch_callback: Callable[[int, list[Candidate], PromptOptimizer], None] | None = None,
-) -> tuple[Candidate, list[dict]]:
-    """Full optimization run from a seed prompt; returns (best, history)."""
-    engine = PromptOptimizer(train, dev, cfg, backend, template)
-    pool = [engine.score_seed(seed_prompt)]
-    if epoch_callback is not None:
-        epoch_callback(0, pool, engine)
-    for epoch in range(1, cfg.n_epochs + 1):
-        pool = engine.run_epoch(pool, epoch)
-        if epoch_callback is not None:
-            epoch_callback(epoch, pool, engine)
-    return select_best(pool), engine.history

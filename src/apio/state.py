@@ -12,14 +12,12 @@ import json
 import os
 from pathlib import Path
 
-from .optimizer import Candidate
-
 
 class RunStateError(Exception):
     """Missing, locked, or corrupt run state."""
 
 
-def _dump(data: dict) -> str:
+def _dump(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
@@ -89,12 +87,4 @@ class RunDir:
         return json.loads(self.history_path.read_text(encoding="utf-8"))["epochs"]
 
     def write_json(self, path: Path, data) -> None:
-        _atomic_write(path, _dump(data) if isinstance(data, dict) else json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-
-
-def pool_to_state(pool: list[Candidate]) -> list[dict]:
-    return [c.to_dict() for c in pool]
-
-
-def pool_from_state(data: list[dict]) -> list[Candidate]:
-    return [Candidate.from_dict(c) for c in data]
+        _atomic_write(path, _dump(data))

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from apio.corpus import SamplePair
 from apio.gateway import ScriptedBackend, ScriptEntry
+
+
+# the engine tests' scoring pool: one thread, as with ``--workers 1``
+SEQUENTIAL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="apio-test")
 
 
 def pytest_configure(config):

@@ -22,8 +22,9 @@ from apio.gateway import ScriptEntry, ScriptedBackend
 from apio.induction import InductionConfig, best_of_trials
 from apio.metrics.levenshtein import pairwise_word_levenshtein, word_levenshtein
 from apio.metrics.sari import sari
-from apio.optimizer import Candidate, OptimizerConfig, PromptOptimizer, optimize
+from apio.optimizer import Candidate, OptimizerConfig, PromptOptimizer
 from apio.prompts import GEC_TEMPLATE, GENERIC_TEMPLATE, Instruction, Prompt
+from conftest import SEQUENTIAL
 from m2gen import random_record
 from toytask import DECOY, PLANTED, make_workspace, script_entries
 
@@ -289,8 +290,11 @@ def test_c5_determinism_and_elitism(tmp_path, monkeypatch):
             n_epochs=3, beam_b=6, improve_samples=2, improve_batch=2,
             dev_subsample=None, seed=run_idx,
         )
-        _, history = optimize(seed_prompt, dev[:4], dev, cfg, _random_script(rng), GENERIC_TEMPLATE)
-        best_series = [entry["best_fitness"] for entry in history]
+        engine = PromptOptimizer(dev[:4], dev, cfg, _random_script(rng), GENERIC_TEMPLATE, SEQUENTIAL)
+        pool = [engine.score_seed(seed_prompt)]
+        for epoch in range(1, cfg.n_epochs + 1):
+            pool = engine.run_epoch(pool, epoch)
+        best_series = [entry["best_fitness"] for entry in engine.history]
         assert best_series == sorted(best_series)
     assert time.monotonic() - start < 60.0
 
@@ -313,7 +317,7 @@ def test_c6_operator_contracts_fuzz():
     ]
     cfg = OptimizerConfig(n_epochs=1, beam_b=8, improve_samples=1, improve_batch=2,
                           dev_subsample=4, seed=0)
-    engine = PromptOptimizer(dev[:4], dev, cfg, ScriptedBackend(entries), GENERIC_TEMPLATE)
+    engine = PromptOptimizer(dev[:4], dev, cfg, ScriptedBackend(entries), GENERIC_TEMPLATE, SEQUENTIAL)
     rng = random.Random(6)
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon"]
     for parent_idx in range(1000):
@@ -351,7 +355,9 @@ def test_c6_operator_contracts_fuzz():
     paths_entries = [ScriptEntry(**e) for e in script_entries()]
     pool_cfg = OptimizerConfig(n_epochs=4, beam_b=5, improve_samples=3, improve_batch=2,
                                dev_subsample=None, seed=3)
-    engine2 = PromptOptimizer(dev[:4], dev, pool_cfg, ScriptedBackend(paths_entries), GENERIC_TEMPLATE)
+    engine2 = PromptOptimizer(
+        dev[:4], dev, pool_cfg, ScriptedBackend(paths_entries), GENERIC_TEMPLATE, SEQUENTIAL
+    )
     pool = [engine2.score_seed(Prompt("", (Instruction(DECOY), Instruction('Replace "b" with "b".')), GENERIC_TEMPLATE.footer))]
     for epoch in range(1, 5):
         pool = engine2.run_epoch(pool, epoch)

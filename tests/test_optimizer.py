@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import random
+import json
 import threading
 import time
 from collections import Counter
@@ -11,19 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apio.corpus import SamplePair
+from apio.cli import main
 from apio.gateway import INFER, Backend, ScriptEntry, ScriptedBackend, ScriptExhaustedError
 from apio.optimizer import (
     Candidate,
     OptimizerConfig,
     PromptOptimizer,
-    optimize,
     score_prompt,
     select_best,
     select_dev_subsample,
 )
 from apio.prompts import GENERIC_TEMPLATE, Instruction, Prompt
-from conftest import rewrite_backend
-from toytask import DECOY, PLANTED, script_entries
+from conftest import SEQUENTIAL, rewrite_backend
+from toytask import DECOY, PLANTED, make_workspace, script_entries
 
 IMPROVE_MATCH = "Suggest new instruction"
 REPHRASE_MATCH = "Generate a variation"
@@ -40,7 +40,7 @@ def _engine(pairs, backend, **overrides) -> PromptOptimizer:
     )
     defaults.update(overrides)
     cfg = OptimizerConfig(**defaults)
-    return PromptOptimizer(pairs[:4], pairs, cfg, backend, GENERIC_TEMPLATE)
+    return PromptOptimizer(pairs[:4], pairs, cfg, backend, GENERIC_TEMPLATE, SEQUENTIAL)
 
 
 # -- fitness ------------------------------------------------------------------
@@ -58,7 +58,7 @@ def _distance_pairs():
 def test_fitness_mean_error_no_parent():
     backend = rewrite_backend()
     engine = _engine(_distance_pairs(), backend)
-    fit, raw, drift = engine.fitness(_prompt(DECOY), None)
+    fit, raw, drift = engine.fitness(_prompt(DECOY), None, engine.submit_fitness(_prompt(DECOY)))
     assert raw == pytest.approx(1.5)
     assert drift == 0.0
     assert fit == pytest.approx(-1.5)
@@ -95,7 +95,7 @@ def _indexed_pairs(n=20, failing=()):
 
 def test_score_prompt_concurrent_keeps_input_order():
     pairs = _indexed_pairs() + [SamplePair("empty", "", ("x y",))]
-    sequential = score_prompt(_prompt(DECOY), pairs, SlowEchoBackend())
+    sequential = score_prompt(_prompt(DECOY), pairs, SlowEchoBackend(), SEQUENTIAL)
     backend = SlowEchoBackend()
     with ThreadPoolExecutor(max_workers=8) as pool:
         concurrent = score_prompt(_prompt(DECOY), pairs, backend, pool)
@@ -109,11 +109,13 @@ def test_score_prompt_concurrent_keeps_input_order():
 
 @pytest.mark.parametrize("workers", [None, 1, 8])
 def test_score_prompt_failure_waits_for_every_request(workers):
+    # ``None``: the long-lived one-thread pool the engine tests share
     pairs = _indexed_pairs(failing=(3, 11))
     backend = SlowEchoBackend()
-    with ThreadPoolExecutor(max_workers=workers or 1) as pool:
+    with ThreadPoolExecutor(max_workers=workers or 1) as own_pool:
+        pool = own_pool if workers else SEQUENTIAL
         with pytest.raises(ScriptExhaustedError, match="item 3 fail"):
-            score_prompt(_prompt(DECOY), pairs, backend, pool if workers else None)
+            score_prompt(_prompt(DECOY), pairs, backend, pool)
         # nothing is left in flight once the first failure surfaces
         assert len(backend.finished) == len(pairs)
 
@@ -125,7 +127,7 @@ def test_fitness_zero_drift_for_identical_parent():
     ]
     engine = _engine(pairs, rewrite_backend())
     prompt = _prompt(DECOY)
-    fit, raw, drift = engine.fitness(prompt, prompt)
+    fit, raw, drift = engine.fitness(prompt, prompt, engine.submit_fitness(prompt))
     assert raw == pytest.approx(2.5)
     assert drift == 0.0
     assert fit == pytest.approx(-2.5)
@@ -134,7 +136,7 @@ def test_fitness_zero_drift_for_identical_parent():
 def test_fitness_perfect_outputs(toy_pairs):
     engine = _engine(toy_pairs, rewrite_backend())
     prompt = _prompt(PLANTED)
-    fit, raw, drift = engine.fitness(prompt, prompt)
+    fit, raw, drift = engine.fitness(prompt, prompt, engine.submit_fitness(prompt))
     assert (fit, raw, drift) == (0.0, 0.0, 0.0)
 
 
@@ -142,7 +144,7 @@ def test_fitness_drift_normalized_by_parent_tokens(toy_pairs):
     engine = _engine(toy_pairs, rewrite_backend())
     parent = _prompt(DECOY)
     child = parent.append_instruction(PLANTED)
-    _, _, drift = engine.fitness(child, parent)
+    _, _, drift = engine.fitness(child, parent, engine.submit_fitness(child))
     added_tokens = len(f"* {PLANTED}".split())
     assert drift == pytest.approx(added_tokens / len(parent.text().split()))
 
@@ -358,18 +360,18 @@ class InflightBackend(Backend):
 
 
 def test_run_epoch_overlaps_scoring_of_several_children(toy_pairs):
-    def run(executor):
+    def run(workers):
         backend = InflightBackend()
         cfg = OptimizerConfig(n_epochs=2, beam_b=4, improve_samples=3, dev_subsample=3, seed=13)
-        engine = PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, backend, GENERIC_TEMPLATE, executor)
-        pool = [engine.score_seed(_prompt(DECOY, DECOY))]
-        for epoch in (1, 2):
-            pool = engine.run_epoch(pool, epoch)
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            engine = PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, backend, GENERIC_TEMPLATE, executor)
+            pool = [engine.score_seed(_prompt(DECOY, DECOY))]
+            for epoch in (1, 2):
+                pool = engine.run_epoch(pool, epoch)
         return backend.peak_prompts, engine.history
 
-    sequential_peak, sequential = run(None)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        concurrent_peak, concurrent = run(pool)
+    sequential_peak, sequential = run(1)
+    concurrent_peak, concurrent = run(8)
     assert sequential_peak == 1
     assert concurrent_peak > 1  # children's dev requests share one wait
     assert concurrent == sequential
@@ -389,55 +391,19 @@ def test_zero_successful_candidates_keeps_pool(toy_pairs):
 # -- optimize -----------------------------------------------------------------
 
 
-def test_optimize_zero_epochs_returns_init(toy_pairs):
-    cfg = OptimizerConfig(n_epochs=0, beam_b=4, dev_subsample=None, seed=3)
-    backend = rewrite_backend()
-    best, history = optimize(_prompt(DECOY), toy_pairs[:4], toy_pairs, cfg, backend, GENERIC_TEMPLATE)
-    assert best.operator == "init"
-    assert best.id == 0
-    assert history == []
-
-
-def test_optimize_deterministic_history(toy_pairs):
-    def run():
-        entries = [ScriptEntry(**e) for e in script_entries()]
-        cfg = OptimizerConfig(
-            n_epochs=4, beam_b=6, improve_samples=3, improve_batch=2, dev_subsample=None, seed=21
-        )
-        return optimize(
-            _prompt(DECOY), toy_pairs[:4], toy_pairs, cfg, ScriptedBackend(entries), GENERIC_TEMPLATE
-        )
-
-    best_a, history_a = run()
-    best_b, history_b = run()
-    assert history_a == history_b
-    assert best_a == best_b
-
-
-def test_optimize_reaches_planted_optimum(toy_pairs):
-    entries = [ScriptEntry(**e) for e in script_entries(planted_offset=2)]
-    cfg = OptimizerConfig(
-        n_epochs=3, beam_b=8, improve_samples=4, improve_batch=2, dev_subsample=None, seed=2
-    )
-    best, history = optimize(
-        _prompt(DECOY, DECOY), toy_pairs[:4], toy_pairs, cfg, ScriptedBackend(entries), GENERIC_TEMPLATE
-    )
-    assert best.raw_error == 0.0
-    assert PLANTED in best.prompt.instruction_texts()
-    assert len(history) == 3
-
-
-def test_optimize_epoch_callback_sequence(toy_pairs):
-    seen = []
-    cfg = OptimizerConfig(n_epochs=2, beam_b=4, improve_samples=2, dev_subsample=None, seed=1)
-    entries = [ScriptEntry(**e) for e in script_entries()]
-    optimize(
-        _prompt(DECOY, DECOY), toy_pairs[:4], toy_pairs, cfg, ScriptedBackend(entries),
-        GENERIC_TEMPLATE,
-        epoch_callback=lambda epoch, pool, engine: seen.append((epoch, len(pool))),
-    )
-    assert [epoch for epoch, _ in seen] == [0, 1, 2]
-    assert seen[0][1] == 1  # init pool holds only the seed candidate
+def test_optimize_zero_epochs_returns_init(tmp_path):
+    paths = make_workspace(tmp_path, n_epochs=0, beam_b=4)
+    args = ["--config", str(paths["config"]), "--run-id", "r", "--runs-dir", str(paths["runs"]),
+            "--dry-run", "--script", str(paths["script"])]
+    assert main(["induce", *args]) == 0
+    assert main(["optimize", *args]) == 0
+    run = paths["runs"] / "r"
+    report = json.loads((run / "final_report.json").read_text(encoding="utf-8"))
+    assert report["best_id"] == 0
+    assert [c["operator"] for c in report["top5"]] == ["init"]
+    assert json.loads((run / "history.json").read_text(encoding="utf-8")) == {"epochs": []}
+    state = json.loads((run / "state.json").read_text(encoding="utf-8"))
+    assert (state["phase"], state["epoch"], state["next_id"]) == ("done", 0, 1)
 
 
 def test_select_best_prefers_fitness_then_age():

@@ -318,6 +318,41 @@ def test_induce_invalid_workers_exits_2_before_creating_run(tmp_path, workers, c
     assert _induce(paths) == 0
 
 
+@pytest.mark.parametrize("command", ["induce", "infer", "baseline", "resume"])
+def test_unknown_task_in_config_exits_2(tmp_path, command, capsys):
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    if command == "resume":
+        assert _induce(paths) == 0
+        assert _optimize(paths, extra=("--stop-after-epoch", "1")) == 0
+        state_path = paths["runs"] / "r1" / "state.json"
+        state = json.loads(state_path.read_text(encoding="utf-8"))
+        state["config"]["task"] = "bogus"
+        state_path.write_text(json.dumps(state), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 2
+        assert "unknown task 'bogus'" in capsys.readouterr().err
+        assert json.loads(state_path.read_text(encoding="utf-8"))["epoch"] == 1
+        return
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["task"] = "bogus"
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    _write_prompt(prompt)
+    source.write_text("a foo\n", encoding="utf-8")
+    io = ["--input", str(source), "--output", str(out)]
+    argv = {
+        "induce": ["induce", "--config", str(paths["config"]), "--run-id", "r1",
+                   "--runs-dir", str(paths["runs"]), "--dry-run", "--script", str(paths["script"])],
+        "infer": ["infer", "--config", str(paths["config"]), "--prompt", str(prompt), *io,
+                  "--dry-run", "--script", str(paths["script"])],
+        "baseline": ["baseline", "--config", str(paths["config"]), "--kind", "copy", *io],
+    }[command]
+    assert main(argv) == 2
+    assert "unknown task 'bogus'" in capsys.readouterr().err
+    assert not (paths["runs"] / "r1").exists()
+    assert not out.exists()
+
+
 def test_dev_subsample_flag_recorded_and_applied(tmp_path, no_network):
     paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
     assert _induce(paths, extra=("--dev-subsample", "3")) == 0
