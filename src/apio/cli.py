@@ -176,7 +176,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     try:
         backend = _build_backend(args, cfg, run)
         dev_eval = select_dev_subsample(dev, cfg.optimizer)
-        with _executor(args) as pool:
+        with contextlib.closing(backend), _executor(args) as pool:
 
             def fitness_fn(prompt: Prompt, pairs) -> float:
                 return -score_prompt(prompt, pairs, backend, pool)[0]
@@ -254,6 +254,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         state = run.read_state()
         if state["phase"] not in ("optimization", "done"):
             raise RunStateError(f"run {args.resume!r} is in phase {state['phase']!r}, nothing to resume")
+        for key in ("epoch", "next_id", "pool", "seed_prompt"):
+            if key not in state:
+                raise RunStateError(f"state file {run.state_path} lacks key {key!r}")
         cfg = RunConfig.from_dict(state["config"])
         seed_prompt = parse_prompt(state["seed_prompt"])
         backend_state = state.get("backend", {"mode": "live"})
@@ -285,7 +288,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             backend.restore_consumed(consumed)
         train, dev = split_pairs(cfg)
         template = TASK_TEMPLATES[cfg.task]
-        with _executor(args) as executor:
+        with contextlib.closing(backend), _executor(args) as executor:
             engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template, executor)
             if state is None:
                 pool, start_epoch = [engine.score_seed(seed_prompt)], 0
@@ -293,7 +296,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             else:
                 engine.history = run.read_history()
                 engine.next_id = state["next_id"]
-                pool, start_epoch = [Candidate.from_dict(c) for c in state["pool"]], state["epoch"]
+                try:
+                    pool = [Candidate.from_dict(c) for c in state["pool"]]
+                except (KeyError, TypeError) as exc:
+                    raise RunStateError(
+                        f"state file {run.state_path} holds a malformed pool entry: {exc!r}"
+                    ) from exc
+                start_epoch = state["epoch"]
             return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, start_epoch)
     finally:
         run.release_lock()
@@ -369,7 +378,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     prompt = parse_prompt(Path(args.prompt).read_text(encoding="utf-8").rstrip("\n"))
     lines = _read_lines_raw(args.input)
     backend = _build_backend(args, cfg, None)
-    with _executor(args) as pool:
+    with contextlib.closing(backend), _executor(args) as pool:
         outputs, failures = _infer_lines(prompt.render, lines, backend, pool)
     _write_lines(args.output, outputs)
     if failures:
@@ -479,7 +488,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         # zero/few-shot prompts have no instruction bullets; render directly
         prompt_text = "\n\n".join(blocks) + "\n\n" + template.footer
         backend = _build_backend(args, cfg, None)
-        with _executor(args) as pool:
+        with contextlib.closing(backend), _executor(args) as pool:
             outputs, failures = _infer_lines(
                 lambda line: prompt_text.replace(INPUT_SLOT, line), lines, backend, pool
             )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .corpus import (
     ConfigurationError,
@@ -33,6 +34,21 @@ class BackendConfig:
     timeout_s: float = 60.0
     max_tokens: int = 1024
     cache_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        try:
+            url = urlsplit(str(self.base_url))
+            valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+        except ValueError:  # a port that is not a number from 1 to 65535
+            valid = False
+        if not valid:
+            raise ValueError(f"backend.base_url must be an http(s) URL with a host, got {self.base_url!r}")
+        if self.retry_max < 0:
+            raise ValueError(f"backend.retry_max must be >= 0, got {self.retry_max}")
+        if not self.timeout_s > 0:
+            raise ValueError(f"backend.timeout_s must be > 0, got {self.timeout_s}")
+        if self.max_tokens < 1:
+            raise ValueError(f"backend.max_tokens must be >= 1, got {self.max_tokens}")
 
 
 @dataclass

@@ -16,15 +16,21 @@ prompt search and INFER (temperature 0.0, top-p 0.1) for inference.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
+import select
+import socket
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass, replace
 from pathlib import Path
+from urllib.parse import SplitResult, unquote, urlsplit
 
 log = logging.getLogger(__name__)
 
@@ -115,6 +121,9 @@ class Backend:
 
     def _complete(self, request: ChatRequest) -> str:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the backend holds open; it stays usable."""
 
     def resolve_profile(self, profile: GenerationProfile) -> GenerationProfile:
         """Fill in backend-level model id and token limit."""
@@ -260,12 +269,42 @@ class ScriptedBackend(Backend):
 _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
-class OpenAIChatBackend(Backend):
-    """OpenAI-style chat-completions client over ``requests``.
+def _environment_proxy(endpoint: SplitResult) -> tuple[SplitResult | None, dict[str, str]]:
+    """The proxy that the environment names for ``endpoint``
+    (``urllib.request.getproxies``, with ``NO_PROXY`` applied by
+    ``proxy_bypass``), and the ``Proxy-Authorization`` header for
+    credentials given in the proxy URL."""
+    proxies = urllib.request.getproxies()
+    url = proxies.get(endpoint.scheme) or proxies.get("all")
+    if not url or urllib.request.proxy_bypass(endpoint.netloc):
+        return None, {}
+    proxy = urlsplit(url if "://" in url else f"http://{url}")
+    if proxy.scheme != "http" or not proxy.hostname:
+        raise ValueError(f"unsupported proxy {url!r}: only http:// proxies are supported")
+    if proxy.username is None:
+        return proxy, {}
+    credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}".encode("utf-8")
+    return proxy, {"Proxy-Authorization": "Basic " + base64.b64encode(credentials).decode("ascii")}
 
-    Each thread posts through its own ``requests.Session``, since a
-    session is not safe to share between threads; a ``session`` passed in
-    is used by every thread.
+
+def _dropped(sock: socket.socket) -> bool:
+    """Whether an idle keep-alive socket can no longer carry a request: it
+    is readable, so the server closed it (or sent bytes out of turn)."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+class OpenAIChatBackend(Backend):
+    """OpenAI-style chat-completions client over ``http.client``.
+
+    Each thread sends its requests over one persistent connection of its
+    own, opened on first use. A connection that the server closed while it
+    sat idle is replaced before it is reused, without spending a retry.
+    Proxies come from the environment (``HTTPS_PROXY``, ``HTTP_PROXY``,
+    ``ALL_PROXY``, ``NO_PROXY``): an ``https`` endpoint is reached through
+    a CONNECT tunnel and an ``http`` one by sending the proxy the absolute
+    URL. TLS uses Python's default verified context.
     """
 
     def __init__(
@@ -276,12 +315,9 @@ class OpenAIChatBackend(Backend):
         retry_max: int = 5,
         timeout_s: float = 60.0,
         max_tokens: int | None = None,
-        session=None,
         backoff_base_s: float = 0.5,
     ) -> None:
         super().__init__()
-        import requests
-
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.max_tokens = max_tokens
@@ -289,18 +325,53 @@ class OpenAIChatBackend(Backend):
         self.retry_max = retry_max
         self.timeout_s = timeout_s
         self.backoff_base_s = backoff_base_s
-        self._shared_session = session
+        url = f"{self.base_url}/chat/completions"
+        self._endpoint = urlsplit(url)
+        self._proxy, self._proxy_auth = _environment_proxy(self._endpoint)
+        self._headers = {"Content-Type": "application/json", "Authorization": f"Bearer {self.api_key}"}
+        if self._proxy is not None and self._endpoint.scheme == "http":
+            # a plain-HTTP proxy is sent the absolute URL and the credentials;
+            # for https they go into the CONNECT request instead
+            self._target = url
+            self._headers.update(self._proxy_auth)
+        else:
+            self._target = self._endpoint.path + (f"?{self._endpoint.query}" if self._endpoint.query else "")
         self._local = threading.local()
-        self._requests = requests
+        # every thread's connection, so that close() reaches them all
+        self._connections: list[http.client.HTTPConnection] = []
+        self._connections_lock = threading.Lock()
 
-    @property
-    def session(self):
-        """The injected session, else the calling thread's own."""
-        if self._shared_session is not None:
-            return self._shared_session
-        if not hasattr(self._local, "session"):
-            self._local.session = self._requests.Session()
-        return self._local.session
+    def _open(self) -> http.client.HTTPConnection:
+        """A new connection to the endpoint or its proxy; ``http.client``
+        connects it on the first request and again after ``close``."""
+        endpoint, proxy = self._endpoint, self._proxy
+        https = endpoint.scheme == "https"
+        cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        if proxy is None:
+            return cls(endpoint.hostname, endpoint.port or cls.default_port, timeout=self.timeout_s)
+        conn = cls(proxy.hostname, proxy.port or http.client.HTTP_PORT, timeout=self.timeout_s)
+        if https:
+            conn.set_tunnel(endpoint.hostname, endpoint.port or http.client.HTTPS_PORT, self._proxy_auth)
+        return conn
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, closed first if the server
+        dropped it while idle, so that the next request reconnects."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._open()
+            with self._connections_lock:
+                self._connections.append(conn)
+        elif conn.sock is not None and _dropped(conn.sock):
+            conn.close()
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request reopens it.
+        Call it once no request is in flight."""
+        with self._connections_lock:
+            for conn in self._connections:
+                conn.close()
 
     def _complete(self, request: ChatRequest) -> str:
         profile = self.resolve_profile(request.profile)
@@ -311,27 +382,30 @@ class OpenAIChatBackend(Backend):
             "top_p": profile.top_p,
             "max_tokens": profile.max_tokens,
         }
-        url = f"{self.base_url}/chat/completions"
-        headers = {"Authorization": f"Bearer {self.api_key}"}
+        body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.retry_max + 1):
             if attempt:
                 time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+            conn = self._connection()
             try:
-                response = self.session.post(url, json=payload, headers=headers, timeout=self.timeout_s)
-            except self._requests.RequestException as exc:
+                conn.request("POST", self._target, body, self._headers)
+                response = conn.getresponse()
+                status, data = response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
                 last_error = exc
                 continue
-            if response.status_code in (401, 403):
-                raise CredentialError(f"authentication failed ({response.status_code})")
-            if response.status_code in _RETRYABLE_STATUS:
-                last_error = BackendError(f"transient status {response.status_code}")
+            if status in (401, 403):
+                raise CredentialError(f"authentication failed ({status})")
+            if status in _RETRYABLE_STATUS:
+                last_error = BackendError(f"transient status {status}")
                 continue
-            if response.status_code != 200:
-                raise BackendError(f"unexpected status {response.status_code}: {response.text[:200]}")
+            if status != 200:
+                raise BackendError(f"unexpected status {status}: {data.decode('utf-8', 'replace')[:200]}")
             try:
-                content = response.json()["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, ValueError) as exc:
+                content = json.loads(data)["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise BackendError(f"malformed completion payload: {exc}") from exc
             if not content:
                 raise BackendError("backend returned an empty completion")
@@ -364,6 +438,9 @@ class CachedBackend(Backend):
         self._registry_lock = threading.Lock()
         self._hits_lock = threading.Lock()
         self.hits = 0
+
+    def close(self) -> None:
+        self.inner.close()
 
     def _lock_for(self, key: str) -> threading.Lock:
         with self._registry_lock:

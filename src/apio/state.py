@@ -1,6 +1,7 @@
 """Run directory layout, locking, and resumable state.
 
-Each run owns ``<runs_dir>/<run_id>/`` exclusively (advisory lock file).
+Each run owns ``<runs_dir>/<run_id>/`` exclusively (an advisory ``flock``
+on its ``.lock`` file).
 State and history files are written atomically (temp + rename) and
 contain no timestamps, so a resumed run reproduces the uninterrupted
 run's bytes given the same seed, script/cache, and config.
@@ -8,6 +9,7 @@ run's bytes given the same seed, script/cache, and config.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from pathlib import Path
@@ -38,6 +40,7 @@ class RunDir:
         self.trials_path = self.path / "trials.json"
         self.cache_path = self.path / "cache"
         self._lock_path = self.path / ".lock"
+        self._lock_fd: int | None = None
 
     def create(self, force: bool = False) -> None:
         if self.state_path.exists() and not force:
@@ -47,21 +50,25 @@ class RunDir:
         self.path.mkdir(parents=True, exist_ok=True)
 
     def acquire_lock(self) -> None:
+        """Hold an exclusive ``flock`` on ``.lock`` until ``release_lock``.
+        The kernel drops the lock when its holder dies, so a killed
+        process leaves nothing to clean up."""
         self.path.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self._lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            fd = os.open(self._lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             raise RunStateError(
                 f"run {self.run_id!r} is locked by another process ({self._lock_path})"
-            )
-        with os.fdopen(fd, "w") as handle:
-            handle.write(str(os.getpid()))
+            ) from None
+        self._lock_fd = fd
 
     def release_lock(self) -> None:
-        try:
-            self._lock_path.unlink()
-        except FileNotFoundError:
-            pass
+        # closing the descriptor drops the lock; the file stays for the next holder
+        if self._lock_fd is not None:
+            os.close(self._lock_fd)
+            self._lock_fd = None
 
     def write_state(self, state: dict) -> None:
         _atomic_write(self.state_path, _dump(state))
@@ -74,7 +81,7 @@ class RunDir:
         except json.JSONDecodeError as exc:
             raise RunStateError(f"corrupt state file {self.state_path}: {exc}") from exc
         for key in ("run_id", "phase", "config"):
-            if key not in state:
+            if not isinstance(state, dict) or key not in state:
                 raise RunStateError(f"state file {self.state_path} lacks key {key!r}")
         return state
 
@@ -84,7 +91,13 @@ class RunDir:
     def read_history(self) -> list[dict]:
         if not self.history_path.exists():
             return []
-        return json.loads(self.history_path.read_text(encoding="utf-8"))["epochs"]
+        try:
+            history = json.loads(self.history_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise RunStateError(f"corrupt history file {self.history_path}: {exc}") from exc
+        if not isinstance(history, dict) or "epochs" not in history:
+            raise RunStateError(f"history file {self.history_path} lacks key 'epochs'")
+        return history["epochs"]
 
     def write_json(self, path: Path, data) -> None:
         _atomic_write(path, _dump(data))

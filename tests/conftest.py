@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import http.client
+import json
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -50,3 +57,146 @@ def rewrite_backend(extra: list[ScriptEntry] | None = None) -> ScriptedBackend:
     entries = list(extra or [])
     entries.append(ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True))
     return ScriptedBackend(entries)
+
+
+# -- network -------------------------------------------------------------------
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+@pytest.fixture
+def no_network(monkeypatch):
+    """Fail any connection the test opens; ``calls["n"]`` counts attempts."""
+    calls = {"n": 0}
+
+    def guard(*args, **kwargs):
+        calls["n"] += 1
+        raise AssertionError("network connection attempted during an offline test")
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", guard)
+    return calls
+
+
+def completion(content: str) -> dict:
+    """A chat-completions response body carrying ``content``."""
+    return {"choices": [{"message": {"content": content}}]}
+
+
+@dataclass
+class Reply:
+    """One scripted answer: ``body`` is sent as JSON unless it is a string,
+    after ``delay`` seconds. ``close`` closes the connection after
+    replying, without saying so in a header; ``drop`` closes it without
+    replying."""
+
+    status: int = 200
+    body: object = field(default_factory=lambda: completion("ok"))
+    close: bool = False
+    drop: bool = False
+    delay: float = 0.0
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    server: "ChatServer"
+
+    def log_message(self, format, *args) -> None:  # noqa: A002 - stdlib signature
+        pass
+
+    def do_POST(self) -> None:
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self._reply(self.server.answer(self, json.loads(body)))
+
+    def do_CONNECT(self) -> None:
+        # a proxy's tunnel request; only refusing it is scripted, as the
+        # tests have no certificates to talk TLS through a tunnel
+        self._reply(self.server.answer(self, None))
+
+    def _reply(self, reply: Reply) -> None:
+        time.sleep(reply.delay)
+        if reply.drop:
+            self.close_connection = True
+            return
+        data = (reply.body if isinstance(reply.body, str) else json.dumps(reply.body)).encode("utf-8")
+        self.send_response(reply.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = reply.close
+
+
+class ChatServer(ThreadingHTTPServer):
+    """A chat-completions server on 127.0.0.1 that answers from ``script``
+    in order and then with ``fallback``. Each request's method, path,
+    headers, JSON body and client port go into ``requests``; ``closed``
+    counts the connections it has closed."""
+
+    daemon_threads = True
+    # handler threads wait on kept-alive connections; do not join them
+    block_on_close = False
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.script: list[Reply] = []
+        self.fallback = Reply()
+        self.requests: list[dict] = []
+        self.closed = 0
+        self.changed = threading.Condition()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}/v1"
+
+    def answer(self, handler: _ChatHandler, payload) -> Reply:
+        with self.changed:
+            self.requests.append(
+                {
+                    "method": handler.command,
+                    "path": handler.path,
+                    "headers": dict(handler.headers),
+                    "json": payload,
+                    "port": handler.client_address[1],
+                }
+            )
+            return self.script.pop(0) if self.script else self.fallback
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self.changed:
+            self.closed += 1
+            self.changed.notify_all()
+
+    def wait_closed(self, n: int) -> None:
+        with self.changed:
+            assert self.changed.wait_for(lambda: self.closed >= n, timeout=10)
+
+    def handle_error(self, request, client_address) -> None:
+        # clients closing their end mid-request is part of the tests
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    """Clear the proxy variables, in lower and upper case; the monkeypatch
+    is returned for setting some of them again."""
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+@pytest.fixture
+def chat_server(no_proxy_env):
+    """A running ``ChatServer``, reached directly, not through a proxy."""
+    server = ChatServer()
+    # a short poll interval keeps shutdown from waiting half a second
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)

@@ -258,13 +258,7 @@ def _random_script(rng: random.Random) -> ScriptedBackend:
 
 
 @criterion("C5 determinism-and-elitism")
-def test_c5_determinism_and_elitism(tmp_path, monkeypatch):
-    import requests
-
-    def no_network(*args, **kwargs):
-        raise AssertionError("network call during scripted acceptance run")
-
-    monkeypatch.setattr(requests.Session, "post", no_network)
+def test_c5_determinism_and_elitism(tmp_path, no_network):
     start = time.monotonic()
 
     # determinism: one scripted run (seed fixed, 15 epochs, B=32) twice
@@ -379,18 +373,7 @@ def _run_e2e(paths, run_id, extra=(), runs_dir=None) -> None:
 
 
 @criterion("C7 e2e-planted-optimum")
-def test_c7_end_to_end_planted_optimum(tmp_path, monkeypatch):
-    import requests
-
-    network_calls = {"n": 0}
-
-    def no_network(*args, **kwargs):
-        network_calls["n"] += 1
-        raise AssertionError("network call during dry run")
-
-    monkeypatch.setattr(requests.Session, "post", no_network)
-    monkeypatch.setattr(requests.Session, "get", no_network)
-
+def test_c7_end_to_end_planted_optimum(tmp_path, no_network):
     paths = make_workspace(tmp_path, n_epochs=15, beam_b=32, seed=7)
     start = time.monotonic()
     _run_e2e(paths, "e2e")
@@ -405,7 +388,7 @@ def test_c7_end_to_end_planted_optimum(tmp_path, monkeypatch):
     first_zero = next(e["epoch"] for e in history
                       if any(c["raw_error"] == 0.0 for c in e["candidates"]))
     assert first_zero <= 3
-    assert network_calls["n"] == 0
+    assert no_network["n"] == 0
     assert elapsed < 5.0, f"end-to-end run took {elapsed:.2f}s"
 
 

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import pathlib
+import socket
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from apio import gateway
 from apio.gateway import (
     Backend,
     BackendError,
@@ -27,6 +32,7 @@ from apio.gateway import (
     request_key,
     user_request,
 )
+from conftest import ChatServer, Reply, completion
 
 
 def test_profiles_are_the_two_presets():
@@ -246,113 +252,181 @@ def test_cache_hits_counted_exactly_across_threads(tmp_path):
 # -- openai-compatible http ----------------------------------------------------
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, content="ok", body=None):
-        self.status_code = status_code
-        self._body = body if body is not None else {
-            "choices": [{"message": {"content": content}}]
-        }
-        self.text = str(self._body)
+@pytest.fixture
+def openai(chat_server):
+    """Makes clients of ``chat_server`` (or of ``base_url``) and closes
+    them after the test."""
+    made = []
 
-    def json(self):
-        return self._body
+    def make(base_url=chat_server.url, **kwargs) -> OpenAIChatBackend:
+        kwargs = {"model": "test-model", "api_key": "sk-test", "backoff_base_s": 0.0, **kwargs}
+        made.append(OpenAIChatBackend(base_url=base_url, **kwargs))
+        return made[-1]
 
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
+    yield make
+    for backend in made:
+        backend.close()
 
 
-def _backend(responses, **kwargs):
-    session = FakeSession(responses)
-    backend = OpenAIChatBackend(
-        base_url="http://llm.test/v1",
-        model="test-model",
-        api_key="sk-test",
-        session=session,
-        backoff_base_s=0.0,
-        **kwargs,
-    )
-    return backend, session
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
-def test_openai_success_payload():
-    backend, session = _backend([FakeResponse(content="fixed text")])
-    out = backend.complete(user_request("fix this", INFER))
+def test_openai_success_payload(chat_server, openai):
+    chat_server.script = [Reply(body=completion("fixed text"))]
+    out = openai().complete(user_request("fix this", INFER))
     assert out == "fixed text"
-    sent = session.requests[0]
-    assert sent["url"] == "http://llm.test/v1/chat/completions"
+    sent = chat_server.requests[0]
+    assert sent["path"] == "/v1/chat/completions"
     assert sent["json"]["model"] == "test-model"
     assert sent["json"]["temperature"] == 0.0
     assert sent["json"]["top_p"] == 0.1
+    assert sent["json"]["messages"] == [{"role": "user", "content": "fix this"}]
     assert sent["headers"]["Authorization"] == "Bearer sk-test"
+    assert sent["headers"]["Content-Type"] == "application/json"
 
 
-def test_openai_auth_failure_no_retry():
-    backend, session = _backend([FakeResponse(status_code=401)])
-    with pytest.raises(CredentialError):
-        backend.complete(user_request("x", INFER))
-    assert len(session.requests) == 1
+def test_openai_auth_failure_no_retry(chat_server, openai):
+    chat_server.script = [Reply(status=401), Reply(status=403)]
+    backend = openai()
+    for status in (401, 403):
+        with pytest.raises(CredentialError, match=str(status)):
+            backend.complete(user_request("x", INFER))
+    assert len(chat_server.requests) == 2
 
 
-def test_openai_retries_transients_then_succeeds():
-    backend, session = _backend(
-        [FakeResponse(status_code=429), FakeResponse(status_code=503), FakeResponse(content="done")],
-        retry_max=5,
-    )
-    assert backend.complete(user_request("x", INFER)) == "done"
-    assert len(session.requests) == 3
+def test_openai_retries_transients_then_succeeds(chat_server, openai):
+    chat_server.script = [Reply(status=429), Reply(status=503), Reply(body=completion("done"))]
+    assert openai(retry_max=5).complete(user_request("x", INFER)) == "done"
+    assert len(chat_server.requests) == 3
 
 
-def test_openai_retry_budget_exhausted():
-    backend, session = _backend([FakeResponse(status_code=500)] * 3, retry_max=2)
-    with pytest.raises(TransportError):
-        backend.complete(user_request("x", INFER))
-    assert len(session.requests) == 3
+def test_openai_retry_budget_exhausted(chat_server, openai):
+    chat_server.fallback = Reply(status=500)
+    with pytest.raises(TransportError, match="after 3 attempts"):
+        openai(retry_max=2).complete(user_request("x", INFER))
+    assert len(chat_server.requests) == 3
 
 
-def test_openai_empty_completion_is_error():
-    backend, _ = _backend([FakeResponse(content="")])
+def test_openai_unexpected_status_is_error_with_body(chat_server, openai):
+    chat_server.script = [Reply(status=404, body="x" * 300)]
+    with pytest.raises(BackendError, match="unexpected status 404") as info:
+        openai().complete(user_request("x", INFER))
+    assert str(info.value).endswith(": " + "x" * 200)
+    assert len(chat_server.requests) == 1
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["not json", [], {"choices": []}, {"choices": [{"text": "t"}]}],
+    ids=["not-json", "list", "no-choices", "no-message"],
+)
+def test_openai_malformed_payload_is_error(chat_server, openai, body):
+    chat_server.script = [Reply(body=body)]
+    with pytest.raises(BackendError, match="malformed"):
+        openai().complete(user_request("x", INFER))
+    assert len(chat_server.requests) == 1
+
+
+def test_openai_empty_completion_is_error(chat_server, openai):
+    chat_server.script = [Reply(body=completion(""))]
     with pytest.raises(BackendError, match="empty"):
+        openai().complete(user_request("x", INFER))
+
+
+def test_openai_max_tokens_override(chat_server, openai):
+    openai(max_tokens=77).complete(user_request("x", INFER))
+    assert chat_server.requests[0]["json"]["max_tokens"] == 77
+
+
+def test_openai_connection_per_thread(chat_server, openai):
+    backend = openai()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outputs = list(pool.map(backend.complete, [user_request(f"x{i}", INFER) for i in range(8)]))
+    assert outputs == ["ok"] * 8
+    assert len(chat_server.requests) == 8
+    ports = {r["port"] for r in chat_server.requests}
+    assert len(ports) <= 2
+    # close() reaches the pool threads' connections too, and a later call reopens
+    backend.close()
+    chat_server.wait_closed(len(ports))
+    assert backend.complete(user_request("y", INFER)) == "ok"
+
+
+def test_openai_replaces_connection_closed_while_idle(chat_server, openai, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(gateway, "time", SimpleNamespace(sleep=sleeps.append))
+    chat_server.script = [Reply(body=completion("first"), close=True), Reply(body=completion("second"))]
+    backend = openai()
+    assert backend.complete(user_request("x", INFER)) == "first"
+    chat_server.wait_closed(1)
+    assert backend.complete(user_request("y", INFER)) == "second"
+    # one request per call, on a new connection, and no backoff spent
+    first, second = chat_server.requests
+    assert first["port"] != second["port"]
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("failure", [Reply(drop=True), Reply(delay=0.5)], ids=["dropped", "timeout"])
+def test_openai_transport_error_reconnects(chat_server, openai, monkeypatch, failure):
+    chat_server.script = [failure, Reply(body=completion("again"))]
+    backend = openai(retry_max=1, timeout_s=0.2)
+    sleeps = []
+    monkeypatch.setattr(gateway, "time", SimpleNamespace(sleep=sleeps.append))
+    assert backend.complete(user_request("x", INFER)) == "again"
+    first, second = chat_server.requests
+    assert first["port"] != second["port"]
+    assert sleeps == [0.0]
+
+
+def test_openai_unreachable_endpoint_exhausts_budget():
+    backend = OpenAIChatBackend(
+        base_url=f"http://127.0.0.1:{_closed_port()}/v1", model="m", retry_max=1, backoff_base_s=0.0
+    )
+    with pytest.raises(TransportError, match="after 2 attempts"):
         backend.complete(user_request("x", INFER))
 
 
-def test_openai_max_tokens_override():
-    backend, session = _backend([FakeResponse()], max_tokens=77)
-    backend.complete(user_request("x", INFER))
-    assert session.requests[0]["json"]["max_tokens"] == 77
+def test_openai_http_proxy_gets_absolute_url_and_credentials(chat_server, openai, monkeypatch):
+    proxy = chat_server.url.removesuffix("/v1").replace("http://", "http://user:p%40ss@")
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    assert openai(base_url="http://llm.test/v1").complete(user_request("x", INFER)) == "ok"
+    sent = chat_server.requests[0]
+    assert sent["path"] == "http://llm.test/v1/chat/completions"
+    assert sent["headers"]["Host"] == "llm.test"
+    assert sent["headers"]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
 
 
-def test_openai_session_per_thread_unless_injected():
-    own = OpenAIChatBackend(base_url="http://llm.test/v1", model="m", api_key="k")
-    injected, session = _backend([])
-    seen = {}
+def test_openai_https_goes_through_connect_tunnel(chat_server, openai, monkeypatch):
+    proxy = chat_server.url.removesuffix("/v1").replace("http://", "http://user:pw@")
+    monkeypatch.setenv("HTTPS_PROXY", proxy)
+    chat_server.script = [Reply(status=407, close=True)]
+    with pytest.raises(TransportError, match="407"):
+        openai(base_url="https://llm.test/v1", retry_max=0).complete(user_request("x", INFER))
+    sent = chat_server.requests[0]
+    assert (sent["method"], sent["path"]) == ("CONNECT", "llm.test:443")
+    assert sent["headers"]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
 
-    def grab(name):
-        seen[name] = (own.session, injected.session)
 
-    threads = [threading.Thread(target=grab, args=(name,)) for name in ("a", "b")]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in threads)
-    assert seen["a"][0] is not seen["b"][0]
-    assert seen["a"][0] is not own.session
-    assert own.session is own.session  # stable within a thread
-    assert seen["a"][1] is seen["b"][1] is session
+def test_openai_no_proxy_bypasses_proxy(chat_server, openai, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{_closed_port()}")
+    monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+    assert openai().complete(user_request("x", INFER)) == "ok"
+    sent = chat_server.requests[0]
+    assert sent["path"] == "/v1/chat/completions"
+    assert "Proxy-Authorization" not in sent["headers"]
+
+
+def test_openai_refuses_proxy_it_cannot_speak(no_proxy_env):
+    no_proxy_env.setenv("HTTPS_PROXY", "https://proxy.test:8443")
+    with pytest.raises(ValueError, match="only http:// proxies"):
+        OpenAIChatBackend(base_url="https://llm.test/v1", model="m")
 
 
 def test_profile_resolution_fills_model_and_tokens():
-    backend, _ = _backend([], max_tokens=77)
+    backend = OpenAIChatBackend(base_url="http://llm.test/v1", model="test-model", max_tokens=77)
     resolved = backend.resolve_profile(INFER)
     assert resolved.model_id == "test-model"
     assert resolved.max_tokens == 77

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import functools
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -121,12 +119,3 @@ def test_alignment_table_matches_brute_force():
         a = tuple(rng.choices("abcd", k=rng.randint(0, 7)))
         b = tuple(rng.choices("abcd", k=rng.randint(0, 7)))
         assert alignment_table(a, b)[len(a)][len(b)] == brute_force(a, b)
-
-
-def test_import_loads_no_numpy_or_numba():
-    probe = (
-        "import sys, apio.cli;"
-        "loaded = sorted({'numpy', 'numba'} & set(sys.modules));"
-        "assert not loaded, loaded"
-    )
-    subprocess.run([sys.executable, "-c", probe], check=True)

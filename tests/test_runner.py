@@ -1,20 +1,30 @@
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
+import os
 import random
+import signal
+import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import apio
 from apio.cli import main
 from apio.corpus import apply_edits, load_m2, serialize_m2
 from apio.gateway import INFER, ScriptedBackend, ScriptExhaustedError
+from apio.state import RunDir
+from conftest import Reply, completion
 from m2gen import random_record
 from toytask import PLANTED, make_workspace
 
 INDUCE_MATCH = "Could you give an instruction"
+SRC = Path(apio.__file__).resolve().parents[1]
 
 
 def _induce(paths, run_id="r1", extra=()) -> int:
@@ -41,21 +51,6 @@ def _optimize(paths, run_id="r1", extra=()) -> int:
             *extra,
         ]
     )
-
-
-@pytest.fixture
-def no_network(monkeypatch):
-    calls = {"n": 0}
-
-    def guard(*args, **kwargs):
-        calls["n"] += 1
-        raise AssertionError("network The call attempted during dry run")
-
-    import requests
-
-    monkeypatch.setattr(requests.Session, "post", guard)
-    monkeypatch.setattr(requests.Session, "get", guard)
-    return calls
 
 
 # -- induce -------------------------------------------------------------------
@@ -120,9 +115,80 @@ def test_locked_run_dir_is_refused(tmp_path, capsys):
     paths = make_workspace(tmp_path)
     lock = paths["runs"] / "r1" / ".lock"
     lock.parent.mkdir(parents=True)
-    lock.write_text("12345")
-    assert _induce(paths) == 2
+    with open(lock, "w") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        assert _induce(paths) == 2
     assert "locked" in capsys.readouterr().err
+    assert _induce(paths) == 0  # the file left behind holds no lock
+
+
+def test_lock_of_killed_process_is_reclaimed(tmp_path, capsys):
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    assert _induce(paths) == 0
+    assert _optimize(paths, extra=("--stop-after-epoch", "1")) == 0
+    take_lock = (
+        "import sys, time\n"
+        "from apio.state import RunDir\n"
+        "RunDir(sys.argv[1], 'r1').acquire_lock()\n"
+        "print('held', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    holder = subprocess.Popen(
+        [sys.executable, "-c", take_lock, str(paths["runs"])],
+        stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    resume = ["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]
+    try:
+        assert holder.stdout.readline() == "held\n"
+        assert main(resume) == 2
+        assert "locked" in capsys.readouterr().err
+    finally:
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(timeout=10)
+        holder.stdout.close()
+    assert holder.returncode == -signal.SIGKILL
+    assert main(resume) == 0
+    state = json.loads((paths["runs"] / "r1" / "state.json").read_text(encoding="utf-8"))
+    assert (state["phase"], state["epoch"]) == ("done", 2)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        "history-without-epochs",
+        "truncated-history",
+        "state-without-pool",
+        "state-pool-entry-without-prompt",
+        "state-not-an-object",
+    ],
+)
+def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    assert _induce(paths) == 0
+    assert _optimize(paths, extra=("--stop-after-epoch", "1")) == 0
+    run = paths["runs"] / "r1"
+    history, state = run / "history.json", run / "state.json"
+    if broken == "history-without-epochs":
+        history.write_text("{}", encoding="utf-8")
+    elif broken == "truncated-history":
+        text = history.read_text(encoding="utf-8")
+        history.write_text(text[: len(text) // 2], encoding="utf-8")
+    elif broken == "state-not-an-object":
+        state.write_text("5", encoding="utf-8")
+    else:
+        data = json.loads(state.read_text(encoding="utf-8"))
+        if broken == "state-without-pool":
+            del data["pool"]
+        else:
+            del data["pool"][0]["prompt"]
+        state.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 2
+    named = state if broken.startswith("state") else history
+    assert str(named) in capsys.readouterr().err
+    lock = RunDir(paths["runs"], "r1")
+    lock.acquire_lock()  # nothing holds the run any more
+    lock.release_lock()
 
 
 def test_corrupt_state_is_integrity_error(tmp_path, capsys):
@@ -369,6 +435,37 @@ def test_dev_subsample_flag_recorded_and_applied(tmp_path, no_network):
 # -- infer --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "backend",
+    [
+        {"retry_max": -1},
+        {"timeout_s": 0},
+        {"max_tokens": 0},
+        {"base_url": "api.openai.com/v1"},
+        {"base_url": "ftp://llm.test/v1"},
+        {"base_url": "http:///v1"},
+    ],
+    ids=["retry_max", "timeout_s", "max_tokens", "no-scheme", "ftp", "no-host"],
+)
+@pytest.mark.parametrize("command", ["induce", "infer"])
+def test_invalid_backend_config_exits_2(tmp_path, command, backend, capsys):
+    paths = make_workspace(tmp_path)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    # a closed local port, so that a value that slips through reaches no host
+    config["backend"] = {"base_url": "http://127.0.0.1:9/v1", **backend}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    if command == "induce":
+        assert _induce(paths) == 2
+        assert not (paths["runs"] / "r1").exists()
+    else:
+        prompt, source = tmp_path / "p.txt", tmp_path / "in.txt"
+        _write_prompt(prompt)
+        source.write_text("a foo\n", encoding="utf-8")
+        assert main(["infer", "--config", str(paths["config"]), "--prompt", str(prompt),
+                     "--input", str(source), "--output", str(tmp_path / "out.txt")]) == 2
+    assert f"backend.{next(iter(backend))}" in capsys.readouterr().err
+
+
 def _write_prompt(path: Path) -> None:
     path.write_text(f"* {PLANTED}\nInput: {{input_text}}\nOutput:\n", encoding="utf-8")
 
@@ -407,58 +504,70 @@ def test_infer_parallel_workers_preserve_order(tmp_path):
     assert sequential.read_text(encoding="utf-8").split("\n")[:-1] == expected
 
 
-def test_infer_warm_cache_is_idempotent_and_offline(tmp_path, monkeypatch):
-    import requests
-
-    class FakeResponse:
-        status_code = 200
-
-        def json(self):
-            return {"choices": [{"message": {"content": "rewritten"}}]}
-
-    calls = {"n": 0}
-
-    def fake_post(self, url, json=None, headers=None, timeout=None):
-        calls["n"] += 1
-        return FakeResponse()
-
-    monkeypatch.setattr(requests.Session, "post", fake_post)
-
+def test_infer_warm_cache_is_idempotent_and_offline(tmp_path, chat_server):
+    chat_server.fallback = Reply(body=completion("rewritten"))
     prompt = tmp_path / "p.txt"
     _write_prompt(prompt)
     source = tmp_path / "in.txt"
     source.write_text("line one\nline two\n", encoding="utf-8")
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"backend": {"cache_dir": str(tmp_path / "cache")}}))
+    config.write_text(json.dumps(
+        {"backend": {"base_url": chat_server.url, "cache_dir": str(tmp_path / "cache")}}
+    ))
 
     out1, out2 = tmp_path / "o1.txt", tmp_path / "o2.txt"
     assert main(["infer", "--prompt", str(prompt), "--input", str(source),
                  "--output", str(out1), "--config", str(config)]) == 0
-    assert calls["n"] == 2
+    assert len(chat_server.requests) == 2
     assert main(["infer", "--prompt", str(prompt), "--input", str(source),
                  "--output", str(out2), "--config", str(config)]) == 0
-    assert calls["n"] == 2  # second run fully served from cache
+    assert len(chat_server.requests) == 2  # second run fully served from cache
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_infer_failures_yield_placeholder_and_exit_1(tmp_path, monkeypatch, capsys):
-    import requests
-
-    def fail_post(self, url, json=None, headers=None, timeout=None):
-        raise requests.ConnectionError("down")
-
-    monkeypatch.setattr(requests.Session, "post", fail_post)
+def test_infer_failures_yield_placeholder_and_exit_1(tmp_path, capsys):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        closed_port = sock.getsockname()[1]
     prompt = tmp_path / "p.txt"
     _write_prompt(prompt)
     source = tmp_path / "in.txt"
     source.write_text("only line\n", encoding="utf-8")
     out = tmp_path / "out.txt"
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"backend": {"retry_max": 0}}))
+    config.write_text(json.dumps(
+        {"backend": {"base_url": f"http://127.0.0.1:{closed_port}/v1", "retry_max": 0}}
+    ))
     assert main(["infer", "--prompt", str(prompt), "--input", str(source),
                  "--output", str(out), "--config", str(config)]) == 1
     assert out.read_text(encoding="utf-8") == "<FAILED>\n"
     assert "failed" in capsys.readouterr().err
+
+
+def test_live_infer_loads_only_stdlib_and_apio(tmp_path, chat_server):
+    prompt, source = tmp_path / "p.txt", tmp_path / "in.txt"
+    _write_prompt(prompt)
+    source.write_text("a foo\nb foo\n", encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(
+        {"backend": {"base_url": chat_server.url, "cache_dir": str(tmp_path / "cache")}}
+    ))
+    # modules loaded by site before apio is imported are not apio's doing
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from apio.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "allowed = sys.stdlib_module_names | {'apio'}\n"
+        "loaded = sorted(m for m in set(sys.modules) - before if m.partition('.')[0] not in allowed)\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", probe, "infer", "--config", str(config), "--prompt", str(prompt),
+         "--input", str(source), "--output", str(tmp_path / "out.txt")],
+        check=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+    )
+    assert len(chat_server.requests) == 2
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -573,17 +682,12 @@ def test_baseline_copy_identical(tmp_path):
     assert meta["kind"] == "copy"
 
 
-def test_baseline_zero_shot_records_prompt_verbatim(tmp_path, monkeypatch):
-    import requests
-
-    class FakeResponse:
-        status_code = 200
-
-        def json(self):
-            return {"choices": [{"message": {"content": "out"}}]}
-
-    monkeypatch.setattr(requests.Session, "post", lambda *a, **k: FakeResponse())
+def test_baseline_zero_shot_records_prompt_verbatim(tmp_path, chat_server):
+    chat_server.fallback = Reply(body=completion("out"))
     paths = make_workspace(tmp_path)
+    config = json.loads(paths["config"].read_text())
+    config["backend"] = {"base_url": chat_server.url}
+    paths["config"].write_text(json.dumps(config))
     source = tmp_path / "in.txt"
     source.write_text("a foo\n", encoding="utf-8")
     out = tmp_path / "out.txt"
@@ -596,28 +700,15 @@ def test_baseline_zero_shot_records_prompt_verbatim(tmp_path, monkeypatch):
     assert out.read_text() == "out\n"
 
 
-def test_baseline_zero_shot_default_template_by_task(tmp_path, monkeypatch):
-    import requests
-
-    captured = {}
-
-    class FakeResponse:
-        status_code = 200
-
-        def json(self):
-            return {"choices": [{"message": {"content": "out"}}]}
-
-    def capture_post(self, url, json=None, headers=None, timeout=None):
-        captured["payload"] = json
-        return FakeResponse()
-
-    monkeypatch.setattr(requests.Session, "post", capture_post)
+def test_baseline_zero_shot_default_template_by_task(tmp_path, chat_server):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"backend": {"base_url": chat_server.url}}))
     source = tmp_path / "in.txt"
     source.write_text("She go home\n", encoding="utf-8")
     out = tmp_path / "out.txt"
-    assert main(["baseline", "--kind", "zero_shot", "--task", "gec",
+    assert main(["baseline", "--kind", "zero_shot", "--task", "gec", "--config", str(config),
                  "--input", str(source), "--output", str(out)]) == 0
-    sent = captured["payload"]["messages"][0]["content"]
+    sent = chat_server.requests[0]["json"]["messages"][0]["content"]
     assert "grammatical errors" in sent  # packaged gec template
     assert sent.endswith("Sentence: She go home\nCorrected sentence:")
     meta = json.loads(Path(str(out) + ".meta.json").read_text())
