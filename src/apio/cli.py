@@ -214,6 +214,7 @@ def _persist_epoch(
     epoch: int,
     seed_prompt: Prompt,
 ) -> None:
+    run.write_history(engine.history)
     run.write_state(
         {
             "run_id": run.run_id,
@@ -226,7 +227,6 @@ def _persist_epoch(
             "backend": _backend_state(args, backend),
         }
     )
-    run.write_history(engine.history)
 
 
 def _task_metric(
@@ -294,7 +294,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 pool, start_epoch = [engine.score_seed(seed_prompt)], 0
                 _persist_epoch(run, cfg, args, backend, engine, pool, 0, seed_prompt)
             else:
-                engine.history = run.read_history()
+                engine.history = run.read_history(state["epoch"])
                 engine.next_id = state["next_id"]
                 try:
                     pool = [Candidate.from_dict(c) for c in state["pool"]]

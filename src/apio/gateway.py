@@ -5,8 +5,9 @@ Three implementations cover the deployment modes:
 
 * ``OpenAIChatBackend`` - OpenAI-style chat-completions HTTP endpoint with
   retry/backoff, bearer token from ``APIO_API_KEY``;
-* ``CachedBackend`` - content-addressed disk cache wrapping another
-  backend, with per-key in-flight deduplication;
+* ``CachedBackend`` - content-addressed completion cache in one SQLite
+  file, shared safely by processes, wrapping another backend, with
+  in-flight deduplication of identical requests;
 * ``ScriptedBackend`` - deterministic offline backend driven by an
   ordered script of (matcher, response) entries.
 
@@ -25,6 +26,7 @@ import os
 import re
 import select
 import socket
+import sqlite3
 import threading
 import time
 import urllib.request
@@ -414,18 +416,16 @@ class OpenAIChatBackend(Backend):
 
 
 # ---------------------------------------------------------------------------
-# disk cache
+# completion cache
 # ---------------------------------------------------------------------------
 
 
 class CachedBackend(Backend):
-    """Content-addressed append-only JSON cache in front of a backend.
-
-    Cache keys digest (model, profile, messages, attempt_tag); hits return
-    byte-identical text with no inner call. Identical concurrent requests
-    are deduplicated: the second caller blocks on the per-key lock and is
-    then served from the fresh cache entry.
-    """
+    """Completion cache in front of a backend: one SQLite file in WAL mode,
+    ``<cache_dir>/completions.sqlite3``, that processes can share. An entry
+    is never replaced, so writers of one key all get the first text stored.
+    Identical concurrent requests wait for the first one, then read its
+    entry, or send their own request if it failed."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path) -> None:
         super().__init__()
@@ -434,56 +434,57 @@ class CachedBackend(Backend):
         self.max_tokens = inner.max_tokens
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._key_locks: dict[str, threading.Lock] = {}
-        self._registry_lock = threading.Lock()
-        self._hits_lock = threading.Lock()
-        self.hits = 0
+        self._lock = threading.Lock()  # guards _db and _inflight
+        self._db: sqlite3.Connection | None = self._connect()
+        self._inflight: dict[str, threading.Event] = {}  # set when the key's request ends
+        self.hits = 0  # counted under _calls_lock
+
+    def _connect(self) -> sqlite3.Connection:
+        path = self.cache_dir / "completions.sqlite3"
+        db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+        try:
+            db.executescript(
+                "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS"
+                " completions (key TEXT PRIMARY KEY, response_text TEXT NOT NULL);"
+            )
+        except sqlite3.DatabaseError as exc:
+            db.close()
+            raise ValueError(f"cache file {path} is not a usable SQLite database: {exc}") from exc
+        return db
 
     def close(self) -> None:
+        """Close the database, folding its log into the file, and the inner backend; both reopen on use."""
+        with self._lock:
+            if self._db is not None:
+                self._db.close()
+                self._db = None
         self.inner.close()
 
-    def _lock_for(self, key: str) -> threading.Lock:
-        with self._registry_lock:
-            return self._key_locks.setdefault(key, threading.Lock())
-
-    def _count_hit(self) -> None:
-        with self._hits_lock:
-            self.hits += 1
-
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
-
-    def _read(self, key: str) -> str | None:
-        """The cached text, or None on a miss. An entry that cannot be
-        read back (say, truncated by a crash) counts as a miss, so the
-        request is sent again and the entry rewritten."""
-        try:
-            return json.loads(self._path(key).read_text(encoding="utf-8"))["response_text"]
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
-            return None
+    def _stored(self, key: str, text: str | None = None) -> str | None:
+        """The text stored for ``key``, after storing ``text`` if it has none; hold ``_lock``."""
+        self._db = self._db or self._connect()
+        if text is not None:
+            self._db.execute("INSERT OR IGNORE INTO completions VALUES (?, ?)", (key, text))
+        row = self._db.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
+        return row[0] if row else None
 
     def _complete(self, request: ChatRequest) -> str:
         key = request_key(request, self.inner.resolve_profile(request.profile))
-        cached = self._read(key)
-        if cached is not None:
-            self._count_hit()
-            return cached
-        with self._lock_for(key):
-            cached = self._read(key)
-            if cached is not None:
-                self._count_hit()
-                return cached
-            if self._path(key).exists():
-                log.warning("unreadable cache entry %s; fetching it again", self._path(key))
-            text = self.inner.complete(request)
-            entry = {
-                "key": key,
-                "response_text": text,
-                "created_at": time.time(),
-            }
-            # processes sharing the cache directory each write their own
-            # temp file, so a writer never renames another's half-written one
-            tmp = self.cache_dir / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-            tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
-            tmp.replace(self._path(key))
-            return text
+        while True:
+            with self._lock:
+                if (text := self._stored(key)) is not None:
+                    break
+                running = self._inflight.setdefault(key, done := threading.Event())
+            if running is done:
+                try:
+                    text = self.inner.complete(request)
+                    with self._lock:
+                        return self._stored(key, text)
+                finally:
+                    with self._lock:
+                        del self._inflight[key]
+                    done.set()
+            running.wait()
+        with self._calls_lock:
+            self.hits += 1
+        return text

@@ -1,6 +1,6 @@
 """Scoring functions: word-level Levenshtein, SARI, edit-overlap F0.5."""
 
-from .gec import EditSet, apply_edit_set, extract_edits, f05, f05_from_counts, f05_with_counts
+from .gec import apply_edit_set, extract_edits, f05, f05_from_counts, f05_with_counts
 from .levenshtein import (
     min_ref_levenshtein,
     pairwise_word_levenshtein,
@@ -10,7 +10,6 @@ from .report import MetricReport, mean_report
 from .sari import sari
 
 __all__ = [
-    "EditSet",
     "MetricReport",
     "apply_edit_set",
     "extract_edits",

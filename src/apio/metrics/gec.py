@@ -11,29 +11,17 @@ attempted, so reports label the score ``f05-approx``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from ..corpus import M2Record
 from .levenshtein import alignment_table
 
+# a token-span edit: (start, end, correction)
 Edit = tuple[int, int, str]
 
 
-@dataclass(frozen=True)
-class EditSet:
-    """Non-overlapping token-span edits (start, end, correction)."""
-
-    edits: frozenset[Edit]
-
-    def __len__(self) -> int:
-        return len(self.edits)
-
-    def __iter__(self):
-        return iter(self.edits)
-
-
-def extract_edits(source: str, hypothesis: str) -> EditSet:
-    """Token edits that rewrite ``source`` into ``hypothesis``."""
+def extract_edits(source: str, hypothesis: str) -> frozenset[Edit]:
+    """The non-overlapping token edits that rewrite ``source`` into
+    ``hypothesis``."""
     src = source.split()
     hyp = hypothesis.split()
     table = alignment_table(src, hyp)
@@ -78,10 +66,10 @@ def extract_edits(source: str, hypothesis: str) -> EditSet:
                 si += 1
             else:
                 hj += 1
-    return EditSet(frozenset(edits))
+    return frozenset(edits)
 
 
-def apply_edit_set(source: str, edits: EditSet) -> str:
+def apply_edit_set(source: str, edits: frozenset[Edit]) -> str:
     """Apply extracted edits back onto the source (round-trip check)."""
     tokens = source.split()
     for start, end, correction in sorted(edits, reverse=True):
@@ -114,7 +102,7 @@ def sentence_counts(record: M2Record, hypothesis: str) -> tuple[int, int, int]:
     The annotator maximizing sentence-level F0.5 wins; ties prefer fewer
     FP+FN, then the lowest annotator id.
     """
-    hyp_edits = set(extract_edits(record.source_text(), hypothesis))
+    hyp_edits = extract_edits(record.source_text(), hypothesis)
     best: tuple[float, int, int, tuple[int, int, int]] | None = None
     for annotator, gold in sorted(_gold_edit_sets(record).items()):
         tp = len(hyp_edits & gold)

@@ -4,7 +4,9 @@ Each run owns ``<runs_dir>/<run_id>/`` exclusively (an advisory ``flock``
 on its ``.lock`` file).
 State and history files are written atomically (temp + rename) and
 contain no timestamps, so a resumed run reproduces the uninterrupted
-run's bytes given the same seed, script/cache, and config.
+run's bytes given the same seed, script/cache, and config. Each epoch
+writes the history before the state, so a run stopped between the two
+resumes from the state and drops the history's extra epoch.
 """
 
 from __future__ import annotations
@@ -88,16 +90,24 @@ class RunDir:
     def write_history(self, history: list[dict]) -> None:
         _atomic_write(self.history_path, _dump({"epochs": history}))
 
-    def read_history(self) -> list[dict]:
-        if not self.history_path.exists():
-            return []
+    def read_history(self, n_epochs: int) -> list[dict]:
+        """The records of epochs 1..``n_epochs``. The history is written
+        before the state, so it may hold one epoch more, which is dropped;
+        a history short of the state cannot be resumed."""
         try:
             history = json.loads(self.history_path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise RunStateError(f"no history file for run {self.run_id!r} at {self.history_path}") from None
         except ValueError as exc:
             raise RunStateError(f"corrupt history file {self.history_path}: {exc}") from exc
-        if not isinstance(history, dict) or "epochs" not in history:
-            raise RunStateError(f"history file {self.history_path} lacks key 'epochs'")
-        return history["epochs"]
+        if not isinstance(history, dict) or not isinstance(history.get("epochs"), list):
+            raise RunStateError(f"history file {self.history_path} lacks a list of 'epochs'")
+        epochs = history["epochs"][:n_epochs]
+        if [e.get("epoch") if isinstance(e, dict) else None for e in epochs] != list(range(1, n_epochs + 1)):
+            raise RunStateError(
+                f"history file {self.history_path} does not hold epochs 1..{n_epochs} of the state"
+            )
+        return epochs
 
     def write_json(self, path: Path, data) -> None:
         _atomic_write(path, _dump(data))

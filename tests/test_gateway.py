@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import base64
-import json
-import logging
+import os
 import pathlib
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -167,45 +167,71 @@ def test_cache_persists_across_instances(tmp_path):
     assert second_inner.n_calls == 0
 
 
-@pytest.mark.parametrize("stored", ['{"key": "abc", "respon', "[]", '{"key": "abc"}', "\x00\xff"])
-def test_unreadable_cache_entry_is_refetched(tmp_path, caplog, stored):
-    request = user_request("ping", INFER)
+def test_writers_sharing_a_cache_dir_keep_the_first_text(tmp_path):
+    # caches on one directory stand in for processes: the second stores the
+    # key while the first is waiting on its own inner call
+    request = user_request("shared", INFER)
+    second = CachedBackend(CountingBackend(response="second"), tmp_path / "c")
+
+    class Racing(CountingBackend):
+        def _complete(self, request):
+            assert second.complete(request) == "second"
+            return "first"
+
+    first = CachedBackend(Racing(), tmp_path / "c")
+    assert first.complete(request) == "second"
+    third = CachedBackend(CountingBackend(response="third"), tmp_path / "c")
+    assert third.complete(request) == "second"
+    assert (first.inner.n_calls, second.inner.n_calls, third.inner.n_calls) == (1, 1, 0)
+    assert (first.hits, second.hits, third.hits) == (0, 0, 1)
+    for backend in (first, second, third):
+        backend.close()
+    assert [p.name for p in (tmp_path / "c").iterdir()] == ["completions.sqlite3"]
+
+
+def test_cache_is_readable_after_a_writer_exits_without_close(tmp_path):
+    writer = (
+        "import os, sys\n"
+        "from apio.gateway import Backend, CachedBackend, INFER, user_request\n"
+        "class Upper(Backend):\n"
+        "    model = 'test-model'\n"
+        "    def _complete(self, request):\n"
+        "        return request.text().upper()\n"
+        "backend = CachedBackend(Upper(), sys.argv[1])\n"
+        "for i in range(50):\n"
+        "    backend.complete(user_request(f'entry {i}', INFER))\n"
+        "os._exit(0)\n"
+    )
+    src = pathlib.Path(gateway.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c", writer, str(tmp_path / "c")],
+        check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    # the entries are still in the write-ahead log, not yet in the file
+    assert (tmp_path / "c" / "completions.sqlite3-wal").stat().st_size > 0
+    inner = CountingBackend()
+    reader = CachedBackend(inner, tmp_path / "c")
+    assert [reader.complete(user_request(f"entry {i}", INFER)) for i in range(50)] == [
+        f"ENTRY {i}" for i in range(50)
+    ]
+    assert (inner.n_calls, reader.hits) == (0, 50)
+    reader.close()
+
+
+def test_close_leaves_only_the_database_and_reopens_on_use(tmp_path):
     inner = CountingBackend()
     backend = CachedBackend(inner, tmp_path / "c")
-    entry = backend.cache_dir / f"{request_key(request, inner.resolve_profile(INFER))}.json"
-    entry.write_bytes(stored.encode("latin-1"))
-    with caplog.at_level(logging.WARNING, logger="apio.gateway"):
-        assert backend.complete(request) == "pong"
-    assert inner.n_calls == 1
-    assert len(caplog.records) == 1 and "unreadable cache entry" in caplog.text
-    assert json.loads(entry.read_text(encoding="utf-8"))["response_text"] == "pong"
-    assert backend.complete(request) == "pong"  # the rewritten entry now hits
-    assert (inner.n_calls, backend.hits) == (1, 1)
-
-
-def test_writers_sharing_a_cache_dir_use_their_own_temp_files(tmp_path, monkeypatch):
-    # two caches on one directory stand in for two processes: the second
-    # writes the same entry while the first is between writing its temp
-    # file and renaming it into place
-    request = user_request("shared", INFER)
-    first = CachedBackend(CountingBackend(), tmp_path / "c")
-    second = CachedBackend(CountingBackend(), tmp_path / "c")
-    rename = pathlib.Path.replace
-    interleaved = []
-
-    def replace(self, target):
-        if not interleaved:
-            interleaved.append(self.name)
-            writer = threading.Thread(target=second.complete, args=(request,))
-            writer.start()
-            writer.join(timeout=10)
-            assert not writer.is_alive()
-        return rename(self, target)
-
-    monkeypatch.setattr(pathlib.Path, "replace", replace)
-    assert first.complete(request) == "pong"
-    assert interleaved and second.inner.n_calls == 1
-    assert [p.suffix for p in first.cache_dir.iterdir()] == [".json"]
+    backend.complete(user_request("before", INFER))
+    backend.close()
+    assert [p.name for p in backend.cache_dir.iterdir()] == ["completions.sqlite3"]
+    assert backend.complete(user_request("before", INFER)) == "pong"  # a hit
+    assert backend.complete(user_request("after", INFER)) == "pong"  # a miss, stored
+    backend.close()
+    backend.close()
+    assert (inner.n_calls, backend.hits) == (2, 1)
+    assert CachedBackend(CountingBackend(response="other"), backend.cache_dir).complete(
+        user_request("after", INFER)
+    ) == "pong"
 
 
 def test_inflight_dedup(tmp_path):
@@ -220,6 +246,62 @@ def test_inflight_dedup(tmp_path):
         t.join()
     assert results == ["pong"] * 4
     assert inner.n_calls == 1
+
+
+def test_inflight_entries_are_dropped_after_a_burst(tmp_path):
+    inner = CountingBackend(delay=0.005)
+    backend = CachedBackend(inner, tmp_path / "c")
+    # 16 threads, 8 distinct keys, each sent 12 times
+    requests = [user_request(f"key {i % 8}", INFER) for i in range(96)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            results = list(pool.map(backend.complete, requests, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == ["pong"] * 96
+    assert backend._inflight == {}
+    assert (inner.n_calls, backend.hits) == (8, 88)
+
+
+def test_waiters_send_their_own_request_when_the_leader_fails(tmp_path):
+    class Failing(CountingBackend):
+        def __init__(self):
+            super().__init__(delay=0.1)
+            self.running = self.max_running = 0
+
+        def _complete(self, request):
+            with self._calls_lock:
+                self.running += 1
+                self.max_running = max(self.max_running, self.running)
+            time.sleep(self.delay)
+            with self._calls_lock:
+                self.running -= 1
+            raise BackendError("down")
+
+    inner = Failing()
+    backend = CachedBackend(inner, tmp_path / "c")
+    barrier = threading.Barrier(4)
+    errors = []
+
+    def call():
+        barrier.wait(timeout=10)
+        try:
+            backend.complete(user_request("doomed", INFER))
+        except BackendError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=call) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert len(errors) == 4
+    # one request each, one at a time: the waiters held back while each ran
+    assert (inner.n_calls, inner.max_running) == (4, 1)
+    assert backend.hits == 0 and backend._inflight == {}
 
 
 def test_cache_hits_counted_exactly_across_threads(tmp_path):

@@ -157,6 +157,9 @@ def test_lock_of_killed_process_is_reclaimed(tmp_path, capsys):
     [
         "history-without-epochs",
         "truncated-history",
+        "history-missing",
+        "history-behind-state",
+        "history-of-other-epochs",
         "state-without-pool",
         "state-pool-entry-without-prompt",
         "state-not-an-object",
@@ -173,6 +176,13 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
     elif broken == "truncated-history":
         text = history.read_text(encoding="utf-8")
         history.write_text(text[: len(text) // 2], encoding="utf-8")
+    elif broken == "history-missing":
+        history.unlink()
+    elif broken.startswith("history"):
+        # the state is at epoch 1: its record is dropped, or renumbered
+        data = json.loads(history.read_text(encoding="utf-8"))
+        data["epochs"] = [] if broken == "history-behind-state" else [{**data["epochs"][0], "epoch": 2}]
+        history.write_text(json.dumps(data), encoding="utf-8")
     elif broken == "state-not-an-object":
         state.write_text("5", encoding="utf-8")
     else:
@@ -245,6 +255,37 @@ def test_optimize_resume_matches_uninterrupted(tmp_path, no_network):
         full = (paths["runs"] / "full" / name).read_bytes()
         cut = (paths["runs"] / "cut" / name).read_bytes()
         assert full.replace(b'"full"', b'"x"') == cut.replace(b'"cut"', b'"x"'), name
+
+
+def test_stop_between_history_and_state_resumes_to_identical_files(tmp_path, no_network, monkeypatch):
+    paths = make_workspace(tmp_path, n_epochs=5, beam_b=4)
+    assert _induce(paths, run_id="full") == 0
+    assert _induce(paths, run_id="cut") == 0
+    assert _optimize(paths, run_id="full") == 0
+
+    class Killed(BaseException):
+        pass
+
+    write_state = RunDir.write_state
+
+    def killed_before_state_3(run, state):
+        if state.get("epoch") == 3:
+            raise Killed
+        write_state(run, state)
+
+    monkeypatch.setattr(RunDir, "write_state", killed_before_state_3)
+    with pytest.raises(Killed):
+        _optimize(paths, run_id="cut")
+    monkeypatch.undo()
+    cut = paths["runs"] / "cut"
+    assert json.loads((cut / "state.json").read_text())["epoch"] == 2
+    assert [e["epoch"] for e in json.loads((cut / "history.json").read_text())["epochs"]] == [1, 2, 3]
+    assert main(["optimize", "--resume", "cut", "--runs-dir", str(paths["runs"])]) == 0
+
+    for name in ("state.json", "history.json", "best_prompt.txt", "final_report.json"):
+        full = (paths["runs"] / "full" / name).read_bytes()
+        resumed = (cut / name).read_bytes()
+        assert full.replace(b'"full"', b'"x"') == resumed.replace(b'"cut"', b'"x"'), name
 
 
 def test_optimize_determinism_across_runs(tmp_path, no_network):
@@ -523,6 +564,23 @@ def test_infer_warm_cache_is_idempotent_and_offline(tmp_path, chat_server):
                  "--output", str(out2), "--config", str(config)]) == 0
     assert len(chat_server.requests) == 2  # second run fully served from cache
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("stored", ['{"key": "abc", "respon', "[]", '{"key": "abc"}', "\x00\xff"])
+def test_cache_file_that_is_not_a_database_exits_2(tmp_path, chat_server, capsys, stored):
+    prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    _write_prompt(prompt)
+    source.write_text("line one\n", encoding="utf-8")
+    cache_file = tmp_path / "cache" / "completions.sqlite3"
+    cache_file.parent.mkdir()
+    cache_file.write_bytes(stored.encode("latin-1"))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"backend": {"base_url": chat_server.url, "cache_dir": str(cache_file.parent)}}))
+    assert main(["infer", "--prompt", str(prompt), "--input", str(source),
+                 "--output", str(out), "--config", str(config)]) == 2
+    assert str(cache_file) in capsys.readouterr().err
+    assert chat_server.requests == [] and not out.exists()
+    assert cache_file.read_bytes() == stored.encode("latin-1")
 
 
 def test_infer_failures_yield_placeholder_and_exit_1(tmp_path, capsys):
