@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.resources
-import json
 import logging
 import sys
 import time
@@ -21,6 +20,7 @@ from .corpus import (
     CorpusFormatError,
     M2Record,
     SamplePair,
+    load_asset,
     load_jsonl,
     load_m2,
     reference_texts,
@@ -35,8 +35,7 @@ from .gateway import (
     user_request,
 )
 from .induction import InductionError, best_of_trials
-from .metrics import f05_with_counts, mean_report, min_ref_levenshtein, sari
-from .metrics.report import MetricReport
+from .metrics import f05_with_counts, min_ref_levenshtein, sari
 from .optimizer import (
     Candidate,
     PromptOptimizer,
@@ -53,7 +52,7 @@ from .prompts import (
     postprocess_output,
 )
 from .seeding import derived_rng
-from .state import RunDir, RunStateError
+from .state import RunDir, RunStateError, write_json
 
 log = logging.getLogger(__name__)
 
@@ -84,10 +83,8 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _build_backend(args: argparse.Namespace, cfg: RunConfig, run: RunDir | None) -> Backend:
-    if getattr(args, "dry_run", False):
-        script = getattr(args, "script", None)
-        if not script:
-            raise ConfigurationError("--dry-run requires --script <file>")
+    script = getattr(args, "script", None)
+    if script:
         return ScriptedBackend.from_file(script)
     inner = OpenAIChatBackend(
         base_url=cfg.backend.base_url,
@@ -254,16 +251,24 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         state = run.read_state()
         if state["phase"] not in ("optimization", "done"):
             raise RunStateError(f"run {args.resume!r} is in phase {state['phase']!r}, nothing to resume")
-        for key in ("epoch", "next_id", "pool", "seed_prompt"):
-            if key not in state:
-                raise RunStateError(f"state file {run.state_path} lacks key {key!r}")
+        fields = {"config": dict, "epoch": int, "next_id": int, "pool": list, "seed_prompt": str}
+        for key, kind in fields.items():
+            if not isinstance(state.get(key), kind):
+                raise RunStateError(f"state file {run.state_path} lacks a {kind.__name__} under key {key!r}")
+        if state["epoch"] < 0 or not state["pool"]:
+            raise RunStateError(f"state file {run.state_path} holds a negative epoch or an empty pool")
         cfg = RunConfig.from_dict(state["config"])
         seed_prompt = parse_prompt(state["seed_prompt"])
         backend_state = state.get("backend", {"mode": "live"})
-        if backend_state["mode"] == "scripted":
-            args.script = getattr(args, "script", None) or backend_state["script"]
-            args.dry_run = True
+        mode = backend_state.get("mode") if isinstance(backend_state, dict) else None
+        if mode == "scripted":
+            args.script = getattr(args, "script", None) or backend_state.get("script")
             consumed = backend_state.get("consumed", [])
+            if not (args.script and isinstance(args.script, str) and isinstance(consumed, list)
+                    and all(isinstance(i, int) for i in consumed)):
+                raise RunStateError(f"state file {run.state_path} holds a malformed scripted backend")
+        elif mode != "live":
+            raise RunStateError(f"state file {run.state_path} names no backend mode 'live' or 'scripted'")
     else:
         cfg = load_config(args.config, _overrides(args))
         run = RunDir(args.runs_dir, args.run_id or _default_run_id())
@@ -393,57 +398,45 @@ def cmd_infer(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _write_report(path: Path, metric: str, per_sample: list, aggregate: float | None = None) -> None:
+    """Write a metric report: its aggregate (the mean of ``per_sample``
+    unless given), the sample count and every sample's score."""
+    if aggregate is None:
+        aggregate = sum(per_sample) / len(per_sample)
+    report = {"metric": metric, "aggregate": aggregate, "n": len(per_sample), "per_sample": per_sample}
+    write_json(path, report)
+    print(f"{metric}: {aggregate:.4f} ({path})")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    """Score line-aligned predictions against the task's gold data, which
+    the corpus loaders read and reject when empty."""
     predictions = _read_lines_raw(args.predictions)
+    output = Path(args.output)
     if args.task == "simplify":
         if not args.source or not args.references:
             raise ConfigurationError("simplify evaluation needs --source and --references")
-        sources = _read_lines_raw(args.source)
-        refs = [_read_lines_raw(p) for p in args.references]
-        for path, col in zip(args.references, refs):
-            if len(col) != len(sources):
-                raise CorpusFormatError(f"{path}: line-count mismatch with {args.source}")
-        if len(predictions) != len(sources):
-            raise ConfigurationError(
-                f"predictions ({len(predictions)}) misaligned with sources ({len(sources)})"
-            )
-        scores = [
-            sari(src, out, [col[i] for col in refs])
-            for i, (src, out) in enumerate(zip(sources, predictions))
-        ]
-        report = mean_report("sari", scores)
+        gold = load_asset(args.source, args.references)
     elif args.task == "gec":
         if not args.m2:
             raise ConfigurationError("gec evaluation needs --m2 <gold file>")
-        records = load_m2(args.m2)
-        if len(predictions) != len(records):
-            raise ConfigurationError(
-                f"predictions ({len(predictions)}) misaligned with gold records ({len(records)})"
-            )
-        score, counts = f05_with_counts(records, predictions)
-        report = MetricReport("f05-approx", score, tuple(counts), len(records))
-        lev = [
-            min_ref_levenshtein(pred, reference_texts(rec))
-            for pred, rec in zip(predictions, records)
-        ]
-        lev_report = mean_report("word-levenshtein-min-ref", lev)
-        lev_path = Path(args.output).with_suffix(".levenshtein.json")
-        lev_report.write_json(lev_path)
-        print(f"{lev_report.metric_name}: {lev_report.aggregate:.4f} ({lev_path})")
-    elif args.task == "generic":
+        gold = load_m2(args.m2)
+    else:
         if not args.gold:
             raise ConfigurationError("generic evaluation needs --gold <jsonl file>")
-        pairs = load_jsonl(args.gold)
-        if len(predictions) != len(pairs):
-            raise ConfigurationError(
-                f"predictions ({len(predictions)}) misaligned with gold ({len(pairs)})"
-            )
-        lev = [min_ref_levenshtein(p, pair.references) for p, pair in zip(predictions, pairs)]
-        report = mean_report("word-levenshtein-min-ref", lev)
+        gold = load_jsonl(args.gold)
+    if len(predictions) != len(gold):
+        raise ConfigurationError(f"predictions ({len(predictions)}) misaligned with gold ({len(gold)})")
+    if args.task == "simplify":
+        _write_report(output, "sari", [sari(p.source, o, p.references) for p, o in zip(gold, predictions)])
+    elif args.task == "gec":
+        score, counts = f05_with_counts(gold, predictions)
+        lev = [min_ref_levenshtein(o, reference_texts(r)) for o, r in zip(predictions, gold)]
+        _write_report(output.with_suffix(".levenshtein.json"), "word-levenshtein-min-ref", lev)
+        _write_report(output, "f05-approx", counts, score)
     else:
-        raise ConfigurationError(f"unknown task {args.task!r}")
-    report.write_json(args.output)
-    print(f"{report.metric_name}: {report.aggregate:.4f} ({args.output})")
+        lev = [min_ref_levenshtein(o, p.references) for o, p in zip(predictions, gold)]
+        _write_report(output, "word-levenshtein-min-ref", lev)
     return 0
 
 
@@ -493,9 +486,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
                 lambda line: prompt_text.replace(INPUT_SLOT, line), lines, backend, pool
             )
     _write_lines(args.output, outputs)
-    Path(str(args.output) + ".meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(Path(str(args.output) + ".meta.json"), meta)
     if failures:
         print(f"{failures}/{len(lines)} lines failed after retry", file=sys.stderr)
         return 1
@@ -522,8 +513,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--task", choices=sorted(TASK_TEMPLATES), help="task template")
     sub.add_argument("--seed", type=int, help="run seed")
-    sub.add_argument("--dry-run", action="store_true", help="use the scripted backend")
-    sub.add_argument("--script", help="script file for --dry-run")
+    sub.add_argument("--script", help="answer requests from this script file instead of the backend")
     sub.add_argument(
         "--workers",
         type=_positive_int,

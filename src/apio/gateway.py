@@ -30,7 +30,7 @@ import sqlite3
 import threading
 import time
 import urllib.request
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import SplitResult, unquote, urlsplit
 
@@ -61,8 +61,6 @@ class ScriptExhaustedError(GatewayError):
 class GenerationProfile:
     temperature: float
     top_p: float
-    max_tokens: int = 1024
-    model_id: str = ""
 
 
 EXPLORE = GenerationProfile(temperature=1.0, top_p=1.0)
@@ -89,14 +87,14 @@ def user_request(content: str, profile: GenerationProfile, attempt_tag: int = 0)
     return ChatRequest(messages=(("user", content),), profile=profile, attempt_tag=attempt_tag)
 
 
-def request_key(request: ChatRequest, profile: GenerationProfile | None = None) -> str:
-    profile = profile or request.profile
+def request_key(request: ChatRequest, model: str, max_tokens: int) -> str:
+    """The cache key of ``request`` sent to ``model`` with ``max_tokens``."""
     payload = json.dumps(
         {
-            "model": profile.model_id,
-            "temperature": profile.temperature,
-            "top_p": profile.top_p,
-            "max_tokens": profile.max_tokens,
+            "model": model,
+            "temperature": request.profile.temperature,
+            "top_p": request.profile.top_p,
+            "max_tokens": max_tokens,
             "messages": [list(m) for m in request.messages],
             "attempt_tag": request.attempt_tag,
         },
@@ -110,7 +108,7 @@ class Backend:
     """Base backend; counts the requests it is sent in ``n_calls``."""
 
     model = ""
-    max_tokens: int | None = None
+    max_tokens = 1024
 
     def __init__(self) -> None:
         self.n_calls = 0
@@ -127,14 +125,6 @@ class Backend:
     def close(self) -> None:
         """Release what the backend holds open; it stays usable."""
 
-    def resolve_profile(self, profile: GenerationProfile) -> GenerationProfile:
-        """Fill in backend-level model id and token limit."""
-        return replace(
-            profile,
-            model_id=profile.model_id or self.model,
-            max_tokens=self.max_tokens if self.max_tokens is not None else profile.max_tokens,
-        )
-
 
 # ---------------------------------------------------------------------------
 # scripted backend
@@ -144,12 +134,21 @@ _RULE_RE = re.compile(r'[Rr]eplace "(.*?)" with "(.*?)"')
 _ECHO_RE = re.compile(r"Instruction:(.*)\nUpdated instruction:", re.DOTALL)
 
 
+_SCRIPT_MODES = ("literal", "rewrite_rules", "echo_instruction")
+
+
 @dataclass
 class ScriptEntry:
     match: str
     response: str = ""
-    mode: str = "literal"  # literal | rewrite_rules | echo_instruction
+    mode: str = "literal"  # one of _SCRIPT_MODES
     sticky: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.match, str) or not isinstance(self.response, str):
+            raise ValueError("a script entry's 'match' and 'response' must be strings")
+        if self.mode not in _SCRIPT_MODES:
+            raise ValueError(f"unknown script mode {self.mode!r}")
 
 
 def _apply_rewrite_rules(prompt_text: str) -> str:
@@ -210,17 +209,25 @@ class ScriptedBackend(Backend):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries = [
-            ScriptEntry(
-                match=item["match"],
-                response=item.get("response", ""),
-                mode=item.get("mode", "literal"),
-                sticky=bool(item.get("sticky", False)),
+        """Load a script: a JSON list of objects, each with a ``match`` and
+        optionally a ``response``, ``mode`` and ``sticky``."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(raw, list) or not all(isinstance(i, dict) and "match" in i for i in raw):
+                raise ValueError("a script must be a list of objects that each have a 'match'")
+            return cls(
+                [
+                    ScriptEntry(
+                        match=item["match"],
+                        response=item.get("response", ""),
+                        mode=item.get("mode", "literal"),
+                        sticky=bool(item.get("sticky", False)),
+                    )
+                    for item in raw
+                ]
             )
-            for item in raw
-        ]
-        return cls(entries)
+        except ValueError as exc:
+            raise ValueError(f"script file {path}: {exc}") from exc
 
     def consumed_state(self) -> list[int]:
         with self._lock:
@@ -259,9 +266,7 @@ class ScriptedBackend(Backend):
             return chosen.response
         if chosen.mode == "rewrite_rules":
             return _apply_rewrite_rules(text)
-        if chosen.mode == "echo_instruction":
-            return _echo_instruction(text)
-        raise ValueError(f"unknown script mode {chosen.mode!r}")
+        return _echo_instruction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +321,7 @@ class OpenAIChatBackend(Backend):
         api_key: str | None = None,
         retry_max: int = 5,
         timeout_s: float = 60.0,
-        max_tokens: int | None = None,
+        max_tokens: int = 1024,
         backoff_base_s: float = 0.5,
     ) -> None:
         super().__init__()
@@ -376,13 +381,12 @@ class OpenAIChatBackend(Backend):
                 conn.close()
 
     def _complete(self, request: ChatRequest) -> str:
-        profile = self.resolve_profile(request.profile)
         payload = {
-            "model": profile.model_id,
+            "model": self.model,
             "messages": [{"role": role, "content": content} for role, content in request.messages],
-            "temperature": profile.temperature,
-            "top_p": profile.top_p,
-            "max_tokens": profile.max_tokens,
+            "temperature": request.profile.temperature,
+            "top_p": request.profile.top_p,
+            "max_tokens": self.max_tokens,
         }
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
@@ -430,8 +434,6 @@ class CachedBackend(Backend):
     def __init__(self, inner: Backend, cache_dir: str | Path) -> None:
         super().__init__()
         self.inner = inner
-        self.model = inner.model
-        self.max_tokens = inner.max_tokens
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()  # guards _db and _inflight
@@ -443,6 +445,10 @@ class CachedBackend(Backend):
         path = self.cache_dir / "completions.sqlite3"
         db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
         try:
+            # a table of another shape is refused before the file is changed
+            columns = [row[1] for row in db.execute("PRAGMA table_info(completions)")]
+            if columns not in ([], ["key", "response_text"]):
+                raise sqlite3.DatabaseError(f"its completions table has the columns {columns}")
             db.executescript(
                 "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS"
                 " completions (key TEXT PRIMARY KEY, response_text TEXT NOT NULL);"
@@ -469,7 +475,7 @@ class CachedBackend(Backend):
         return row[0] if row else None
 
     def _complete(self, request: ChatRequest) -> str:
-        key = request_key(request, self.inner.resolve_profile(request.profile))
+        key = request_key(request, self.inner.model, self.inner.max_tokens)
         while True:
             with self._lock:
                 if (text := self._stored(key)) is not None:

@@ -6,17 +6,14 @@ from .levenshtein import (
     pairwise_word_levenshtein,
     word_levenshtein,
 )
-from .report import MetricReport, mean_report
 from .sari import sari
 
 __all__ = [
-    "MetricReport",
     "apply_edit_set",
     "extract_edits",
     "f05",
     "f05_from_counts",
     "f05_with_counts",
-    "mean_report",
     "min_ref_levenshtein",
     "pairwise_word_levenshtein",
     "sari",

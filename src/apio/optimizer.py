@@ -103,6 +103,8 @@ class OptimizerConfig:
             raise ValueError("beam_b must be >= 1")
         if self.drift_weight < 0:
             raise ValueError("drift_weight must be >= 0")
+        if self.dev_subsample is not None and self.dev_subsample < 1:
+            raise ValueError("dev_subsample must be >= 1, or None for the whole dev set")
 
 
 def submit_scoring(

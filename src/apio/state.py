@@ -21,13 +21,11 @@ class RunStateError(Exception):
     """Missing, locked, or corrupt run state."""
 
 
-def _dump(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-
-def _atomic_write(path: Path, text: str) -> None:
+def write_json(path: Path, data) -> None:
+    """Write ``data`` to ``path`` as indented, key-sorted UTF-8 JSON,
+    atomically: a reader sees the old file or the new one, never a part."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_text(json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
     tmp.replace(path)
 
 
@@ -73,7 +71,7 @@ class RunDir:
             self._lock_fd = None
 
     def write_state(self, state: dict) -> None:
-        _atomic_write(self.state_path, _dump(state))
+        write_json(self.state_path, state)
 
     def read_state(self) -> dict:
         if not self.state_path.exists():
@@ -88,7 +86,7 @@ class RunDir:
         return state
 
     def write_history(self, history: list[dict]) -> None:
-        _atomic_write(self.history_path, _dump({"epochs": history}))
+        write_json(self.history_path, {"epochs": history})
 
     def read_history(self, n_epochs: int) -> list[dict]:
         """The records of epochs 1..``n_epochs``. The history is written
@@ -110,4 +108,4 @@ class RunDir:
         return epochs
 
     def write_json(self, path: Path, data) -> None:
-        _atomic_write(path, _dump(data))
+        write_json(path, data)

@@ -266,7 +266,7 @@ def test_c5_determinism_and_elitism(tmp_path, no_network):
     for side in ("left", "right"):
         paths = make_workspace(tmp_path / side, n_epochs=15, beam_b=32, seed=42)
         args = ["--config", str(paths["config"]), "--run-id", "det", "--runs-dir",
-                str(paths["runs"]), "--dry-run", "--script", str(paths["script"])]
+                str(paths["runs"]), "--script", str(paths["script"])]
         assert main(["induce", *args]) == 0
         assert main(["optimize", *args]) == 0
         histories.append((paths["runs"] / "det" / "history.json").read_bytes())
@@ -367,7 +367,7 @@ def test_c6_operator_contracts_fuzz():
 
 def _run_e2e(paths, run_id, extra=(), runs_dir=None) -> None:
     args = ["--config", str(paths["config"]), "--run-id", run_id, "--runs-dir",
-            str(runs_dir or paths["runs"]), "--dry-run", "--script", str(paths["script"])]
+            str(runs_dir or paths["runs"]), "--script", str(paths["script"])]
     assert main(["induce", *args]) == 0
     assert main(["optimize", *args, *extra]) == 0
 

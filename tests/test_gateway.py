@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import os
 import pathlib
 import socket
+import sqlite3
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +23,6 @@ from apio.gateway import (
     ChatRequest,
     CredentialError,
     EXPLORE,
-    GenerationProfile,
     INFER,
     OpenAIChatBackend,
     ScriptEntry,
@@ -145,16 +145,35 @@ def test_cache_hit_skips_inner(tmp_path):
 
 def test_cache_key_sensitive_to_every_field():
     base = user_request("hello", INFER, attempt_tag=0)
-    base_key = request_key(base, replace(INFER, model_id="m"))
+    base_key = request_key(base, "m", 1024)
     variants = [
-        request_key(user_request("hello!", INFER), replace(INFER, model_id="m")),
-        request_key(user_request("hello", INFER, attempt_tag=1), replace(INFER, model_id="m")),
-        request_key(base, replace(INFER, model_id="other")),
-        request_key(base, replace(EXPLORE, model_id="m")),
-        request_key(base, replace(INFER, model_id="m", max_tokens=7)),
+        request_key(user_request("hello!", INFER), "m", 1024),
+        request_key(user_request("hello", INFER, attempt_tag=1), "m", 1024),
+        request_key(base, "other", 1024),
+        request_key(user_request("hello", EXPLORE), "m", 1024),
+        request_key(base, "m", 7),
     ]
     assert base_key not in variants
     assert len(set(variants)) == len(variants)
+
+
+def test_cache_keys_of_existing_files_still_hit(tmp_path):
+    # digests that earlier versions stored: a change of the key format
+    # would turn every completions.sqlite3 already written into misses
+    request = user_request("héllo {x}", INFER)
+    pinned = "ae2dc8a77887fe529b5873a85ece20d9628356770f2f065a22fd89e23871bc14"
+    assert request_key(request, "stub", 1024) == pinned
+    assert request_key(user_request("héllo {x}", EXPLORE, attempt_tag=1), "gpt-4o-mini", 77) == (
+        "a8b70905958d5aeb4e22dee415761ccac8eff2f1133797913237c0f60c72669e"
+    )
+    (tmp_path / "c").mkdir()
+    with contextlib.closing(sqlite3.connect(tmp_path / "c" / "completions.sqlite3")) as db, db:
+        db.execute("CREATE TABLE completions (key TEXT PRIMARY KEY, response_text TEXT NOT NULL)")
+        db.execute("INSERT INTO completions VALUES (?, 'stored')", (pinned,))
+    inner = CountingBackend()
+    inner.model = "stub"
+    assert CachedBackend(inner, tmp_path / "c").complete(request) == "stored"
+    assert inner.n_calls == 0
 
 
 def test_cache_persists_across_instances(tmp_path):
@@ -505,12 +524,3 @@ def test_openai_refuses_proxy_it_cannot_speak(no_proxy_env):
     no_proxy_env.setenv("HTTPS_PROXY", "https://proxy.test:8443")
     with pytest.raises(ValueError, match="only http:// proxies"):
         OpenAIChatBackend(base_url="https://llm.test/v1", model="m")
-
-
-def test_profile_resolution_fills_model_and_tokens():
-    backend = OpenAIChatBackend(base_url="http://llm.test/v1", model="test-model", max_tokens=77)
-    resolved = backend.resolve_profile(INFER)
-    assert resolved.model_id == "test-model"
-    assert resolved.max_tokens == 77
-    explicit = backend.resolve_profile(GenerationProfile(0.5, 0.5, model_id="custom"))
-    assert explicit.model_id == "custom"

@@ -394,7 +394,7 @@ def test_zero_successful_candidates_keeps_pool(toy_pairs):
 def test_optimize_zero_epochs_returns_init(tmp_path):
     paths = make_workspace(tmp_path, n_epochs=0, beam_b=4)
     args = ["--config", str(paths["config"]), "--run-id", "r", "--runs-dir", str(paths["runs"]),
-            "--dry-run", "--script", str(paths["script"])]
+            "--script", str(paths["script"])]
     assert main(["induce", *args]) == 0
     assert main(["optimize", *args]) == 0
     run = paths["runs"] / "r"

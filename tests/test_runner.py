@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import json
 import logging
@@ -7,6 +8,7 @@ import os
 import random
 import signal
 import socket
+import sqlite3
 import subprocess
 import sys
 import time
@@ -34,7 +36,7 @@ def _induce(paths, run_id="r1", extra=()) -> int:
             "--config", str(paths["config"]),
             "--run-id", run_id,
             "--runs-dir", str(paths["runs"]),
-            "--dry-run", "--script", str(paths["script"]),
+            "--script", str(paths["script"]),
             *extra,
         ]
     )
@@ -47,7 +49,7 @@ def _optimize(paths, run_id="r1", extra=()) -> int:
             "--config", str(paths["config"]),
             "--run-id", run_id,
             "--runs-dir", str(paths["runs"]),
-            "--dry-run", "--script", str(paths["script"]),
+            "--script", str(paths["script"]),
             *extra,
         ]
     )
@@ -163,6 +165,15 @@ def test_lock_of_killed_process_is_reclaimed(tmp_path, capsys):
         "state-without-pool",
         "state-pool-entry-without-prompt",
         "state-not-an-object",
+        "state-backend-without-mode",
+        "state-epoch-not-an-int",
+        "state-negative-epoch",
+        "state-seed-prompt-not-a-string",
+        "state-next-id-not-an-int",
+        "state-empty-pool",
+        "script-entry-without-match",
+        "script-not-a-list",
+        "script-unknown-mode",
     ],
 )
 def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
@@ -185,16 +196,34 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
         history.write_text(json.dumps(data), encoding="utf-8")
     elif broken == "state-not-an-object":
         state.write_text("5", encoding="utf-8")
+    elif broken.startswith("script"):
+        # the resumed run loads the script that its state names
+        entries = json.loads(paths["script"].read_text(encoding="utf-8"))
+        paths["script"].write_text(json.dumps({
+            "script-entry-without-match": [*entries, {"response": "x"}],
+            "script-not-a-list": "a string",
+            "script-unknown-mode": [*entries, {"match": "x", "mode": "shout"}],
+        }[broken]), encoding="utf-8")
     else:
         data = json.loads(state.read_text(encoding="utf-8"))
         if broken == "state-without-pool":
             del data["pool"]
-        else:
+        elif broken == "state-pool-entry-without-prompt":
             del data["pool"][0]["prompt"]
+        else:
+            key, value = {
+                "state-backend-without-mode": ("backend", {}),
+                "state-epoch-not-an-int": ("epoch", "1"),
+                "state-negative-epoch": ("epoch", -1),
+                "state-seed-prompt-not-a-string": ("seed_prompt", 5),
+                "state-next-id-not-an-int": ("next_id", "x"),
+                "state-empty-pool": ("pool", []),
+            }[broken]
+            data[key] = value
         state.write_text(json.dumps(data), encoding="utf-8")
     capsys.readouterr()
     assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 2
-    named = state if broken.startswith("state") else history
+    named = {"state": state, "script": paths["script"]}.get(broken.split("-")[0], history)
     assert str(named) in capsys.readouterr().err
     lock = RunDir(paths["runs"], "r1")
     lock.acquire_lock()  # nothing holds the run any more
@@ -319,7 +348,7 @@ def test_concurrency_leaves_run_artifacts_unchanged(tmp_path, no_network, monkey
 
     def run(runs_dir, workers, extra=()):
         args = ["--config", str(paths["config"]), "--run-id", "r", "--runs-dir", str(runs_dir),
-                "--dry-run", "--script", str(paths["script"]), "--workers", str(workers)]
+                "--script", str(paths["script"]), "--workers", str(workers)]
         assert main(["induce", *args]) == 0
         assert main(["optimize", *args, *extra]) == 0
 
@@ -425,6 +454,14 @@ def test_induce_invalid_workers_exits_2_before_creating_run(tmp_path, workers, c
     assert _induce(paths) == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_induce_dev_subsample_below_one_exits_2_before_creating_run(tmp_path, value, capsys):
+    paths = make_workspace(tmp_path)
+    assert _induce(paths, extra=("--dev-subsample", value)) == 2
+    assert "dev_subsample must be >= 1" in capsys.readouterr().err
+    assert not (paths["runs"] / "r1").exists()
+
+
 @pytest.mark.parametrize("command", ["induce", "infer", "baseline", "resume"])
 def test_unknown_task_in_config_exits_2(tmp_path, command, capsys):
     paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
@@ -449,9 +486,9 @@ def test_unknown_task_in_config_exits_2(tmp_path, command, capsys):
     io = ["--input", str(source), "--output", str(out)]
     argv = {
         "induce": ["induce", "--config", str(paths["config"]), "--run-id", "r1",
-                   "--runs-dir", str(paths["runs"]), "--dry-run", "--script", str(paths["script"])],
+                   "--runs-dir", str(paths["runs"]), "--script", str(paths["script"])],
         "infer": ["infer", "--config", str(paths["config"]), "--prompt", str(prompt), *io,
-                  "--dry-run", "--script", str(paths["script"])],
+                  "--script", str(paths["script"])],
         "baseline": ["baseline", "--config", str(paths["config"]), "--kind", "copy", *io],
     }[command]
     assert main(argv) == 2
@@ -521,10 +558,21 @@ def test_infer_line_contract(tmp_path):
     script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
     code = main(
         ["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out),
-         "--dry-run", "--script", str(script)]
+         "--script", str(script)]
     )
     assert code == 0
     assert out.read_text(encoding="utf-8") == "a bar\n\nanother bar here\n"
+
+
+def test_script_alone_selects_the_scripted_backend(tmp_path, no_network):
+    prompt, source, script, out = (tmp_path / name for name in ("p.txt", "in.txt", "s.json", "out.txt"))
+    _write_prompt(prompt)
+    source.write_text("a foo\n", encoding="utf-8")
+    script.write_text(json.dumps([{"match": "\nOutput:", "response": "scripted", "sticky": True}]))
+    assert main(["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out),
+                 "--script", str(script)]) == 0
+    assert out.read_text(encoding="utf-8") == "scripted\n"
+    assert no_network["n"] == 0
 
 
 def test_infer_parallel_workers_preserve_order(tmp_path):
@@ -537,7 +585,7 @@ def test_infer_parallel_workers_preserve_order(tmp_path):
     script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
     sequential, parallel = tmp_path / "seq.txt", tmp_path / "par.txt"
     base = ["infer", "--prompt", str(prompt), "--input", str(source),
-            "--dry-run", "--script", str(script)]
+            "--script", str(script)]
     assert main([*base, "--output", str(sequential), "--workers", "1"]) == 0
     assert main([*base, "--output", str(parallel), "--workers", "4"]) == 0
     assert parallel.read_bytes() == sequential.read_bytes()
@@ -566,14 +614,22 @@ def test_infer_warm_cache_is_idempotent_and_offline(tmp_path, chat_server):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("stored", ['{"key": "abc", "respon', "[]", '{"key": "abc"}', "\x00\xff"])
+@pytest.mark.parametrize(
+    "stored", ['{"key": "abc", "respon', "[]", '{"key": "abc"}', "\x00\xff", "foreign-schema"]
+)
 def test_cache_file_that_is_not_a_database_exits_2(tmp_path, chat_server, capsys, stored):
     prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
     _write_prompt(prompt)
     source.write_text("line one\n", encoding="utf-8")
     cache_file = tmp_path / "cache" / "completions.sqlite3"
     cache_file.parent.mkdir()
-    cache_file.write_bytes(stored.encode("latin-1"))
+    if stored == "foreign-schema":
+        # a database whose completions table lacks the response column
+        with contextlib.closing(sqlite3.connect(cache_file)) as db, db:
+            db.execute("CREATE TABLE completions (key TEXT PRIMARY KEY, text TEXT)")
+        stored = cache_file.read_bytes().decode("latin-1")
+    else:
+        cache_file.write_bytes(stored.encode("latin-1"))
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"backend": {"base_url": chat_server.url, "cache_dir": str(cache_file.parent)}}))
     assert main(["infer", "--prompt", str(prompt), "--input", str(source),
@@ -716,6 +772,19 @@ def test_evaluate_gec_gold_predictions_score_one(tmp_path):
     assert report["aggregate"] == 1.0
 
 
+def test_evaluate_simplify_empty_gold_exits_2_naming_it(tmp_path, capsys):
+    # empty predictions would align with empty gold and score 0 over 0 samples
+    files = {name: tmp_path / f"{name}.txt" for name in ("source", "references", "predictions")}
+    for path in files.values():
+        path.write_text("", encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--task", "simplify", "--predictions", str(files["predictions"]),
+                 "--source", str(files["source"]), "--references", str(files["references"]),
+                 "--output", str(report)]) == 2
+    assert f"{files['source']}: file is empty" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_evaluate_length_mismatch_exits_2(tmp_path):
     gold = tmp_path / "gold.m2"
     gold.write_text(GOLD_M2, encoding="utf-8")
@@ -782,7 +851,7 @@ def test_baseline_few_shot_exemplars_recorded_and_rendered(tmp_path):
     script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
     assert main(["baseline", "--kind", "few_shot", "--shots", "2", "--seed", "3",
                  "--input", str(source), "--output", str(out),
-                 "--config", str(paths["config"]), "--dry-run", "--script", str(script)]) == 0
+                 "--config", str(paths["config"]), "--script", str(script)]) == 0
     meta = json.loads(Path(str(out) + ".meta.json").read_text())
     assert meta["shots"] == 2
     assert len(meta["exemplar_ids"]) == 2
@@ -798,7 +867,7 @@ def test_baseline_workers_preserve_order(tmp_path):
     script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
     sequential, parallel = tmp_path / "seq.txt", tmp_path / "par.txt"
     base = ["baseline", "--kind", "zero_shot", "--input", str(source),
-            "--dry-run", "--script", str(script)]
+            "--script", str(script)]
     assert main([*base, "--output", str(sequential), "--workers", "1"]) == 0
     assert main([*base, "--output", str(parallel), "--workers", "4"]) == 0
     assert parallel.read_bytes() == sequential.read_bytes() == source.read_bytes()
@@ -811,7 +880,7 @@ def test_baseline_few_shot_insufficient_train_exits_2(tmp_path):
     assert main(["baseline", "--kind", "few_shot", "--shots", "99",
                  "--input", str(source), "--output", str(tmp_path / "o.txt"),
                  "--config", str(paths["config"]),
-                 "--dry-run", "--script", str(paths["script"])]) == 2
+                 "--script", str(paths["script"])]) == 2
 
 
 def test_usage_error_exit_code():
