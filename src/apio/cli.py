@@ -39,9 +39,10 @@ from .metrics import f05_with_counts, min_ref_levenshtein, sari
 from .optimizer import (
     Candidate,
     PromptOptimizer,
-    score_prompt,
+    gather_scoring,
     select_best,
     select_dev_subsample,
+    submit_scoring,
 )
 from .prompts import (
     INPUT_SLOT,
@@ -175,8 +176,9 @@ def cmd_induce(args: argparse.Namespace) -> int:
         dev_eval = select_dev_subsample(dev, cfg.optimizer)
         with contextlib.closing(backend), _executor(args) as pool:
 
-            def fitness_fn(prompt: Prompt, pairs) -> float:
-                return -score_prompt(prompt, pairs, backend, pool)[0]
+            def fitness_fn(prompt: Prompt, pairs, via: Backend) -> Callable[[], float]:
+                scoring = submit_scoring(prompt, pairs, via, pool)
+                return lambda: -gather_scoring(scoring)[0]
 
             prompt, trials = best_of_trials(train, dev_eval, cfg.induction, template, backend, fitness_fn)
         run.prompt_path.write_text(prompt.text() + "\n", encoding="utf-8")
@@ -336,14 +338,17 @@ def _run_optimization(
     run.best_prompt_path.write_text(best.prompt.text() + "\n", encoding="utf-8")
 
     # final reporting: best candidate rescored on the full dev set, top five
-    # pool members rescored with the task metric on the fixed subsample
-    full_raw, _, _ = score_prompt(best.prompt, engine.dev, backend, engine.executor)
+    # pool members rescored with the task metric on the fixed subsample; all
+    # six scorings are queued before the first is waited on
+    full = submit_scoring(best.prompt, engine.dev, backend, engine.executor)
     top = sorted(pool, key=lambda c: (-c.fitness, c.id))[:5]
+    top_scorings = [submit_scoring(c.prompt, engine.dev_eval, backend, engine.executor) for c in top]
+    full_raw, _, _ = gather_scoring(full)
     gec_m2 = cfg.task == "gec" and cfg.data.format == "m2" and cfg.data.path
     records = load_m2(cfg.data.path) if gec_m2 else None
     top_report = []
-    for cand in top:
-        _, _, outputs = score_prompt(cand.prompt, engine.dev_eval, backend, engine.executor)
+    for cand, scoring in zip(top, top_scorings):
+        _, _, outputs = gather_scoring(scoring)
         metric = _task_metric(cfg, records, engine.dev_eval, outputs)
         top_report.append(
             {

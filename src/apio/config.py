@@ -61,6 +61,12 @@ class DataConfig:
     dev_size: int = 200
     split_seed: int = 0
 
+    def __post_init__(self) -> None:
+        # induction needs training pairs and every fitness needs dev pairs
+        for name in ("train_size", "dev_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"data.{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class RunConfig:

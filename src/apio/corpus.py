@@ -208,20 +208,6 @@ def load_m2(path: str | Path) -> list[M2Record]:
     return records
 
 
-def serialize_m2(record: M2Record) -> str:
-    """Canonical M2 text for a record (inverse of parsing)."""
-    lines = ["S " + " ".join(record.source_tokens)]
-    for edit in record.edits:
-        correction = edit.correction if edit.correction else _NONE_FIELD
-        lines.append(
-            f"A {edit.start} {edit.end}|||{edit.type_label}|||{correction}"
-            f"|||REQUIRED|||{_NONE_FIELD}|||{edit.annotator}"
-        )
-    for annotator in sorted(record.noop_annotators):
-        lines.append(f"A -1 -1|||{_NOOP_TYPE}|||{_NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||{annotator}")
-    return "\n".join(lines) + "\n"
-
-
 def apply_edits(record: M2Record, annotator: int) -> str:
     """Materialize one annotator's reference by applying edits right-to-left."""
     grouped = record.edits_by_annotator()

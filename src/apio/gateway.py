@@ -20,6 +20,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import http.client
+import ipaddress
 import json
 import logging
 import os
@@ -204,10 +205,6 @@ class ScriptedBackend(Backend):
         self._warned_plain_infer = False
 
     @classmethod
-    def from_pairs(cls, pairs: list[tuple[str, str]]) -> "ScriptedBackend":
-        return cls([ScriptEntry(match=m, response=r) for m, r in pairs])
-
-    @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         """Load a script: a JSON list of objects, each with a ``match`` and
         optionally a ``response``, ``mode`` and ``sticky``."""
@@ -276,14 +273,33 @@ class ScriptedBackend(Backend):
 _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
+def _bypassed(endpoint: SplitResult, no_proxy: str) -> bool:
+    """Whether ``NO_PROXY`` exempts ``endpoint``: by ``proxy_bypass``, or,
+    for an IP-literal host, by an entry that is an IP network such as
+    ``127.0.0.0/8``."""
+    if urllib.request.proxy_bypass(endpoint.netloc):
+        return True
+    try:
+        address = ipaddress.ip_address(endpoint.hostname or "")
+    except ValueError:
+        return False
+    for entry in no_proxy.split(","):
+        try:
+            if address in ipaddress.ip_network(entry.strip(), strict=False):
+                return True
+        except ValueError:
+            continue
+    return False
+
+
 def _environment_proxy(endpoint: SplitResult) -> tuple[SplitResult | None, dict[str, str]]:
     """The proxy that the environment names for ``endpoint``
     (``urllib.request.getproxies``, with ``NO_PROXY`` applied by
-    ``proxy_bypass``), and the ``Proxy-Authorization`` header for
+    ``_bypassed``), and the ``Proxy-Authorization`` header for
     credentials given in the proxy URL."""
     proxies = urllib.request.getproxies()
     url = proxies.get(endpoint.scheme) or proxies.get("all")
-    if not url or urllib.request.proxy_bypass(endpoint.netloc):
+    if not url or _bypassed(endpoint, proxies.get("no", "")):
         return None, {}
     proxy = urlsplit(url if "://" in url else f"http://{url}")
     if proxy.scheme != "http" or not proxy.hostname:

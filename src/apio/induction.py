@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .corpus import SamplePair
-from .gateway import Backend, EXPLORE, GatewayError, user_request
+from .gateway import Backend, ChatRequest, EXPLORE, GatewayError, user_request
 from .prompts import Instruction, Prompt, TaskTemplate, clean_completion, induction_meta_prompt
 from .seeding import derive_seed
 
@@ -118,55 +118,62 @@ def induce_prompt(
     return prompt, [train[i].id for i in picks]
 
 
+class _TrialRequests(Backend):
+    """``inner`` seen through a request count of its own, so that a trial
+    counts its requests while other trials' scorings are in flight."""
+
+    def __init__(self, inner: Backend) -> None:
+        super().__init__()
+        self.inner = inner
+
+    def _complete(self, request: ChatRequest) -> str:
+        return self.inner.complete(request)
+
+
 def best_of_trials(
     train: Sequence[SamplePair],
     dev: Sequence[SamplePair],
     cfg: InductionConfig,
     template: TaskTemplate,
     backend: Backend,
-    fitness_fn: Callable[[Prompt, Sequence[SamplePair]], float],
+    fitness_fn: Callable[[Prompt, Sequence[SamplePair], Backend], Callable[[], float]],
 ) -> tuple[Prompt, list[TrialReport]]:
     """Run ``n_trials`` inductions and keep the dev-fitness argmax.
 
-    Ties break to the lowest trial index; trials that fail to induce or to
-    be scored are recorded and skipped.
+    ``fitness_fn(prompt, dev, via)`` starts scoring ``prompt`` on ``dev``
+    with requests sent through ``via`` and returns a function that waits
+    for the fitness. Every trial is induced and its scoring started before
+    the first fitness is gathered, in trial order. Ties break to the lowest
+    trial index; trials that fail to induce or to be scored are recorded
+    and skipped. A trial's ``backend_calls`` counts the requests it sent.
     """
-    reports: list[TrialReport] = []
-    best: tuple[float, int, Prompt] | None = None
+    started: list[tuple[TrialReport, Prompt | None, _TrialRequests, Callable[[], float] | None]] = []
     for trial in range(cfg.n_trials):
-        calls_before = backend.n_calls
-        rng_seed = trial_seed(cfg.seed, trial)
-        prompt, pair_ids = None, []
+        report = TrialReport(
+            trial=trial, seed=trial_seed(cfg.seed, trial), pair_ids=[], instructions=[],
+            fitness=None, backend_calls=0,
+        )
+        via = _TrialRequests(backend)
+        prompt, gather = None, None
         try:
-            prompt, pair_ids = induce_prompt(train, cfg, template, backend, trial_index=trial)
-            fitness = fitness_fn(prompt, dev)
+            prompt, report.pair_ids = induce_prompt(train, cfg, template, via, trial_index=trial)
+            report.instructions = prompt.instruction_texts()
+            gather = fitness_fn(prompt, dev, via)
         except (InductionError, GatewayError) as exc:
             log.warning("trial %d failed: %s", trial, exc)
-            reports.append(
-                TrialReport(
-                    trial=trial,
-                    seed=rng_seed,
-                    pair_ids=pair_ids,
-                    instructions=prompt.instruction_texts() if prompt is not None else [],
-                    fitness=None,
-                    backend_calls=backend.n_calls - calls_before,
-                    error=str(exc),
-                )
-            )
-            continue
-        reports.append(
-            TrialReport(
-                trial=trial,
-                seed=rng_seed,
-                pair_ids=pair_ids,
-                instructions=prompt.instruction_texts(),
-                fitness=fitness,
-                backend_calls=backend.n_calls - calls_before,
-                dev_evaluations=1,
-            )
-        )
-        if best is None or fitness > best[0]:
-            best = (fitness, trial, prompt)
+            report.error = str(exc)
+        started.append((report, prompt, via, gather))
+    best: tuple[float, Prompt] | None = None
+    for report, prompt, via, gather in started:
+        if gather is not None:
+            try:
+                report.fitness, report.dev_evaluations = gather(), 1
+            except GatewayError as exc:
+                log.warning("trial %d failed: %s", report.trial, exc)
+                report.error = str(exc)
+        report.backend_calls = via.n_calls
+        if report.fitness is not None and (best is None or report.fitness > best[0]):
+            best = (report.fitness, prompt)
     if best is None:
         raise InductionError("all induction trials failed")
-    return best[2], reports
+    return best[1], [report for report, *_ in started]

@@ -34,6 +34,9 @@ from .seeding import derived_rng
 
 log = logging.getLogger(__name__)
 
+# a train window and the futures of its scoring under one parent
+Window = tuple[list[SamplePair], list[Future]]
+
 
 @dataclass
 class Candidate:
@@ -144,17 +147,6 @@ def gather_scoring(scoring: list[Future]) -> tuple[float, list[int], list[str]]:
     return sum(errors) / max(len(errors), 1), errors, [output for output, _ in scored]
 
 
-def score_prompt(
-    prompt: Prompt,
-    pairs: Sequence[SamplePair],
-    backend: Backend,
-    executor: Executor,
-) -> tuple[float, list[int], list[str]]:
-    """Score ``prompt`` on ``pairs`` and wait for the result: see
-    ``submit_scoring`` and ``gather_scoring``."""
-    return gather_scoring(submit_scoring(prompt, pairs, backend, executor))
-
-
 def select_dev_subsample(dev: Sequence[SamplePair], cfg: OptimizerConfig) -> list[SamplePair]:
     """Fixed seeded dev subsample, constant across a run so fitness values
     stay comparable between epochs."""
@@ -219,16 +211,22 @@ class PromptOptimizer:
 
     # -- operators ----------------------------------------------------------
 
-    def _improve_examples(self, parent: Candidate, epoch: int) -> list[tuple[str, str, str, int]]:
-        """Seeded train window scored under the parent, worst errors first.
+    def _submit_window(self, parent: Candidate, epoch: int) -> Window:
+        """Start scoring the parent on its seeded train window, which
+        depends only on (seed, epoch, parent id, parent prompt)."""
+        window_size = min(len(self.train), 2 * self.cfg.improve_batch)
+        rng = derived_rng(self.cfg.seed, "improve-batch", epoch, parent.id)
+        pairs = [self.train[idx] for idx in rng.sample(range(len(self.train)), window_size)]
+        return pairs, submit_scoring(parent.prompt, pairs, self.backend, self.executor)
+
+    def _improve_examples(self, window: Window) -> list[tuple[str, str, str, int]]:
+        """The rows of a ``_submit_window`` scoring with the worst errors.
 
         Returns improve_batch (input, output, gold, error) rows where gold
         is the nearest reference; rows keep window order for determinism.
         """
-        window_size = min(len(self.train), 2 * self.cfg.improve_batch)
-        rng = derived_rng(self.cfg.seed, "improve-batch", epoch, parent.id)
-        pairs = [self.train[idx] for idx in rng.sample(range(len(self.train)), window_size)]
-        _, errors, outputs = score_prompt(parent.prompt, pairs, self.backend, self.executor)
+        pairs, scoring = window
+        _, errors, outputs = gather_scoring(scoring)
         worst = sorted(range(len(pairs)), key=lambda pos: (-errors[pos], pos))
         rows = []
         for pos in sorted(worst[: self.cfg.improve_batch]):
@@ -237,9 +235,10 @@ class PromptOptimizer:
             rows.append((pair.source, output, gold, error))
         return rows
 
-    def improve(self, parent: Candidate, epoch: int) -> list[Prompt]:
-        """Children extending the parent by one proposed instruction."""
-        examples = self._improve_examples(parent, epoch)
+    def improve(self, parent: Candidate, epoch: int, window: Window | None = None) -> list[Prompt]:
+        """Children extending the parent by one proposed instruction, shown
+        the worst rows of its train ``window``, scored here unless given."""
+        examples = self._improve_examples(window or self._submit_window(parent, epoch))
         meta = improve_meta_prompt(self.template, parent.prompt.instruction_texts(), examples)
         children = []
         for s in range(self.cfg.improve_samples):
@@ -305,30 +304,46 @@ class PromptOptimizer:
         )
 
     def run_epoch(self, pool: list[Candidate], epoch: int) -> list[Candidate]:
-        """One beam step. Each new child starts scoring as soon as it is
-        proposed, so its dev requests overlap the generation of later
-        children; children are then gathered, numbered and admitted in
-        proposal order."""
+        """One beam step. The scorings whose inputs are known at the start
+        (each parent's improve window and permute child) are submitted
+        first, in parent-id order; every other child starts scoring as
+        soon as it is proposed, so its dev requests overlap the generation
+        of later children. Children are proposed, gathered, numbered and
+        admitted in proposal order, which the early submissions leave as it
+        was."""
         calls_before = self.backend.n_calls
+        parents = sorted(pool, key=lambda c: c.id)
         seen = {c.prompt.text() for c in pool}
+        windows: dict[int, Window] = {}
+        permuted: dict[int, Prompt | None] = {}
+        early: dict[str, list[Future]] = {}  # dev scorings started before their child is proposed
+        for parent in parents:
+            windows[parent.id] = self._submit_window(parent, epoch)
+            child = permuted[parent.id] = self.permute(parent, epoch)
+            if child is not None and (text := child.text()) not in seen and text not in early:
+                early[text] = self.submit_fitness(child)
         proposals: list[tuple[Prompt, str, Candidate, list[Future]]] = []
 
         def propose(prompt: Prompt, op: str, parent: Candidate) -> None:
             text = prompt.text()
             if text not in seen:
                 seen.add(text)
-                proposals.append((prompt, op, parent, self.submit_fitness(prompt)))
+                scoring = early.pop(text) if text in early else self.submit_fitness(prompt)
+                proposals.append((prompt, op, parent, scoring))
 
-        for parent in sorted(pool, key=lambda c: c.id):
-            for op, generate in (("improve", self.improve), ("rephrase", self.rephrase)):
+        for parent in parents:
+            operators = (
+                ("improve", lambda: self.improve(parent, epoch, windows[parent.id])),
+                ("rephrase", lambda: self.rephrase(parent, epoch)),
+            )
+            for op, generate in operators:
                 try:
-                    for child in generate(parent, epoch):
+                    for child in generate():
                         propose(child, op, parent)
                 except GatewayError as exc:
                     log.warning("%s failed for candidate %d: %s", op, parent.id, exc)
-            permuted = self.permute(parent, epoch)
-            if permuted is not None:
-                propose(permuted, "permute", parent)
+            if permuted[parent.id] is not None:
+                propose(permuted[parent.id], "permute", parent)
 
         scored: list[Candidate] = []
         for prompt, op, parent, scoring in proposals:

@@ -52,6 +52,11 @@ def toy_pairs() -> list[SamplePair]:
     ]
 
 
+def scripted_pairs(pairs: list[tuple[str, str]]) -> ScriptedBackend:
+    """Backend answering from plain (match, response) script entries."""
+    return ScriptedBackend([ScriptEntry(match=m, response=r) for m, r in pairs])
+
+
 def rewrite_backend(extra: list[ScriptEntry] | None = None) -> ScriptedBackend:
     """Backend whose inference applies bullet rewrite rules literally."""
     entries = list(extra or [])

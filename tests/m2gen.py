@@ -1,4 +1,4 @@
-"""Random M2 record generation for round-trip fuzzing."""
+"""Random M2 record generation and the M2 writer, for round-trip fuzzing."""
 
 from __future__ import annotations
 
@@ -32,3 +32,14 @@ def random_record(rng: random.Random, max_tokens: int = 12, max_annotators: int 
             edits.append(M2Edit(start, end, rng.choice(TYPE_LABELS), correction, annotator))
             cursor = end + 1
     return M2Record(tokens, tuple(edits), frozenset(noops))
+
+
+def serialize_m2(record: M2Record) -> str:
+    """Canonical M2 text for a record (inverse of parsing)."""
+    lines = ["S " + " ".join(record.source_tokens)]
+    for edit in record.edits:
+        correction = edit.correction if edit.correction else "-NONE-"
+        lines.append(f"A {edit.start} {edit.end}|||{edit.type_label}|||{correction}|||REQUIRED|||-NONE-|||{edit.annotator}")
+    for annotator in sorted(record.noop_annotators):
+        lines.append(f"A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||{annotator}")
+    return "\n".join(lines) + "\n"

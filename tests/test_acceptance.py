@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from apio.cli import main
-from apio.corpus import load_asset, load_m2, serialize_m2
+from apio.corpus import load_asset, load_m2
 from apio.gateway import ScriptEntry, ScriptedBackend
 from apio.induction import InductionConfig, best_of_trials
 from apio.metrics.levenshtein import pairwise_word_levenshtein, word_levenshtein
@@ -25,7 +25,7 @@ from apio.metrics.sari import sari
 from apio.optimizer import Candidate, OptimizerConfig, PromptOptimizer
 from apio.prompts import GEC_TEMPLATE, GENERIC_TEMPLATE, Instruction, Prompt
 from conftest import SEQUENTIAL
-from m2gen import random_record
+from m2gen import random_record, serialize_m2
 from toytask import DECOY, PLANTED, make_workspace, script_entries
 
 pytestmark = pytest.mark.acceptance
@@ -432,9 +432,9 @@ def test_c9_induction_call_accounting():
     cfg = InductionConfig(n_instructions=3, n_trials=10, seed=4)
     dev_evaluations = []
 
-    def fitness_fn(prompt, pairs):
+    def fitness_fn(prompt, pairs, via):
         dev_evaluations.append(prompt)
-        return 0.0
+        return lambda: 0.0
 
     best_of_trials(dev, dev, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
     induction_calls = [c for c in backend.calls if "Could you give an instruction" in c.text()]

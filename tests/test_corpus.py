@@ -19,9 +19,8 @@ from apio.corpus import (
     load_m2,
     reference_texts,
     sample_split,
-    serialize_m2,
 )
-from m2gen import random_record
+from m2gen import random_record, serialize_m2
 
 
 # -- asset ------------------------------------------------------------------

@@ -32,7 +32,7 @@ from apio.gateway import (
     request_key,
     user_request,
 )
-from conftest import ChatServer, Reply, completion
+from conftest import ChatServer, Reply, completion, scripted_pairs
 
 
 def test_profiles_are_the_two_presets():
@@ -51,14 +51,14 @@ def test_request_validation():
 
 
 def test_scripted_pass_through():
-    backend = ScriptedBackend.from_pairs([("Generate a variation", "new text")])
+    backend = scripted_pairs([("Generate a variation", "new text")])
     out = backend.complete(user_request("Generate a variation of x", EXPLORE))
     assert out == "new text"
     assert len(backend.calls) == 1
 
 
 def test_scripted_queue_semantics():
-    backend = ScriptedBackend.from_pairs([("ask", "first"), ("ask", "second")])
+    backend = scripted_pairs([("ask", "first"), ("ask", "second")])
     assert backend.complete(user_request("ask me", EXPLORE)) == "first"
     assert backend.complete(user_request("ask me", EXPLORE)) == "second"
     with pytest.raises(ScriptExhaustedError, match="ask me"):
@@ -66,7 +66,7 @@ def test_scripted_queue_semantics():
 
 
 def test_scripted_unmatched_is_loud():
-    backend = ScriptedBackend.from_pairs([("improve", "x")])
+    backend = scripted_pairs([("improve", "x")])
     with pytest.raises(ScriptExhaustedError):
         backend.complete(user_request("something else entirely", EXPLORE))
 
@@ -78,7 +78,7 @@ def test_scripted_sticky_entries_repeat():
 
 
 def test_scripted_plain_inference_entry_warns_once(caplog):
-    backend = ScriptedBackend.from_pairs([("go", "a"), ("go", "b"), ("go", "c")])
+    backend = scripted_pairs([("go", "a"), ("go", "b"), ("go", "c")])
     backend.complete(user_request("go", EXPLORE))
     assert not caplog.records
     with caplog.at_level("WARNING", logger="apio.gateway"):
@@ -108,10 +108,10 @@ def test_echo_instruction_mode():
 
 
 def test_scripted_consumed_state_restores():
-    backend = ScriptedBackend.from_pairs([("a", "1"), ("a", "2")])
+    backend = scripted_pairs([("a", "1"), ("a", "2")])
     backend.complete(user_request("a", EXPLORE))
     snapshot = backend.consumed_state()
-    fresh = ScriptedBackend.from_pairs([("a", "1"), ("a", "2")])
+    fresh = scripted_pairs([("a", "1"), ("a", "2")])
     fresh.restore_consumed(snapshot)
     assert fresh.complete(user_request("a", EXPLORE)) == "2"
 
@@ -518,6 +518,24 @@ def test_openai_no_proxy_bypasses_proxy(chat_server, openai, monkeypatch):
     sent = chat_server.requests[0]
     assert sent["path"] == "/v1/chat/completions"
     assert "Proxy-Authorization" not in sent["headers"]
+
+
+@pytest.mark.parametrize("no_proxy", ["127.0.0.0/8", "llm.test, 10.0.0.0/8 ,127.0.0.1/32", "::1/128,127.0.0.0/16"])
+def test_openai_no_proxy_network_bypasses_proxy(chat_server, openai, monkeypatch, no_proxy):
+    # the proxy's port is closed: dialling it would exhaust the retry budget
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{_closed_port()}")
+    monkeypatch.setenv("NO_PROXY", no_proxy)
+    assert openai(retry_max=0).complete(user_request("x", INFER)) == "ok"
+    assert chat_server.requests[0]["path"] == "/v1/chat/completions"
+
+
+@pytest.mark.parametrize("no_proxy", ["10.0.0.0/8", "127.0.0.0/33", "not-a-network/8", ""])
+def test_openai_no_proxy_network_elsewhere_keeps_proxy(no_proxy_env, no_proxy):
+    no_proxy_env.setenv("HTTP_PROXY", "http://proxy.test:3128")
+    no_proxy_env.setenv("NO_PROXY", no_proxy)
+    backend = OpenAIChatBackend(base_url="http://127.0.0.1:8000/v1", model="m")
+    assert (backend._proxy.hostname, backend._proxy.port) == ("proxy.test", 3128)
+    assert backend._target == "http://127.0.0.1:8000/v1/chat/completions"
 
 
 def test_openai_refuses_proxy_it_cannot_speak(no_proxy_env):

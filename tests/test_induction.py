@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from apio.corpus import SamplePair
-from apio.gateway import ScriptEntry, ScriptedBackend
+from apio.gateway import INFER, ScriptEntry, ScriptedBackend, user_request
 from apio.induction import (
     InductionConfig,
     InductionError,
@@ -15,6 +17,7 @@ from apio.induction import (
 )
 from apio.prompts import GEC_TEMPLATE, GENERIC_TEMPLATE
 from apio.seeding import derive_seed
+from conftest import scripted_pairs
 
 INDUCE_MATCH = "Could you give an instruction"
 
@@ -28,7 +31,7 @@ def _pair(i=0):
 
 
 def test_induce_instruction_verbatim():
-    backend = ScriptedBackend.from_pairs([(INDUCE_MATCH, KNOWN_INSTRUCTION)])
+    backend = scripted_pairs([(INDUCE_MATCH, KNOWN_INSTRUCTION)])
     instruction = induce_instruction(_pair(), GEC_TEMPLATE, backend)
     assert instruction.text == KNOWN_INSTRUCTION
     # induction samples under the exploration profile
@@ -36,7 +39,7 @@ def test_induce_instruction_verbatim():
 
 
 def test_induce_shows_first_reference():
-    backend = ScriptedBackend.from_pairs([(INDUCE_MATCH, "Do x.")])
+    backend = scripted_pairs([(INDUCE_MATCH, "Do x.")])
     induce_instruction(_pair(3), GEC_TEMPLATE, backend)
     sent = backend.calls[0].text()
     assert "Sentence: src 3" in sent
@@ -45,12 +48,12 @@ def test_induce_shows_first_reference():
 
 
 def test_induce_strips_quotes():
-    backend = ScriptedBackend.from_pairs([(INDUCE_MATCH, '"Fix the grammar."')])
+    backend = scripted_pairs([(INDUCE_MATCH, '"Fix the grammar."')])
     assert induce_instruction(_pair(), GEC_TEMPLATE, backend).text == "Fix the grammar."
 
 
 def test_induce_retries_newline_once_then_errors():
-    ok_after_retry = ScriptedBackend.from_pairs(
+    ok_after_retry = scripted_pairs(
         [(INDUCE_MATCH, "bad\ncompletion"), (INDUCE_MATCH, "Good one.")]
     )
     assert induce_instruction(_pair(), GEC_TEMPLATE, ok_after_retry).text == "Good one."
@@ -90,6 +93,15 @@ def test_induce_prompt_requires_enough_train(toy_pairs):
         induce_prompt(toy_pairs[:2], cfg, GENERIC_TEMPLATE, _sticky_backend())
 
 
+def _zero() -> float:
+    return 0.0
+
+
+def _flat_fitness(prompt, dev, via):
+    """A fitness step that sends no request and scores every trial 0."""
+    return _zero
+
+
 def test_best_of_trials_argmax_and_tiebreak(toy_pairs):
     # fitness keyed on the sampled pair ids; trial 4 planted as the best
     cfg = InductionConfig(n_instructions=2, n_trials=10, seed=5)
@@ -97,9 +109,9 @@ def test_best_of_trials_argmax_and_tiebreak(toy_pairs):
     scores[4] = -0.25
     calls = {"n": -1}
 
-    def fitness_fn(prompt, dev):
+    def fitness_fn(prompt, dev, via):
         calls["n"] += 1
-        return scores[calls["n"]]
+        return lambda score=scores[calls["n"]]: score
 
     best, reports = best_of_trials(
         toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), fitness_fn
@@ -108,7 +120,7 @@ def test_best_of_trials_argmax_and_tiebreak(toy_pairs):
     assert best == induce_prompt(toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), trial_index=4)[0]
 
     flat, reports = best_of_trials(
-        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), lambda p, d: 0.0
+        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), _flat_fitness
     )
     assert flat == induce_prompt(toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), trial_index=0)[0]
     assert all(r.fitness == 0.0 for r in reports)
@@ -119,9 +131,9 @@ def test_best_of_trials_call_accounting(toy_pairs):
     backend = _sticky_backend()
     dev_evaluations = []
 
-    def fitness_fn(prompt, dev):
+    def fitness_fn(prompt, dev, via):
         dev_evaluations.append(prompt)
-        return 0.0
+        return _zero
 
     _, reports = best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
     induction_calls = [c for c in backend.calls if INDUCE_MATCH in c.text()]
@@ -131,10 +143,54 @@ def test_best_of_trials_call_accounting(toy_pairs):
     assert sum(r.backend_calls for r in reports) == 30
 
 
+def test_best_of_trials_induces_every_trial_before_gathering_a_fitness(toy_pairs):
+    cfg = InductionConfig(n_instructions=2, n_trials=3, seed=5)
+    backend = _sticky_backend()
+    events = []
+
+    def fitness_fn(prompt, dev, via):
+        events.append(("submit", len(backend.calls)))
+
+        def gather():
+            events.append(("gather", len(backend.calls)))
+            return 0.0
+
+        return gather
+
+    best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
+    assert events == [("submit", 2), ("submit", 4), ("submit", 6)] + [("gather", 6)] * 3
+
+
+def test_best_of_trials_counts_each_trials_requests_while_others_score(toy_pairs):
+    # trial t's scoring sends 100 * (t + 1) requests from a pool of more
+    # threads than cores; they overlap the next trials' induction and
+    # count to trial t alone, even with threads switching every microsecond
+    cfg = InductionConfig(n_instructions=2, n_trials=3, seed=5)
+    backend = ScriptedBackend([ScriptEntry(match="", response="Do the rewrite.", sticky=True)])
+    submitted = []
+
+    def fitness_fn(prompt, dev, via):
+        trial = len(submitted)
+        sends = range(100 * (trial + 1))
+        submitted.append(pool.map(lambda _: via.complete(user_request("score", INFER)), sends, timeout=30))
+        return lambda: float(len(list(submitted[trial])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            _, reports = best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.backend_calls for r in reports] == [102, 202, 302]
+    assert [r.fitness for r in reports] == [100.0, 200.0, 300.0]
+    assert backend.n_calls == 606
+
+
 def test_best_of_trials_records_each_trials_seed(toy_pairs):
     cfg = InductionConfig(n_instructions=2, n_trials=3, seed=5)
     _, reports = best_of_trials(
-        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), lambda p, d: 0.0
+        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), _flat_fitness
     )
     assert [r.seed for r in reports] == [derive_seed(5, "induce", t) for t in range(3)]
     for report in reports:
@@ -153,7 +209,7 @@ def test_best_of_trials_skips_failed_trials(toy_pairs):
         ]
     )
     cfg = InductionConfig(n_instructions=1, n_trials=3, seed=9)
-    best, reports = best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, lambda p, d: 0.0)
+    best, reports = best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, _flat_fitness)
     assert reports[0].error is not None
     assert reports[1].error is None
     assert best.instruction_texts() == ["Fine instruction."]
@@ -163,4 +219,4 @@ def test_best_of_trials_all_failed(toy_pairs):
     backend = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response="a\nb", sticky=True)])
     cfg = InductionConfig(n_instructions=1, n_trials=2, seed=1)
     with pytest.raises(InductionError, match="all induction trials failed"):
-        best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, lambda p, d: 0.0)
+        best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, _flat_fitness)

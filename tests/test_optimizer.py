@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +13,15 @@ from hypothesis import strategies as st
 
 from apio.corpus import SamplePair
 from apio.cli import main
-from apio.gateway import INFER, Backend, ScriptEntry, ScriptedBackend, ScriptExhaustedError
+from apio.gateway import EXPLORE, INFER, Backend, ScriptEntry, ScriptedBackend, ScriptExhaustedError
 from apio.optimizer import (
     Candidate,
     OptimizerConfig,
     PromptOptimizer,
-    score_prompt,
+    gather_scoring,
     select_best,
     select_dev_subsample,
+    submit_scoring,
 )
 from apio.prompts import GENERIC_TEMPLATE, Instruction, Prompt
 from conftest import SEQUENTIAL, rewrite_backend
@@ -91,6 +93,10 @@ def _indexed_pairs(n=20, failing=()):
         SamplePair(f"s{i}", f"item {i} {'fail' if i in failing else 'ok'}", (f"item {i} ok",))
         for i in range(n)
     ]
+
+
+def score_prompt(prompt, pairs, backend, executor):
+    return gather_scoring(submit_scoring(prompt, pairs, backend, executor))
 
 
 def test_score_prompt_concurrent_keeps_input_order():
@@ -375,6 +381,125 @@ def test_run_epoch_overlaps_scoring_of_several_children(toy_pairs):
     assert sequential_peak == 1
     assert concurrent_peak > 1  # children's dev requests share one wait
     assert concurrent == sequential
+
+
+class InlineExecutor(Executor):
+    """Runs each submitted call at once in the submitting thread, so the
+    backend's request log shows when each request was submitted."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _prompt_of(request) -> str:
+    """The rendered prompt of an inference request, without its input."""
+    return request.text().split("\nInput: ")[0]
+
+
+def _rendered(prompt: Prompt) -> str:
+    return prompt.render("x").split("\nInput: ")[0]
+
+
+def test_run_epoch_submits_windows_and_permute_children_before_exploring(toy_pairs):
+    def engine_for(executor):
+        backend = ScriptedBackend([ScriptEntry(**e) for e in script_entries()])
+        cfg = OptimizerConfig(beam_b=6, improve_samples=3, improve_batch=2, dev_subsample=3, seed=13)
+        return PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, backend, GENERIC_TEMPLATE, executor)
+
+    engine = engine_for(InlineExecutor())
+    pool = engine.run_epoch([engine.score_seed(_prompt(DECOY, 'Replace "a" with "a".'))], 1)
+    assert len(pool) > 2
+    start = len(engine.backend.calls)
+    engine.run_epoch(pool, 2)
+    calls = engine.backend.calls[start:]
+    first_explore = next(i for i, c in enumerate(calls) if c.profile == EXPLORE)
+
+    # per parent in id order: its window (2 x improve_batch train pairs),
+    # then its permute child's dev subsample unless the text is not new
+    expected, seen = [], {c.prompt.text() for c in pool}
+    for parent in sorted(pool, key=lambda c: c.id):
+        expected += [_rendered(parent.prompt)] * 4
+        child = engine.permute(parent, 2)
+        if child is not None and child.text() not in seen:
+            seen.add(child.text())
+            expected += [_rendered(child)] * 3
+    assert [_prompt_of(c) for c in calls[:first_explore]] == expected
+    assert any(c.profile == INFER for c in calls[first_explore:])
+
+    # submitting early changes no result
+    reference = engine_for(SEQUENTIAL)
+    pool = reference.run_epoch([reference.score_seed(_prompt(DECOY, 'Replace "a" with "a".'))], 1)
+    reference.run_epoch(pool, 2)
+    assert reference.history == engine.history
+
+
+def test_permute_child_duplicating_an_earlier_proposal_is_scored_once(toy_pairs):
+    first, second = 'Replace "zz" with "zz".', 'Replace "foo" with "bar".'
+    entries = [
+        ScriptEntry(match=IMPROVE_MATCH, response=f"<new_instruction>{second}</new_instruction>", sticky=True),
+        ScriptEntry(match=REPHRASE_MATCH, mode="echo_instruction", sticky=True),
+        ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True),
+    ]
+    engine = _engine(toy_pairs, ScriptedBackend(entries), improve_samples=1)
+    # parent 0's improve child and parent 1's permute child are one prompt
+    pool = [engine.score_seed(_prompt(first)), engine.score_seed(_prompt(second, first))]
+    assert engine.permute(pool[1], 1) == _prompt(first, second)
+    start = len(engine.backend.calls)
+    engine.run_epoch(pool, 1)
+    calls = engine.backend.calls[start:]
+    assert sum(_prompt_of(c) == _rendered(_prompt(first, second)) for c in calls) == len(engine.dev_eval)
+    candidates = engine.history[-1]["candidates"]
+    twins = [c for c in candidates if c["prompt"]["instructions"] == [first, second]]
+    assert [(c["operator"], c["parent_id"]) for c in twins] == [("improve", 0)]
+    assert [c["operator"] for c in candidates if c["parent_id"] == 1] == ["improve"]
+
+
+class FailingPromptBackend(Backend):
+    """Passes requests to ``inner``, but fails every inference request made
+    under the prompt ``failing``."""
+
+    def __init__(self, inner: Backend, failing: Prompt) -> None:
+        super().__init__()
+        self.inner = inner
+        self.failing = _rendered(failing)
+
+    def _complete(self, request):
+        if request.profile == INFER and _prompt_of(request) == self.failing:
+            raise ScriptExhaustedError("injected window failure")
+        return self.inner.complete(request)
+
+
+def test_failed_window_drops_only_that_parents_improve_children(toy_pairs, caplog):
+    def epoch(fail_first_parent):
+        entries = [
+            ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>Add more.</new_instruction>", sticky=True),
+            ScriptEntry(match=REPHRASE_MATCH, response="Say it again.", sticky=True),
+            ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True),
+        ]
+        engine = _engine(toy_pairs, ScriptedBackend(entries), improve_samples=2)
+        pool = [engine.score_seed(_prompt(DECOY, "Rule one.")), engine.score_seed(_prompt("Rule two.", DECOY))]
+        if fail_first_parent:
+            # the parents are scored: from here on, only the first one's window fails
+            engine.backend = FailingPromptBackend(engine.backend, pool[0].prompt)
+        engine.run_epoch(pool, 1)
+        return [
+            (c["prompt"]["instructions"], c["operator"], c["parent_id"], c["fitness"])
+            for c in engine.history[-1]["candidates"]
+        ]
+
+    clean = epoch(False)
+    with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
+        failed = epoch(True)
+    assert failed == [c for c in clean if (c[1], c[2]) != ("improve", 0)]
+    assert {(op, parent) for _, op, parent, _ in failed} == {
+        ("rephrase", 0), ("permute", 0), ("improve", 1), ("rephrase", 1), ("permute", 1)
+    }
+    assert "improve failed for candidate 0: injected window failure" in caplog.text
 
 
 def test_zero_successful_candidates_keeps_pool(toy_pairs):

@@ -18,11 +18,11 @@ import pytest
 
 import apio
 from apio.cli import main
-from apio.corpus import apply_edits, load_m2, serialize_m2
+from apio.corpus import apply_edits, load_m2
 from apio.gateway import INFER, ScriptedBackend, ScriptExhaustedError
 from apio.state import RunDir
 from conftest import Reply, completion
-from m2gen import random_record
+from m2gen import random_record, serialize_m2
 from toytask import PLANTED, make_workspace
 
 INDUCE_MATCH = "Could you give an instruction"
@@ -105,6 +105,25 @@ def test_induce_scoring_failure_fails_only_that_trial(tmp_path):
     assert trials[1]["fitness"] is None
     assert trials[1]["instructions"] == ["Rule two."]
     assert (run / "prompt.txt").read_text().startswith("* Rule one.\n")
+
+
+@pytest.mark.parametrize("workers", ["1", "8"])
+def test_induce_counts_each_trials_requests(tmp_path, workers):
+    paths = make_workspace(tmp_path, n_trials=4, n_instructions=1)
+    # trial 0 fails to induce after its retry, no entry answers trial 1's
+    # inference, and trials 2 and 3 score on all 8 dev pairs
+    paths["script"].write_text(json.dumps([
+        {"match": INDUCE_MATCH, "response": "bad\nline"},
+        {"match": INDUCE_MATCH, "response": "worse\nline"},
+        {"match": INDUCE_MATCH, "response": "Rule two."},
+        {"match": INDUCE_MATCH, "response": "Rule one.", "sticky": True},
+        {"match": "* Rule one.\n", "mode": "rewrite_rules", "sticky": True},
+    ]))
+    assert _induce(paths, extra=("--workers", workers)) == 0
+    trials = json.loads((paths["runs"] / "r1" / "trials.json").read_text())["trials"]
+    assert [t["backend_calls"] for t in trials] == [2, 9, 9, 9]
+    assert [t["dev_evaluations"] for t in trials] == [0, 0, 1, 1]
+    assert [t["error"] is None for t in trials] == [False, False, True, True]
 
 
 def test_induce_exhausted_script_is_engine_failure(tmp_path):
@@ -416,6 +435,21 @@ def test_interrupted_epoch_cancels_queued_scoring(tmp_path, monkeypatch):
     assert len(sent) - at_interrupt[0] <= 1
 
 
+def test_final_report_queues_all_six_scorings_before_waiting(tmp_path, monkeypatch):
+    import apio.cli as cli
+
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=6)
+    assert _induce(paths) == 0
+    events = []
+    submit, gather = cli.submit_scoring, cli.gather_scoring
+    monkeypatch.setattr(cli, "submit_scoring", lambda *a: events.append("submit") or submit(*a))
+    monkeypatch.setattr(cli, "gather_scoring", lambda scoring: events.append("gather") or gather(scoring))
+    assert _optimize(paths) == 0
+    report = json.loads((paths["runs"] / "r1" / "final_report.json").read_text(encoding="utf-8"))
+    assert len(report["top5"]) == 5
+    assert events == ["submit"] * 6 + ["gather"] * 6
+
+
 def test_optimize_gec_loads_gold_m2_once_for_final_report(tmp_path, monkeypatch):
     import apio.cli as cli
 
@@ -459,6 +493,21 @@ def test_induce_dev_subsample_below_one_exits_2_before_creating_run(tmp_path, va
     paths = make_workspace(tmp_path)
     assert _induce(paths, extra=("--dev-subsample", value)) == 2
     assert "dev_subsample must be >= 1" in capsys.readouterr().err
+    assert not (paths["runs"] / "r1").exists()
+
+
+@pytest.mark.parametrize("command", ["induce", "optimize"])
+@pytest.mark.parametrize(("field", "value"), [("dev_size", 0), ("train_size", 0), ("dev_size", -1)])
+def test_split_size_below_one_exits_2_before_creating_run(tmp_path, capsys, command, field, value):
+    paths = make_workspace(tmp_path)
+    config = json.loads(paths["config"].read_text())
+    config["data"][field] = value
+    paths["config"].write_text(json.dumps(config))
+    prompt = tmp_path / "seed.txt"
+    prompt.write_text(f"* {PLANTED}\n\nInput: {{input_text}}\nOutput:\n", encoding="utf-8")
+    code = _induce(paths) if command == "induce" else _optimize(paths, extra=("--prompt", str(prompt)))
+    assert code == 2
+    assert f"data.{field} must be >= 1, got {value}" in capsys.readouterr().err
     assert not (paths["runs"] / "r1").exists()
 
 
