@@ -35,12 +35,14 @@ from .gateway import (
     user_request,
 )
 from .induction import InductionError, best_of_trials
-from .metrics import f05_with_counts, min_ref_levenshtein, sari
+from .metrics.gec import f05_with_counts
+from .metrics.levenshtein import min_ref_levenshtein
+from .metrics.sari import sari
 from .optimizer import (
     Candidate,
     PromptOptimizer,
     gather_scoring,
-    select_best,
+    rank_key,
     select_dev_subsample,
     submit_scoring,
 )
@@ -132,10 +134,6 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _flatten(output: str) -> str:
-    return output.replace("\n", " ")
-
-
 def _infer_lines(
     render: Callable[[str], str], lines: list[str], backend: Backend, executor: Executor
 ) -> tuple[list[str], int]:
@@ -150,7 +148,7 @@ def _infer_lines(
         for attempt in (0, 1):
             try:
                 raw = backend.complete(user_request(render(line), INFER, attempt_tag=attempt))
-                return _flatten(postprocess_output(raw))
+                return postprocess_output(raw).replace("\n", " ")
             except GatewayError as exc:
                 log.warning("inference failed (attempt %d): %s", attempt, exc)
         return FAILED_PLACEHOLDER
@@ -334,14 +332,14 @@ def _run_optimization(
         if stop_after is not None and epoch >= stop_after and epoch < n_epochs:
             print(f"stopped after epoch {epoch} as requested")
             return 0
-    best = select_best(pool)
+    top = sorted(pool, key=rank_key)[:5]
+    best = top[0]
     run.best_prompt_path.write_text(best.prompt.text() + "\n", encoding="utf-8")
 
     # final reporting: best candidate rescored on the full dev set, top five
     # pool members rescored with the task metric on the fixed subsample; all
     # six scorings are queued before the first is waited on
     full = submit_scoring(best.prompt, engine.dev, backend, engine.executor)
-    top = sorted(pool, key=lambda c: (-c.fitness, c.id))[:5]
     top_scorings = [submit_scoring(c.prompt, engine.dev_eval, backend, engine.executor) for c in top]
     full_raw, _, _ = gather_scoring(full)
     gec_m2 = cfg.task == "gec" and cfg.data.format == "m2" and cfg.data.path
@@ -547,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--force", action="store_true")
     optimize.add_argument("--resume", help="resume a persisted run by id")
     optimize.add_argument("--dev-subsample")
-    optimize.add_argument("--stop-after-epoch", type=int, help="stop early after this epoch (testing)")
+    optimize.add_argument("--stop-after-epoch", type=_positive_int, help="stop early after this epoch (testing)")
     optimize.set_defaults(func=cmd_optimize)
 
     infer = commands.add_parser("infer", help="run a prompt over an input file")

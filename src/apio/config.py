@@ -14,7 +14,6 @@ from urllib.parse import urlsplit
 from .corpus import (
     ConfigurationError,
     SamplePair,
-    SplitSpec,
     load_asset,
     load_jsonl,
     load_m2,
@@ -158,6 +157,4 @@ def load_pairs(data: DataConfig) -> list[SamplePair]:
 
 
 def split_pairs(cfg: RunConfig) -> tuple[list[SamplePair], list[SamplePair]]:
-    corpus = load_pairs(cfg.data)
-    spec = SplitSpec(cfg.data.train_size, cfg.data.dev_size, cfg.data.split_seed)
-    return sample_split(corpus, spec)
+    return sample_split(load_pairs(cfg.data), cfg.data.train_size, cfg.data.dev_size, cfg.data.split_seed)

@@ -64,13 +64,6 @@ class M2Record:
         return sorted(ids) if ids else [0]
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_size: int
-    dev_size: int
-    seed: int = 0
-
-
 def _read_lines(path: str | Path) -> list[str]:
     text = Path(path).read_text(encoding="utf-8")
     if text.endswith("\n"):
@@ -114,18 +107,22 @@ def load_jsonl(path: str | Path) -> list[SamplePair]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if "source" not in obj or "references" not in obj:
+            refs = obj.get("references") if isinstance(obj, dict) else None
+            if not (
+                isinstance(refs, list)
+                and refs
+                and all(isinstance(r, str) for r in refs)
+                and isinstance(obj.get("source"), str)
+            ):
                 raise CorpusFormatError(
-                    f"{path}:{lineno}: object must carry 'source' and 'references'"
+                    f"{path}:{lineno}: expected an object with a string 'source'"
+                    " and a non-empty list of strings 'references'"
                 )
-            refs = tuple(str(r).strip() for r in obj["references"])
-            if not refs:
-                raise CorpusFormatError(f"{path}:{lineno}: empty reference list")
             pairs.append(
                 SamplePair(
                     id=str(obj.get("id", f"jsonl-{lineno - 1}")),
-                    source=str(obj["source"]).strip(),
-                    references=refs,
+                    source=obj["source"].strip(),
+                    references=tuple(r.strip() for r in refs),
                 )
             )
     if not pairs:
@@ -234,17 +231,17 @@ def reference_texts(record: M2Record) -> list[str]:
 
 
 def sample_split(
-    corpus: Sequence[SamplePair], spec: SplitSpec
+    corpus: Sequence[SamplePair], train_size: int, dev_size: int, seed: int
 ) -> tuple[list[SamplePair], list[SamplePair]]:
     """Disjoint seeded train/dev split, order-stable w.r.t. the corpus."""
-    if spec.train_size < 0 or spec.dev_size < 0:
+    if train_size < 0 or dev_size < 0:
         raise ConfigurationError("split sizes must be non-negative")
-    if spec.train_size + spec.dev_size > len(corpus):
+    if train_size + dev_size > len(corpus):
         raise ConfigurationError(
-            f"train+dev ({spec.train_size}+{spec.dev_size}) exceeds corpus size {len(corpus)}"
+            f"train+dev ({train_size}+{dev_size}) exceeds corpus size {len(corpus)}"
         )
-    rng = random.Random(spec.seed)
-    picks = rng.sample(range(len(corpus)), spec.train_size + spec.dev_size)
-    train_idx = sorted(picks[: spec.train_size])
-    dev_idx = sorted(picks[spec.train_size:])
+    rng = random.Random(seed)
+    picks = rng.sample(range(len(corpus)), train_size + dev_size)
+    train_idx = sorted(picks[:train_size])
+    dev_idx = sorted(picks[train_size:])
     return [corpus[i] for i in train_idx], [corpus[i] for i in dev_idx]

@@ -150,6 +150,8 @@ class ScriptEntry:
             raise ValueError("a script entry's 'match' and 'response' must be strings")
         if self.mode not in _SCRIPT_MODES:
             raise ValueError(f"unknown script mode {self.mode!r}")
+        if not isinstance(self.sticky, bool):
+            raise ValueError(f"a script entry's 'sticky' must be true or false, got {self.sticky!r}")
 
 
 def _apply_rewrite_rules(prompt_text: str) -> str:
@@ -190,8 +192,7 @@ class ScriptedBackend(Backend):
     use; ``sticky`` entries answer any number of requests, which the
     synthetic end-to-end tasks need for inference traffic. Inference
     requests may arrive concurrently, so a plain entry that answers one
-    goes to whichever request comes first; this is logged once. Every
-    request is kept in ``calls``, in arrival order.
+    goes to whichever request comes first; this is logged once.
     """
 
     def __init__(self, entries: list[ScriptEntry]) -> None:
@@ -199,7 +200,6 @@ class ScriptedBackend(Backend):
         if not entries:
             raise ValueError("script must be non-empty")
         self.entries = entries
-        self.calls: list[ChatRequest] = []
         self._consumed: set[int] = set()
         self._lock = threading.Lock()
         self._warned_plain_infer = False
@@ -218,7 +218,7 @@ class ScriptedBackend(Backend):
                         match=item["match"],
                         response=item.get("response", ""),
                         mode=item.get("mode", "literal"),
-                        sticky=bool(item.get("sticky", False)),
+                        sticky=item.get("sticky", False),
                     )
                     for item in raw
                 ]
@@ -237,7 +237,6 @@ class ScriptedBackend(Backend):
     def _complete(self, request: ChatRequest) -> str:
         text = request.text()
         with self._lock:
-            self.calls.append(request)
             for idx, entry in enumerate(self.entries):
                 if not entry.sticky and idx in self._consumed:
                     continue

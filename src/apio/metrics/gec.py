@@ -85,17 +85,6 @@ def f05_from_counts(tp: int, fp: int, fn: int) -> float:
     return (1 + 0.25) * p * r / (0.25 * p + r)
 
 
-def _gold_edit_sets(record: M2Record) -> dict[int, frozenset[Edit]]:
-    by_annotator = record.edits_by_annotator()
-    annotators = set(by_annotator) | record.noop_annotators
-    if not annotators:
-        annotators = {0}
-    return {
-        a: frozenset((e.start, e.end, e.correction) for e in by_annotator.get(a, ()))
-        for a in annotators
-    }
-
-
 def sentence_counts(record: M2Record, hypothesis: str) -> tuple[int, int, int]:
     """TP/FP/FN for one sentence against the best-matching annotator.
 
@@ -103,8 +92,10 @@ def sentence_counts(record: M2Record, hypothesis: str) -> tuple[int, int, int]:
     FP+FN, then the lowest annotator id.
     """
     hyp_edits = extract_edits(record.source_text(), hypothesis)
+    by_annotator = record.edits_by_annotator()
     best: tuple[float, int, int, tuple[int, int, int]] | None = None
-    for annotator, gold in sorted(_gold_edit_sets(record).items()):
+    for annotator in record.annotator_ids():
+        gold = frozenset((e.start, e.end, e.correction) for e in by_annotator.get(annotator, ()))
         tp = len(hyp_edits & gold)
         fp = len(hyp_edits - gold)
         fn = len(gold - hyp_edits)
@@ -115,15 +106,11 @@ def sentence_counts(record: M2Record, hypothesis: str) -> tuple[int, int, int]:
     return best[3]
 
 
-def f05(records: Sequence[M2Record], hypotheses: Sequence[str]) -> float:
-    """Corpus-level F0.5 over per-sentence edit counts."""
-    score, _ = f05_with_counts(records, hypotheses)
-    return score
-
-
 def f05_with_counts(
     records: Sequence[M2Record], hypotheses: Sequence[str]
 ) -> tuple[float, list[tuple[int, int, int]]]:
+    """Corpus-level F0.5 over per-sentence edit counts, and those
+    (TP, FP, FN) counts in input order."""
     if len(records) != len(hypotheses):
         raise ValueError(
             f"records/hypotheses length mismatch: {len(records)} != {len(hypotheses)}"

@@ -21,6 +21,7 @@ from .corpus import SamplePair
 from .gateway import Backend, EXPLORE, GatewayError, INFER, user_request
 from .metrics.levenshtein import min_ref_levenshtein, word_levenshtein
 from .prompts import (
+    Instruction,
     Prompt,
     PromptError,
     TaskTemplate,
@@ -67,8 +68,6 @@ class Candidate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Candidate":
-        from .prompts import Instruction
-
         prompt = Prompt(
             header=data["prompt"]["header"],
             instructions=tuple(Instruction(t) for t in data["prompt"]["instructions"]),
@@ -86,6 +85,11 @@ class Candidate:
         )
 
 
+def rank_key(candidate: Candidate) -> tuple[float, int]:
+    """The pool order: higher fitness first, then the older (lower) id."""
+    return -candidate.fitness, candidate.id
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     n_epochs: int = 15
@@ -98,6 +102,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, low in (("n_epochs", 0), ("improve_samples", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.n_permute < 2:
             raise ValueError("n_permute must be >= 2")
         if self.improve_batch < 1:
@@ -366,7 +374,7 @@ class PromptOptimizer:
             )
         if not scored:
             log.warning("epoch %d produced no successful candidates; pool unchanged", epoch)
-        merged = sorted(pool + scored, key=lambda c: (-c.fitness, c.id))
+        merged = sorted(pool + scored, key=rank_key)
         new_pool = merged[: self.cfg.beam_b]
         self.history.append(
             {
@@ -379,8 +387,3 @@ class PromptOptimizer:
             }
         )
         return new_pool
-
-
-def select_best(pool: list[Candidate]) -> Candidate:
-    return max(pool, key=lambda c: (c.fitness, -c.id))
-

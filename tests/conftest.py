@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from apio.corpus import SamplePair
-from apio.gateway import ScriptedBackend, ScriptEntry
+from apio.gateway import Backend, ChatRequest, ScriptedBackend, ScriptEntry
 
 
 # the engine tests' scoring pool: one thread, as with ``--workers 1``
@@ -62,6 +62,20 @@ def rewrite_backend(extra: list[ScriptEntry] | None = None) -> ScriptedBackend:
     entries = list(extra or [])
     entries.append(ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True))
     return ScriptedBackend(entries)
+
+
+class RecordingBackend(Backend):
+    """Passes requests to ``inner`` and keeps each one in ``requests``, in
+    arrival order."""
+
+    def __init__(self, inner: Backend) -> None:
+        super().__init__()
+        self.inner = inner
+        self.requests: list[ChatRequest] = []
+
+    def _complete(self, request: ChatRequest) -> str:
+        self.requests.append(request)
+        return self.inner.complete(request)
 
 
 # -- network -------------------------------------------------------------------

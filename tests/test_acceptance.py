@@ -437,8 +437,7 @@ def test_c9_induction_call_accounting():
         return lambda: 0.0
 
     best_of_trials(dev, dev, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
-    induction_calls = [c for c in backend.calls if "Could you give an instruction" in c.text()]
-    assert len(induction_calls) == 30
+    assert backend.n_calls == 30  # every request is an induction: fitness_fn sends none
     assert len(dev_evaluations) == 10
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from apio.corpus import (
     M2Edit,
     M2Record,
     SamplePair,
-    SplitSpec,
     apply_edits,
     load_asset,
     load_jsonl,
@@ -98,6 +98,23 @@ def test_load_jsonl_rejects_missing_keys(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"source": "a"}\n', encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="references"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "5",
+        '{"source": "a b", "references": "the ref"}',
+        '{"source": "a b", "references": []}',
+        '{"source": "a b", "references": ["ok", 3]}',
+        '{"source": 7, "references": ["a"]}',
+    ],
+)
+def test_load_jsonl_rejects_malformed_objects(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"source": "x", "references": ["y"]}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: "):
         load_jsonl(path)
 
 
@@ -251,9 +268,8 @@ def _corpus(n: int) -> list[SamplePair]:
 
 def test_split_deterministic_and_disjoint():
     corpus = _corpus(10)
-    spec = SplitSpec(3, 2, seed=7)
-    first = sample_split(corpus, spec)
-    second = sample_split(corpus, spec)
+    first = sample_split(corpus, 3, 2, seed=7)
+    second = sample_split(corpus, 3, 2, seed=7)
     assert first == second
     train, dev = first
     assert len(train) == 3 and len(dev) == 2
@@ -261,19 +277,19 @@ def test_split_deterministic_and_disjoint():
 
 
 def test_split_empty_train_is_valid():
-    train, dev = sample_split(_corpus(4), SplitSpec(0, 2, seed=1))
+    train, dev = sample_split(_corpus(4), 0, 2, seed=1)
     assert train == []
     assert len(dev) == 2
 
 
 def test_split_infeasible_sizes():
     with pytest.raises(ConfigurationError):
-        sample_split(_corpus(4), SplitSpec(3, 2, seed=0))
+        sample_split(_corpus(4), 3, 2, seed=0)
 
 
 def test_split_is_order_stable():
     corpus = _corpus(20)
-    train, dev = sample_split(corpus, SplitSpec(5, 5, seed=3))
+    train, dev = sample_split(corpus, 5, 5, seed=3)
     ids = [int(p.id[1:]) for p in train]
     assert ids == sorted(ids)
     ids = [int(p.id[1:]) for p in dev]

@@ -54,7 +54,7 @@ def test_scripted_pass_through():
     backend = scripted_pairs([("Generate a variation", "new text")])
     out = backend.complete(user_request("Generate a variation of x", EXPLORE))
     assert out == "new text"
-    assert len(backend.calls) == 1
+    assert backend.n_calls == 1
 
 
 def test_scripted_queue_semantics():

@@ -8,7 +8,6 @@ from apio.corpus import M2Edit, M2Record
 from apio.metrics.gec import (
     apply_edit_set,
     extract_edits,
-    f05,
     f05_from_counts,
     f05_with_counts,
     sentence_counts,
@@ -76,7 +75,7 @@ def test_toy_corpus_known_counts():
 
 def test_copy_scores_zero():
     records = [_record("a b c", (1, 2, "x", 0)), _record("d e", (0, 1, "D", 0))]
-    assert f05(records, ["a b c", "d e"]) == 0.0
+    assert f05_with_counts(records, ["a b c", "d e"])[0] == 0.0
 
 
 def test_perfect_single_annotator_scores_one():
@@ -84,7 +83,7 @@ def test_perfect_single_annotator_scores_one():
         _record("a b c", (1, 2, "x", 0)),
         _record("d e f", (0, 1, "D", 0), (2, 3, "F", 0)),
     ]
-    assert f05(records, ["a x c", "D e F"]) == 1.0
+    assert f05_with_counts(records, ["a x c", "D e F"])[0] == 1.0
 
 
 def test_best_annotator_chosen_per_sentence():
@@ -106,4 +105,4 @@ def test_noop_annotator_preferred_when_hypothesis_is_source():
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        f05([_record("a b", (0, 1, "x", 0))], [])
+        f05_with_counts([_record("a b", (0, 1, "x", 0))], [])

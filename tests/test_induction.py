@@ -17,7 +17,7 @@ from apio.induction import (
 )
 from apio.prompts import GEC_TEMPLATE, GENERIC_TEMPLATE
 from apio.seeding import derive_seed
-from conftest import scripted_pairs
+from conftest import RecordingBackend, scripted_pairs
 
 INDUCE_MATCH = "Could you give an instruction"
 
@@ -31,17 +31,17 @@ def _pair(i=0):
 
 
 def test_induce_instruction_verbatim():
-    backend = scripted_pairs([(INDUCE_MATCH, KNOWN_INSTRUCTION)])
+    backend = RecordingBackend(scripted_pairs([(INDUCE_MATCH, KNOWN_INSTRUCTION)]))
     instruction = induce_instruction(_pair(), GEC_TEMPLATE, backend)
     assert instruction.text == KNOWN_INSTRUCTION
     # induction samples under the exploration profile
-    assert (backend.calls[0].profile.temperature, backend.calls[0].profile.top_p) == (1.0, 1.0)
+    assert (backend.requests[0].profile.temperature, backend.requests[0].profile.top_p) == (1.0, 1.0)
 
 
 def test_induce_shows_first_reference():
-    backend = scripted_pairs([(INDUCE_MATCH, "Do x.")])
+    backend = RecordingBackend(scripted_pairs([(INDUCE_MATCH, "Do x.")]))
     induce_instruction(_pair(3), GEC_TEMPLATE, backend)
-    sent = backend.calls[0].text()
+    sent = backend.requests[0].text()
     assert "Sentence: src 3" in sent
     assert "Corrected sentence: ref 3" in sent
     assert "alt 3" not in sent
@@ -57,12 +57,12 @@ def test_induce_retries_newline_once_then_errors():
         [(INDUCE_MATCH, "bad\ncompletion"), (INDUCE_MATCH, "Good one.")]
     )
     assert induce_instruction(_pair(), GEC_TEMPLATE, ok_after_retry).text == "Good one."
-    assert len(ok_after_retry.calls) == 2
+    assert ok_after_retry.n_calls == 2
 
     always_bad = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response="a\nb", sticky=True)])
     with pytest.raises(InductionError):
         induce_instruction(_pair(), GEC_TEMPLATE, always_bad)
-    assert len(always_bad.calls) == 2
+    assert always_bad.n_calls == 2
 
 
 def _sticky_backend(response="Do the rewrite."):
@@ -136,8 +136,7 @@ def test_best_of_trials_call_accounting(toy_pairs):
         return _zero
 
     _, reports = best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
-    induction_calls = [c for c in backend.calls if INDUCE_MATCH in c.text()]
-    assert len(induction_calls) == 30  # n_trials x n_instructions
+    assert backend.n_calls == 30  # n_trials x n_instructions; fitness_fn sends none
     assert len(dev_evaluations) == 10
     assert sum(r.dev_evaluations for r in reports) == 10
     assert sum(r.backend_calls for r in reports) == 30
@@ -149,10 +148,10 @@ def test_best_of_trials_induces_every_trial_before_gathering_a_fitness(toy_pairs
     events = []
 
     def fitness_fn(prompt, dev, via):
-        events.append(("submit", len(backend.calls)))
+        events.append(("submit", backend.n_calls))
 
         def gather():
-            events.append(("gather", len(backend.calls)))
+            events.append(("gather", backend.n_calls))
             return 0.0
 
         return gather

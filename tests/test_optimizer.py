@@ -19,12 +19,12 @@ from apio.optimizer import (
     OptimizerConfig,
     PromptOptimizer,
     gather_scoring,
-    select_best,
+    rank_key,
     select_dev_subsample,
     submit_scoring,
 )
 from apio.prompts import GENERIC_TEMPLATE, Instruction, Prompt
-from conftest import SEQUENTIAL, rewrite_backend
+from conftest import SEQUENTIAL, RecordingBackend, rewrite_backend
 from toytask import DECOY, PLANTED, make_workspace, script_entries
 
 IMPROVE_MATCH = "Suggest new instruction"
@@ -58,14 +58,14 @@ def _distance_pairs():
 
 
 def test_fitness_mean_error_no_parent():
-    backend = rewrite_backend()
+    backend = RecordingBackend(rewrite_backend())
     engine = _engine(_distance_pairs(), backend)
     fit, raw, drift = engine.fitness(_prompt(DECOY), None, engine.submit_fitness(_prompt(DECOY)))
     assert raw == pytest.approx(1.5)
     assert drift == 0.0
     assert fit == pytest.approx(-1.5)
     # candidate scoring runs under the low-randomness inference profile
-    assert all(c.profile.temperature == 0.0 and c.profile.top_p == 0.1 for c in backend.calls)
+    assert all(c.profile.temperature == 0.0 and c.profile.top_p == 0.1 for c in backend.requests)
 
 
 class SlowEchoBackend(Backend):
@@ -197,11 +197,11 @@ def test_improve_all_unparseable_yields_zero_children(toy_pairs):
 
 def test_improve_meta_shows_worst_error_examples(toy_pairs):
     entries = [ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>X y.</new_instruction>", sticky=True)]
-    backend = rewrite_backend(entries)
+    backend = RecordingBackend(rewrite_backend(entries))
     engine = _engine(toy_pairs, backend, improve_batch=2)
     parent = _seed_candidate(engine, _prompt(DECOY))
     engine.improve(parent, epoch=1)
-    meta = next(c.text() for c in backend.calls if IMPROVE_MATCH in c.text())
+    meta = next(c.text() for c in backend.requests if IMPROVE_MATCH in c.text())
     assert "Input 1: " in meta and "Input 2: " in meta
     assert "Input 3: " not in meta
     assert "different words." in meta
@@ -407,16 +407,16 @@ def _rendered(prompt: Prompt) -> str:
 
 def test_run_epoch_submits_windows_and_permute_children_before_exploring(toy_pairs):
     def engine_for(executor):
-        backend = ScriptedBackend([ScriptEntry(**e) for e in script_entries()])
+        backend = RecordingBackend(ScriptedBackend([ScriptEntry(**e) for e in script_entries()]))
         cfg = OptimizerConfig(beam_b=6, improve_samples=3, improve_batch=2, dev_subsample=3, seed=13)
         return PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, backend, GENERIC_TEMPLATE, executor)
 
     engine = engine_for(InlineExecutor())
     pool = engine.run_epoch([engine.score_seed(_prompt(DECOY, 'Replace "a" with "a".'))], 1)
     assert len(pool) > 2
-    start = len(engine.backend.calls)
+    start = len(engine.backend.requests)
     engine.run_epoch(pool, 2)
-    calls = engine.backend.calls[start:]
+    calls = engine.backend.requests[start:]
     first_explore = next(i for i, c in enumerate(calls) if c.profile == EXPLORE)
 
     # per parent in id order: its window (2 x improve_batch train pairs),
@@ -445,13 +445,13 @@ def test_permute_child_duplicating_an_earlier_proposal_is_scored_once(toy_pairs)
         ScriptEntry(match=REPHRASE_MATCH, mode="echo_instruction", sticky=True),
         ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True),
     ]
-    engine = _engine(toy_pairs, ScriptedBackend(entries), improve_samples=1)
+    engine = _engine(toy_pairs, RecordingBackend(ScriptedBackend(entries)), improve_samples=1)
     # parent 0's improve child and parent 1's permute child are one prompt
     pool = [engine.score_seed(_prompt(first)), engine.score_seed(_prompt(second, first))]
     assert engine.permute(pool[1], 1) == _prompt(first, second)
-    start = len(engine.backend.calls)
+    start = len(engine.backend.requests)
     engine.run_epoch(pool, 1)
-    calls = engine.backend.calls[start:]
+    calls = engine.backend.requests[start:]
     assert sum(_prompt_of(c) == _rendered(_prompt(first, second)) for c in calls) == len(engine.dev_eval)
     candidates = engine.history[-1]["candidates"]
     twins = [c for c in candidates if c["prompt"]["instructions"] == [first, second]]
@@ -531,11 +531,11 @@ def test_optimize_zero_epochs_returns_init(tmp_path):
     assert (state["phase"], state["epoch"], state["next_id"]) == ("done", 0, 1)
 
 
-def test_select_best_prefers_fitness_then_age():
+def test_rank_key_prefers_fitness_then_age():
     prompt = _prompt("A.")
     mk = lambda cid, fit: Candidate(cid, prompt, fit, 0.0, 0.0, None, "init", 0)
-    assert select_best([mk(0, -1.0), mk(1, -0.5)]).id == 1
-    assert select_best([mk(0, -0.5), mk(1, -0.5)]).id == 0
+    assert min([mk(0, -1.0), mk(1, -0.5)], key=rank_key).id == 1
+    assert min([mk(1, -0.5), mk(0, -0.5)], key=rank_key).id == 0
 
 
 def test_select_dev_subsample_fixed_and_sorted(toy_pairs):

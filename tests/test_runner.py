@@ -89,6 +89,16 @@ def test_induce_missing_dataset_path_exits_2(tmp_path, capsys):
     assert "missing.jsonl" in capsys.readouterr().err
 
 
+def test_induce_non_object_jsonl_line_exits_2_naming_it(tmp_path, capsys):
+    paths = make_workspace(tmp_path)
+    with paths["data"].open("a", encoding="utf-8") as handle:
+        handle.write("5\n")
+    n_lines = len(paths["data"].read_text(encoding="utf-8").splitlines())
+    assert _induce(paths) == 2
+    assert f"{paths['data']}:{n_lines}: expected an object" in capsys.readouterr().err
+    assert not (paths["runs"] / "r1").exists()
+
+
 def test_induce_scoring_failure_fails_only_that_trial(tmp_path):
     paths = make_workspace(tmp_path, n_trials=2, n_instructions=1)
     # trial 1 induces "Rule two." and no script entry answers its inference
@@ -193,6 +203,7 @@ def test_lock_of_killed_process_is_reclaimed(tmp_path, capsys):
         "script-entry-without-match",
         "script-not-a-list",
         "script-unknown-mode",
+        "script-sticky-not-a-boolean",
     ],
 )
 def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
@@ -222,6 +233,7 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
             "script-entry-without-match": [*entries, {"response": "x"}],
             "script-not-a-list": "a string",
             "script-unknown-mode": [*entries, {"match": "x", "mode": "shout"}],
+            "script-sticky-not-a-boolean": [*entries, {"match": "x", "sticky": "false"}],
         }[broken]), encoding="utf-8")
     else:
         data = json.loads(state.read_text(encoding="utf-8"))
@@ -511,6 +523,35 @@ def test_split_size_below_one_exits_2_before_creating_run(tmp_path, capsys, comm
     assert not (paths["runs"] / "r1").exists()
 
 
+@pytest.mark.parametrize("command", ["induce", "optimize"])
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("n_epochs", "2"), ("n_epochs", -3), ("improve_samples", "4"), ("improve_samples", 0)],
+)
+def test_bad_optimizer_count_exits_2_before_creating_run(tmp_path, capsys, command, field, value):
+    paths = make_workspace(tmp_path)
+    config = json.loads(paths["config"].read_text())
+    config["optimizer"][field] = value
+    paths["config"].write_text(json.dumps(config))
+    prompt = tmp_path / "seed.txt"
+    prompt.write_text(f"* {PLANTED}\n\nInput: {{input_text}}\nOutput:\n", encoding="utf-8")
+    code = _induce(paths) if command == "induce" else _optimize(paths, extra=("--prompt", str(prompt)))
+    assert code == 2
+    assert f"{field} must be an integer >= " in capsys.readouterr().err
+    assert not (paths["runs"] / "r1").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_stop_after_epoch_below_one_exits_2(tmp_path, capsys, value):
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    assert _induce(paths) == 0
+    state = (paths["runs"] / "r1" / "state.json").read_bytes()
+    assert _optimize(paths, extra=("--stop-after-epoch", value)) == 2
+    assert "--stop-after-epoch: must be >= 1" in capsys.readouterr().err
+    assert (paths["runs"] / "r1" / "state.json").read_bytes() == state
+    assert not (paths["runs"] / "r1" / "history.json").exists()
+
+
 @pytest.mark.parametrize("command", ["induce", "infer", "baseline", "resume"])
 def test_unknown_task_in_config_exits_2(tmp_path, command, capsys):
     paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
@@ -611,6 +652,16 @@ def test_infer_line_contract(tmp_path):
     )
     assert code == 0
     assert out.read_text(encoding="utf-8") == "a bar\n\nanother bar here\n"
+
+
+def test_infer_joins_a_multi_line_answer_into_one_output_line(tmp_path):
+    prompt, source, script, out = (tmp_path / name for name in ("p.txt", "in.txt", "s.json", "out.txt"))
+    _write_prompt(prompt)
+    source.write_text("a foo\n", encoding="utf-8")
+    script.write_text(json.dumps([{"match": "\nOutput:", "response": " one\ntwo\n\ndropped", "sticky": True}]))
+    assert main(["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out),
+                 "--script", str(script)]) == 0
+    assert out.read_text(encoding="utf-8") == "one two\n"
 
 
 def test_script_alone_selects_the_scripted_backend(tmp_path, no_network):
@@ -786,7 +837,7 @@ def test_evaluate_gec_copy_is_zero(tmp_path):
 def test_evaluate_report_aggregates_recomputable(tmp_path):
     # f05 reports carry per-sentence TP/FP/FN; the corpus score must equal
     # the documented reduction of those triples
-    from apio.metrics import f05_from_counts
+    from apio.metrics.gec import f05_from_counts
 
     gold = tmp_path / "gold.m2"
     gold.write_text(GOLD_M2, encoding="utf-8")
