@@ -18,7 +18,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from apio.gateway import INFER, Backend, CachedBackend, ChatRequest, user_request
+from apio.gateway import INFER, Backend, CachedBackend, ChatRequest
 
 N_REQUESTS = 2000
 
@@ -33,7 +33,7 @@ class _Instant(Backend):
 def _requests(rng: random.Random) -> list[ChatRequest]:
     words = [f"w{i}" for i in range(2000)]
     return [
-        user_request(f"request {i}\n" + " ".join(rng.choices(words, k=300)), INFER)
+        ChatRequest(f"request {i}\n" + " ".join(rng.choices(words, k=300)), INFER)
         for i in range(N_REQUESTS)
     ]
 

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .config import ConfigurationError, RunConfig, load_config, split_pairs
 from .corpus import (
-    CorpusFormatError,
     M2Record,
     SamplePair,
     load_asset,
@@ -28,11 +27,11 @@ from .corpus import (
 from .gateway import (
     Backend,
     CachedBackend,
+    ChatRequest,
     GatewayError,
     INFER,
     OpenAIChatBackend,
     ScriptedBackend,
-    user_request,
 )
 from .induction import InductionError, best_of_trials
 from .metrics.gec import f05_with_counts
@@ -49,7 +48,6 @@ from .optimizer import (
 from .prompts import (
     INPUT_SLOT,
     Prompt,
-    PromptError,
     TASK_TEMPLATES,
     parse_prompt,
     postprocess_output,
@@ -74,15 +72,14 @@ def _default_run_id() -> str:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    if getattr(args, "task", None):
-        out["task"] = args.task
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    if getattr(args, "dev_subsample", None) is not None:
-        value = args.dev_subsample
-        out["optimizer.dev_subsample"] = None if value == "all" else int(value)
-    return out
+    """The config values given as flags; ``load_config`` skips those left None."""
+    sub = getattr(args, "dev_subsample", None)
+    return {
+        "task": getattr(args, "task", None),
+        "seed": getattr(args, "seed", None),
+        # a count, else "all" or a word for the config check to refuse
+        "optimizer.dev_subsample": int(sub) if sub and sub.lstrip("-").isdigit() else sub,
+    }
 
 
 def _build_backend(args: argparse.Namespace, cfg: RunConfig, run: RunDir | None) -> Backend:
@@ -147,7 +144,7 @@ def _infer_lines(
             return ""
         for attempt in (0, 1):
             try:
-                raw = backend.complete(user_request(render(line), INFER, attempt_tag=attempt))
+                raw = backend.complete(ChatRequest(render(line), INFER, attempt_tag=attempt))
                 return postprocess_output(raw).replace("\n", " ")
             except GatewayError as exc:
                 log.warning("inference failed (attempt %d): %s", attempt, exc)
@@ -468,8 +465,6 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         meta["prompt_text"] = text
         blocks = [text]
         if args.kind == "few_shot":
-            if args.shots < 1:
-                raise ConfigurationError("--shots must be >= 1")
             train, _ = split_pairs(cfg)
             if len(train) < args.shots:
                 raise ConfigurationError(f"train pool ({len(train)}) smaller than --shots {args.shots}")
@@ -570,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("--kind", choices=["copy", "zero_shot", "few_shot"], required=True)
     baseline.add_argument("--input", required=True)
     baseline.add_argument("--output", required=True)
-    baseline.add_argument("--shots", type=int, default=3)
+    baseline.add_argument("--shots", type=_positive_int, default=3)
     baseline.add_argument("--prompt-file", help="override the zero-shot prompt template")
     baseline.set_defaults(func=cmd_baseline)
 
@@ -585,14 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (
-        ConfigurationError,
-        CorpusFormatError,
-        PromptError,
-        RunStateError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (RunStateError, FileNotFoundError, ValueError) as exc:  # config, corpus, prompt errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GatewayError, InductionError) as exc:

@@ -70,22 +70,16 @@ INFER = GenerationProfile(temperature=0.0, top_p=0.1)
 
 @dataclass(frozen=True)
 class ChatRequest:
-    messages: tuple[tuple[str, str], ...]
+    content: str  # the one user message
     profile: GenerationProfile
     attempt_tag: int = 0
 
     def __post_init__(self):
-        if not self.messages:
-            raise ValueError("messages must be non-empty")
-        if any(not content for _, content in self.messages):
-            raise ValueError("message content must be non-empty")
+        if not self.content:
+            raise ValueError("request content must be non-empty")
 
     def text(self) -> str:
-        return "\n".join(content for _, content in self.messages)
-
-
-def user_request(content: str, profile: GenerationProfile, attempt_tag: int = 0) -> ChatRequest:
-    return ChatRequest(messages=(("user", content),), profile=profile, attempt_tag=attempt_tag)
+        return self.content
 
 
 def request_key(request: ChatRequest, model: str, max_tokens: int) -> str:
@@ -96,7 +90,7 @@ def request_key(request: ChatRequest, model: str, max_tokens: int) -> str:
             "temperature": request.profile.temperature,
             "top_p": request.profile.top_p,
             "max_tokens": max_tokens,
-            "messages": [list(m) for m in request.messages],
+            "messages": [["user", request.content]],
             "attempt_tag": request.attempt_tag,
         },
         sort_keys=True,
@@ -398,7 +392,7 @@ class OpenAIChatBackend(Backend):
     def _complete(self, request: ChatRequest) -> str:
         payload = {
             "model": self.model,
-            "messages": [{"role": role, "content": content} for role, content in request.messages],
+            "messages": [{"role": "user", "content": request.content}],
             "temperature": request.profile.temperature,
             "top_p": request.profile.top_p,
             "max_tokens": self.max_tokens,
@@ -450,7 +444,10 @@ class CachedBackend(Backend):
         super().__init__()
         self.inner = inner
         self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise ValueError(f"cache directory {self.cache_dir} is a file or lies under one") from exc
         self._lock = threading.Lock()  # guards _db and _inflight
         self._db: sqlite3.Connection | None = self._connect()
         self._inflight: dict[str, threading.Event] = {}  # set when the key's request ends

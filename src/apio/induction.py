@@ -13,8 +13,9 @@ import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from .config import InductionConfig
 from .corpus import SamplePair
-from .gateway import Backend, ChatRequest, EXPLORE, GatewayError, user_request
+from .gateway import Backend, ChatRequest, EXPLORE, GatewayError
 from .prompts import Instruction, Prompt, TaskTemplate, clean_completion, induction_meta_prompt
 from .seeding import derive_seed
 
@@ -23,19 +24,6 @@ log = logging.getLogger(__name__)
 
 class InductionError(Exception):
     """Instruction induction failed after its retry."""
-
-
-@dataclass(frozen=True)
-class InductionConfig:
-    n_instructions: int = 3
-    n_trials: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_instructions < 1:
-            raise ValueError("n_instructions must be >= 1")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
 
 
 @dataclass
@@ -77,7 +65,7 @@ def induce_instruction(
     meta = induction_meta_prompt(template, pair.source, pair.references[0])
     last = ""
     for retry in (0, 1):
-        raw = backend.complete(user_request(meta, EXPLORE, attempt_tag=attempt_base + retry))
+        raw = backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=attempt_base + retry))
         last = clean_completion(raw)
         if last and "\n" not in last:
             return Instruction(last)

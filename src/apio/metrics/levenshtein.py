@@ -14,10 +14,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 
-def tokenize(text: str) -> list[str]:
-    return text.split()
-
-
 def _match_masks(pattern: Sequence[str]) -> dict[str, int]:
     """Bit i of ``masks[token]`` is set when ``pattern[i] == token``."""
     masks: dict[str, int] = {}
@@ -59,17 +55,17 @@ def _distance(masks: dict[str, int], m: int, text: Sequence[str]) -> int:
 def word_levenshtein(a: str, b: str) -> int:
     """Minimal number of token insertions/deletions/substitutions turning
     the tokens of ``a`` into the tokens of ``b``."""
-    pattern = tokenize(a)
-    return _distance(_match_masks(pattern), len(pattern), tokenize(b))
+    pattern = a.split()
+    return _distance(_match_masks(pattern), len(pattern), b.split())
 
 
 def min_ref_levenshtein(output: str, references: Sequence[str]) -> int:
     """Distance from ``output`` to the closest reference."""
     if not references:
         raise ValueError("references must be non-empty")
-    pattern = tokenize(output)
+    pattern = output.split()
     masks = _match_masks(pattern)
-    return min(_distance(masks, len(pattern), tokenize(ref)) for ref in references)
+    return min(_distance(masks, len(pattern), ref.split()) for ref in references)
 
 
 def alignment_table(src_tokens: Sequence[str], hyp_tokens: Sequence[str]) -> list[list[int]]:
@@ -88,10 +84,10 @@ def alignment_table(src_tokens: Sequence[str], hyp_tokens: Sequence[str]) -> lis
 def pairwise_word_levenshtein(texts_a: Sequence[str], texts_b: Sequence[str]) -> list[list[int]]:
     """All-pairs distances: ``out[i][j]`` is the distance from
     ``texts_a[i]`` to ``texts_b[j]``."""
-    tok_b = [tokenize(t) for t in texts_b]
+    tok_b = [t.split() for t in texts_b]
     out = []
     for text in texts_a:
-        pattern = tokenize(text)
+        pattern = text.split()
         masks, m = _match_masks(pattern), len(pattern)
         out.append([_distance(masks, m, tokens) for tokens in tok_b])
     return out

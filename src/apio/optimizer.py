@@ -17,8 +17,9 @@ from collections.abc import Sequence
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 
+from .config import OptimizerConfig
 from .corpus import SamplePair
-from .gateway import Backend, EXPLORE, GatewayError, INFER, user_request
+from .gateway import Backend, ChatRequest, EXPLORE, GatewayError, INFER
 from .metrics.levenshtein import min_ref_levenshtein, word_levenshtein
 from .prompts import (
     Instruction,
@@ -90,34 +91,6 @@ def rank_key(candidate: Candidate) -> tuple[float, int]:
     return -candidate.fitness, candidate.id
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    n_epochs: int = 15
-    beam_b: int = 32
-    n_permute: int = 2
-    drift_weight: float = 0.05
-    improve_samples: int = 4
-    improve_batch: int = 2
-    dev_subsample: int | None = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, low in (("n_epochs", 0), ("improve_samples", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.n_permute < 2:
-            raise ValueError("n_permute must be >= 2")
-        if self.improve_batch < 1:
-            raise ValueError("improve_batch must be >= 1")
-        if self.beam_b < 1:
-            raise ValueError("beam_b must be >= 1")
-        if self.drift_weight < 0:
-            raise ValueError("drift_weight must be >= 0")
-        if self.dev_subsample is not None and self.dev_subsample < 1:
-            raise ValueError("dev_subsample must be >= 1, or None for the whole dev set")
-
-
 def submit_scoring(
     prompt: Prompt,
     pairs: Sequence[SamplePair],
@@ -134,7 +107,7 @@ def submit_scoring(
     def one(pair: SamplePair) -> tuple[str, int]:
         output = ""
         if pair.source:
-            raw = backend.complete(user_request(prompt.render(pair.source), INFER))
+            raw = backend.complete(ChatRequest(prompt.render(pair.source), INFER))
             output = postprocess_output(raw)
         return output, min_ref_levenshtein(output, pair.references)
 
@@ -251,7 +224,7 @@ class PromptOptimizer:
         children = []
         for s in range(self.cfg.improve_samples):
             tag = epoch * self.cfg.improve_samples + s
-            raw = self.backend.complete(user_request(meta, EXPLORE, attempt_tag=tag))
+            raw = self.backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=tag))
             try:
                 text = parse_new_instruction(raw)
             except PromptError as exc:
@@ -268,7 +241,7 @@ class PromptOptimizer:
         parent_text = parent.prompt.text()
         for i, instruction in enumerate(parent.prompt.instructions):
             raw = self.backend.complete(
-                user_request(rephrase_meta_prompt(instruction.text), EXPLORE, attempt_tag=epoch)
+                ChatRequest(rephrase_meta_prompt(instruction.text), EXPLORE, attempt_tag=epoch)
             )
             text = clean_completion(raw, collapse_newlines=True)
             if not text:

@@ -17,12 +17,13 @@ from pathlib import Path
 import pytest
 
 from apio.cli import main
+from apio.config import InductionConfig, OptimizerConfig
 from apio.corpus import load_asset, load_m2
 from apio.gateway import ScriptEntry, ScriptedBackend
-from apio.induction import InductionConfig, best_of_trials
+from apio.induction import best_of_trials
 from apio.metrics.levenshtein import pairwise_word_levenshtein, word_levenshtein
 from apio.metrics.sari import sari
-from apio.optimizer import Candidate, OptimizerConfig, PromptOptimizer
+from apio.optimizer import Candidate, PromptOptimizer
 from apio.prompts import GEC_TEMPLATE, GENERIC_TEMPLATE, Instruction, Prompt
 from conftest import SEQUENTIAL
 from m2gen import random_record, serialize_m2

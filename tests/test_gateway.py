@@ -30,7 +30,6 @@ from apio.gateway import (
     ScriptedBackend,
     TransportError,
     request_key,
-    user_request,
 )
 from conftest import ChatServer, Reply, completion, scripted_pairs
 
@@ -42,9 +41,7 @@ def test_profiles_are_the_two_presets():
 
 def test_request_validation():
     with pytest.raises(ValueError):
-        ChatRequest(messages=(), profile=INFER)
-    with pytest.raises(ValueError):
-        ChatRequest(messages=(("user", ""),), profile=INFER)
+        ChatRequest("", INFER)
 
 
 # -- scripted ----------------------------------------------------------------
@@ -52,38 +49,38 @@ def test_request_validation():
 
 def test_scripted_pass_through():
     backend = scripted_pairs([("Generate a variation", "new text")])
-    out = backend.complete(user_request("Generate a variation of x", EXPLORE))
+    out = backend.complete(ChatRequest("Generate a variation of x", EXPLORE))
     assert out == "new text"
     assert backend.n_calls == 1
 
 
 def test_scripted_queue_semantics():
     backend = scripted_pairs([("ask", "first"), ("ask", "second")])
-    assert backend.complete(user_request("ask me", EXPLORE)) == "first"
-    assert backend.complete(user_request("ask me", EXPLORE)) == "second"
+    assert backend.complete(ChatRequest("ask me", EXPLORE)) == "first"
+    assert backend.complete(ChatRequest("ask me", EXPLORE)) == "second"
     with pytest.raises(ScriptExhaustedError, match="ask me"):
-        backend.complete(user_request("ask me", EXPLORE))
+        backend.complete(ChatRequest("ask me", EXPLORE))
 
 
 def test_scripted_unmatched_is_loud():
     backend = scripted_pairs([("improve", "x")])
     with pytest.raises(ScriptExhaustedError):
-        backend.complete(user_request("something else entirely", EXPLORE))
+        backend.complete(ChatRequest("something else entirely", EXPLORE))
 
 
 def test_scripted_sticky_entries_repeat():
     backend = ScriptedBackend([ScriptEntry(match="go", response="yes", sticky=True)])
     for _ in range(5):
-        assert backend.complete(user_request("go now", INFER)) == "yes"
+        assert backend.complete(ChatRequest("go now", INFER)) == "yes"
 
 
 def test_scripted_plain_inference_entry_warns_once(caplog):
     backend = scripted_pairs([("go", "a"), ("go", "b"), ("go", "c")])
-    backend.complete(user_request("go", EXPLORE))
+    backend.complete(ChatRequest("go", EXPLORE))
     assert not caplog.records
     with caplog.at_level("WARNING", logger="apio.gateway"):
-        backend.complete(user_request("go", INFER))
-        backend.complete(user_request("go", INFER))
+        backend.complete(ChatRequest("go", INFER))
+        backend.complete(ChatRequest("go", INFER))
     assert [r.getMessage() for r in caplog.records] == [
         "script entry 1 answers an inference request but is not sticky;"
         " with --workers > 1 the answer order is not deterministic"
@@ -98,22 +95,22 @@ def test_rewrite_rules_mode():
         "Input: a foo and an x\n"
         "Output:"
     )
-    assert backend.complete(user_request(prompt, INFER)) == "a bar and an y"
+    assert backend.complete(ChatRequest(prompt, INFER)) == "a bar and an y"
 
 
 def test_echo_instruction_mode():
     backend = ScriptedBackend([ScriptEntry(match="variation", mode="echo_instruction", sticky=True)])
     prompt = "Generate a variation ...\n\nInstruction:Keep it simple.\nUpdated instruction:"
-    assert backend.complete(user_request(prompt, EXPLORE)) == "Keep it simple."
+    assert backend.complete(ChatRequest(prompt, EXPLORE)) == "Keep it simple."
 
 
 def test_scripted_consumed_state_restores():
     backend = scripted_pairs([("a", "1"), ("a", "2")])
-    backend.complete(user_request("a", EXPLORE))
+    backend.complete(ChatRequest("a", EXPLORE))
     snapshot = backend.consumed_state()
     fresh = scripted_pairs([("a", "1"), ("a", "2")])
     fresh.restore_consumed(snapshot)
-    assert fresh.complete(user_request("a", EXPLORE)) == "2"
+    assert fresh.complete(ChatRequest("a", EXPLORE)) == "2"
 
 
 # -- cache -------------------------------------------------------------------
@@ -136,7 +133,7 @@ class CountingBackend(Backend):
 def test_cache_hit_skips_inner(tmp_path):
     inner = CountingBackend()
     backend = CachedBackend(inner, tmp_path / "cache")
-    request = user_request("hello", INFER)
+    request = ChatRequest("hello", INFER)
     assert backend.complete(request) == "pong"
     assert backend.complete(request) == "pong"
     assert inner.n_calls == 1
@@ -144,13 +141,13 @@ def test_cache_hit_skips_inner(tmp_path):
 
 
 def test_cache_key_sensitive_to_every_field():
-    base = user_request("hello", INFER, attempt_tag=0)
+    base = ChatRequest("hello", INFER, attempt_tag=0)
     base_key = request_key(base, "m", 1024)
     variants = [
-        request_key(user_request("hello!", INFER), "m", 1024),
-        request_key(user_request("hello", INFER, attempt_tag=1), "m", 1024),
+        request_key(ChatRequest("hello!", INFER), "m", 1024),
+        request_key(ChatRequest("hello", INFER, attempt_tag=1), "m", 1024),
         request_key(base, "other", 1024),
-        request_key(user_request("hello", EXPLORE), "m", 1024),
+        request_key(ChatRequest("hello", EXPLORE), "m", 1024),
         request_key(base, "m", 7),
     ]
     assert base_key not in variants
@@ -160,10 +157,10 @@ def test_cache_key_sensitive_to_every_field():
 def test_cache_keys_of_existing_files_still_hit(tmp_path):
     # digests that earlier versions stored: a change of the key format
     # would turn every completions.sqlite3 already written into misses
-    request = user_request("héllo {x}", INFER)
+    request = ChatRequest("héllo {x}", INFER)
     pinned = "ae2dc8a77887fe529b5873a85ece20d9628356770f2f065a22fd89e23871bc14"
     assert request_key(request, "stub", 1024) == pinned
-    assert request_key(user_request("héllo {x}", EXPLORE, attempt_tag=1), "gpt-4o-mini", 77) == (
+    assert request_key(ChatRequest("héllo {x}", EXPLORE, attempt_tag=1), "gpt-4o-mini", 77) == (
         "a8b70905958d5aeb4e22dee415761ccac8eff2f1133797913237c0f60c72669e"
     )
     (tmp_path / "c").mkdir()
@@ -177,7 +174,7 @@ def test_cache_keys_of_existing_files_still_hit(tmp_path):
 
 
 def test_cache_persists_across_instances(tmp_path):
-    request = user_request("ping", INFER)
+    request = ChatRequest("ping", INFER)
     first = CachedBackend(CountingBackend(), tmp_path / "c")
     assert first.complete(request) == "pong"
     second_inner = CountingBackend(response="different")
@@ -189,7 +186,7 @@ def test_cache_persists_across_instances(tmp_path):
 def test_writers_sharing_a_cache_dir_keep_the_first_text(tmp_path):
     # caches on one directory stand in for processes: the second stores the
     # key while the first is waiting on its own inner call
-    request = user_request("shared", INFER)
+    request = ChatRequest("shared", INFER)
     second = CachedBackend(CountingBackend(response="second"), tmp_path / "c")
 
     class Racing(CountingBackend):
@@ -211,14 +208,14 @@ def test_writers_sharing_a_cache_dir_keep_the_first_text(tmp_path):
 def test_cache_is_readable_after_a_writer_exits_without_close(tmp_path):
     writer = (
         "import os, sys\n"
-        "from apio.gateway import Backend, CachedBackend, INFER, user_request\n"
+        "from apio.gateway import Backend, CachedBackend, ChatRequest, INFER\n"
         "class Upper(Backend):\n"
         "    model = 'test-model'\n"
         "    def _complete(self, request):\n"
         "        return request.text().upper()\n"
         "backend = CachedBackend(Upper(), sys.argv[1])\n"
         "for i in range(50):\n"
-        "    backend.complete(user_request(f'entry {i}', INFER))\n"
+        "    backend.complete(ChatRequest(f'entry {i}', INFER))\n"
         "os._exit(0)\n"
     )
     src = pathlib.Path(gateway.__file__).resolve().parents[1]
@@ -230,7 +227,7 @@ def test_cache_is_readable_after_a_writer_exits_without_close(tmp_path):
     assert (tmp_path / "c" / "completions.sqlite3-wal").stat().st_size > 0
     inner = CountingBackend()
     reader = CachedBackend(inner, tmp_path / "c")
-    assert [reader.complete(user_request(f"entry {i}", INFER)) for i in range(50)] == [
+    assert [reader.complete(ChatRequest(f"entry {i}", INFER)) for i in range(50)] == [
         f"ENTRY {i}" for i in range(50)
     ]
     assert (inner.n_calls, reader.hits) == (0, 50)
@@ -240,23 +237,23 @@ def test_cache_is_readable_after_a_writer_exits_without_close(tmp_path):
 def test_close_leaves_only_the_database_and_reopens_on_use(tmp_path):
     inner = CountingBackend()
     backend = CachedBackend(inner, tmp_path / "c")
-    backend.complete(user_request("before", INFER))
+    backend.complete(ChatRequest("before", INFER))
     backend.close()
     assert [p.name for p in backend.cache_dir.iterdir()] == ["completions.sqlite3"]
-    assert backend.complete(user_request("before", INFER)) == "pong"  # a hit
-    assert backend.complete(user_request("after", INFER)) == "pong"  # a miss, stored
+    assert backend.complete(ChatRequest("before", INFER)) == "pong"  # a hit
+    assert backend.complete(ChatRequest("after", INFER)) == "pong"  # a miss, stored
     backend.close()
     backend.close()
     assert (inner.n_calls, backend.hits) == (2, 1)
     assert CachedBackend(CountingBackend(response="other"), backend.cache_dir).complete(
-        user_request("after", INFER)
+        ChatRequest("after", INFER)
     ) == "pong"
 
 
 def test_inflight_dedup(tmp_path):
     inner = CountingBackend(delay=0.15)
     backend = CachedBackend(inner, tmp_path / "c")
-    request = user_request("slow", INFER)
+    request = ChatRequest("slow", INFER)
     results = []
     threads = [threading.Thread(target=lambda: results.append(backend.complete(request))) for _ in range(4)]
     for t in threads:
@@ -271,7 +268,7 @@ def test_inflight_entries_are_dropped_after_a_burst(tmp_path):
     inner = CountingBackend(delay=0.005)
     backend = CachedBackend(inner, tmp_path / "c")
     # 16 threads, 8 distinct keys, each sent 12 times
-    requests = [user_request(f"key {i % 8}", INFER) for i in range(96)]
+    requests = [ChatRequest(f"key {i % 8}", INFER) for i in range(96)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -307,7 +304,7 @@ def test_waiters_send_their_own_request_when_the_leader_fails(tmp_path):
     def call():
         barrier.wait(timeout=10)
         try:
-            backend.complete(user_request("doomed", INFER))
+            backend.complete(ChatRequest("doomed", INFER))
         except BackendError as exc:
             errors.append(exc)
 
@@ -325,7 +322,7 @@ def test_waiters_send_their_own_request_when_the_leader_fails(tmp_path):
 
 def test_cache_hits_counted_exactly_across_threads(tmp_path):
     backend = CachedBackend(CountingBackend(), tmp_path / "c")
-    request = user_request("shared", INFER)
+    request = ChatRequest("shared", INFER)
     backend.complete(request)  # the one miss fills the entry
     n_threads, per_thread = 16, 50
     barrier = threading.Barrier(n_threads)
@@ -377,7 +374,7 @@ def _closed_port() -> int:
 
 def test_openai_success_payload(chat_server, openai):
     chat_server.script = [Reply(body=completion("fixed text"))]
-    out = openai().complete(user_request("fix this", INFER))
+    out = openai().complete(ChatRequest("fix this", INFER))
     assert out == "fixed text"
     sent = chat_server.requests[0]
     assert sent["path"] == "/v1/chat/completions"
@@ -394,27 +391,27 @@ def test_openai_auth_failure_no_retry(chat_server, openai):
     backend = openai()
     for status in (401, 403):
         with pytest.raises(CredentialError, match=str(status)):
-            backend.complete(user_request("x", INFER))
+            backend.complete(ChatRequest("x", INFER))
     assert len(chat_server.requests) == 2
 
 
 def test_openai_retries_transients_then_succeeds(chat_server, openai):
     chat_server.script = [Reply(status=429), Reply(status=503), Reply(body=completion("done"))]
-    assert openai(retry_max=5).complete(user_request("x", INFER)) == "done"
+    assert openai(retry_max=5).complete(ChatRequest("x", INFER)) == "done"
     assert len(chat_server.requests) == 3
 
 
 def test_openai_retry_budget_exhausted(chat_server, openai):
     chat_server.fallback = Reply(status=500)
     with pytest.raises(TransportError, match="after 3 attempts"):
-        openai(retry_max=2).complete(user_request("x", INFER))
+        openai(retry_max=2).complete(ChatRequest("x", INFER))
     assert len(chat_server.requests) == 3
 
 
 def test_openai_unexpected_status_is_error_with_body(chat_server, openai):
     chat_server.script = [Reply(status=404, body="x" * 300)]
     with pytest.raises(BackendError, match="unexpected status 404") as info:
-        openai().complete(user_request("x", INFER))
+        openai().complete(ChatRequest("x", INFER))
     assert str(info.value).endswith(": " + "x" * 200)
     assert len(chat_server.requests) == 1
 
@@ -427,25 +424,25 @@ def test_openai_unexpected_status_is_error_with_body(chat_server, openai):
 def test_openai_malformed_payload_is_error(chat_server, openai, body):
     chat_server.script = [Reply(body=body)]
     with pytest.raises(BackendError, match="malformed"):
-        openai().complete(user_request("x", INFER))
+        openai().complete(ChatRequest("x", INFER))
     assert len(chat_server.requests) == 1
 
 
 def test_openai_empty_completion_is_error(chat_server, openai):
     chat_server.script = [Reply(body=completion(""))]
     with pytest.raises(BackendError, match="empty"):
-        openai().complete(user_request("x", INFER))
+        openai().complete(ChatRequest("x", INFER))
 
 
 def test_openai_max_tokens_override(chat_server, openai):
-    openai(max_tokens=77).complete(user_request("x", INFER))
+    openai(max_tokens=77).complete(ChatRequest("x", INFER))
     assert chat_server.requests[0]["json"]["max_tokens"] == 77
 
 
 def test_openai_connection_per_thread(chat_server, openai):
     backend = openai()
     with ThreadPoolExecutor(max_workers=2) as pool:
-        outputs = list(pool.map(backend.complete, [user_request(f"x{i}", INFER) for i in range(8)]))
+        outputs = list(pool.map(backend.complete, [ChatRequest(f"x{i}", INFER) for i in range(8)]))
     assert outputs == ["ok"] * 8
     assert len(chat_server.requests) == 8
     ports = {r["port"] for r in chat_server.requests}
@@ -453,7 +450,7 @@ def test_openai_connection_per_thread(chat_server, openai):
     # close() reaches the pool threads' connections too, and a later call reopens
     backend.close()
     chat_server.wait_closed(len(ports))
-    assert backend.complete(user_request("y", INFER)) == "ok"
+    assert backend.complete(ChatRequest("y", INFER)) == "ok"
 
 
 def test_openai_replaces_connection_closed_while_idle(chat_server, openai, monkeypatch):
@@ -461,9 +458,9 @@ def test_openai_replaces_connection_closed_while_idle(chat_server, openai, monke
     monkeypatch.setattr(gateway, "time", SimpleNamespace(sleep=sleeps.append))
     chat_server.script = [Reply(body=completion("first"), close=True), Reply(body=completion("second"))]
     backend = openai()
-    assert backend.complete(user_request("x", INFER)) == "first"
+    assert backend.complete(ChatRequest("x", INFER)) == "first"
     chat_server.wait_closed(1)
-    assert backend.complete(user_request("y", INFER)) == "second"
+    assert backend.complete(ChatRequest("y", INFER)) == "second"
     # one request per call, on a new connection, and no backoff spent
     first, second = chat_server.requests
     assert first["port"] != second["port"]
@@ -476,7 +473,7 @@ def test_openai_transport_error_reconnects(chat_server, openai, monkeypatch, fai
     backend = openai(retry_max=1, timeout_s=0.2)
     sleeps = []
     monkeypatch.setattr(gateway, "time", SimpleNamespace(sleep=sleeps.append))
-    assert backend.complete(user_request("x", INFER)) == "again"
+    assert backend.complete(ChatRequest("x", INFER)) == "again"
     first, second = chat_server.requests
     assert first["port"] != second["port"]
     assert sleeps == [0.0]
@@ -487,13 +484,13 @@ def test_openai_unreachable_endpoint_exhausts_budget():
         base_url=f"http://127.0.0.1:{_closed_port()}/v1", model="m", retry_max=1, backoff_base_s=0.0
     )
     with pytest.raises(TransportError, match="after 2 attempts"):
-        backend.complete(user_request("x", INFER))
+        backend.complete(ChatRequest("x", INFER))
 
 
 def test_openai_http_proxy_gets_absolute_url_and_credentials(chat_server, openai, monkeypatch):
     proxy = chat_server.url.removesuffix("/v1").replace("http://", "http://user:p%40ss@")
     monkeypatch.setenv("HTTP_PROXY", proxy)
-    assert openai(base_url="http://llm.test/v1").complete(user_request("x", INFER)) == "ok"
+    assert openai(base_url="http://llm.test/v1").complete(ChatRequest("x", INFER)) == "ok"
     sent = chat_server.requests[0]
     assert sent["path"] == "http://llm.test/v1/chat/completions"
     assert sent["headers"]["Host"] == "llm.test"
@@ -505,7 +502,7 @@ def test_openai_https_goes_through_connect_tunnel(chat_server, openai, monkeypat
     monkeypatch.setenv("HTTPS_PROXY", proxy)
     chat_server.script = [Reply(status=407, close=True)]
     with pytest.raises(TransportError, match="407"):
-        openai(base_url="https://llm.test/v1", retry_max=0).complete(user_request("x", INFER))
+        openai(base_url="https://llm.test/v1", retry_max=0).complete(ChatRequest("x", INFER))
     sent = chat_server.requests[0]
     assert (sent["method"], sent["path"]) == ("CONNECT", "llm.test:443")
     assert sent["headers"]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
@@ -514,7 +511,7 @@ def test_openai_https_goes_through_connect_tunnel(chat_server, openai, monkeypat
 def test_openai_no_proxy_bypasses_proxy(chat_server, openai, monkeypatch):
     monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{_closed_port()}")
     monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
-    assert openai().complete(user_request("x", INFER)) == "ok"
+    assert openai().complete(ChatRequest("x", INFER)) == "ok"
     sent = chat_server.requests[0]
     assert sent["path"] == "/v1/chat/completions"
     assert "Proxy-Authorization" not in sent["headers"]
@@ -525,7 +522,7 @@ def test_openai_no_proxy_network_bypasses_proxy(chat_server, openai, monkeypatch
     # the proxy's port is closed: dialling it would exhaust the retry budget
     monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{_closed_port()}")
     monkeypatch.setenv("NO_PROXY", no_proxy)
-    assert openai(retry_max=0).complete(user_request("x", INFER)) == "ok"
+    assert openai(retry_max=0).complete(ChatRequest("x", INFER)) == "ok"
     assert chat_server.requests[0]["path"] == "/v1/chat/completions"
 
 

@@ -7,9 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from apio.corpus import SamplePair
-from apio.gateway import INFER, ScriptEntry, ScriptedBackend, user_request
+from apio.gateway import ChatRequest, INFER, ScriptEntry, ScriptedBackend
+from apio.config import InductionConfig
 from apio.induction import (
-    InductionConfig,
     InductionError,
     best_of_trials,
     induce_instruction,
@@ -171,7 +171,7 @@ def test_best_of_trials_counts_each_trials_requests_while_others_score(toy_pairs
     def fitness_fn(prompt, dev, via):
         trial = len(submitted)
         sends = range(100 * (trial + 1))
-        submitted.append(pool.map(lambda _: via.complete(user_request("score", INFER)), sends, timeout=30))
+        submitted.append(pool.map(lambda _: via.complete(ChatRequest("score", INFER)), sends, timeout=30))
         return lambda: float(len(list(submitted[trial])))
 
     interval = sys.getswitchinterval()

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from apio.corpus import SamplePair
 from apio.cli import main
 from apio.gateway import EXPLORE, INFER, Backend, ScriptEntry, ScriptedBackend, ScriptExhaustedError
+from apio.config import OptimizerConfig
 from apio.optimizer import (
     Candidate,
-    OptimizerConfig,
     PromptOptimizer,
     gather_scoring,
     rank_key,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
+import itertools
 import json
 import logging
 import os
@@ -348,6 +349,58 @@ def test_stop_between_history_and_state_resumes_to_identical_files(tmp_path, no_
         assert full.replace(b'"full"', b'"x"') == resumed.replace(b'"cut"', b'"x"'), name
 
 
+def test_kill_at_any_call_of_optimize_resumes_to_identical_files(tmp_path, no_network, monkeypatch):
+    import apio.cli as cli
+
+    paths = make_workspace(tmp_path, n_epochs=3, beam_b=4)
+    workers = ("--workers", "4")
+    # the calls sent by the end of the seed scoring and of each epoch
+    marks, backends = [], []
+    persist = cli._persist_epoch
+
+    def recording(run, cfg, args, backend, *rest):
+        marks.append(backend.n_calls)
+        backends.append(backend)
+        persist(run, cfg, args, backend, *rest)
+
+    monkeypatch.setattr(cli, "_persist_epoch", recording)
+    assert _induce(paths, run_id="full", extra=workers) == 0
+    assert _optimize(paths, run_id="full", extra=workers) == 0
+    monkeypatch.undo()
+    seed, *epochs, total = *marks, backends[-1].n_calls
+    assert 1 < seed < epochs[0] < epochs[1] < epochs[2] < total
+    kill_points = {1, seed, total}  # first and last seed scoring call, last final report call
+    for start, end in zip((seed, *epochs), (*epochs, total)):
+        kill_points |= {start + 1, (start + end) // 2, end}
+
+    names = ("trials.json", "prompt.txt", "state.json", "history.json", "best_prompt.txt", "final_report.json")
+    scripted = ScriptedBackend._complete
+    for kill_at in sorted(kill_points):
+        sent = itertools.count(1)
+
+        def killed(self, request):
+            if next(sent) == kill_at:
+                raise KeyboardInterrupt
+            return scripted(self, request)
+
+        run_id = f"cut{kill_at}"
+        assert _induce(paths, run_id=run_id, extra=workers) == 0
+        monkeypatch.setattr(ScriptedBackend, "_complete", killed)
+        with pytest.raises(KeyboardInterrupt):
+            _optimize(paths, run_id=run_id, extra=workers)
+        monkeypatch.undo()
+        cut = paths["runs"] / run_id
+        if json.loads((cut / "state.json").read_text(encoding="utf-8"))["phase"] == "induction":
+            assert kill_at <= seed
+            assert _optimize(paths, run_id=run_id, extra=workers) == 0
+        else:
+            assert main(["optimize", "--resume", run_id, "--runs-dir", str(paths["runs"]), *workers]) == 0
+        for name in names:
+            full = (paths["runs"] / "full" / name).read_bytes().replace(b'"full"', b'"x"')
+            resumed = (cut / name).read_bytes().replace(f'"{run_id}"'.encode(), b'"x"')
+            assert full == resumed, (kill_at, name)
+
+
 def test_optimize_determinism_across_runs(tmp_path, no_network):
     paths = make_workspace(tmp_path, n_epochs=5, beam_b=8)
     inputs_before = {
@@ -504,23 +557,78 @@ def test_induce_invalid_workers_exits_2_before_creating_run(tmp_path, workers, c
 def test_induce_dev_subsample_below_one_exits_2_before_creating_run(tmp_path, value, capsys):
     paths = make_workspace(tmp_path)
     assert _induce(paths, extra=("--dev-subsample", value)) == 2
-    assert "dev_subsample must be >= 1" in capsys.readouterr().err
+    assert f"optimizer.dev_subsample must be an integer >= 1 or null, got {value}" in capsys.readouterr().err
     assert not (paths["runs"] / "r1").exists()
+
+
+def _run_with_config_value(tmp_path, command, key, value) -> int:
+    """Run ``induce``, or ``optimize`` from a prompt file, on the toy
+    workspace after setting the config file's dotted ``key`` to ``value``."""
+    paths = make_workspace(tmp_path)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    *parents, leaf = key.split(".")
+    node = config
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    prompt = tmp_path / "seed.txt"
+    _write_prompt(prompt)
+    return _induce(paths) if command == "induce" else _optimize(paths, extra=("--prompt", str(prompt)))
+
+
+# a string for a number, a fraction for a count, a bool for an int, a list
+# for a scalar and a string for a section: each was a traceback, a silent
+# run or an error naming no field
+MALFORMED_CONFIG_VALUES = [
+    ("optimizer.beam_b", "2"),
+    ("induction.n_trials", "2"),
+    ("optimizer.lambda", "x"),
+    ("backend.retry_max", "3"),
+    ("optimizer.beam_b", 2.5),
+    ("optimizer.improve_batch", 1.5),
+    ("data.train_size", 3.5),
+    ("optimizer.dev_subsample", 2.5),
+    ("data.split_seed", [1]),
+    ("task", ["gec"]),
+    ("optimizer.beam_b", True),
+    ("optimizer.n_permute", 2.5),
+    ("seed", [1]),
+    ("optimizer", "x"),
+]
+
+
+@pytest.mark.parametrize("command", ["induce", "optimize"])
+@pytest.mark.parametrize(
+    ("key", "value"), [pytest.param(k, v, id=f"{k}={json.dumps(v)}") for k, v in MALFORMED_CONFIG_VALUES]
+)
+def test_malformed_config_value_exits_2_naming_it(tmp_path, capsys, command, key, value):
+    assert _run_with_config_value(tmp_path, command, key, value) == 2
+    assert f"error: {key} must be " in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "r1").exists()
+
+
+def test_unknown_key_or_non_object_config_exits_2(tmp_path, capsys):
+    assert _run_with_config_value(tmp_path, "induce", "optimizer.beam", 4) == 2
+    assert "error: optimizer.beam is not a configuration field" in capsys.readouterr().err
+    paths = make_workspace(tmp_path / "list")
+    paths["config"].write_text("[]\n", encoding="utf-8")
+    assert _induce(paths) == 2
+    assert f"error: config file {paths['config']} must hold a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists() and not paths["runs"].exists()
+    # a flag that sets a field of a section that is no object
+    paths["config"].write_text('{"optimizer": "x"}\n', encoding="utf-8")
+    assert _induce(paths, extra=("--dev-subsample", "3")) == 2
+    assert "error: optimizer must be a JSON object, got 'x'" in capsys.readouterr().err
+    assert not paths["runs"].exists()
 
 
 @pytest.mark.parametrize("command", ["induce", "optimize"])
 @pytest.mark.parametrize(("field", "value"), [("dev_size", 0), ("train_size", 0), ("dev_size", -1)])
 def test_split_size_below_one_exits_2_before_creating_run(tmp_path, capsys, command, field, value):
-    paths = make_workspace(tmp_path)
-    config = json.loads(paths["config"].read_text())
-    config["data"][field] = value
-    paths["config"].write_text(json.dumps(config))
-    prompt = tmp_path / "seed.txt"
-    prompt.write_text(f"* {PLANTED}\n\nInput: {{input_text}}\nOutput:\n", encoding="utf-8")
-    code = _induce(paths) if command == "induce" else _optimize(paths, extra=("--prompt", str(prompt)))
-    assert code == 2
-    assert f"data.{field} must be >= 1, got {value}" in capsys.readouterr().err
-    assert not (paths["runs"] / "r1").exists()
+    assert _run_with_config_value(tmp_path, command, f"data.{field}", value) == 2
+    assert f"data.{field} must be an integer >= 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "r1").exists()
 
 
 @pytest.mark.parametrize("command", ["induce", "optimize"])
@@ -529,16 +637,9 @@ def test_split_size_below_one_exits_2_before_creating_run(tmp_path, capsys, comm
     [("n_epochs", "2"), ("n_epochs", -3), ("improve_samples", "4"), ("improve_samples", 0)],
 )
 def test_bad_optimizer_count_exits_2_before_creating_run(tmp_path, capsys, command, field, value):
-    paths = make_workspace(tmp_path)
-    config = json.loads(paths["config"].read_text())
-    config["optimizer"][field] = value
-    paths["config"].write_text(json.dumps(config))
-    prompt = tmp_path / "seed.txt"
-    prompt.write_text(f"* {PLANTED}\n\nInput: {{input_text}}\nOutput:\n", encoding="utf-8")
-    code = _induce(paths) if command == "induce" else _optimize(paths, extra=("--prompt", str(prompt)))
-    assert code == 2
-    assert f"{field} must be an integer >= " in capsys.readouterr().err
-    assert not (paths["runs"] / "r1").exists()
+    assert _run_with_config_value(tmp_path, command, f"optimizer.{field}", value) == 2
+    assert f"optimizer.{field} must be an integer >= " in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "r1").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -598,6 +699,19 @@ def test_dev_subsample_flag_recorded_and_applied(tmp_path, no_network):
     candidates = [c for e in history["epochs"] for c in e["candidates"]]
     assert candidates
     assert all(0.0 <= c["raw_error"] <= 4.0 for c in candidates)
+
+
+def test_dev_subsample_flag_all_overrides_a_config_count(tmp_path, capsys):
+    paths = make_workspace(tmp_path)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["optimizer"]["dev_subsample"] = 3
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    assert _induce(paths, run_id="word", extra=("--dev-subsample", "most")) == 2
+    assert "optimizer.dev_subsample must be an integer >= 1 or null, got 'most'" in capsys.readouterr().err
+    assert not (paths["runs"] / "word").exists()
+    assert _induce(paths, extra=("--dev-subsample", "all")) == 0
+    state = json.loads((paths["runs"] / "r1" / "state.json").read_text(encoding="utf-8"))
+    assert state["config"]["optimizer"]["dev_subsample"] is None
 
 
 # -- infer --------------------------------------------------------------------
@@ -737,6 +851,23 @@ def test_cache_file_that_is_not_a_database_exits_2(tmp_path, chat_server, capsys
     assert str(cache_file) in capsys.readouterr().err
     assert chat_server.requests == [] and not out.exists()
     assert cache_file.read_bytes() == stored.encode("latin-1")
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_cache_dir_that_is_a_file_exits_2(tmp_path, chat_server, capsys, under):
+    prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    _write_prompt(prompt)
+    source.write_text("line one\n", encoding="utf-8")
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    cache_dir = blocker / under if under else blocker
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"backend": {"base_url": chat_server.url, "cache_dir": str(cache_dir)}}))
+    assert main(["infer", "--prompt", str(prompt), "--input", str(source),
+                 "--output", str(out), "--config", str(config)]) == 2
+    assert f"cache directory {cache_dir} is a file or lies under one" in capsys.readouterr().err
+    assert chat_server.requests == [] and not out.exists()
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_infer_failures_yield_placeholder_and_exit_1(tmp_path, capsys):
@@ -981,6 +1112,15 @@ def test_baseline_few_shot_insufficient_train_exits_2(tmp_path):
                  "--input", str(source), "--output", str(tmp_path / "o.txt"),
                  "--config", str(paths["config"]),
                  "--script", str(paths["script"])]) == 2
+
+
+def test_baseline_few_shot_below_one_shot_exits_2(tmp_path, capsys):
+    source, out = tmp_path / "in.txt", tmp_path / "o.txt"
+    source.write_text("x\n", encoding="utf-8")
+    argv = ["baseline", "--kind", "few_shot", "--shots", "0", "--input", str(source), "--output", str(out)]
+    assert main(argv) == 2
+    assert "--shots: must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():
