@@ -13,6 +13,7 @@ import sys
 import time
 from collections.abc import Callable, Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import ConfigurationError, RunConfig, load_config, split_pairs
@@ -53,7 +54,7 @@ from .prompts import (
     postprocess_output,
 )
 from .seeding import derived_rng
-from .state import RunDir, RunStateError, write_json
+from .state import BackendState, RunDir, RunState, RunStateError, write_json
 
 log = logging.getLogger(__name__)
 
@@ -110,14 +111,28 @@ def _executor(args: argparse.Namespace) -> Iterator[ThreadPoolExecutor]:
         pool.shutdown(cancel_futures=True)
 
 
-def _backend_state(args: argparse.Namespace, backend: Backend) -> dict:
+@contextlib.contextmanager
+def _open_run(
+    args: argparse.Namespace, cfg: RunConfig, run: RunDir, overwrite: bool
+) -> Iterator[tuple[Backend, ThreadPoolExecutor]]:
+    """Build the backend, then make ``run`` (its state is kept unless
+    ``overwrite``) and hold its lock, and yield the backend and the
+    ``--workers`` pool. A usage error of the backend leaves no run."""
+    backend = _build_backend(args, cfg, run)
+    with contextlib.ExitStack() as stack:
+        # undone in reverse: the pool shuts down, the backend closes, the lock goes
+        stack.callback(run.release_lock)
+        stack.callback(backend.close)
+        if run.state_path.exists() and not overwrite:
+            raise RunStateError(f"run {run.run_id!r} already exists at {run.path}; --force overwrites it")
+        run.acquire_lock()
+        yield backend, stack.enter_context(_executor(args))
+
+
+def _backend_state(args: argparse.Namespace, backend: Backend) -> BackendState:
     if isinstance(backend, ScriptedBackend):
-        return {
-            "mode": "scripted",
-            "script": str(getattr(args, "script", "")),
-            "consumed": backend.consumed_state(),
-        }
-    return {"mode": "live"}
+        return BackendState("scripted", str(args.script), backend.consumed_state())
+    return BackendState("live")
 
 
 def _read_lines_raw(path: str | Path) -> list[str]:
@@ -164,33 +179,20 @@ def cmd_induce(args: argparse.Namespace) -> int:
     template = TASK_TEMPLATES[cfg.task]
     train, dev = split_pairs(cfg)
     run = RunDir(args.runs_dir, args.run_id or _default_run_id())
-    run.create(force=args.force)
-    run.acquire_lock()
-    try:
-        backend = _build_backend(args, cfg, run)
-        dev_eval = select_dev_subsample(dev, cfg.optimizer)
-        with contextlib.closing(backend), _executor(args) as pool:
+    dev_eval = select_dev_subsample(dev, cfg.optimizer)
+    with _open_run(args, cfg, run, args.force) as (backend, pool):
 
-            def fitness_fn(prompt: Prompt, pairs, via: Backend) -> Callable[[], float]:
-                scoring = submit_scoring(prompt, pairs, via, pool)
-                return lambda: -gather_scoring(scoring)[0]
+        def fitness_fn(prompt: Prompt, pairs, via: Backend) -> Callable[[], float]:
+            scoring = submit_scoring(prompt, pairs, via, pool)
+            return lambda: -gather_scoring(scoring)[0]
 
-            prompt, trials = best_of_trials(train, dev_eval, cfg.induction, template, backend, fitness_fn)
+        prompt, trials = best_of_trials(train, dev_eval, cfg.induction, template, backend, fitness_fn)
         run.prompt_path.write_text(prompt.text() + "\n", encoding="utf-8")
-        run.write_json(run.trials_path, {"trials": [t.to_dict() for t in trials]})
-        run.write_state(
-            {
-                "run_id": run.run_id,
-                "phase": "induction",
-                "config": cfg.to_dict(),
-                "backend": _backend_state(args, backend),
-            }
-        )
-        best_fitness = max(t.fitness for t in trials if t.fitness is not None)
-        print(f"induced prompt written to {run.prompt_path} (dev fitness {best_fitness:.4f})")
-        return 0
-    finally:
-        run.release_lock()
+        run.write_json(run.trials_path, {"trials": [asdict(t) for t in trials]})
+        run.write_state(RunState(run.run_id, "induction", cfg, _backend_state(args, backend)))
+    best_fitness = max(t.fitness for t in trials if t.fitness is not None)
+    print(f"induced prompt written to {run.prompt_path} (dev fitness {best_fitness:.4f})")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +211,9 @@ def _persist_epoch(
     seed_prompt: Prompt,
 ) -> None:
     run.write_history(engine.history)
-    run.write_state(
-        {
-            "run_id": run.run_id,
-            "phase": "optimization" if epoch < cfg.optimizer.n_epochs else "done",
-            "config": cfg.to_dict(),
-            "epoch": epoch,
-            "next_id": engine.next_id,
-            "pool": [c.to_dict() for c in pool],
-            "seed_prompt": seed_prompt.text(),
-            "backend": _backend_state(args, backend),
-        }
-    )
+    phase = "optimization" if epoch < cfg.optimizer.n_epochs else "done"
+    run.write_state(RunState(run.run_id, phase, cfg, _backend_state(args, backend), epoch, engine.next_id,
+                             [c.to_dict() for c in pool], seed_prompt.text()))
 
 
 def _task_metric(
@@ -242,30 +235,15 @@ def _task_metric(
 def cmd_optimize(args: argparse.Namespace) -> int:
     """Optimize a fresh run from its prompt, or resume a persisted run
     from its state file; both then run the same remaining epochs."""
-    state, consumed = None, None
+    state, overwrite = None, True  # a resumed run rewrites its own state
     if args.resume:
         run = RunDir(args.runs_dir, args.resume)
         state = run.read_state()
-        if state["phase"] not in ("optimization", "done"):
-            raise RunStateError(f"run {args.resume!r} is in phase {state['phase']!r}, nothing to resume")
-        fields = {"config": dict, "epoch": int, "next_id": int, "pool": list, "seed_prompt": str}
-        for key, kind in fields.items():
-            if not isinstance(state.get(key), kind):
-                raise RunStateError(f"state file {run.state_path} lacks a {kind.__name__} under key {key!r}")
-        if state["epoch"] < 0 or not state["pool"]:
-            raise RunStateError(f"state file {run.state_path} holds a negative epoch or an empty pool")
-        cfg = RunConfig.from_dict(state["config"])
-        seed_prompt = parse_prompt(state["seed_prompt"])
-        backend_state = state.get("backend", {"mode": "live"})
-        mode = backend_state.get("mode") if isinstance(backend_state, dict) else None
-        if mode == "scripted":
-            args.script = getattr(args, "script", None) or backend_state.get("script")
-            consumed = backend_state.get("consumed", [])
-            if not (args.script and isinstance(args.script, str) and isinstance(consumed, list)
-                    and all(isinstance(i, int) for i in consumed)):
-                raise RunStateError(f"state file {run.state_path} holds a malformed scripted backend")
-        elif mode != "live":
-            raise RunStateError(f"state file {run.state_path} names no backend mode 'live' or 'scripted'")
+        if state.phase == "induction":
+            raise RunStateError(f"run {args.resume!r} is in phase 'induction', nothing to resume")
+        cfg = state.config
+        seed_prompt = parse_prompt(state.seed_prompt)
+        args.script = args.script or state.backend.script
     else:
         cfg = load_config(args.config, _overrides(args))
         run = RunDir(args.runs_dir, args.run_id or _default_run_id())
@@ -273,41 +251,29 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if prompt_file is None:
             raise ConfigurationError("no --prompt file given and the run has no induced prompt")
         seed_prompt = parse_prompt(Path(prompt_file).read_text(encoding="utf-8").rstrip("\n"))
-        if run.state_path.exists():
-            # continuing an induction run in place is fine; clobbering a prior
-            # optimization needs --force (or --resume to continue it)
-            prior = run.read_state()
-            if prior.get("phase") != "induction" and not args.force:
-                raise RunStateError(
-                    f"run {run.run_id!r} already holds an optimization; use --resume or --force"
-                )
+        # continuing an induction run in place is fine; clobbering a prior
+        # optimization needs --force (or --resume to continue it)
+        overwrite = args.force or not run.state_path.exists() or run.read_state().phase == "induction"
+    train, dev = split_pairs(cfg)
+    template = TASK_TEMPLATES[cfg.task]
+    with _open_run(args, cfg, run, overwrite) as (backend, executor):
+        engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template, executor)
+        if state is None:
+            pool, start_epoch = [engine.score_seed(seed_prompt)], 0
+            _persist_epoch(run, cfg, args, backend, engine, pool, 0, seed_prompt)
         else:
-            run.create(force=args.force)
-    run.acquire_lock()
-    try:
-        backend = _build_backend(args, cfg, run)
-        if consumed is not None:
-            backend.restore_consumed(consumed)
-        train, dev = split_pairs(cfg)
-        template = TASK_TEMPLATES[cfg.task]
-        with contextlib.closing(backend), _executor(args) as executor:
-            engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template, executor)
-            if state is None:
-                pool, start_epoch = [engine.score_seed(seed_prompt)], 0
-                _persist_epoch(run, cfg, args, backend, engine, pool, 0, seed_prompt)
-            else:
-                engine.history = run.read_history(state["epoch"])
-                engine.next_id = state["next_id"]
-                try:
-                    pool = [Candidate.from_dict(c) for c in state["pool"]]
-                except (KeyError, TypeError) as exc:
-                    raise RunStateError(
-                        f"state file {run.state_path} holds a malformed pool entry: {exc!r}"
-                    ) from exc
-                start_epoch = state["epoch"]
-            return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, start_epoch)
-    finally:
-        run.release_lock()
+            if state.backend.consumed is not None:
+                backend.restore_consumed(state.backend.consumed)
+            engine.history = run.read_history(state.epoch)
+            engine.next_id = state.next_id
+            try:
+                pool = [Candidate.from_dict(c) for c in state.pool]
+            except (KeyError, TypeError) as exc:
+                raise RunStateError(
+                    f"state file {run.state_path} holds a malformed pool entry: {exc!r}"
+                ) from exc
+            start_epoch = state.epoch
+        return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, start_epoch)
 
 
 def _run_optimization(

@@ -32,13 +32,14 @@ BOUNDS = {
     "optimizer.lambda": (">=", 0), "optimizer.improve_samples": (">=", 1),
     "optimizer.improve_batch": (">=", 1), "optimizer.dev_subsample": (">=", 1),
 }
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list[str]: "a list of strings"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list[str]: "a list of strings",
+               list[int]: "a list of integers", list[dict]: "a list of objects"}
 
 
 def _admits(kind: type, value: object) -> bool:
-    """An int field refuses a bool, and a float field admits an int."""
-    if kind == list[str]:
-        return type(value) is list and all(type(item) is str for item in value)
+    """An int field refuses a bool, a float field admits an int, and a list checks each item."""
+    if getattr(kind, "__origin__", None) is list:
+        return type(value) is list and all(_admits(kind.__args__[0], item) for item in value)
     return type(value) in ((int, float) if kind is float else (kind,))
 
 
@@ -55,7 +56,7 @@ def check_fields(obj: object, section: str = "") -> None:
         op, low = BOUNDS.get(name, ("", 0))
         if _admits(kind, value) and (not op or (value > low if op == ">" else value >= low)):
             continue
-        want = _KIND_NAMES.get(kind, kind.__name__)
+        want = _KIND_NAMES.get(kind, "an object")  # a section, or another dataclass
         if op:
             want += f" {op} {low}"
         if none:

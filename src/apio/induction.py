@@ -37,18 +37,6 @@ class TrialReport:
     error: str | None = None
     dev_evaluations: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "pair_ids": self.pair_ids,
-            "instructions": self.instructions,
-            "fitness": self.fitness,
-            "backend_calls": self.backend_calls,
-            "dev_evaluations": self.dev_evaluations,
-            "error": self.error,
-        }
-
 
 def induce_instruction(
     pair: SamplePair,

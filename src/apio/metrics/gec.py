@@ -69,14 +69,6 @@ def extract_edits(source: str, hypothesis: str) -> frozenset[Edit]:
     return frozenset(edits)
 
 
-def apply_edit_set(source: str, edits: frozenset[Edit]) -> str:
-    """Apply extracted edits back onto the source (round-trip check)."""
-    tokens = source.split()
-    for start, end, correction in sorted(edits, reverse=True):
-        tokens[start:end] = correction.split()
-    return " ".join(tokens)
-
-
 def f05_from_counts(tp: int, fp: int, fn: int) -> float:
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0

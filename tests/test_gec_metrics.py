@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from apio.corpus import M2Edit, M2Record
 from apio.metrics.gec import (
-    apply_edit_set,
+    Edit,
     extract_edits,
     f05_from_counts,
     f05_with_counts,
@@ -32,6 +32,15 @@ def test_adjacent_ops_merge():
 def test_pure_insertion_and_deletion():
     assert set(extract_edits("a c", "a b c")) == {(1, 1, "b")}
     assert set(extract_edits("a b c", "a c")) == {(1, 2, "")}
+
+
+def apply_edit_set(source: str, edits: frozenset[Edit]) -> str:
+    """Apply extracted edits back onto the source: the round-trip oracle
+    for ``extract_edits``."""
+    tokens = source.split()
+    for start, end, correction in sorted(edits, reverse=True):
+        tokens[start:end] = correction.split()
+    return " ".join(tokens)
 
 
 TOKENS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8)

@@ -201,6 +201,11 @@ def test_lock_of_killed_process_is_reclaimed(tmp_path, capsys):
         "state-seed-prompt-not-a-string",
         "state-next-id-not-an-int",
         "state-empty-pool",
+        "state-epoch-a-boolean",
+        "state-next-id-a-boolean",
+        "state-unknown-key",
+        "state-unknown-phase",
+        "state-without-backend",
         "script-entry-without-match",
         "script-not-a-list",
         "script-unknown-mode",
@@ -238,8 +243,8 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
         }[broken]), encoding="utf-8")
     else:
         data = json.loads(state.read_text(encoding="utf-8"))
-        if broken == "state-without-pool":
-            del data["pool"]
+        if broken in ("state-without-pool", "state-without-backend"):
+            del data[broken.split("-")[-1]]
         elif broken == "state-pool-entry-without-prompt":
             del data["pool"][0]["prompt"]
         else:
@@ -250,6 +255,10 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
                 "state-seed-prompt-not-a-string": ("seed_prompt", 5),
                 "state-next-id-not-an-int": ("next_id", "x"),
                 "state-empty-pool": ("pool", []),
+                "state-epoch-a-boolean": ("epoch", True),
+                "state-next-id-a-boolean": ("next_id", True),
+                "state-unknown-key": ("epochs", 1),
+                "state-unknown-phase": ("phase", "tuning"),
             }[broken]
             data[key] = value
         state.write_text(json.dumps(data), encoding="utf-8")
@@ -330,7 +339,7 @@ def test_stop_between_history_and_state_resumes_to_identical_files(tmp_path, no_
     write_state = RunDir.write_state
 
     def killed_before_state_3(run, state):
-        if state.get("epoch") == 3:
+        if state.epoch == 3:
             raise Killed
         write_state(run, state)
 
@@ -640,6 +649,23 @@ def test_bad_optimizer_count_exits_2_before_creating_run(tmp_path, capsys, comma
     assert _run_with_config_value(tmp_path, command, f"optimizer.{field}", value) == 2
     assert f"optimizer.{field} must be an integer >= " in capsys.readouterr().err
     assert not (tmp_path / "runs" / "r1").exists()
+
+
+@pytest.mark.parametrize("command", ["induce", "optimize"])
+def test_backend_usage_error_leaves_no_run_directory(tmp_path, capsys, command):
+    paths = make_workspace(tmp_path)
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    # a closed local port, so that a backend that slips through reaches no host
+    config["backend"] = {"base_url": "http://127.0.0.1:9/v1", "cache_dir": str(blocker)}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    prompt = tmp_path / "seed.txt"
+    _write_prompt(prompt)
+    argv = [command, "--config", str(paths["config"]), "--run-id", "r1", "--runs-dir", str(paths["runs"])]
+    assert main(argv if command == "induce" else [*argv, "--prompt", str(prompt)]) == 2
+    assert f"cache directory {blocker} is a file or lies under one" in capsys.readouterr().err
+    assert not (paths["runs"] / "r1").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
