@@ -13,18 +13,11 @@ import sys
 import time
 from collections.abc import Callable, Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import ConfigurationError, RunConfig, load_config, split_pairs
-from .corpus import (
-    M2Record,
-    SamplePair,
-    load_asset,
-    load_jsonl,
-    load_m2,
-    reference_texts,
-)
+from .corpus import load_asset, load_jsonl, load_m2, m2_pairs, reference_texts
 from .gateway import (
     Backend,
     CachedBackend,
@@ -200,51 +193,30 @@ def cmd_induce(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _persist_epoch(
-    run: RunDir,
-    cfg: RunConfig,
-    args: argparse.Namespace,
-    backend: Backend,
-    engine: PromptOptimizer,
-    pool: list[Candidate],
-    epoch: int,
-    seed_prompt: Prompt,
-) -> None:
-    run.write_history(engine.history)
-    phase = "optimization" if epoch < cfg.optimizer.n_epochs else "done"
-    run.write_state(RunState(run.run_id, phase, cfg, _backend_state(args, backend), epoch, engine.next_id,
-                             [c.to_dict() for c in pool], seed_prompt.text()))
-
-
-def _task_metric(
-    cfg: RunConfig, records: list[M2Record] | None, pairs: list[SamplePair], outputs: list[str]
-) -> tuple[str, float] | None:
-    if cfg.task == "simplify":
-        scores = [sari(p.source, o, p.references) for p, o in zip(pairs, outputs)]
-        return "sari", sum(scores) / len(scores)
-    if records is not None:
-        try:
-            aligned = [records[int(p.id.split("-")[1])] for p in pairs]
-        except (IndexError, ValueError):
-            return None
-        score, _ = f05_with_counts(aligned, outputs)
-        return "f05-approx", score
-    return None
+# the flags --resume refuses: the run goes on with the configuration, seed
+# prompt and run id of its state, and overwrites nothing
+_FROM_STATE = ("config", "task", "seed", "dev_subsample", "prompt", "run_id", "force")
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    """Optimize a fresh run from its prompt, or resume a persisted run
-    from its state file; both then run the same remaining epochs."""
-    state, overwrite = None, True  # a resumed run rewrites its own state
+    """Optimize a run on one ``RunState``: the state a resume reads, or
+    for a fresh run the epoch-0 state made once its prompt is scored.
+    Each epoch writes the history, then that state at the new epoch."""
     if args.resume:
+        given = [name for name in _FROM_STATE if (value := getattr(args, name)) is not None and value is not False]
+        if given:
+            raise ConfigurationError(
+                "optimize --resume runs on the configuration, prompt and run id of its state; "
+                f"drop --{given[0].replace('_', '-')}"
+            )
         run = RunDir(args.runs_dir, args.resume)
         state = run.read_state()
         if state.phase == "induction":
             raise RunStateError(f"run {args.resume!r} is in phase 'induction', nothing to resume")
-        cfg = state.config
-        seed_prompt = parse_prompt(state.seed_prompt)
+        cfg, overwrite = state.config, True  # a resumed run rewrites its own state
         args.script = args.script or state.backend.script
     else:
+        state = None
         cfg = load_config(args.config, _overrides(args))
         run = RunDir(args.runs_dir, args.run_id or _default_run_id())
         prompt_file = args.prompt or (run.prompt_path if run.prompt_path.exists() else None)
@@ -256,61 +228,61 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         overwrite = args.force or not run.state_path.exists() or run.read_state().phase == "induction"
     train, dev = split_pairs(cfg)
     template = TASK_TEMPLATES[cfg.task]
+    n_epochs = cfg.optimizer.n_epochs
     with _open_run(args, cfg, run, overwrite) as (backend, executor):
         engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template, executor)
         if state is None:
-            pool, start_epoch = [engine.score_seed(seed_prompt)], 0
-            _persist_epoch(run, cfg, args, backend, engine, pool, 0, seed_prompt)
+            pool = [engine.score_seed(seed_prompt)]
+            state = RunState(run.run_id, "optimization" if n_epochs else "done", cfg, _backend_state(args, backend),
+                             epoch=0, next_id=engine.next_id, pool=pool, seed_prompt=seed_prompt.text())
+            run.write_history(engine.history)
+            run.write_state(state)
         else:
             if state.backend.consumed is not None:
                 backend.restore_consumed(state.backend.consumed)
             engine.history = run.read_history(state.epoch)
             engine.next_id = state.next_id
-            try:
-                pool = [Candidate.from_dict(c) for c in state.pool]
-            except (KeyError, TypeError) as exc:
-                raise RunStateError(
-                    f"state file {run.state_path} holds a malformed pool entry: {exc!r}"
-                ) from exc
-            start_epoch = state.epoch
-        return _run_optimization(args, run, cfg, backend, engine, pool, seed_prompt, start_epoch)
+        for epoch in range(state.epoch + 1, n_epochs + 1):
+            pool = engine.run_epoch(state.pool, epoch)
+            run.write_history(engine.history)
+            state = replace(state, phase="optimization" if epoch < n_epochs else "done",
+                            backend=_backend_state(args, backend), epoch=epoch, next_id=engine.next_id, pool=pool)
+            run.write_state(state)
+            log.info("epoch %d/%d: best fitness %.4f", epoch, n_epochs, pool[0].fitness)
+            if args.stop_after_epoch is not None and args.stop_after_epoch <= epoch < n_epochs:
+                print(f"stopped after epoch {epoch} as requested")
+                return 0
+        _final_report(run, cfg, engine, state.pool)
+    return 0
 
 
-def _run_optimization(
-    args: argparse.Namespace,
-    run: RunDir,
-    cfg: RunConfig,
-    backend: Backend,
-    engine: PromptOptimizer,
-    pool: list[Candidate],
-    seed_prompt: Prompt,
-    start_epoch: int,
-) -> int:
-    n_epochs = cfg.optimizer.n_epochs
-    stop_after = getattr(args, "stop_after_epoch", None)
-    for epoch in range(start_epoch + 1, n_epochs + 1):
-        pool = engine.run_epoch(pool, epoch)
-        _persist_epoch(run, cfg, args, backend, engine, pool, epoch, seed_prompt)
-        log.info("epoch %d/%d: best fitness %.4f", epoch, n_epochs, pool[0].fitness)
-        if stop_after is not None and epoch >= stop_after and epoch < n_epochs:
-            print(f"stopped after epoch {epoch} as requested")
-            return 0
+def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: list[Candidate]) -> None:
+    """Write the best prompt of ``pool`` and the final report: the best
+    candidate rescored on the full dev set, and the top five rescored with
+    the task metric on the fixed subsample. All six scorings are queued
+    before the first is waited on."""
     top = sorted(pool, key=rank_key)[:5]
     best = top[0]
     run.best_prompt_path.write_text(best.prompt.text() + "\n", encoding="utf-8")
-
-    # final reporting: best candidate rescored on the full dev set, top five
-    # pool members rescored with the task metric on the fixed subsample; all
-    # six scorings are queued before the first is waited on
-    full = submit_scoring(best.prompt, engine.dev, backend, engine.executor)
-    top_scorings = [submit_scoring(c.prompt, engine.dev_eval, backend, engine.executor) for c in top]
+    full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor)
+    top_scorings = [submit_scoring(c.prompt, engine.dev_eval, engine.backend, engine.executor) for c in top]
     full_raw, _, _ = gather_scoring(full)
-    gec_m2 = cfg.task == "gec" and cfg.data.format == "m2" and cfg.data.path
-    records = load_m2(cfg.data.path) if gec_m2 else None
+    gold = None
+    if cfg.task == "gec" and cfg.data.format == "m2" and cfg.data.path:
+        record_of = m2_pairs(load_m2(cfg.data.path))
+        if all(p in record_of for p in engine.dev_eval):
+            gold = [record_of[p] for p in engine.dev_eval]
+        else:
+            log.warning("%s changed since the run split it; the final report has no F0.5", cfg.data.path)
     top_report = []
     for cand, scoring in zip(top, top_scorings):
         _, _, outputs = gather_scoring(scoring)
-        metric = _task_metric(cfg, records, engine.dev_eval, outputs)
+        metric = None
+        if cfg.task == "simplify":
+            scores = [sari(p.source, o, p.references) for p, o in zip(engine.dev_eval, outputs)]
+            metric = {"name": "sari", "value": sum(scores) / len(scores)}
+        elif gold is not None:
+            metric = {"name": "f05-approx", "value": f05_with_counts(gold, outputs)[0]}
         top_report.append(
             {
                 "id": cand.id,
@@ -319,7 +291,7 @@ def _run_optimization(
                 "fitness": cand.fitness,
                 "raw_error": cand.raw_error,
                 "n_instructions": len(cand.prompt.instructions),
-                "task_metric": {"name": metric[0], "value": metric[1]} if metric else None,
+                "task_metric": metric,
             }
         )
     run.write_json(
@@ -336,7 +308,6 @@ def _run_optimization(
         f"best candidate {best.id} (fitness {best.fitness:.4f}, raw error {best.raw_error:.4f}); "
         f"prompt written to {run.best_prompt_path}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ defaults stays auditable. Every section checks its values with
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from urllib.parse import urlsplit
@@ -17,7 +17,7 @@ from .corpus import (
     load_asset,
     load_jsonl,
     load_m2,
-    reference_texts,
+    m2_pairs,
     sample_split,
 )
 from .prompts import TASK_TEMPLATES
@@ -33,7 +33,7 @@ BOUNDS = {
     "optimizer.improve_batch": (">=", 1), "optimizer.dev_subsample": (">=", 1),
 }
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list[str]: "a list of strings",
-               list[int]: "a list of integers", list[dict]: "a list of objects"}
+               list[int]: "a list of integers"}
 
 
 def _admits(kind: type, value: object) -> bool:
@@ -56,12 +56,25 @@ def check_fields(obj: object, section: str = "") -> None:
         op, low = BOUNDS.get(name, ("", 0))
         if _admits(kind, value) and (not op or (value > low if op == ">" else value >= low)):
             continue
-        want = _KIND_NAMES.get(kind, "an object")  # a section, or another dataclass
+        # a section or another dataclass, or a list of them
+        want = _KIND_NAMES.get(kind, "a list of objects" if getattr(kind, "__origin__", None) is list else "an object")
         if op:
             want += f" {op} {low}"
         if none:
             want += " or null"
         raise ConfigurationError(f"{name} must be {want}, got {value!r}")
+
+
+def from_object(cls: type, data: object, name: str):
+    """``cls`` made from the JSON object ``data``, which must hold a key
+    for each field of ``cls`` without a default, and no other key."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{name} must be an object, got {data!r}")
+    if unknown := sorted(data.keys() - {f.name for f in fields(cls)}):
+        raise ConfigurationError(f"{name} holds the unknown key {unknown[0]!r}")
+    if missing := [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]:
+        raise ConfigurationError(f"{name} lacks the key {missing[0]!r}")
+    return cls(**data)
 
 
 @dataclass
@@ -206,11 +219,7 @@ def load_pairs(data: DataConfig) -> list[SamplePair]:
             raise ConfigurationError("data.source and data.references are required for asset format")
         return load_asset(data.source, data.references)
     if data.format == "m2":
-        records = load_m2(data.path)
-        return [
-            SamplePair(id=f"m2-{i}", source=r.source_text(), references=tuple(reference_texts(r)))
-            for i, r in enumerate(records)
-        ]
+        return list(m2_pairs(load_m2(data.path)))
     raise ConfigurationError(f"unknown data format {data.format!r}")
 
 

@@ -230,6 +230,15 @@ def reference_texts(record: M2Record) -> list[str]:
     return [apply_edits(record, a) for a in record.annotator_ids()]
 
 
+def m2_pairs(records: Sequence[M2Record]) -> dict[SamplePair, M2Record]:
+    """Each record keyed by its sample pair: id ``m2-<index>``, the source
+    text and every annotator's reference."""
+    return {
+        SamplePair(id=f"m2-{i}", source=r.source_text(), references=tuple(reference_texts(r))): r
+        for i, r in enumerate(records)
+    }
+
+
 def sample_split(
     corpus: Sequence[SamplePair], train_size: int, dev_size: int, seed: int
 ) -> tuple[list[SamplePair], list[SamplePair]]:

@@ -10,14 +10,12 @@ normalized prompt-drift penalty against the immediate parent, so the best
 member is never evicted and best-pool fitness is non-decreasing.
 """
 
-from __future__ import annotations
-
 import logging
 from collections.abc import Sequence
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 
-from .config import OptimizerConfig
+from .config import OptimizerConfig, check_fields, from_object
 from .corpus import SamplePair
 from .gateway import Backend, ChatRequest, EXPLORE, GatewayError, INFER
 from .metrics.levenshtein import min_ref_levenshtein, word_levenshtein
@@ -68,22 +66,26 @@ class Candidate:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Candidate":
-        prompt = Prompt(
-            header=data["prompt"]["header"],
-            instructions=tuple(Instruction(t) for t in data["prompt"]["instructions"]),
-            footer=data["prompt"]["footer"],
-        )
-        return cls(
-            id=data["id"],
-            prompt=prompt,
-            fitness=data["fitness"],
-            raw_error=data["raw_error"],
-            drift_penalty=data["drift_penalty"],
-            parent_id=data["parent_id"],
-            operator=data["operator"],
-            epoch=data["epoch"],
-        )
+    def from_dict(cls, data: object, name: str) -> "Candidate":
+        """Invert ``to_dict``. A missing or unknown key or a value not of
+        its field's type raises a ConfigurationError naming ``name``, and a
+        prompt that cannot be rendered a PromptError."""
+        candidate = from_object(cls, data, name)
+        prompt = from_object(_PromptForm, candidate.prompt, f"{name}.prompt")
+        check_fields(prompt, f"{name}.prompt")
+        candidate.prompt = Prompt(prompt.header, tuple(map(Instruction, prompt.instructions)), prompt.footer)
+        candidate.prompt.render("")  # a PromptError for no instructions, or no single input slot
+        check_fields(candidate, name)
+        return candidate
+
+
+@dataclass
+class _PromptForm:
+    """The prompt of a ``Candidate.to_dict``."""
+
+    header: str
+    instructions: list[str]
+    footer: str
 
 
 def rank_key(candidate: Candidate) -> tuple[float, int]:

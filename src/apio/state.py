@@ -12,26 +12,15 @@ resumes from the state and drops the history's extra epoch.
 import fcntl
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .config import ConfigurationError, RunConfig, check_fields
+from .config import ConfigurationError, RunConfig, check_fields, from_object
+from .optimizer import Candidate
 
 
 class RunStateError(Exception):
     """Missing, locked, or corrupt run state."""
-
-
-def _object(cls: type, data: object, name: str):
-    """``cls`` made from the JSON object ``data``, which must hold a key
-    for each field of ``cls`` without a default, and no other key."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{name} must be an object, got {data!r}")
-    if unknown := sorted(data.keys() - {f.name for f in fields(cls)}):
-        raise ConfigurationError(f"{name} holds the unknown key {unknown[0]!r}")
-    if missing := [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]:
-        raise ConfigurationError(f"{name} lacks the key {missing[0]!r}")
-    return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -51,9 +40,10 @@ class BackendState:
 
 @dataclass
 class RunState:
-    """The contents of ``state.json``, one field per key; ``config`` and
-    ``backend`` may be given as their JSON objects. The optimization
-    fields, from ``epoch`` on, are None for a run that is only induced."""
+    """The contents of ``state.json``, one field per key; ``config``,
+    ``backend`` and each ``pool`` entry may be given as their JSON objects.
+    The optimization fields, from ``epoch`` on, are None for a run that is
+    only induced."""
 
     run_id: str
     phase: str  # induction | optimization | done
@@ -61,14 +51,17 @@ class RunState:
     backend: BackendState
     epoch: int | None = None  # epochs completed
     next_id: int | None = None  # id of the next candidate
-    pool: list[dict] | None = None
+    pool: list[Candidate] | None = None  # the beam, best first
     seed_prompt: str | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.config, dict):
             self.config = RunConfig.from_dict(self.config)
         if isinstance(self.backend, dict):
-            self.backend = _object(BackendState, self.backend, "backend")
+            self.backend = from_object(BackendState, self.backend, "backend")
+        if isinstance(self.pool, list):
+            self.pool = [c if isinstance(c, Candidate) else Candidate.from_dict(c, f"pool[{i}]")
+                         for i, c in enumerate(self.pool)]
         check_fields(self)
         if self.phase not in ("induction", "optimization", "done"):
             raise ConfigurationError(f"phase {self.phase!r} is not induction, optimization or done")
@@ -125,7 +118,9 @@ class RunDir:
     def write_state(self, state: RunState) -> None:
         """Write the fields of ``state`` that are not None."""
         backend = {key: value for key, value in asdict(state.backend).items() if value is not None}
-        data = {**asdict(state), "config": state.config.to_dict(), "backend": backend}
+        data = {f.name: getattr(state, f.name) for f in fields(state)}
+        data.update(config=state.config.to_dict(), backend=backend,
+                    pool=state.pool and [c.to_dict() for c in state.pool])
         write_json(self.state_path, {key: value for key, value in data.items() if value is not None})
 
     def _read_json(self, path: Path, name: str):
@@ -138,8 +133,8 @@ class RunDir:
 
     def read_state(self) -> RunState:
         try:
-            return _object(RunState, self._read_json(self.state_path, "state"), "the state")
-        except ConfigurationError as exc:
+            return from_object(RunState, self._read_json(self.state_path, "state"), "the state")
+        except ValueError as exc:  # a ConfigurationError, or a PromptError of a pool prompt
             raise RunStateError(f"state file {self.state_path}: {exc}") from exc
 
     def write_history(self, history: list[dict]) -> None:

@@ -194,6 +194,9 @@ def test_lock_of_killed_process_is_reclaimed(tmp_path, capsys):
         "history-of-other-epochs",
         "state-without-pool",
         "state-pool-entry-without-prompt",
+        "state-pool-fitness-a-string",
+        "state-pool-id-a-string",
+        "state-pool-prompt-without-instructions",
         "state-not-an-object",
         "state-backend-without-mode",
         "state-epoch-not-an-int",
@@ -247,6 +250,10 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
             del data[broken.split("-")[-1]]
         elif broken == "state-pool-entry-without-prompt":
             del data["pool"][0]["prompt"]
+        elif broken in ("state-pool-fitness-a-string", "state-pool-id-a-string"):
+            data["pool"][0][broken.split("-")[2]] = "a"
+        elif broken == "state-pool-prompt-without-instructions":
+            data["pool"][0]["prompt"]["instructions"] = []
         else:
             key, value = {
                 "state-backend-without-mode": ("backend", {}),
@@ -269,6 +276,28 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
     lock = RunDir(paths["runs"], "r1")
     lock.acquire_lock()  # nothing holds the run any more
     lock.release_lock()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--task", "--seed", "--dev-subsample", "--prompt", "--run-id", "--force"])
+def test_resume_refuses_the_flags_it_takes_from_the_state(tmp_path, capsys, flag):
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    assert _induce(paths) == 0
+    assert _optimize(paths, extra=("--stop-after-epoch", "1")) == 0
+    run = paths["runs"] / "r1"
+    files = {path: path.read_bytes() for path in run.iterdir()}
+    value = {
+        "--config": [str(paths["config"])],
+        "--task": ["gec"],
+        "--seed": ["0"],
+        "--dev-subsample": ["2"],
+        "--prompt": [str(run / "prompt.txt")],
+        "--run-id": ["r1"],
+        "--force": [],
+    }[flag]
+    capsys.readouterr()
+    assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"]), flag, *value]) == 2
+    assert f"drop {flag}" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in run.iterdir()} == files
 
 
 def test_corrupt_state_is_integrity_error(tmp_path, capsys):
@@ -359,20 +388,23 @@ def test_stop_between_history_and_state_resumes_to_identical_files(tmp_path, no_
 
 
 def test_kill_at_any_call_of_optimize_resumes_to_identical_files(tmp_path, no_network, monkeypatch):
-    import apio.cli as cli
-
     paths = make_workspace(tmp_path, n_epochs=3, beam_b=4)
     workers = ("--workers", "4")
     # the calls sent by the end of the seed scoring and of each epoch
     marks, backends = [], []
-    persist = cli._persist_epoch
+    from_file, write_state = ScriptedBackend.from_file.__func__, RunDir.write_state
 
-    def recording(run, cfg, args, backend, *rest):
-        marks.append(backend.n_calls)
-        backends.append(backend)
-        persist(run, cfg, args, backend, *rest)
+    def recording_from_file(cls, path):
+        backends.append(from_file(cls, path))
+        return backends[-1]
 
-    monkeypatch.setattr(cli, "_persist_epoch", recording)
+    def recording_write_state(run, state):
+        if state.phase != "induction":
+            marks.append(backends[-1].n_calls)
+        write_state(run, state)
+
+    monkeypatch.setattr(ScriptedBackend, "from_file", classmethod(recording_from_file))
+    monkeypatch.setattr(RunDir, "write_state", recording_write_state)
     assert _induce(paths, run_id="full", extra=workers) == 0
     assert _optimize(paths, run_id="full", extra=workers) == 0
     monkeypatch.undo()
@@ -551,6 +583,31 @@ def test_optimize_gec_loads_gold_m2_once_for_final_report(tmp_path, monkeypatch)
     assert len(report["top5"]) > 1
     assert all(entry["task_metric"]["name"] == "f05-approx" for entry in report["top5"])
     assert loads == [str(gold)]
+
+
+def test_optimize_gec_report_has_no_f05_when_gold_m2_changed_during_the_run(tmp_path, monkeypatch):
+    import apio.cli as cli
+
+    gold = tmp_path / "gold.m2"
+    gold.write_text("\n".join(serialize_m2(random_record(random.Random(3))) for _ in range(12)), encoding="utf-8")
+    paths = make_workspace(tmp_path, n_epochs=1, beam_b=2)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["task"] = "gec"
+    config["data"].update(format="m2", path=str(gold))
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    paths["script"].write_text(json.dumps([
+        {"match": INDUCE_MATCH, "response": "Fix the grammar.", "sticky": True},
+        {"match": "Suggest new instruction", "response": "<new_instruction>Fix verbs.</new_instruction>",
+         "sticky": True},
+        {"match": "Generate a variation", "mode": "echo_instruction", "sticky": True},
+        {"match": "Corrected sentence:", "response": "the cat sat", "sticky": True},
+    ]), encoding="utf-8")
+    assert _induce(paths) == 0
+    # the final report reads the gold file again, and by then its first record is gone
+    monkeypatch.setattr(cli, "load_m2", lambda path: load_m2(path)[1:])
+    assert _optimize(paths) == 0
+    report = json.loads((paths["runs"] / "r1" / "final_report.json").read_text(encoding="utf-8"))
+    assert report["top5"] and all(entry["task_metric"] is None for entry in report["top5"])
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", "eight"])
