@@ -17,7 +17,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import ConfigurationError, RunConfig, load_config, split_pairs
-from .corpus import load_asset, load_jsonl, load_m2, m2_pairs, reference_texts
+from .corpus import SamplePair, load_asset, load_jsonl, load_m2, m2_pairs
 from .gateway import (
     Backend,
     CachedBackend,
@@ -256,33 +256,35 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _task_score(task: str, pairs: list[SamplePair], outputs: list[str]) -> tuple[str, float, list] | None:
+    """The task metric of ``outputs`` against ``pairs``: (name, aggregate,
+    per-sample scores). Simplify takes the mean SARI; gec takes the corpus
+    F0.5 with each sentence's (TP, FP, FN) when the pairs carry their M2
+    records. Any other task or data has none."""
+    if task == "simplify":
+        scores = [sari(p.source, o, p.references) for p, o in zip(pairs, outputs)]
+        return "sari", sum(scores) / len(scores), scores
+    if task == "gec" and all(p.record is not None for p in pairs):
+        return "f05-approx", *f05_with_counts([p.record for p in pairs], outputs)
+    return None
+
+
 def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: list[Candidate]) -> None:
     """Write the best prompt of ``pool`` and the final report: the best
     candidate rescored on the full dev set, and the top five rescored with
-    the task metric on the fixed subsample. All six scorings are queued
-    before the first is waited on."""
+    the task metric on the fixed subsample, against the gold that the
+    run's split read. All six scorings are queued before the first is
+    waited on."""
     top = sorted(pool, key=rank_key)[:5]
     best = top[0]
     run.best_prompt_path.write_text(best.prompt.text() + "\n", encoding="utf-8")
     full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor)
     top_scorings = [submit_scoring(c.prompt, engine.dev_eval, engine.backend, engine.executor) for c in top]
     full_raw, _, _ = gather_scoring(full)
-    gold = None
-    if cfg.task == "gec" and cfg.data.format == "m2" and cfg.data.path:
-        record_of = m2_pairs(load_m2(cfg.data.path))
-        if all(p in record_of for p in engine.dev_eval):
-            gold = [record_of[p] for p in engine.dev_eval]
-        else:
-            log.warning("%s changed since the run split it; the final report has no F0.5", cfg.data.path)
     top_report = []
     for cand, scoring in zip(top, top_scorings):
         _, _, outputs = gather_scoring(scoring)
-        metric = None
-        if cfg.task == "simplify":
-            scores = [sari(p.source, o, p.references) for p, o in zip(engine.dev_eval, outputs)]
-            metric = {"name": "sari", "value": sum(scores) / len(scores)}
-        elif gold is not None:
-            metric = {"name": "f05-approx", "value": f05_with_counts(gold, outputs)[0]}
+        score = _task_score(cfg.task, engine.dev_eval, outputs)
         top_report.append(
             {
                 "id": cand.id,
@@ -291,7 +293,7 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
                 "fitness": cand.fitness,
                 "raw_error": cand.raw_error,
                 "n_instructions": len(cand.prompt.instructions),
-                "task_metric": metric,
+                "task_metric": None if score is None else {"name": score[0], "value": score[1]},
             }
         )
     run.write_json(
@@ -335,11 +337,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_report(path: Path, metric: str, per_sample: list, aggregate: float | None = None) -> None:
-    """Write a metric report: its aggregate (the mean of ``per_sample``
-    unless given), the sample count and every sample's score."""
-    if aggregate is None:
-        aggregate = sum(per_sample) / len(per_sample)
+def _write_report(path: Path, metric: str, aggregate: float, per_sample: list) -> None:
+    """Write a metric report: its aggregate, the sample count and every sample's score."""
     report = {"metric": metric, "aggregate": aggregate, "n": len(per_sample), "per_sample": per_sample}
     write_json(path, report)
     print(f"{metric}: {aggregate:.4f} ({path})")
@@ -357,23 +356,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     elif args.task == "gec":
         if not args.m2:
             raise ConfigurationError("gec evaluation needs --m2 <gold file>")
-        gold = load_m2(args.m2)
+        gold = m2_pairs(load_m2(args.m2))
     else:
         if not args.gold:
             raise ConfigurationError("generic evaluation needs --gold <jsonl file>")
         gold = load_jsonl(args.gold)
     if len(predictions) != len(gold):
         raise ConfigurationError(f"predictions ({len(predictions)}) misaligned with gold ({len(gold)})")
-    if args.task == "simplify":
-        _write_report(output, "sari", [sari(p.source, o, p.references) for p, o in zip(gold, predictions)])
-    elif args.task == "gec":
-        score, counts = f05_with_counts(gold, predictions)
-        lev = [min_ref_levenshtein(o, reference_texts(r)) for o, r in zip(predictions, gold)]
-        _write_report(output.with_suffix(".levenshtein.json"), "word-levenshtein-min-ref", lev)
-        _write_report(output, "f05-approx", counts, score)
-    else:
+    score = _task_score(args.task, gold, predictions)
+    if args.task != "simplify":  # the word distance, beside the F0.5 for gec
         lev = [min_ref_levenshtein(o, p.references) for o, p in zip(predictions, gold)]
-        _write_report(output, "word-levenshtein-min-ref", lev)
+        path = output if score is None else output.with_suffix(".levenshtein.json")
+        _write_report(path, "word-levenshtein-min-ref", sum(lev) / len(lev), lev)
+    if score is not None:
+        _write_report(output, *score)
     return 0
 
 

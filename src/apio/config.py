@@ -9,6 +9,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
+from typing import get_type_hints
 from urllib.parse import urlsplit
 
 from .corpus import (
@@ -32,8 +33,8 @@ BOUNDS = {
     "optimizer.lambda": (">=", 0), "optimizer.improve_samples": (">=", 1),
     "optimizer.improve_batch": (">=", 1), "optimizer.dev_subsample": (">=", 1),
 }
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list[str]: "a list of strings",
-               list[int]: "a list of integers"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               list[str]: "a list of strings", list[int]: "a list of integers"}
 
 
 def _admits(kind: type, value: object) -> bool:
@@ -46,11 +47,14 @@ def _admits(kind: type, value: object) -> bool:
 def check_fields(obj: object, section: str = "") -> None:
     """Refuse the first field of dataclass ``obj`` whose value is not of
     its annotated type (``X | None`` also admits None) or breaks its bound
-    in ``BOUNDS``, naming it ``<section>.<field>``."""
+    in ``BOUNDS``, naming it ``<section>.<field>``. Annotations postponed
+    by ``from __future__ import annotations`` are evaluated first."""
+    hints = get_type_hints(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
         name = f"{section}.{f.metadata.get('key', f.name)}".lstrip(".")
-        kind, *none = f.type.__args__ if isinstance(f.type, UnionType) else (f.type,)
+        kind = hints[f.name]
+        kind, *none = kind.__args__ if isinstance(kind, UnionType) else (kind,)
         if value is None and none:
             continue
         op, low = BOUNDS.get(name, ("", 0))
@@ -219,7 +223,7 @@ def load_pairs(data: DataConfig) -> list[SamplePair]:
             raise ConfigurationError("data.source and data.references are required for asset format")
         return load_asset(data.source, data.references)
     if data.format == "m2":
-        return list(m2_pairs(load_m2(data.path)))
+        return m2_pairs(load_m2(data.path))
     raise ConfigurationError(f"unknown data format {data.format!r}")
 
 

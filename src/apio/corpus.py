@@ -28,6 +28,7 @@ class SamplePair:
     id: str
     source: str
     references: tuple[str, ...]
+    record: M2Record | None = None  # the M2 gold of an m2 pair
 
     def __post_init__(self):
         if not self.references:
@@ -230,13 +231,10 @@ def reference_texts(record: M2Record) -> list[str]:
     return [apply_edits(record, a) for a in record.annotator_ids()]
 
 
-def m2_pairs(records: Sequence[M2Record]) -> dict[SamplePair, M2Record]:
-    """Each record keyed by its sample pair: id ``m2-<index>``, the source
-    text and every annotator's reference."""
-    return {
-        SamplePair(id=f"m2-{i}", source=r.source_text(), references=tuple(reference_texts(r))): r
-        for i, r in enumerate(records)
-    }
+def m2_pairs(records: Sequence[M2Record]) -> list[SamplePair]:
+    """Each record as the sample pair that carries it: id ``m2-<index>``,
+    the source text and every annotator's reference."""
+    return [SamplePair(f"m2-{i}", r.source_text(), tuple(reference_texts(r)), r) for i, r in enumerate(records)]
 
 
 def sample_split(

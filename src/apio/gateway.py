@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import SplitResult, unquote, urlsplit
 
+from .config import check_fields, from_object
+
 log = logging.getLogger(__name__)
 
 
@@ -140,12 +142,9 @@ class ScriptEntry:
     sticky: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.match, str) or not isinstance(self.response, str):
-            raise ValueError("a script entry's 'match' and 'response' must be strings")
+        check_fields(self)
         if self.mode not in _SCRIPT_MODES:
             raise ValueError(f"unknown script mode {self.mode!r}")
-        if not isinstance(self.sticky, bool):
-            raise ValueError(f"a script entry's 'sticky' must be true or false, got {self.sticky!r}")
 
 
 def _apply_rewrite_rules(prompt_text: str) -> str:
@@ -201,22 +200,12 @@ class ScriptedBackend(Backend):
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         """Load a script: a JSON list of objects, each with a ``match`` and
-        optionally a ``response``, ``mode`` and ``sticky``."""
+        optionally a ``response``, ``mode`` and ``sticky``, and no other key."""
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(raw, list) or not all(isinstance(i, dict) and "match" in i for i in raw):
-                raise ValueError("a script must be a list of objects that each have a 'match'")
-            return cls(
-                [
-                    ScriptEntry(
-                        match=item["match"],
-                        response=item.get("response", ""),
-                        mode=item.get("mode", "literal"),
-                        sticky=item.get("sticky", False),
-                    )
-                    for item in raw
-                ]
-            )
+            if not isinstance(raw, list):
+                raise ValueError("a script must be a list of entries")
+            return cls([from_object(ScriptEntry, item, f"entry {i}") for i, item in enumerate(raw)])
         except ValueError as exc:
             raise ValueError(f"script file {path}: {exc}") from exc
 

@@ -69,12 +69,11 @@ class Candidate:
     def from_dict(cls, data: object, name: str) -> "Candidate":
         """Invert ``to_dict``. A missing or unknown key or a value not of
         its field's type raises a ConfigurationError naming ``name``, and a
-        prompt that cannot be rendered a PromptError."""
+        prompt without instructions or without one input slot a PromptError."""
         candidate = from_object(cls, data, name)
         prompt = from_object(_PromptForm, candidate.prompt, f"{name}.prompt")
         check_fields(prompt, f"{name}.prompt")
         candidate.prompt = Prompt(prompt.header, tuple(map(Instruction, prompt.instructions)), prompt.footer)
-        candidate.prompt.render("")  # a PromptError for no instructions, or no single input slot
         check_fields(candidate, name)
         return candidate
 

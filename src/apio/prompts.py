@@ -41,20 +41,20 @@ class Prompt:
     instructions: tuple[Instruction, ...]
     footer: str
 
+    def __post_init__(self):
+        if not self.instructions:
+            raise PromptError("a prompt needs at least one instruction")
+        if self.footer.count(INPUT_SLOT) != 1:
+            raise PromptError(f"prompt footer must contain the {INPUT_SLOT!r} slot exactly once")
+
     def text(self) -> str:
         """Prompt file form: the render with the input slot left in place."""
         return self._assemble(self.footer)
 
     def render(self, input_text: str) -> str:
-        if self.footer.count(INPUT_SLOT) != 1:
-            raise PromptError(
-                f"footer must contain the {INPUT_SLOT!r} slot exactly once"
-            )
         return self._assemble(self.footer.replace(INPUT_SLOT, input_text))
 
     def _assemble(self, footer: str) -> str:
-        if not self.instructions:
-            raise PromptError("cannot render a prompt with no instructions")
         lines = []
         if self.header:
             lines.append(self.header)
@@ -88,8 +88,6 @@ def parse_prompt(text: str) -> Prompt:
         raise PromptError("instruction bullets must be contiguous")
     header = "\n".join(lines[:first])
     footer = "\n".join(lines[last + 1:])
-    if INPUT_SLOT not in footer:
-        raise PromptError(f"prompt footer lacks the {INPUT_SLOT!r} slot")
     instructions = tuple(Instruction(line[2:]) for line in lines[first: last + 1])
     return Prompt(header, instructions, footer)
 

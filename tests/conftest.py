@@ -127,8 +127,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
         self._reply(self.server.answer(self, json.loads(body)))
 
     def do_CONNECT(self) -> None:
-        # a proxy's tunnel request; only refusing it is scripted, as the
-        # tests have no certificates to talk TLS through a tunnel
+        # a proxy's tunnel request, answered from the script; a tunnel that
+        # carries TLS is tested with a relay in test_gateway.py
         self._reply(self.server.answer(self, None))
 
     def _reply(self, reply: Reply) -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apio.config import DataConfig, load_pairs
 from apio.corpus import (
     ConfigurationError,
     CorpusFormatError,
@@ -17,6 +18,7 @@ from apio.corpus import (
     load_asset,
     load_jsonl,
     load_m2,
+    m2_pairs,
     reference_texts,
     sample_split,
 )
@@ -257,6 +259,21 @@ def test_reference_texts_orders_annotators():
         frozenset({0}),
     )
     assert reference_texts(record) == ["a b", "x b"]
+
+
+def test_m2_pairs_carry_their_records_and_jsonl_pairs_none(tmp_path):
+    rng = random.Random(5)
+    records = [random_record(rng) for _ in range(6)]
+    gold = tmp_path / "gold.m2"
+    gold.write_text("\n".join(serialize_m2(r) for r in records), encoding="utf-8")
+    pairs = m2_pairs(records)
+    assert [(p.id, p.source, p.references, p.record) for p in pairs] == [
+        (f"m2-{i}", r.source_text(), tuple(reference_texts(r)), r) for i, r in enumerate(records)
+    ]
+    assert load_pairs(DataConfig(format="m2", path=str(gold))) == pairs  # records compared too
+    jsonl = tmp_path / "toy.jsonl"
+    jsonl.write_text('{"source": "a b", "references": ["a c"]}\n', encoding="utf-8")
+    assert [p.record for p in load_pairs(DataConfig(format="jsonl", path=str(jsonl)))] == [None]
 
 
 # -- split ------------------------------------------------------------------

@@ -4,8 +4,10 @@ import base64
 import contextlib
 import os
 import pathlib
+import shutil
 import socket
 import sqlite3
+import ssl
 import subprocess
 import sys
 import threading
@@ -506,6 +508,83 @@ def test_openai_https_goes_through_connect_tunnel(chat_server, openai, monkeypat
     sent = chat_server.requests[0]
     assert (sent["method"], sent["path"]) == ("CONNECT", "llm.test:443")
     assert sent["headers"]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+
+def _pipe(source: socket.socket, sink: socket.socket) -> None:
+    """Copy ``source``'s bytes to ``sink`` until ``source`` ends, then end ``sink``'s side."""
+    with contextlib.suppress(OSError):
+        while data := source.recv(65536):
+            sink.sendall(data)
+    with contextlib.suppress(OSError):
+        sink.shutdown(socket.SHUT_WR)
+
+
+def _relay_one_tunnel(listener: socket.socket, heads: list[bytes]) -> None:
+    """Be a CONNECT proxy for one client of ``listener``: keep its request
+    head in ``heads``, open the tunnel and relay bytes both ways until each
+    side has ended."""
+    client, _ = listener.accept()
+    with client:
+        client.settimeout(10)
+        head = b""
+        while b"\r\n\r\n" not in head:
+            if not (chunk := client.recv(4096)):
+                return
+            head += chunk
+        heads.append(head)
+        host, port = head.split()[1].decode().rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as upstream:
+            client.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            back = threading.Thread(target=_pipe, args=(upstream, client))
+            back.start()
+            _pipe(client, upstream)
+            back.join(timeout=10)
+
+
+def test_openai_https_handshake_through_connect_tunnel(tmp_path, no_proxy_env):
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("no openssl binary to make a certificate with")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        [openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1", "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1", "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True,
+    )
+    # the client trusts only this certificate
+    no_proxy_env.setenv("SSL_CERT_FILE", str(cert))
+    context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+    context.load_cert_chain(cert, key)
+    context.options |= ssl.OP_IGNORE_UNEXPECTED_EOF  # the relay ends the tunnel without a TLS goodbye
+    server = ChatServer()
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    serving = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+    heads: list[bytes] = []
+    relay = threading.Thread(target=_relay_one_tunnel, args=(listener, heads))
+    port = server.server_address[1]
+    no_proxy_env.setenv("HTTPS_PROXY", f"http://user:pw@127.0.0.1:{listener.getsockname()[1]}")
+    backend = OpenAIChatBackend(f"https://127.0.0.1:{port}/v1", "test-model", api_key="sk-test", retry_max=0)
+    serving.start()
+    relay.start()
+    try:
+        assert backend.complete(ChatRequest("x", INFER)) == "ok"
+        backend.close()
+        server.wait_closed(1)
+        relay.join(timeout=10)
+        assert not relay.is_alive()
+    finally:
+        backend.close()
+        listener.close()
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=10)
+    assert heads[0].startswith(f"CONNECT 127.0.0.1:{port} HTTP/".encode())
+    assert b"Proxy-Authorization: Basic " + base64.b64encode(b"user:pw") in heads[0]
+    sent = server.requests[0]
+    assert (sent["method"], sent["path"]) == ("POST", "/v1/chat/completions")
+    assert sent["headers"]["Authorization"] == "Bearer sk-test"
 
 
 def test_openai_no_proxy_bypasses_proxy(chat_server, openai, monkeypatch):

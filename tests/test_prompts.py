@@ -52,15 +52,16 @@ def test_render_with_header():
 
 
 def test_render_requires_instructions():
-    prompt = Prompt("", (), GEC_TEMPLATE.footer)
-    with pytest.raises(PromptError):
-        prompt.render("x")
+    with pytest.raises(PromptError, match="at least one instruction"):
+        Prompt("", (), GEC_TEMPLATE.footer)
 
 
 def test_render_requires_slot():
-    prompt = Prompt("", (Instruction("Do x."),), "no slot here")
-    with pytest.raises(PromptError):
-        prompt.render("x")
+    for footer in ("no slot here", "{input_text} and {input_text}"):
+        with pytest.raises(PromptError, match="exactly once"):
+            Prompt("", (Instruction("Do x."),), footer)
+        with pytest.raises(PromptError, match="exactly once"):
+            parse_prompt(f"* Do x.\n{footer}")
 
 
 def test_footer_substituted_exactly_once():

@@ -13,12 +13,14 @@ import sqlite3
 import subprocess
 import sys
 import time
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
 
 import apio
 from apio.cli import main
+from apio.config import ConfigurationError, check_fields
 from apio.corpus import apply_edits, load_m2
 from apio.gateway import INFER, ScriptedBackend, ScriptExhaustedError
 from apio.state import RunDir
@@ -213,6 +215,7 @@ def test_lock_of_killed_process_is_reclaimed(tmp_path, capsys):
         "script-not-a-list",
         "script-unknown-mode",
         "script-sticky-not-a-boolean",
+        "script-unknown-key",
     ],
 )
 def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
@@ -243,6 +246,8 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
             "script-not-a-list": "a string",
             "script-unknown-mode": [*entries, {"match": "x", "mode": "shout"}],
             "script-sticky-not-a-boolean": [*entries, {"match": "x", "sticky": "false"}],
+            # a misspelt "sticky" made the entry plain
+            "script-unknown-key": [*entries, {"match": "x", "stiky": True}],
         }[broken]), encoding="utf-8")
     else:
         data = json.loads(state.read_text(encoding="utf-8"))
@@ -272,7 +277,9 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
     capsys.readouterr()
     assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 2
     named = {"state": state, "script": paths["script"]}.get(broken.split("-")[0], history)
-    assert str(named) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(named) in err
+    assert broken != "script-unknown-key" or "unknown key 'stiky'" in err
     lock = RunDir(paths["runs"], "r1")
     lock.acquire_lock()  # nothing holds the run any more
     lock.release_lock()
@@ -556,16 +563,16 @@ def test_final_report_queues_all_six_scorings_before_waiting(tmp_path, monkeypat
     assert events == ["submit"] * 6 + ["gather"] * 6
 
 
-def test_optimize_gec_loads_gold_m2_once_for_final_report(tmp_path, monkeypatch):
-    import apio.cli as cli
-
+def _gec_m2_workspace(root: Path) -> dict[str, Path]:
+    """The toy workspace as a gec task on 12 random records in
+    ``paths["gold"]``, with a script that answers every request of its run."""
+    paths = make_workspace(root, n_epochs=2, beam_b=6)
+    paths["gold"] = root / "gold.m2"
     rng = random.Random(3)
-    gold = tmp_path / "gold.m2"
-    gold.write_text("\n".join(serialize_m2(random_record(rng)) for _ in range(12)), encoding="utf-8")
-    paths = make_workspace(tmp_path, n_epochs=2, beam_b=6)
+    paths["gold"].write_text("\n".join(serialize_m2(random_record(rng)) for _ in range(12)), encoding="utf-8")
     config = json.loads(paths["config"].read_text(encoding="utf-8"))
     config["task"] = "gec"
-    config["data"].update(format="m2", path=str(gold))
+    config["data"].update(format="m2", path=str(paths["gold"]))
     paths["config"].write_text(json.dumps(config), encoding="utf-8")
     paths["script"].write_text(json.dumps([
         {"match": INDUCE_MATCH, "response": "Fix the grammar.", "sticky": True},
@@ -575,39 +582,45 @@ def test_optimize_gec_loads_gold_m2_once_for_final_report(tmp_path, monkeypatch)
         {"match": "Generate a variation", "mode": "echo_instruction", "sticky": True},
         {"match": "Corrected sentence:", "response": "the cat sat", "sticky": True},
     ]), encoding="utf-8")
+    return paths
+
+
+def test_optimize_gec_loads_gold_m2_once_for_final_report(tmp_path, monkeypatch):
+    import apio.cli as cli
+    import apio.config as config
+
+    paths = _gec_m2_workspace(tmp_path)
     loads = []
-    monkeypatch.setattr(cli, "load_m2", lambda path: loads.append(path) or load_m2(path))
+    for module in (config, cli):
+        monkeypatch.setattr(module, "load_m2", lambda path: loads.append(path) or load_m2(path))
     assert _induce(paths) == 0
     assert _optimize(paths) == 0
     report = json.loads((paths["runs"] / "r1" / "final_report.json").read_text(encoding="utf-8"))
     assert len(report["top5"]) > 1
     assert all(entry["task_metric"]["name"] == "f05-approx" for entry in report["top5"])
-    assert loads == [str(gold)]
+    assert loads == [str(paths["gold"])] * 2  # the split of each command
 
 
-def test_optimize_gec_report_has_no_f05_when_gold_m2_changed_during_the_run(tmp_path, monkeypatch):
+def test_optimize_gec_report_scores_the_gold_its_split_read(tmp_path, monkeypatch):
     import apio.cli as cli
 
-    gold = tmp_path / "gold.m2"
-    gold.write_text("\n".join(serialize_m2(random_record(random.Random(3))) for _ in range(12)), encoding="utf-8")
-    paths = make_workspace(tmp_path, n_epochs=1, beam_b=2)
-    config = json.loads(paths["config"].read_text(encoding="utf-8"))
-    config["task"] = "gec"
-    config["data"].update(format="m2", path=str(gold))
-    paths["config"].write_text(json.dumps(config), encoding="utf-8")
-    paths["script"].write_text(json.dumps([
-        {"match": INDUCE_MATCH, "response": "Fix the grammar.", "sticky": True},
-        {"match": "Suggest new instruction", "response": "<new_instruction>Fix verbs.</new_instruction>",
-         "sticky": True},
-        {"match": "Generate a variation", "mode": "echo_instruction", "sticky": True},
-        {"match": "Corrected sentence:", "response": "the cat sat", "sticky": True},
-    ]), encoding="utf-8")
-    assert _induce(paths) == 0
-    # the final report reads the gold file again, and by then its first record is gone
-    monkeypatch.setattr(cli, "load_m2", lambda path: load_m2(path)[1:])
-    assert _optimize(paths) == 0
-    report = json.loads((paths["runs"] / "r1" / "final_report.json").read_text(encoding="utf-8"))
-    assert report["top5"] and all(entry["task_metric"] is None for entry in report["top5"])
+    reports = []
+    for name in ("untouched", "rewritten"):
+        paths = _gec_m2_workspace(tmp_path / name)
+        assert _induce(paths) == 0
+        if name == "rewritten":
+            split, gold = cli.split_pairs, paths["gold"]
+
+            def split_then_rewrite(cfg):
+                pairs = split(cfg)
+                gold.write_text(serialize_m2(random_record(random.Random(4))), encoding="utf-8")
+                return pairs
+
+            monkeypatch.setattr(cli, "split_pairs", split_then_rewrite)
+        assert _optimize(paths) == 0
+        reports.append((paths["runs"] / "r1" / "final_report.json").read_bytes())
+    assert all(e["task_metric"]["name"] == "f05-approx" for e in json.loads(reports[0])["top5"])
+    assert reports[1] == reports[0]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", "eight"])
@@ -674,6 +687,25 @@ def test_malformed_config_value_exits_2_naming_it(tmp_path, capsys, command, key
     assert not (tmp_path / "runs" / "r1").exists()
 
 
+@dataclass
+class _Postponed:
+    """Declared under postponed annotations: its field types are the
+    strings "int" and "str | None"."""
+
+    count: int
+    label: str | None = None
+
+
+def test_check_fields_evaluates_postponed_annotations():
+    assert [f.type for f in fields(_Postponed)] == ["int", "str | None"]
+    check_fields(_Postponed(3, "x"))
+    check_fields(_Postponed(3))
+    with pytest.raises(ConfigurationError, match="^count must be an integer, got '3'$"):
+        check_fields(_Postponed("3"))
+    with pytest.raises(ConfigurationError, match="^s.label must be a string or null, got 5$"):
+        check_fields(_Postponed(3, 5), "s")
+
+
 def test_unknown_key_or_non_object_config_exits_2(tmp_path, capsys):
     assert _run_with_config_value(tmp_path, "induce", "optimizer.beam", 4) == 2
     assert "error: optimizer.beam is not a configuration field" in capsys.readouterr().err
@@ -722,6 +754,15 @@ def test_backend_usage_error_leaves_no_run_directory(tmp_path, capsys, command):
     argv = [command, "--config", str(paths["config"]), "--run-id", "r1", "--runs-dir", str(paths["runs"])]
     assert main(argv if command == "induce" else [*argv, "--prompt", str(prompt)]) == 2
     assert f"cache directory {blocker} is a file or lies under one" in capsys.readouterr().err
+    assert not (paths["runs"] / "r1").exists()
+
+
+def test_prompt_file_without_one_footer_slot_exits_2_before_creating_run(tmp_path, capsys):
+    paths = make_workspace(tmp_path)
+    prompt = tmp_path / "seed.txt"
+    prompt.write_text("* Do x.\nInput: {input_text}\nAgain: {input_text}\nOutput:\n", encoding="utf-8")
+    assert _optimize(paths, extra=("--prompt", str(prompt))) == 2
+    assert "slot exactly once" in capsys.readouterr().err
     assert not (paths["runs"] / "r1").exists()
 
 
