@@ -13,10 +13,10 @@ import sys
 import time
 from collections.abc import Callable, Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigurationError, RunConfig, load_config, split_pairs
+from .config import ConfigurationError, RunConfig, load_config, split_pairs, to_object
 from .corpus import SamplePair, load_asset, load_jsonl, load_m2, m2_pairs
 from .gateway import (
     Backend,
@@ -181,7 +181,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
 
         prompt, trials = best_of_trials(train, dev_eval, cfg.induction, template, backend, fitness_fn)
         run.prompt_path.write_text(prompt.text() + "\n", encoding="utf-8")
-        run.write_json(run.trials_path, {"trials": [asdict(t) for t in trials]})
+        run.write_json(run.trials_path, {"trials": to_object(trials)})
         run.write_state(RunState(run.run_id, "induction", cfg, _backend_state(args, backend)))
     best_fitness = max(t.fitness for t in trials if t.fitness is not None)
     print(f"induced prompt written to {run.prompt_path} (dev fitness {best_fitness:.4f})")

@@ -2,11 +2,12 @@
 
 The resolved snapshot is persisted with every run so any deviation from
 defaults stays auditable. Every section checks its values with
-``check_fields`` when it is made.
+``check_fields`` when it is made. ``from_object`` and ``to_object`` read
+and write the JSON form of this and every other dataclass a run file holds.
 """
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import get_type_hints
@@ -38,9 +39,10 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "tru
 
 
 def _admits(kind: type, value: object) -> bool:
-    """An int field refuses a bool, a float field admits an int, and a list checks each item."""
-    if getattr(kind, "__origin__", None) is list:
-        return type(value) is list and all(_admits(kind.__args__[0], item) for item in value)
+    """An int field refuses a bool, a float field admits an int, and a list
+    or a ``tuple[X, ...]`` checks each item."""
+    if (origin := getattr(kind, "__origin__", None)) in (list, tuple):
+        return type(value) is origin and all(_admits(kind.__args__[0], item) for item in value)
     return type(value) in ((int, float) if kind is float else (kind,))
 
 
@@ -69,16 +71,49 @@ def check_fields(obj: object, section: str = "") -> None:
         raise ConfigurationError(f"{name} must be {want}, got {value!r}")
 
 
-def from_object(cls: type, data: object, name: str):
-    """``cls`` made from the JSON object ``data``, which must hold a key
-    for each field of ``cls`` without a default, and no other key."""
+def from_object(cls: type, data: object, name: str = ""):
+    """``cls`` read from the JSON object ``data`` and checked with
+    ``check_fields``. Each field's key is its ``metadata["key"]`` or its
+    name; the key of a field without a default must be there, and no other
+    key may be. A field of dataclass type, or a list or tuple of them, is
+    read in turn. ``name`` is the path of ``data`` in its file, "" at the
+    top: errors name a key ``<name>.<key>`` and a list item ``<name>[<i>]``."""
+    where = name or "the top level"
     if not isinstance(data, dict):
-        raise ConfigurationError(f"{name} must be an object, got {data!r}")
-    if unknown := sorted(data.keys() - {f.name for f in fields(cls)}):
-        raise ConfigurationError(f"{name} holds the unknown key {unknown[0]!r}")
-    if missing := [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]:
-        raise ConfigurationError(f"{name} lacks the key {missing[0]!r}")
-    return cls(**data)
+        raise ConfigurationError(f"{where} must be a JSON object, got {data!r}")
+    keyed = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    if unknown := sorted(data.keys() - keyed.keys()):
+        raise ConfigurationError(f"{where} holds the unknown key {unknown[0]!r}")
+    if missing := [k for k, f in keyed.items() if k not in data and f.default is MISSING is f.default_factory]:
+        raise ConfigurationError(f"{where} lacks the key {missing[0]!r}")
+    hints = get_type_hints(cls)
+    obj = cls(**{f.name: _read(hints[f.name], data[key], f"{name}.{key}".lstrip("."))
+                 for key, f in keyed.items() if key in data})
+    check_fields(obj, name)
+    return obj
+
+
+def _read(kind: type, value: object, name: str) -> object:
+    """``value`` read as a field of type ``kind``, where ``X | None`` reads
+    as ``X``: an object becomes a dataclass, and a list's items are read in turn."""
+    if isinstance(kind, UnionType):
+        kind = kind.__args__[0]
+    if is_dataclass(kind):
+        return from_object(kind, value, name)
+    if getattr(kind, "__origin__", None) in (list, tuple) and type(value) is list:
+        return kind.__origin__(_read(kind.__args__[0], item, f"{name}[{i}]") for i, item in enumerate(value))
+    return value
+
+
+def to_object(obj: object) -> object:
+    """The JSON form of ``obj``, which ``from_object`` reads back: a
+    dataclass becomes a dict keyed by each field's JSON key, and a list or
+    tuple a list."""
+    if is_dataclass(obj):
+        return {f.metadata.get("key", f.name): to_object(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [to_object(item) for item in obj]
+    return obj
 
 
 @dataclass
@@ -156,31 +191,6 @@ class RunConfig:
         if self.task not in TASK_TEMPLATES:
             raise ConfigurationError(f"unknown task {self.task!r}")
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        # external key for the drift weight is "lambda"
-        out["optimizer"]["lambda"] = out["optimizer"].pop("drift_weight")
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """Read a config file's or a state file's configuration."""
-        args = {key: data[key] for key in ("task", "seed") if key in data}
-        for section in (f for f in fields(cls) if is_dataclass(f.type)):
-            values = data.get(section.name, {})
-            if not isinstance(values, dict):
-                raise ConfigurationError(f"{section.name} must be a JSON object, got {values!r}")
-            values = dict(values)
-            if section.name == "optimizer":
-                if "lambda" in values:
-                    values["drift_weight"] = values.pop("lambda")
-                if values.get("dev_subsample") == "all":
-                    values["dev_subsample"] = None
-            if unknown := sorted(values.keys() - {f.name for f in fields(section.type)}):
-                raise ConfigurationError(f"{section.name}.{unknown[0]} is not a configuration field")
-            args[section.name] = section.type(**values)
-        return cls(**args)
-
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
     """Merge file config under CLI overrides on top of defaults."""
@@ -190,7 +200,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigurationError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigurationError(f"config file {path} must hold a JSON object")
@@ -201,9 +211,11 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
         *parents, leaf = key.split(".")
         for part in parents:
             node = node.setdefault(part, {})
-        if isinstance(node, dict):  # else from_dict names the malformed section
+        if isinstance(node, dict):  # else from_object names the malformed section
             node[leaf] = value
-    cfg = RunConfig.from_dict(data)
+    if isinstance(optimizer := data.get("optimizer"), dict) and optimizer.get("dev_subsample") == "all":
+        optimizer["dev_subsample"] = None
+    cfg = from_object(RunConfig, data)
     # seeds propagate from the run seed unless set explicitly
     if "seed" not in (data.get("induction") or {}):
         cfg.induction = replace(cfg.induction, seed=cfg.seed)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import SplitResult, unquote, urlsplit
 
-from .config import check_fields, from_object
+from .config import from_object
 
 log = logging.getLogger(__name__)
 
@@ -142,7 +142,6 @@ class ScriptEntry:
     sticky: bool = False
 
     def __post_init__(self):
-        check_fields(self)
         if self.mode not in _SCRIPT_MODES:
             raise ValueError(f"unknown script mode {self.mode!r}")
 

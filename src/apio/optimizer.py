@@ -15,12 +15,11 @@ from collections.abc import Sequence
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 
-from .config import OptimizerConfig, check_fields, from_object
+from .config import OptimizerConfig, to_object
 from .corpus import SamplePair
 from .gateway import Backend, ChatRequest, EXPLORE, GatewayError, INFER
 from .metrics.levenshtein import min_ref_levenshtein, word_levenshtein
 from .prompts import (
-    Instruction,
     Prompt,
     PromptError,
     TaskTemplate,
@@ -48,43 +47,6 @@ class Candidate:
     parent_id: int | None
     operator: str
     epoch: int
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "prompt": {
-                "header": self.prompt.header,
-                "instructions": self.prompt.instruction_texts(),
-                "footer": self.prompt.footer,
-            },
-            "fitness": self.fitness,
-            "raw_error": self.raw_error,
-            "drift_penalty": self.drift_penalty,
-            "parent_id": self.parent_id,
-            "operator": self.operator,
-            "epoch": self.epoch,
-        }
-
-    @classmethod
-    def from_dict(cls, data: object, name: str) -> "Candidate":
-        """Invert ``to_dict``. A missing or unknown key or a value not of
-        its field's type raises a ConfigurationError naming ``name``, and a
-        prompt without instructions or without one input slot a PromptError."""
-        candidate = from_object(cls, data, name)
-        prompt = from_object(_PromptForm, candidate.prompt, f"{name}.prompt")
-        check_fields(prompt, f"{name}.prompt")
-        candidate.prompt = Prompt(prompt.header, tuple(map(Instruction, prompt.instructions)), prompt.footer)
-        check_fields(candidate, name)
-        return candidate
-
-
-@dataclass
-class _PromptForm:
-    """The prompt of a ``Candidate.to_dict``."""
-
-    header: str
-    instructions: list[str]
-    footer: str
 
 
 def rank_key(candidate: Candidate) -> tuple[float, int]:
@@ -242,7 +204,7 @@ class PromptOptimizer:
         parent_text = parent.prompt.text()
         for i, instruction in enumerate(parent.prompt.instructions):
             raw = self.backend.complete(
-                ChatRequest(rephrase_meta_prompt(instruction.text), EXPLORE, attempt_tag=epoch)
+                ChatRequest(rephrase_meta_prompt(instruction), EXPLORE, attempt_tag=epoch)
             )
             text = clean_completion(raw, collapse_newlines=True)
             if not text:
@@ -353,7 +315,7 @@ class PromptOptimizer:
         self.history.append(
             {
                 "epoch": epoch,
-                "candidates": [c.to_dict() for c in scored],
+                "candidates": to_object(scored),
                 "pool": [c.id for c in new_pool],
                 "best_fitness": new_pool[0].fitness,
                 "best_id": new_pool[0].id,

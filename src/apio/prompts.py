@@ -22,29 +22,38 @@ class PromptError(ValueError):
     """Prompt structure violates its contract."""
 
 
-@dataclass(frozen=True)
-class Instruction:
-    text: str
+class Instruction(str):
+    """One instruction: a non-empty line of text. A text of more than two
+    sentences is logged, once, when its ``Instruction`` is made."""
 
-    def __post_init__(self):
-        if not self.text or not self.text.strip():
-            raise PromptError("instruction text must be non-empty")
-        if "\n" in self.text:
+    __slots__ = ()
+
+    def __new__(cls, text: str) -> Instruction:
+        if type(text) is cls:  # checked when it was made
+            return text
+        if not isinstance(text, str) or not text.strip():
+            raise PromptError("instruction text must be a non-empty string")
+        if "\n" in text:
             raise PromptError("instruction text must not contain newlines")
-        if len(re.findall(r"[.!?](?:\s|$)", self.text)) > 2:
-            log.warning("instruction exceeds the two-sentence target: %r", self.text)
+        if len(re.findall(r"[.!?](?:\s|$)", text)) > 2:
+            log.warning("instruction exceeds the two-sentence target: %r", text)
+        return super().__new__(cls, text)
 
 
 @dataclass(frozen=True)
 class Prompt:
+    """A prompt, which is also its JSON form: ``instructions`` may be given
+    as plain strings, and each is made an ``Instruction``."""
+
     header: str
     instructions: tuple[Instruction, ...]
     footer: str
 
     def __post_init__(self):
-        if not self.instructions:
-            raise PromptError("a prompt needs at least one instruction")
-        if self.footer.count(INPUT_SLOT) != 1:
+        if not isinstance(self.instructions, (tuple, list)) or not self.instructions:
+            raise PromptError("a prompt needs a list of at least one instruction")
+        object.__setattr__(self, "instructions", tuple(map(Instruction, self.instructions)))
+        if type(self.footer) is not str or self.footer.count(INPUT_SLOT) != 1:
             raise PromptError(f"prompt footer must contain the {INPUT_SLOT!r} slot exactly once")
 
     def text(self) -> str:
@@ -58,20 +67,20 @@ class Prompt:
         lines = []
         if self.header:
             lines.append(self.header)
-        lines.extend(f"* {ins.text}" for ins in self.instructions)
+        lines.extend(f"* {ins}" for ins in self.instructions)
         lines.append(footer)
         return "\n".join(lines)
 
     def instruction_texts(self) -> list[str]:
-        return [ins.text for ins in self.instructions]
+        return list(self.instructions)
 
     def replace_instruction(self, index: int, text: str) -> "Prompt":
         instructions = list(self.instructions)
-        instructions[index] = Instruction(text)
+        instructions[index] = text
         return Prompt(self.header, tuple(instructions), self.footer)
 
     def append_instruction(self, text: str) -> "Prompt":
-        return Prompt(self.header, self.instructions + (Instruction(text),), self.footer)
+        return Prompt(self.header, (*self.instructions, text), self.footer)
 
     def reorder(self, order: list[int]) -> "Prompt":
         return Prompt(self.header, tuple(self.instructions[i] for i in order), self.footer)
@@ -88,7 +97,7 @@ def parse_prompt(text: str) -> Prompt:
         raise PromptError("instruction bullets must be contiguous")
     header = "\n".join(lines[:first])
     footer = "\n".join(lines[last + 1:])
-    instructions = tuple(Instruction(line[2:]) for line in lines[first: last + 1])
+    instructions = tuple(line[2:] for line in lines[first: last + 1])
     return Prompt(header, instructions, footer)
 
 

@@ -12,10 +12,10 @@ resumes from the state and drops the history's extra epoch.
 import fcntl
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .config import ConfigurationError, RunConfig, check_fields, from_object
+from .config import ConfigurationError, RunConfig, check_fields, from_object, to_object
 from .optimizer import Candidate
 
 
@@ -40,10 +40,8 @@ class BackendState:
 
 @dataclass
 class RunState:
-    """The contents of ``state.json``, one field per key; ``config``,
-    ``backend`` and each ``pool`` entry may be given as their JSON objects.
-    The optimization fields, from ``epoch`` on, are None for a run that is
-    only induced."""
+    """The contents of ``state.json``, one field per key. The optimization
+    fields, from ``epoch`` on, are None for a run that is only induced."""
 
     run_id: str
     phase: str  # induction | optimization | done
@@ -55,13 +53,6 @@ class RunState:
     seed_prompt: str | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.config, dict):
-            self.config = RunConfig.from_dict(self.config)
-        if isinstance(self.backend, dict):
-            self.backend = from_object(BackendState, self.backend, "backend")
-        if isinstance(self.pool, list):
-            self.pool = [c if isinstance(c, Candidate) else Candidate.from_dict(c, f"pool[{i}]")
-                         for i, c in enumerate(self.pool)]
         check_fields(self)
         if self.phase not in ("induction", "optimization", "done"):
             raise ConfigurationError(f"phase {self.phase!r} is not induction, optimization or done")
@@ -116,11 +107,9 @@ class RunDir:
             self._lock_fd = None
 
     def write_state(self, state: RunState) -> None:
-        """Write the fields of ``state`` that are not None."""
-        backend = {key: value for key, value in asdict(state.backend).items() if value is not None}
-        data = {f.name: getattr(state, f.name) for f in fields(state)}
-        data.update(config=state.config.to_dict(), backend=backend,
-                    pool=state.pool and [c.to_dict() for c in state.pool])
+        """Write the fields of ``state``, and of its backend, that are not None."""
+        data = to_object(state)
+        data["backend"] = {key: value for key, value in data["backend"].items() if value is not None}
         write_json(self.state_path, {key: value for key, value in data.items() if value is not None})
 
     def _read_json(self, path: Path, name: str):
@@ -133,7 +122,7 @@ class RunDir:
 
     def read_state(self) -> RunState:
         try:
-            return from_object(RunState, self._read_json(self.state_path, "state"), "the state")
+            return from_object(RunState, self._read_json(self.state_path, "state"))
         except ValueError as exc:  # a ConfigurationError, or a PromptError of a pool prompt
             raise RunStateError(f"state file {self.state_path}: {exc}") from exc
 

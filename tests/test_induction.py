@@ -33,7 +33,7 @@ def _pair(i=0):
 def test_induce_instruction_verbatim():
     backend = RecordingBackend(scripted_pairs([(INDUCE_MATCH, KNOWN_INSTRUCTION)]))
     instruction = induce_instruction(_pair(), GEC_TEMPLATE, backend)
-    assert instruction.text == KNOWN_INSTRUCTION
+    assert instruction == KNOWN_INSTRUCTION
     # induction samples under the exploration profile
     assert (backend.requests[0].profile.temperature, backend.requests[0].profile.top_p) == (1.0, 1.0)
 
@@ -49,14 +49,14 @@ def test_induce_shows_first_reference():
 
 def test_induce_strips_quotes():
     backend = scripted_pairs([(INDUCE_MATCH, '"Fix the grammar."')])
-    assert induce_instruction(_pair(), GEC_TEMPLATE, backend).text == "Fix the grammar."
+    assert induce_instruction(_pair(), GEC_TEMPLATE, backend) == "Fix the grammar."
 
 
 def test_induce_retries_newline_once_then_errors():
     ok_after_retry = scripted_pairs(
         [(INDUCE_MATCH, "bad\ncompletion"), (INDUCE_MATCH, "Good one.")]
     )
-    assert induce_instruction(_pair(), GEC_TEMPLATE, ok_after_retry).text == "Good one."
+    assert induce_instruction(_pair(), GEC_TEMPLATE, ok_after_retry) == "Good one."
     assert ok_after_retry.n_calls == 2
 
     always_bad = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response="a\nb", sticky=True)])

@@ -119,6 +119,17 @@ def test_instruction_over_two_sentences_logged_not_rejected(caplog):
     assert "two-sentence" in caplog.text
 
 
+def test_children_of_a_prompt_do_not_log_its_long_instruction_again(caplog):
+    with caplog.at_level("WARNING"):
+        prompt = Prompt("", ("One. Two. Three.", "Short."), GENERIC_TEMPLATE.footer)
+        assert "two-sentence" in caplog.text
+        caplog.clear()
+        prompt.replace_instruction(1, "Other.")
+        prompt.append_instruction("More.")
+        prompt.reorder([1, 0])
+    assert "two-sentence" not in caplog.text
+
+
 # -- meta-prompts -------------------------------------------------------------
 
 

@@ -20,13 +20,15 @@ import pytest
 
 import apio
 from apio.cli import main
-from apio.config import ConfigurationError, check_fields
+from apio.config import ConfigurationError, OptimizerConfig, RunConfig, check_fields, from_object, to_object
 from apio.corpus import apply_edits, load_m2
 from apio.gateway import INFER, ScriptedBackend, ScriptExhaustedError
-from apio.state import RunDir
+from apio.optimizer import Candidate
+from apio.prompts import GENERIC_TEMPLATE, Prompt
+from apio.state import BackendState, RunDir, RunState
 from conftest import Reply, completion
 from m2gen import random_record, serialize_m2
-from toytask import PLANTED, make_workspace
+from toytask import PLANTED, make_workspace, script_entries, write_config
 
 INDUCE_MATCH = "Could you give an instruction"
 SRC = Path(apio.__file__).resolve().parents[1]
@@ -199,6 +201,8 @@ def test_lock_of_killed_process_is_reclaimed(tmp_path, capsys):
         "state-pool-fitness-a-string",
         "state-pool-id-a-string",
         "state-pool-prompt-without-instructions",
+        "state-pool-prompt-header-a-number",
+        "state-pool-instructions-a-string",
         "state-not-an-object",
         "state-backend-without-mode",
         "state-epoch-not-an-int",
@@ -259,6 +263,10 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
             data["pool"][0][broken.split("-")[2]] = "a"
         elif broken == "state-pool-prompt-without-instructions":
             data["pool"][0]["prompt"]["instructions"] = []
+        elif broken == "state-pool-prompt-header-a-number":
+            data["pool"][0]["prompt"]["header"] = 5
+        elif broken == "state-pool-instructions-a-string":
+            data["pool"][0]["prompt"]["instructions"] = "Fix it."
         else:
             key, value = {
                 "state-backend-without-mode": ("backend", {}),
@@ -280,6 +288,9 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
     err = capsys.readouterr().err
     assert str(named) in err
     assert broken != "script-unknown-key" or "unknown key 'stiky'" in err
+    sticky = f"entry {len(script_entries())}.sticky must be true or false"  # the appended entry
+    assert broken != "script-sticky-not-a-boolean" or sticky in err
+    assert broken != "state-pool-prompt-header-a-number" or "pool[0].prompt.header must be a string" in err
     lock = RunDir(paths["runs"], "r1")
     lock.acquire_lock()  # nothing holds the run any more
     lock.release_lock()
@@ -708,7 +719,7 @@ def test_check_fields_evaluates_postponed_annotations():
 
 def test_unknown_key_or_non_object_config_exits_2(tmp_path, capsys):
     assert _run_with_config_value(tmp_path, "induce", "optimizer.beam", 4) == 2
-    assert "error: optimizer.beam is not a configuration field" in capsys.readouterr().err
+    assert "error: optimizer holds the unknown key 'beam'" in capsys.readouterr().err
     paths = make_workspace(tmp_path / "list")
     paths["config"].write_text("[]\n", encoding="utf-8")
     assert _induce(paths) == 2
@@ -719,6 +730,35 @@ def test_unknown_key_or_non_object_config_exits_2(tmp_path, capsys):
     assert _induce(paths, extra=("--dev-subsample", "3")) == 2
     assert "error: optimizer must be a JSON object, got 'x'" in capsys.readouterr().err
     assert not paths["runs"].exists()
+    # misspelt top-level keys, which a run once ignored for the defaults
+    write_config(paths["config"], paths["data"])
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    paths["config"].write_text(json.dumps({**config, "optimiser": {"beam_b": 4}, "taks": "gec"}), encoding="utf-8")
+    assert _induce(paths) == 2
+    assert "error: the top level holds the unknown key 'optimiser'" in capsys.readouterr().err
+    assert not paths["runs"].exists()
+
+
+def test_config_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    paths = make_workspace(tmp_path)
+    paths["config"].write_bytes(b'{"task": "g\xe9n\xe9ric"}\n')
+    assert _induce(paths) == 2
+    assert f"error: config file {paths['config']} is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+    assert not paths["runs"].exists()
+
+
+def test_run_files_read_back_what_is_written():
+    """``from_object`` inverts ``to_object`` for a state with a pool and a
+    scripted backend, and for a configuration with a non-default lambda."""
+    cfg = RunConfig(optimizer=OptimizerConfig(drift_weight=0.25, dev_subsample=None))
+    seed = Prompt("A header.", ("Do x.", "Do y."), GENERIC_TEMPLATE.footer)
+    pool = [Candidate(3, seed.append_instruction("Do z."), -0.5, 0.25, 0.5, 0, "improve", 1),
+            Candidate(0, seed, -1.5, 1.5, 0.0, None, "init", 0)]
+    state = RunState("r1", "optimization", cfg, BackendState("scripted", "script.json", [0, 2]),
+                     epoch=1, next_id=4, pool=pool, seed_prompt=seed.text())
+    assert to_object(cfg)["optimizer"]["lambda"] == 0.25
+    for obj in (state, cfg):
+        assert from_object(type(obj), json.loads(json.dumps(to_object(obj)))) == obj
 
 
 @pytest.mark.parametrize("command", ["induce", "optimize"])
