@@ -274,13 +274,13 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
     candidate rescored on the full dev set, and the top five rescored with
     the task metric on the fixed subsample, against the gold that the
     run's split read. All six scorings are queued before the first is
-    waited on."""
+    waited on, and each of the top five's task metric is computed while
+    the scorings queued after it are still in flight."""
     top = sorted(pool, key=rank_key)[:5]
     best = top[0]
     run.best_prompt_path.write_text(best.prompt.text() + "\n", encoding="utf-8")
     full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor)
     top_scorings = [submit_scoring(c.prompt, engine.dev_eval, engine.backend, engine.executor) for c in top]
-    full_raw, _, _ = gather_scoring(full)
     top_report = []
     for cand, scoring in zip(top, top_scorings):
         _, _, outputs = gather_scoring(scoring)
@@ -296,6 +296,7 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
                 "task_metric": None if score is None else {"name": score[0], "value": score[1]},
             }
         )
+    full_raw, _, _ = gather_scoring(full)
     run.write_json(
         run.path / "final_report.json",
         {

@@ -1,9 +1,10 @@
 """Run configuration: built-in defaults < config file < CLI flags.
 
 The resolved snapshot is persisted with every run so any deviation from
-defaults stays auditable. Every section checks its values with
-``check_fields`` when it is made. ``from_object`` and ``to_object`` read
-and write the JSON form of this and every other dataclass a run file holds.
+defaults stays auditable. ``from_object`` and ``to_object`` read and
+write the JSON form of this and every other dataclass a run file holds;
+``from_object`` checks each value it reads against its field's type and
+bound, so a section the program makes itself is not checked again.
 """
 
 import json
@@ -22,62 +23,38 @@ from .corpus import (
     m2_pairs,
     sample_split,
 )
-from .prompts import TASK_TEMPLATES
+from .prompts import TASK_TEMPLATES, Instruction
 
-# the bound of every bounded field, by the name its errors give it; a run
-# needs training pairs for induction and dev pairs for every fitness
-BOUNDS = {
-    "backend.retry_max": (">=", 0), "backend.timeout_s": (">", 0), "backend.max_tokens": (">=", 1),
-    "data.train_size": (">=", 1), "data.dev_size": (">=", 1),
-    "induction.n_instructions": (">=", 1), "induction.n_trials": (">=", 1),
-    "optimizer.n_epochs": (">=", 0), "optimizer.beam_b": (">=", 1), "optimizer.n_permute": (">=", 2),
-    "optimizer.lambda": (">=", 0), "optimizer.improve_samples": (">=", 1),
-    "optimizer.improve_batch": (">=", 1), "optimizer.dev_subsample": (">=", 1),
-}
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
-               list[str]: "a list of strings", list[int]: "a list of integers"}
+               list[str]: "a list of strings", list[int]: "a list of integers",
+               tuple[Instruction, ...]: "a list of strings"}
+
+
+def bounded(default, op: str, low: int, **metadata):
+    """A field whose value must be ``op low`` (``>=`` or ``>``); None passes."""
+    return field(default=default, metadata={"bound": (op, low), **metadata})
 
 
 def _admits(kind: type, value: object) -> bool:
-    """An int field refuses a bool, a float field admits an int, and a list
-    or a ``tuple[X, ...]`` checks each item."""
-    if (origin := getattr(kind, "__origin__", None)) in (list, tuple):
-        return type(value) is origin and all(_admits(kind.__args__[0], item) for item in value)
-    return type(value) in ((int, float) if kind is float else (kind,))
-
-
-def check_fields(obj: object, section: str = "") -> None:
-    """Refuse the first field of dataclass ``obj`` whose value is not of
-    its annotated type (``X | None`` also admits None) or breaks its bound
-    in ``BOUNDS``, naming it ``<section>.<field>``. Annotations postponed
-    by ``from __future__ import annotations`` are evaluated first."""
-    hints = get_type_hints(type(obj))
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        name = f"{section}.{f.metadata.get('key', f.name)}".lstrip(".")
-        kind = hints[f.name]
-        kind, *none = kind.__args__ if isinstance(kind, UnionType) else (kind,)
-        if value is None and none:
-            continue
-        op, low = BOUNDS.get(name, ("", 0))
-        if _admits(kind, value) and (not op or (value > low if op == ">" else value >= low)):
-            continue
-        # a section or another dataclass, or a list of them
-        want = _KIND_NAMES.get(kind, "a list of objects" if getattr(kind, "__origin__", None) is list else "an object")
-        if op:
-            want += f" {op} {low}"
-        if none:
-            want += " or null"
-        raise ConfigurationError(f"{name} must be {want}, got {value!r}")
+    """Whether the JSON ``value`` reads as ``kind``: an int field refuses a
+    bool, a float field admits an int, a ``str`` subclass reads a string,
+    and a list or a ``tuple[X, ...]`` is a list whose items read as ``X``."""
+    if getattr(kind, "__origin__", None) in (list, tuple):
+        return type(value) is list and all(_admits(kind.__args__[0], item) for item in value)
+    if kind is float:
+        return type(value) in (int, float)
+    return type(value) is (str if issubclass(kind, str) else kind)
 
 
 def from_object(cls: type, data: object, name: str = ""):
-    """``cls`` read from the JSON object ``data`` and checked with
-    ``check_fields``. Each field's key is its ``metadata["key"]`` or its
-    name; the key of a field without a default must be there, and no other
-    key may be. A field of dataclass type, or a list or tuple of them, is
-    read in turn. ``name`` is the path of ``data`` in its file, "" at the
-    top: errors name a key ``<name>.<key>`` and a list item ``<name>[<i>]``."""
+    """``cls`` read from the JSON object ``data``, the one check of every
+    value a config, state or script file holds. Each field's key is its
+    ``metadata["key"]`` or its name; the key of a field without a default
+    must be there, and no other key may be. ``name`` is the path of
+    ``data`` in its file, "" at the top: a value is named by its path,
+    ``<name>.<key>`` or ``<name>[<i>]`` for a list item. An error that
+    ``cls`` raises when it is made is named by that path too: a message
+    that opens with a key names that field, any other names the object."""
     where = name or "the top level"
     if not isinstance(data, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {data!r}")
@@ -87,22 +64,37 @@ def from_object(cls: type, data: object, name: str = ""):
     if missing := [k for k, f in keyed.items() if k not in data and f.default is MISSING is f.default_factory]:
         raise ConfigurationError(f"{where} lacks the key {missing[0]!r}")
     hints = get_type_hints(cls)
-    obj = cls(**{f.name: _read(hints[f.name], data[key], f"{name}.{key}".lstrip("."))
-                 for key, f in keyed.items() if key in data})
-    check_fields(obj, name)
-    return obj
+    values = {f.name: _read(hints[f.name], data[key], f"{name}.{key}".lstrip("."), f.metadata.get("bound"))
+              for key, f in keyed.items() if key in data}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        if not name:
+            raise
+        joint = "." if str(exc).split(" ", 1)[0] in keyed else ": "
+        raise ConfigurationError(f"{name}{joint}{exc}") from exc
 
 
-def _read(kind: type, value: object, name: str) -> object:
-    """``value`` read as a field of type ``kind``, where ``X | None`` reads
-    as ``X``: an object becomes a dataclass, and a list's items are read in turn."""
-    if isinstance(kind, UnionType):
-        kind = kind.__args__[0]
+def _read(kind: type, value: object, name: str, bound: tuple[str, int] | None = None) -> object:
+    """``value`` read as a field of type ``kind`` and bound ``(op, low)``,
+    or refused naming it ``name``: ``X | None`` also admits None, an object
+    becomes a dataclass, and a list of objects becomes a list of them."""
+    kind, *none = kind.__args__ if isinstance(kind, UnionType) else (kind,)
+    if value is None and none:
+        return None
     if is_dataclass(kind):
         return from_object(kind, value, name)
-    if getattr(kind, "__origin__", None) in (list, tuple) and type(value) is list:
-        return kind.__origin__(_read(kind.__args__[0], item, f"{name}[{i}]") for i, item in enumerate(value))
-    return value
+    if is_dataclass(item := getattr(kind, "__args__", (None,))[0]) and type(value) is list:
+        return [from_object(item, v, f"{name}[{i}]") for i, v in enumerate(value)]
+    op, low = bound or ("", 0)
+    if _admits(kind, value) and (not op or (value > low if op == ">" else value >= low)):
+        return value
+    want = _KIND_NAMES.get(kind, "a list of objects" if getattr(kind, "__origin__", None) is list else "an object")
+    if op:
+        want += f" {op} {low}"
+    if none:
+        want += " or null"
+    raise ConfigurationError(f"{name} must be {want}, got {value!r}")
 
 
 def to_object(obj: object) -> object:
@@ -120,61 +112,50 @@ def to_object(obj: object) -> object:
 class BackendConfig:
     base_url: str = "https://api.openai.com/v1"
     model: str = "gpt-4o-mini"
-    retry_max: int = 5
-    timeout_s: float = 60.0
-    max_tokens: int = 1024
+    retry_max: int = bounded(5, ">=", 0)
+    timeout_s: float = bounded(60.0, ">", 0)
+    max_tokens: int = bounded(1024, ">=", 1)
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
-        check_fields(self, "backend")
         try:
             url = urlsplit(self.base_url)
             valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
         except ValueError:  # a port that is not a number from 1 to 65535
             valid = False
         if not valid:
-            raise ConfigurationError(
-                f"backend.base_url must be an http(s) URL with a host, got {self.base_url!r}"
-            )
+            raise ConfigurationError(f"base_url must be an http(s) URL with a host, got {self.base_url!r}")
 
 
+# a run needs training pairs for induction and dev pairs for every fitness
 @dataclass
 class DataConfig:
     format: str = "jsonl"  # jsonl | asset | m2
     path: str | None = None
     source: str | None = None
     references: list[str] = field(default_factory=list)
-    train_size: int = 200
-    dev_size: int = 200
+    train_size: int = bounded(200, ">=", 1)
+    dev_size: int = bounded(200, ">=", 1)
     split_seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_fields(self, "data")
 
 
 @dataclass(frozen=True)
 class InductionConfig:
-    n_instructions: int = 3
-    n_trials: int = 10
+    n_instructions: int = bounded(3, ">=", 1)
+    n_trials: int = bounded(10, ">=", 1)
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_fields(self, "induction")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    n_epochs: int = 15
-    beam_b: int = 32
-    n_permute: int = 2
-    drift_weight: float = field(default=0.05, metadata={"key": "lambda"})
-    improve_samples: int = 4
-    improve_batch: int = 2
-    dev_subsample: int | None = 50  # None scores on the whole dev split
+    n_epochs: int = bounded(15, ">=", 0)
+    beam_b: int = bounded(32, ">=", 1)
+    n_permute: int = bounded(2, ">=", 2)
+    drift_weight: float = bounded(0.05, ">=", 0, key="lambda")
+    improve_samples: int = bounded(4, ">=", 1)
+    improve_batch: int = bounded(2, ">=", 1)
+    dev_subsample: int | None = bounded(50, ">=", 1)  # None scores on the whole dev split
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_fields(self, "optimizer")
 
 
 @dataclass
@@ -187,9 +168,10 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self) -> None:
-        check_fields(self)
         if self.task not in TASK_TEMPLATES:
-            raise ConfigurationError(f"unknown task {self.task!r}")
+            raise ConfigurationError(
+                f"task must be one of {', '.join(TASK_TEMPLATES)}, not the unknown task {self.task!r}"
+            )
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:

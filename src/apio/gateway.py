@@ -143,15 +143,16 @@ class ScriptEntry:
 
     def __post_init__(self):
         if self.mode not in _SCRIPT_MODES:
-            raise ValueError(f"unknown script mode {self.mode!r}")
+            raise ValueError(f"mode must be one of {', '.join(_SCRIPT_MODES)}, got {self.mode!r}")
 
 
 def _apply_rewrite_rules(prompt_text: str) -> str:
     """Interpret a rendered task prompt as literal string-rewrite rules.
 
     Bullet lines of the form ``Replace "x" with "y".`` are applied in order
-    to the input text carried by the prompt footer (``Input: ...`` line
-    followed by ``Output:``).
+    to the input text carried by the prompt footer. Every task footer ends
+    with an ``<input label>: <text>`` line followed by the output label,
+    so the input is the text of the line before the last.
     """
     lines = prompt_text.split("\n")
     rules = []
@@ -160,12 +161,7 @@ def _apply_rewrite_rules(prompt_text: str) -> str:
             found = _RULE_RE.search(line[2:])
             if found:
                 rules.append((found.group(1), found.group(2)))
-    input_text = ""
-    for idx in range(len(lines) - 1, -1, -1):
-        if lines[idx].startswith("Input: "):
-            input_text = lines[idx][len("Input: "):]
-            break
-    result = input_text
+    result = lines[-2].split(": ", 1)[1] if len(lines) >= 2 and ": " in lines[-2] else ""
     for old, new in rules:
         result = result.replace(old, new)
     return result

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .config import ConfigurationError, RunConfig, check_fields, from_object, to_object
+from .config import ConfigurationError, RunConfig, bounded, from_object, to_object
 from .optimizer import Candidate
 
 
@@ -32,10 +32,9 @@ class BackendState:
     consumed: list[int] | None = None
 
     def __post_init__(self) -> None:
-        check_fields(self, "backend")
         shape = (self.mode, not self.script, self.consumed is None)
         if shape not in (("live", True, True), ("scripted", False, False)):
-            raise ConfigurationError("backend must be live, or scripted with a script and consumed entries")
+            raise ConfigurationError("mode must be live, or scripted with a script and consumed entries")
 
 
 @dataclass
@@ -47,21 +46,20 @@ class RunState:
     phase: str  # induction | optimization | done
     config: RunConfig
     backend: BackendState
-    epoch: int | None = None  # epochs completed
+    epoch: int | None = bounded(None, ">=", 0)  # epochs completed
     next_id: int | None = None  # id of the next candidate
     pool: list[Candidate] | None = None  # the beam, best first
     seed_prompt: str | None = None
 
     def __post_init__(self) -> None:
-        check_fields(self)
         if self.phase not in ("induction", "optimization", "done"):
-            raise ConfigurationError(f"phase {self.phase!r} is not induction, optimization or done")
+            raise ConfigurationError(f"phase must be induction, optimization or done, got {self.phase!r}")
         induced = self.phase == "induction"
         optional = [f.name for f in fields(self) if f.default is None]
         if odd := [name for name in optional if (getattr(self, name) is None) != induced]:
             raise ConfigurationError(f"{odd[0]} must be {'null' if induced else 'set'} in phase {self.phase}")
-        if not induced and (self.epoch < 0 or not self.pool):
-            raise ConfigurationError("an optimization state holds a negative epoch or an empty pool")
+        if not induced and not self.pool:
+            raise ConfigurationError(f"pool must hold a candidate in phase {self.phase}")
 
 
 def write_json(path: Path, data) -> None:

@@ -33,6 +33,7 @@ from apio.gateway import (
     TransportError,
     request_key,
 )
+from apio.prompts import TASK_TEMPLATES, Prompt
 from conftest import ChatServer, Reply, completion, scripted_pairs
 
 
@@ -90,14 +91,11 @@ def test_scripted_plain_inference_entry_warns_once(caplog):
 
 
 def test_rewrite_rules_mode():
-    backend = ScriptedBackend([ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True)])
-    prompt = (
-        '* Replace "foo" with "bar".\n'
-        '* Replace "x" with "y".\n'
-        "Input: a foo and an x\n"
-        "Output:"
-    )
-    assert backend.complete(ChatRequest(prompt, INFER)) == "a bar and an y"
+    """The rules rewrite the input of every task's footer, whatever its labels."""
+    backend = ScriptedBackend([ScriptEntry(match="* ", mode="rewrite_rules", sticky=True)])
+    for template in TASK_TEMPLATES.values():
+        prompt = Prompt("", ('Replace "foo" with "bar".', 'Replace "x" with "y".'), template.footer)
+        assert backend.complete(ChatRequest(prompt.render("a foo and an x"), INFER)) == "a bar and an y"
 
 
 def test_echo_instruction_mode():

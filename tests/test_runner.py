@@ -20,7 +20,7 @@ import pytest
 
 import apio
 from apio.cli import main
-from apio.config import ConfigurationError, OptimizerConfig, RunConfig, check_fields, from_object, to_object
+from apio.config import ConfigurationError, OptimizerConfig, RunConfig, from_object, to_object
 from apio.corpus import apply_edits, load_m2
 from apio.gateway import INFER, ScriptedBackend, ScriptExhaustedError
 from apio.optimizer import Candidate
@@ -294,6 +294,55 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
     lock = RunDir(paths["runs"], "r1")
     lock.acquire_lock()  # nothing holds the run any more
     lock.release_lock()
+
+
+# (file, dotted key, value, the whole message): a bad value read from a
+# config file, a state or a script is named once, by its path in that file
+NAMED_BY_PATH = [
+    ("config", "optimizer.beam_b", "5", "optimizer.beam_b must be an integer >= 1, got '5'"),
+    ("state", "config.optimizer.beam_b", "5", "config.optimizer.beam_b must be an integer >= 1, got '5'"),
+    ("state", "config.backend.base_url", "ftp://x",
+     "config.backend.base_url must be an http(s) URL with a host, got 'ftp://x'"),
+    ("state", "config.task", "bogus",
+     "config.task must be one of gec, simplify, generic, not the unknown task 'bogus'"),
+    ("state", "pool.0.prompt.instructions", "Fix it.",
+     "pool[0].prompt.instructions must be a list of strings, got 'Fix it.'"),
+    ("state", "pool.0.prompt.footer", 5, "pool[0].prompt.footer must be a string, got 5"),
+    ("state", "pool.0.prompt.footer", "Output:",
+     "pool[0].prompt: prompt footer must contain the '{input_text}' slot exactly once"),
+    ("state", "backend.mode", "shout", "backend.mode must be live, or scripted with a script and consumed entries"),
+    ("state", "phase", "tuning", "phase must be induction, optimization or done, got 'tuning'"),
+    ("script", "mode", "shout",
+     f"entry {len(script_entries())}.mode must be one of literal, rewrite_rules, echo_instruction, got 'shout'"),
+]
+
+
+@pytest.mark.parametrize(("file", "key", "value", "message"),
+                         [pytest.param(*case, id=f"{case[0]}-{case[1]}={case[2]}") for case in NAMED_BY_PATH])
+def test_bad_value_exits_2_named_by_its_path(tmp_path, capsys, file, key, value, message):
+    if file == "config":
+        assert _run_with_config_value(tmp_path, "induce", key, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    assert _induce(paths) == 0
+    assert _optimize(paths, extra=("--stop-after-epoch", "1")) == 0
+    if file == "state":
+        named = paths["runs"] / "r1" / "state.json"
+        data = json.loads(named.read_text(encoding="utf-8"))
+        *parents, leaf = key.split(".")
+        node = data
+        for part in parents:
+            node = node[int(part) if part.isdigit() else part]
+        node[leaf] = value
+    else:  # an entry appended to the script that the resumed run loads
+        named = paths["script"]
+        data = [*json.loads(named.read_text(encoding="utf-8")), {"match": "x", key: value}]
+    named.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {file} file {named}: {message}\n"
 
 
 @pytest.mark.parametrize("flag", ["--config", "--task", "--seed", "--dev-subsample", "--prompt", "--run-id", "--force"])
@@ -709,12 +758,12 @@ class _Postponed:
 
 def test_check_fields_evaluates_postponed_annotations():
     assert [f.type for f in fields(_Postponed)] == ["int", "str | None"]
-    check_fields(_Postponed(3, "x"))
-    check_fields(_Postponed(3))
+    assert from_object(_Postponed, {"count": 3, "label": "x"}) == _Postponed(3, "x")
+    assert from_object(_Postponed, {"count": 3}) == _Postponed(3)
     with pytest.raises(ConfigurationError, match="^count must be an integer, got '3'$"):
-        check_fields(_Postponed("3"))
+        from_object(_Postponed, {"count": "3"})
     with pytest.raises(ConfigurationError, match="^s.label must be a string or null, got 5$"):
-        check_fields(_Postponed(3, 5), "s")
+        from_object(_Postponed, {"count": 3, "label": 5}, "s")
 
 
 def test_unknown_key_or_non_object_config_exits_2(tmp_path, capsys):
