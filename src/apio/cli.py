@@ -12,12 +12,12 @@ import logging
 import sys
 import time
 from collections.abc import Callable, Iterator
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigurationError, RunConfig, load_config, split_pairs, to_object
-from .corpus import SamplePair, load_asset, load_jsonl, load_m2, m2_pairs
+from .corpus import SamplePair, load_asset, load_jsonl, load_m2, m2_pairs, read_text
 from .gateway import (
     Backend,
     CachedBackend,
@@ -129,7 +129,7 @@ def _backend_state(args: argparse.Namespace, backend: Backend) -> BackendState:
 
 
 def _read_lines_raw(path: str | Path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     if text.endswith("\n"):
         text = text[:-1]
     return text.split("\n") if text else []
@@ -139,13 +139,17 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _infer_lines(
-    render: Callable[[str], str], lines: list[str], backend: Backend, executor: Executor
-) -> tuple[list[str], int]:
-    """Order-preserving inference over input lines, each rendered into a
-    prompt by ``render`` and retried once; a line that still fails becomes
-    ``<FAILED>`` and empty lines pass through untouched. Returns (outputs,
-    failure count)."""
+def _read_prompt(path: str | Path) -> Prompt:
+    return parse_prompt(read_text(path).rstrip("\n"))
+
+
+def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str], str]) -> int:
+    """Infer each line of ``--input``, rendered into a prompt by ``render``,
+    on the ``--workers`` pool, and write the outputs to ``--output`` in
+    input order. Empty lines pass through untouched; a line is retried
+    once and one that still fails becomes ``<FAILED>``, which exits 1."""
+    lines = _read_lines_raw(args.input)
+    backend = _build_backend(args, cfg, None)
 
     def one(line: str) -> str:
         if not line.strip():
@@ -158,8 +162,14 @@ def _infer_lines(
                 log.warning("inference failed (attempt %d): %s", attempt, exc)
         return FAILED_PLACEHOLDER
 
-    outputs = list(executor.map(one, lines))
-    return outputs, sum(1 for o in outputs if o == FAILED_PLACEHOLDER)
+    with contextlib.closing(backend), _executor(args) as pool:
+        outputs = list(pool.map(one, lines))
+    _write_lines(args.output, outputs)
+    if failures := outputs.count(FAILED_PLACEHOLDER):
+        print(f"{failures}/{len(lines)} lines failed after retry", file=sys.stderr)
+        return 1
+    print(f"wrote {len(outputs)} predictions to {args.output}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +179,11 @@ def _infer_lines(
 
 def cmd_induce(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
+    if cfg.data.train_size < cfg.induction.n_instructions:
+        raise ConfigurationError(
+            f"data.train_size {cfg.data.train_size} is smaller than induction.n_instructions "
+            f"{cfg.induction.n_instructions}: each instruction is induced from its own train pair"
+        )
     template = TASK_TEMPLATES[cfg.task]
     train, dev = split_pairs(cfg)
     run = RunDir(args.runs_dir, args.run_id or _default_run_id())
@@ -222,7 +237,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         prompt_file = args.prompt or (run.prompt_path if run.prompt_path.exists() else None)
         if prompt_file is None:
             raise ConfigurationError("no --prompt file given and the run has no induced prompt")
-        seed_prompt = parse_prompt(Path(prompt_file).read_text(encoding="utf-8").rstrip("\n"))
+        seed_prompt = _read_prompt(prompt_file)
         # continuing an induction run in place is fine; clobbering a prior
         # optimization needs --force (or --resume to continue it)
         overwrite = args.force or not run.state_path.exists() or run.read_state().phase == "induction"
@@ -320,17 +335,7 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
 
 def cmd_infer(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
-    prompt = parse_prompt(Path(args.prompt).read_text(encoding="utf-8").rstrip("\n"))
-    lines = _read_lines_raw(args.input)
-    backend = _build_backend(args, cfg, None)
-    with contextlib.closing(backend), _executor(args) as pool:
-        outputs, failures = _infer_lines(prompt.render, lines, backend, pool)
-    _write_lines(args.output, outputs)
-    if failures:
-        print(f"{failures}/{len(lines)} lines failed after retry", file=sys.stderr)
-        return 1
-    print(f"wrote {len(outputs)} predictions to {args.output}")
-    return 0
+    return _infer_file(args, cfg, _read_prompt(args.prompt).render)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +386,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _zero_shot_text(args: argparse.Namespace, task: str) -> str:
     if args.prompt_file:
-        return Path(args.prompt_file).read_text(encoding="utf-8").strip()
+        return read_text(args.prompt_file).strip()
     resource = importlib.resources.files("apio") / "templates" / f"zero_shot_{task}.txt"
     return resource.read_text(encoding="utf-8").strip()
 
@@ -389,11 +394,12 @@ def _zero_shot_text(args: argparse.Namespace, task: str) -> str:
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
     template = TASK_TEMPLATES[cfg.task]
-    lines = _read_lines_raw(args.input)
     meta: dict = {"kind": args.kind, "task": cfg.task, "seed": cfg.seed}
-
     if args.kind == "copy":
-        outputs, failures = lines, 0
+        lines = _read_lines_raw(args.input)
+        _write_lines(args.output, lines)
+        print(f"copied {len(lines)} lines to {args.output}")
+        code = 0
     else:
         text = _zero_shot_text(args, cfg.task)
         meta["prompt_text"] = text
@@ -412,21 +418,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
                 )
         # zero/few-shot prompts have no instruction bullets; render directly
         prompt_text = "\n\n".join(blocks) + "\n\n" + template.footer
-        backend = _build_backend(args, cfg, None)
-        with contextlib.closing(backend), _executor(args) as pool:
-            outputs, failures = _infer_lines(
-                lambda line: prompt_text.replace(INPUT_SLOT, line), lines, backend, pool
-            )
-    _write_lines(args.output, outputs)
+        code = _infer_file(args, cfg, lambda line: prompt_text.replace(INPUT_SLOT, line))
     write_json(Path(str(args.output) + ".meta.json"), meta)
-    if failures:
-        print(f"{failures}/{len(lines)} lines failed after retry", file=sys.stderr)
-        return 1
-    if args.kind == "copy":
-        print(f"copied {len(lines)} lines to {args.output}")
-    else:
-        print(f"wrote {len(outputs)} predictions to {args.output}")
-    return 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.set_defaults(func=cmd_infer)
 
     evaluate = commands.add_parser("evaluate", help="score predictions against gold data")
-    evaluate.add_argument("--task", choices=["simplify", "gec", "generic"], required=True)
+    evaluate.add_argument("--task", choices=sorted(TASK_TEMPLATES), required=True)
     evaluate.add_argument("--predictions", required=True)
     evaluate.add_argument("--output", required=True)
     evaluate.add_argument("--source")
@@ -514,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (RunStateError, FileNotFoundError, ValueError) as exc:  # config, corpus, prompt errors too
+    except (RunStateError, OSError, ValueError) as exc:  # config, corpus, prompt and file errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GatewayError, InductionError) as exc:

@@ -65,8 +65,17 @@ class M2Record:
         return sorted(ids) if ids else [0]
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file ``path``; a file that is not UTF-8 is
+    refused naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path} is not UTF-8: {exc}") from None
+
+
 def _read_lines(path: str | Path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     if text.endswith("\n"):
         text = text[:-1]
     if not text:
@@ -99,33 +108,32 @@ def load_asset(source_path: str | Path, reference_paths: Sequence[str | Path]) -
 def load_jsonl(path: str | Path) -> list[SamplePair]:
     """One JSON object per line with "source" and "references" keys."""
     pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            refs = obj.get("references") if isinstance(obj, dict) else None
-            if not (
-                isinstance(refs, list)
-                and refs
-                and all(isinstance(r, str) for r in refs)
-                and isinstance(obj.get("source"), str)
-            ):
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected an object with a string 'source'"
-                    " and a non-empty list of strings 'references'"
-                )
-            pairs.append(
-                SamplePair(
-                    id=str(obj.get("id", f"jsonl-{lineno - 1}")),
-                    source=obj["source"].strip(),
-                    references=tuple(r.strip() for r in refs),
-                )
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        refs = obj.get("references") if isinstance(obj, dict) else None
+        if not (
+            isinstance(refs, list)
+            and refs
+            and all(isinstance(r, str) for r in refs)
+            and isinstance(obj.get("source"), str)
+        ):
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected an object with a string 'source'"
+                " and a non-empty list of strings 'references'"
             )
+        pairs.append(
+            SamplePair(
+                id=str(obj.get("id", f"jsonl-{lineno - 1}")),
+                source=obj["source"].strip(),
+                references=tuple(r.strip() for r in refs),
+            )
+        )
     if not pairs:
         raise CorpusFormatError(f"{path}: file is empty")
     seen: set[str] = set()
@@ -188,11 +196,9 @@ def _parse_m2_block(lines: list[tuple[int, str]], path: str | Path) -> M2Record:
 
 def load_m2(path: str | Path) -> list[M2Record]:
     """Parse an M2 file into records split on blank lines."""
-    text = Path(path).read_text(encoding="utf-8")
     records = []
     block: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             if block:
                 records.append(_parse_m2_block(block, path))

@@ -80,10 +80,6 @@ def induce_prompt(
     Returns the prompt and the ids of the pairs used. Pairs are resampled
     per trial from a derived seed.
     """
-    if len(train) < cfg.n_instructions:
-        raise InductionError(
-            f"train size {len(train)} < n_instructions {cfg.n_instructions}"
-        )
     rng = random.Random(trial_seed(cfg.seed, trial_index))
     picks = rng.sample(range(len(train)), cfg.n_instructions)
     instructions = []

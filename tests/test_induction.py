@@ -87,12 +87,6 @@ def test_induce_prompt_single_instruction_boundary(toy_pairs):
     assert len(prompt.instructions) == 1
 
 
-def test_induce_prompt_requires_enough_train(toy_pairs):
-    cfg = InductionConfig(n_instructions=3, n_trials=1)
-    with pytest.raises(InductionError):
-        induce_prompt(toy_pairs[:2], cfg, GENERIC_TEMPLATE, _sticky_backend())
-
-
 def _zero() -> float:
     return 0.0
 

@@ -94,6 +94,31 @@ def test_induce_missing_dataset_path_exits_2(tmp_path, capsys):
     assert "missing.jsonl" in capsys.readouterr().err
 
 
+def _asset_config(paths, references: list[Path]) -> None:
+    """Point the workspace's config at the toy sources as asset files: the
+    source file ``<root>/source.txt`` and the given reference files."""
+    rows = [json.loads(line) for line in paths["data"].read_text(encoding="utf-8").splitlines()]
+    source = paths["data"].with_name("source.txt")
+    source.write_text("".join(r["source"] + "\n" for r in rows), encoding="utf-8")
+    for path in references:
+        path.write_text("".join(r["references"][0] + "\n" for r in rows), encoding="utf-8")
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["data"].update(format="asset", path=None, source=str(source), references=[str(p) for p in references])
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+
+
+def test_induce_reads_asset_data(tmp_path, capsys):
+    paths = make_workspace(tmp_path)
+    _asset_config(paths, [])
+    assert _induce(paths) == 2
+    assert "data.source and data.references are required for asset format" in capsys.readouterr().err
+    assert not paths["runs"].exists()
+    _asset_config(paths, [tmp_path / "ref.txt"])
+    assert _induce(paths) == 0
+    trials = json.loads((paths["runs"] / "r1" / "trials.json").read_text(encoding="utf-8"))["trials"]
+    assert all(t["fitness"] is not None and t["pair_ids"][0].startswith("asset-") for t in trials)
+
+
 def test_induce_non_object_jsonl_line_exits_2_naming_it(tmp_path, capsys):
     paths = make_workspace(tmp_path)
     with paths["data"].open("a", encoding="utf-8") as handle:
@@ -365,6 +390,40 @@ def test_resume_refuses_the_flags_it_takes_from_the_state(tmp_path, capsys, flag
     assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"]), flag, *value]) == 2
     assert f"drop {flag}" in capsys.readouterr().err
     assert {path: path.read_bytes() for path in run.iterdir()} == files
+
+
+def test_resume_of_an_induced_run_exits_2(tmp_path, capsys):
+    paths = make_workspace(tmp_path)
+    assert _induce(paths) == 0
+    run = paths["runs"] / "r1"
+    files = {path: path.read_bytes() for path in run.iterdir() if path.is_file()}
+    capsys.readouterr()
+    assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 2
+    assert capsys.readouterr().err == "error: run 'r1' is in phase 'induction', nothing to resume\n"
+    assert {path: path.read_bytes() for path in run.iterdir() if path.is_file()} == files
+
+
+def test_live_run_records_the_live_backend_and_resumes_through_it(tmp_path, chat_server):
+    # one answer serves every request: an instruction on one line for
+    # induction, a tagged one for improve, and an output for inference
+    chat_server.fallback = Reply(body=completion(f"<new_instruction>{PLANTED}</new_instruction>"))
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["backend"] = {"base_url": chat_server.url}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    argv = ["--config", str(paths["config"]), "--run-id", "r1", "--runs-dir", str(paths["runs"])]
+    state_path = paths["runs"] / "r1" / "state.json"
+    assert main(["induce", *argv]) == 0
+    assert json.loads(state_path.read_text(encoding="utf-8"))["backend"] == {"mode": "live"}
+    assert main(["optimize", *argv, "--stop-after-epoch", "1"]) == 0
+    state = json.loads(state_path.read_text(encoding="utf-8"))
+    assert (state["backend"], state["epoch"]) == ({"mode": "live"}, 1)
+    sent = len(chat_server.requests)
+    assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 0
+    state = json.loads(state_path.read_text(encoding="utf-8"))
+    assert (state["backend"], state["phase"], state["epoch"]) == ({"mode": "live"}, "done", 2)
+    assert len(chat_server.requests) > sent
+    assert (paths["runs"] / "r1" / "final_report.json").exists()
 
 
 def test_corrupt_state_is_integrity_error(tmp_path, capsys):
@@ -818,6 +877,16 @@ def test_split_size_below_one_exits_2_before_creating_run(tmp_path, capsys, comm
     assert not (tmp_path / "runs" / "r1").exists()
 
 
+def test_train_size_below_n_instructions_exits_2_before_creating_run(tmp_path, capsys):
+    paths = make_workspace(tmp_path, n_instructions=3)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["data"]["train_size"] = 2
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    assert _induce(paths) == 2
+    assert "data.train_size 2 is smaller than induction.n_instructions 3" in capsys.readouterr().err
+    assert not (paths["runs"] / "r1").exists()
+
+
 @pytest.mark.parametrize("command", ["induce", "optimize"])
 @pytest.mark.parametrize(
     ("field", "value"),
@@ -1229,6 +1298,20 @@ def test_evaluate_simplify_empty_gold_exits_2_naming_it(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_evaluate_generic_scores_the_word_distance_to_its_gold(tmp_path, capsys):
+    gold, predictions, report = tmp_path / "gold.jsonl", tmp_path / "pred.txt", tmp_path / "report.json"
+    gold.write_text('{"source": "a b", "references": ["a c", "x"]}\n{"source": "d", "references": ["d"]}\n',
+                    encoding="utf-8")
+    predictions.write_text("a b\nd\n", encoding="utf-8")
+    argv = ["evaluate", "--task", "generic", "--predictions", str(predictions), "--output", str(report)]
+    assert main(argv) == 2
+    assert "generic evaluation needs --gold <jsonl file>" in capsys.readouterr().err
+    assert not report.exists()
+    assert main([*argv, "--gold", str(gold)]) == 0
+    assert json.loads(report.read_text(encoding="utf-8")) == {
+        "metric": "word-levenshtein-min-ref", "aggregate": 0.5, "n": 2, "per_sample": [1, 0]}
+
+
 def test_evaluate_length_mismatch_exits_2(tmp_path):
     gold = tmp_path / "gold.m2"
     gold.write_text(GOLD_M2, encoding="utf-8")
@@ -1317,6 +1400,19 @@ def test_baseline_workers_preserve_order(tmp_path):
     assert parallel.read_bytes() == sequential.read_bytes() == source.read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["zero_shot", "few_shot"])
+def test_baseline_failures_yield_placeholder_and_exit_1(tmp_path, capsys, kind):
+    paths = make_workspace(tmp_path)
+    paths["script"].write_text(json.dumps([{"match": "never matches", "response": "x"}]), encoding="utf-8")
+    source, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    source.write_text("a foo\n\nb foo\n", encoding="utf-8")
+    assert main(["baseline", "--kind", kind, "--input", str(source), "--output", str(out),
+                 "--config", str(paths["config"]), "--script", str(paths["script"])]) == 1
+    assert out.read_text(encoding="utf-8") == "<FAILED>\n\n<FAILED>\n"
+    assert capsys.readouterr() == ("", "2/3 lines failed after retry\n")
+    assert json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))["kind"] == kind
+
+
 def test_baseline_few_shot_insufficient_train_exits_2(tmp_path):
     paths = make_workspace(tmp_path)
     source = tmp_path / "in.txt"
@@ -1334,6 +1430,89 @@ def test_baseline_few_shot_below_one_shot_exits_2(tmp_path, capsys):
     assert main(argv) == 2
     assert "--shots: must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- the files a command is given --------------------------------------------
+
+
+def _command_files(tmp_path: Path) -> dict[str, dict[str, Path | str]]:
+    """For ``infer``, ``evaluate`` and ``baseline``, the flags of a call
+    that exits 0, each mapped to its file or value."""
+    files = {name: tmp_path / name for name in ("p.txt", "in.txt", "s.json", "gold.m2", "pred.txt", "zs.txt")}
+    _write_prompt(files["p.txt"])
+    files["in.txt"].write_text("a foo\n", encoding="utf-8")
+    files["s.json"].write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
+    files["gold.m2"].write_text(GOLD_M2, encoding="utf-8")
+    files["pred.txt"].write_text("she go home\na b c\n", encoding="utf-8")
+    files["zs.txt"].write_text("Rewrite the text.\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    return {
+        "infer": {"--prompt": files["p.txt"], "--input": files["in.txt"], "--output": out, "--script": files["s.json"]},
+        "evaluate": {"--task": "gec", "--m2": files["gold.m2"], "--predictions": files["pred.txt"], "--output": out},
+        "baseline": {"--kind": "zero_shot", "--prompt-file": files["zs.txt"], "--input": files["in.txt"],
+                     "--output": out, "--script": files["s.json"]},
+    }
+
+
+def _argv(command: str, flags: dict[str, Path | str]) -> list[str]:
+    return [command, *itertools.chain.from_iterable((flag, str(value)) for flag, value in flags.items())]
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [("infer", "--input"), ("infer", "--prompt"), ("infer", "--config"), ("infer", "--script"),
+     ("infer", "--output"), ("evaluate", "--m2"), ("evaluate", "--predictions")],
+)
+def test_directory_given_for_a_file_exits_2_naming_it(tmp_path, capsys, command, flag):
+    flags = _command_files(tmp_path)[command]
+    assert main(_argv(command, flags)) == 0
+    capsys.readouterr()
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    assert main(_argv(command, {**flags, flag: directory})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(directory) in err
+
+
+# (case, the file made not UTF-8): data files through ``induce``, the
+# files of ``infer``, ``evaluate`` and ``baseline``, and prompt files
+NOT_UTF8 = ["data-jsonl", "data-asset-source", "data-asset-reference", "data-m2", "infer-input", "infer-prompt",
+            "optimize-prompt", "evaluate-predictions", "evaluate-m2", "evaluate-gold", "evaluate-references",
+            "baseline-input", "baseline-prompt-file"]
+
+
+@pytest.mark.parametrize("case", NOT_UTF8)
+def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, case):
+    paths = make_workspace(tmp_path / "ws")
+    command, _, what = case.partition("-")
+    if command in ("data", "optimize"):
+        if what.startswith("asset"):
+            _asset_config(paths, [tmp_path / "ref.txt"])
+        elif what == "m2":
+            paths["data"] = _gec_m2_workspace(tmp_path / "ws")["gold"]
+        argv = ["induce" if command == "data" else "optimize", "--config", str(paths["config"]),
+                "--run-id", "r1", "--runs-dir", str(paths["runs"]), "--script", str(paths["script"])]
+        bad = {"jsonl": paths["data"], "m2": paths["data"], "asset-source": tmp_path / "ws" / "source.txt",
+               "asset-reference": tmp_path / "ref.txt", "prompt": tmp_path / "seed.txt"}[what]
+        if what == "prompt":
+            _write_prompt(bad)
+            argv += ["--prompt", str(bad)]
+    else:
+        flags = _command_files(tmp_path)[command]
+        if what in ("gold", "references"):
+            gold = tmp_path / "gold.jsonl"
+            gold.write_text('{"source": "a", "references": ["b"]}\n{"source": "c", "references": ["d"]}\n',
+                            encoding="utf-8")
+            del flags["--m2"]
+            flags.update({"--task": "generic", "--gold": gold} if what == "gold" else
+                         {"--task": "simplify", "--source": flags["--predictions"], "--references": gold})
+        argv = _argv(command, flags)
+        bad = flags[f"--{what}"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    bad.write_bytes(b"caf\xe9 " + bad.read_bytes())
+    assert main(argv) == 2
+    assert f"error: {bad} is not UTF-8: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():
