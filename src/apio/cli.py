@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigurationError, RunConfig, load_config, split_pairs, to_object
-from .corpus import SamplePair, load_asset, load_jsonl, load_m2, m2_pairs, read_text
+from .corpus import SamplePair, load_asset, load_jsonl, load_m2, m2_pairs, read_lines, read_text
 from .gateway import (
     Backend,
     CachedBackend,
@@ -47,7 +47,7 @@ from .prompts import (
     postprocess_output,
 )
 from .seeding import derived_rng
-from .state import BackendState, RunDir, RunState, RunStateError, write_json
+from .state import BackendState, RunDir, RunState, RunStateError, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -128,13 +128,6 @@ def _backend_state(args: argparse.Namespace, backend: Backend) -> BackendState:
     return BackendState("live")
 
 
-def _read_lines_raw(path: str | Path) -> list[str]:
-    text = read_text(path)
-    if text.endswith("\n"):
-        text = text[:-1]
-    return text.split("\n") if text else []
-
-
 def _write_lines(path: str | Path, lines: list[str]) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
@@ -147,8 +140,14 @@ def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str]
     """Infer each line of ``--input``, rendered into a prompt by ``render``,
     on the ``--workers`` pool, and write the outputs to ``--output`` in
     input order. Empty lines pass through untouched; a line is retried
-    once and one that still fails becomes ``<FAILED>``, which exits 1."""
-    lines = _read_lines_raw(args.input)
+    once and one that still fails becomes ``<FAILED>``, which exits 1.
+    An ``--output`` that cannot be written is refused before any request."""
+    lines = read_lines(args.input)
+    output = Path(args.output)
+    if output.is_dir():
+        raise ConfigurationError(f"--output {output} is a directory")
+    if not output.parent.is_dir():
+        raise ConfigurationError(f"--output {output}: {output.parent} is not a directory")
     backend = _build_backend(args, cfg, None)
 
     def one(line: str) -> str:
@@ -195,7 +194,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
             return lambda: -gather_scoring(scoring)[0]
 
         prompt, trials = best_of_trials(train, dev_eval, cfg.induction, template, backend, fitness_fn)
-        run.prompt_path.write_text(prompt.text() + "\n", encoding="utf-8")
+        write_text(run.prompt_path, prompt.text() + "\n")
         run.write_json(run.trials_path, {"trials": to_object(trials)})
         run.write_state(RunState(run.run_id, "induction", cfg, _backend_state(args, backend)))
     best_fitness = max(t.fitness for t in trials if t.fitness is not None)
@@ -293,7 +292,7 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
     the scorings queued after it are still in flight."""
     top = sorted(pool, key=rank_key)[:5]
     best = top[0]
-    run.best_prompt_path.write_text(best.prompt.text() + "\n", encoding="utf-8")
+    write_text(run.best_prompt_path, best.prompt.text() + "\n")
     full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor)
     top_scorings = [submit_scoring(c.prompt, engine.dev_eval, engine.backend, engine.executor) for c in top]
     top_report = []
@@ -353,7 +352,7 @@ def _write_report(path: Path, metric: str, aggregate: float, per_sample: list) -
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Score line-aligned predictions against the task's gold data, which
     the corpus loaders read and reject when empty."""
-    predictions = _read_lines_raw(args.predictions)
+    predictions = read_lines(args.predictions)
     output = Path(args.output)
     if args.task == "simplify":
         if not args.source or not args.references:
@@ -396,7 +395,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     template = TASK_TEMPLATES[cfg.task]
     meta: dict = {"kind": args.kind, "task": cfg.task, "seed": cfg.seed}
     if args.kind == "copy":
-        lines = _read_lines_raw(args.input)
+        lines = read_lines(args.input)
         _write_lines(args.output, lines)
         print(f"copied {len(lines)} lines to {args.output}")
         code = 0

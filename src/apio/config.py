@@ -7,7 +7,6 @@ write the JSON form of this and every other dataclass a run file holds;
 bound, so a section the program makes itself is not checked again.
 """
 
-import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -21,6 +20,7 @@ from .corpus import (
     load_jsonl,
     load_m2,
     m2_pairs,
+    read_json,
     sample_split,
 )
 from .prompts import TASK_TEMPLATES, Instruction
@@ -176,16 +176,9 @@ class RunConfig:
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
     """Merge file config under CLI overrides on top of defaults."""
-    data: dict = {}
-    if path is not None:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigurationError(f"config file not found: {path}")
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"config file {path} must hold a JSON object")
+    data = {} if path is None else read_json(path)
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
     for key, value in (overrides or {}).items():
         if value is None:
             continue

@@ -1,5 +1,6 @@
-"""Dataset loading: line-aligned multi-reference files, M2-annotated GEC
-files, and generic paired JSONL.
+"""Reading apio's files: the datasets (line-aligned multi-reference
+files, M2-annotated GEC files and generic paired JSONL), and the text,
+lines or JSON of any other file, each refused naming its path.
 
 All loaders are pure functions over file contents; text is used verbatim
 apart from stripping surrounding whitespace per line. Token operations
@@ -74,13 +75,26 @@ def read_text(path: str | Path) -> str:
         raise CorpusFormatError(f"{path} is not UTF-8: {exc}") from None
 
 
+def read_json(path: str | Path) -> object:
+    """The JSON value of the UTF-8 file ``path``; a file that is not UTF-8
+    or not JSON is refused naming it."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of the UTF-8 file ``path`` without their newlines; an
+    empty file has none."""
+    text = read_text(path).removesuffix("\n")
+    return text.split("\n") if text else []
+
+
 def _read_lines(path: str | Path) -> list[str]:
-    text = read_text(path)
-    if text.endswith("\n"):
-        text = text[:-1]
-    if not text:
+    if not (lines := read_lines(path)):
         raise CorpusFormatError(f"{path}: file is empty")
-    return [line.strip() for line in text.split("\n")]
+    return [line.strip() for line in lines]
 
 
 def load_asset(source_path: str | Path, reference_paths: Sequence[str | Path]) -> list[SamplePair]:

@@ -36,6 +36,7 @@ from pathlib import Path
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .config import from_object
+from .corpus import read_json
 
 log = logging.getLogger(__name__)
 
@@ -196,8 +197,8 @@ class ScriptedBackend(Backend):
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         """Load a script: a JSON list of objects, each with a ``match`` and
         optionally a ``response``, ``mode`` and ``sticky``, and no other key."""
+        raw = read_json(path)
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(raw, list):
                 raise ValueError("a script must be a list of entries")
             return cls([from_object(ScriptEntry, item, f"entry {i}") for i, item in enumerate(raw)])

@@ -2,7 +2,7 @@
 
 Each run owns ``<runs_dir>/<run_id>/`` exclusively (an advisory ``flock``
 on its ``.lock`` file).
-State and history files are written atomically (temp + rename) and
+Its JSON and prompt files are written atomically (temp + rename) and
 contain no timestamps, so a resumed run reproduces the uninterrupted
 run's bytes given the same seed, script/cache, and config. Each epoch
 writes the history before the state, so a run stopped between the two
@@ -16,11 +16,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .config import ConfigurationError, RunConfig, bounded, from_object, to_object
+from .corpus import read_json
 from .optimizer import Candidate
 
 
 class RunStateError(Exception):
-    """Missing, locked, or corrupt run state."""
+    """A locked or existing run, or a run state that does not hold together."""
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,23 @@ class RunState:
             raise ConfigurationError(f"pool must hold a candidate in phase {self.phase}")
 
 
-def write_json(path: Path, data) -> None:
-    """Write ``data`` to ``path`` as indented, key-sorted UTF-8 JSON,
-    atomically: a reader sees the old file or the new one, never a part."""
+def write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, atomically: a reader sees the
+    old file or the new one, never a part. A write that fails leaves no
+    temp file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except BaseException:
+        if tmp.is_file():
+            tmp.unlink()
+        raise
+
+
+def write_json(path: Path, data) -> None:
+    """Write ``data`` to ``path`` as indented, key-sorted JSON, atomically."""
+    write_text(path, json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 class RunDir:
@@ -110,17 +122,10 @@ class RunDir:
         data["backend"] = {key: value for key, value in data["backend"].items() if value is not None}
         write_json(self.state_path, {key: value for key, value in data.items() if value is not None})
 
-    def _read_json(self, path: Path, name: str):
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise RunStateError(f"no {name} file for run {self.run_id!r} at {path}") from None
-        except ValueError as exc:
-            raise RunStateError(f"corrupt {name} file {path}: {exc}") from exc
-
     def read_state(self) -> RunState:
+        data = read_json(self.state_path)
         try:
-            return from_object(RunState, self._read_json(self.state_path, "state"))
+            return from_object(RunState, data)
         except ValueError as exc:  # a ConfigurationError, or a PromptError of a pool prompt
             raise RunStateError(f"state file {self.state_path}: {exc}") from exc
 
@@ -131,7 +136,7 @@ class RunDir:
         """The records of epochs 1..``n_epochs``. The history is written
         before the state, so it may hold one epoch more, which is dropped;
         a history short of the state cannot be resumed."""
-        history = self._read_json(self.history_path, "history")
+        history = read_json(self.history_path)
         if not isinstance(history, dict) or not isinstance(history.get("epochs"), list):
             raise RunStateError(f"history file {self.history_path} lacks a list of 'epochs'")
         epochs = history["epochs"][:n_epochs]

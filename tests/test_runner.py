@@ -426,13 +426,38 @@ def test_live_run_records_the_live_backend_and_resumes_through_it(tmp_path, chat
     assert (paths["runs"] / "r1" / "final_report.json").exists()
 
 
-def test_corrupt_state_is_integrity_error(tmp_path, capsys):
-    paths = make_workspace(tmp_path)
-    state = paths["runs"] / "broken" / "state.json"
-    state.parent.mkdir(parents=True)
-    state.write_text("{not json", encoding="utf-8")
-    assert main(["optimize", "--resume", "broken", "--runs-dir", str(paths["runs"])]) == 2
-    assert "corrupt" in capsys.readouterr().err
+# (the JSON file, its fault): config files through ``induce``, and the
+# state, history and script files that ``optimize --resume`` reads
+JSON_FILE_FAULTS = [(kind, fault) for kind in ("config", "state", "history", "script")
+                    for fault in ("missing", "not-utf8", "not-json")]
+
+
+@pytest.mark.parametrize(("kind", "fault"), JSON_FILE_FAULTS, ids=[f"{k}-{f}" for k, f in JSON_FILE_FAULTS])
+def test_json_file_fault_exits_2_naming_it(tmp_path, capsys, kind, fault):
+    """A config, state, history or script file that is missing, not UTF-8
+    or not JSON exits 2 with one message per fault, whatever the file."""
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    assert _induce(paths) == 0
+    assert _optimize(paths, extra=("--stop-after-epoch", "1")) == 0
+    bad = {"config": paths["config"], "script": paths["script"]}.get(kind, paths["runs"] / "r1" / f"{kind}.json")
+    if fault == "missing":
+        bad.unlink()
+    elif fault == "not-utf8":
+        bad.write_bytes(b"\xe9" + bad.read_bytes())
+    else:
+        bad.write_text("not json", encoding="utf-8")
+    capsys.readouterr()
+    if kind == "config":
+        assert _induce(paths, run_id="r2") == 2
+        assert not (paths["runs"] / "r2").exists()
+    else:
+        assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 2
+    assert capsys.readouterr().err == {
+        "missing": f"error: [Errno 2] No such file or directory: '{bad}'\n",
+        "not-utf8": f"error: {bad} is not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 0: "
+                    "invalid continuation byte\n",
+        "not-json": f"error: {bad} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n",
+    }[fault]
 
 
 # -- optimize -----------------------------------------------------------------
@@ -844,14 +869,6 @@ def test_unknown_key_or_non_object_config_exits_2(tmp_path, capsys):
     paths["config"].write_text(json.dumps({**config, "optimiser": {"beam_b": 4}, "taks": "gec"}), encoding="utf-8")
     assert _induce(paths) == 2
     assert "error: the top level holds the unknown key 'optimiser'" in capsys.readouterr().err
-    assert not paths["runs"].exists()
-
-
-def test_config_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
-    paths = make_workspace(tmp_path)
-    paths["config"].write_bytes(b'{"task": "g\xe9n\xe9ric"}\n')
-    assert _induce(paths) == 2
-    assert f"error: config file {paths['config']} is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
     assert not paths["runs"].exists()
 
 
@@ -1461,7 +1478,7 @@ def _argv(command: str, flags: dict[str, Path | str]) -> list[str]:
 @pytest.mark.parametrize(
     ("command", "flag"),
     [("infer", "--input"), ("infer", "--prompt"), ("infer", "--config"), ("infer", "--script"),
-     ("infer", "--output"), ("evaluate", "--m2"), ("evaluate", "--predictions")],
+     ("infer", "--output"), ("evaluate", "--m2"), ("evaluate", "--predictions"), ("evaluate", "--output")],
 )
 def test_directory_given_for_a_file_exits_2_naming_it(tmp_path, capsys, command, flag):
     flags = _command_files(tmp_path)[command]
@@ -1472,6 +1489,30 @@ def test_directory_given_for_a_file_exits_2_naming_it(tmp_path, capsys, command,
     assert main(_argv(command, {**flags, flag: directory})) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(directory) in err
+    assert not list(tmp_path.glob("*.tmp"))  # a report whose rename failed leaves no temp file
+
+
+@pytest.mark.parametrize("command", ["infer", "baseline"])
+@pytest.mark.parametrize("where", ["a-directory", "in-no-directory"])
+def test_unwritable_output_exits_2_before_any_request(tmp_path, capsys, chat_server, command, where):
+    chat_server.fallback = Reply(body=completion("out"))
+    flags = _command_files(tmp_path)[command]
+    del flags["--script"]
+    flags["--config"] = tmp_path / "cfg.json"
+    flags["--config"].write_text(json.dumps({"backend": {"base_url": chat_server.url}}), encoding="utf-8")
+    assert main(_argv(command, flags)) == 0
+    assert len(chat_server.requests) == 1  # the one input line, sent when the output can be written
+    capsys.readouterr()
+    output = tmp_path / "out-dir"
+    if where == "a-directory":
+        output.mkdir()
+        expected = f"error: --output {output} is a directory\n"
+    else:
+        output = output / "out.txt"
+        expected = f"error: --output {output}: {output.parent} is not a directory\n"
+    assert main(_argv(command, {**flags, "--output": output})) == 2
+    assert capsys.readouterr().err == expected
+    assert len(chat_server.requests) == 1
 
 
 # (case, the file made not UTF-8): data files through ``induce``, the
