@@ -22,6 +22,7 @@ from .gateway import (
     Backend,
     CachedBackend,
     ChatRequest,
+    CredentialError,
     GatewayError,
     INFER,
     OpenAIChatBackend,
@@ -128,26 +129,27 @@ def _backend_state(args: argparse.Namespace, backend: Backend) -> BackendState:
     return BackendState("live")
 
 
-def _write_lines(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def _output_path(args: argparse.Namespace) -> Path:
+    """``--output``, refused before any input is read or request sent when
+    it is a directory or its parent is not one."""
+    output = Path(args.output)
+    if output.is_dir():
+        raise ConfigurationError(f"--output {output} is a directory")
+    if not output.parent.is_dir():
+        raise ConfigurationError(f"--output {output}: {output.parent} is not a directory")
+    return output
 
 
 def _read_prompt(path: str | Path) -> Prompt:
     return parse_prompt(read_text(path).rstrip("\n"))
 
 
-def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str], str]) -> int:
+def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str], str], output: Path) -> int:
     """Infer each line of ``--input``, rendered into a prompt by ``render``,
-    on the ``--workers`` pool, and write the outputs to ``--output`` in
+    on the ``--workers`` pool, and write the outputs to ``output`` in
     input order. Empty lines pass through untouched; a line is retried
-    once and one that still fails becomes ``<FAILED>``, which exits 1.
-    An ``--output`` that cannot be written is refused before any request."""
+    once and one that still fails becomes ``<FAILED>``, which exits 1."""
     lines = read_lines(args.input)
-    output = Path(args.output)
-    if output.is_dir():
-        raise ConfigurationError(f"--output {output} is a directory")
-    if not output.parent.is_dir():
-        raise ConfigurationError(f"--output {output}: {output.parent} is not a directory")
     backend = _build_backend(args, cfg, None)
 
     def one(line: str) -> str:
@@ -163,11 +165,11 @@ def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str]
 
     with contextlib.closing(backend), _executor(args) as pool:
         outputs = list(pool.map(one, lines))
-    _write_lines(args.output, outputs)
+    write_text(output, "".join(f"{line}\n" for line in outputs))
     if failures := outputs.count(FAILED_PLACEHOLDER):
         print(f"{failures}/{len(lines)} lines failed after retry", file=sys.stderr)
         return 1
-    print(f"wrote {len(outputs)} predictions to {args.output}")
+    print(f"wrote {len(outputs)} predictions to {output}")
     return 0
 
 
@@ -288,13 +290,14 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
     candidate rescored on the full dev set, and the top five rescored with
     the task metric on the fixed subsample, against the gold that the
     run's split read. All six scorings are queued before the first is
-    waited on, and each of the top five's task metric is computed while
-    the scorings queued after it are still in flight."""
+    waited on, the full-dev one last, so each of the top five's task
+    metric is computed while the scorings queued after it are still in
+    flight."""
     top = sorted(pool, key=rank_key)[:5]
     best = top[0]
     write_text(run.best_prompt_path, best.prompt.text() + "\n")
-    full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor)
     top_scorings = [submit_scoring(c.prompt, engine.dev_eval, engine.backend, engine.executor) for c in top]
+    full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor)
     top_report = []
     for cand, scoring in zip(top, top_scorings):
         _, _, outputs = gather_scoring(scoring)
@@ -333,8 +336,9 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    output = _output_path(args)
     cfg = load_config(args.config, _overrides(args))
-    return _infer_file(args, cfg, _read_prompt(args.prompt).render)
+    return _infer_file(args, cfg, _read_prompt(args.prompt).render, output)
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +346,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_report(path: Path, metric: str, aggregate: float, per_sample: list) -> None:
-    """Write a metric report: its aggregate, the sample count and every sample's score."""
-    report = {"metric": metric, "aggregate": aggregate, "n": len(per_sample), "per_sample": per_sample}
-    write_json(path, report)
-    print(f"{metric}: {aggregate:.4f} ({path})")
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Score line-aligned predictions against the task's gold data, which
-    the corpus loaders read and reject when empty."""
+    the corpus loaders read and reject when empty. Each report, written
+    once all are computed, holds the aggregate and every sample's score."""
+    output = _output_path(args)
     predictions = read_lines(args.predictions)
-    output = Path(args.output)
     if args.task == "simplify":
         if not args.source or not args.references:
             raise ConfigurationError("simplify evaluation needs --source and --references")
@@ -369,12 +367,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if len(predictions) != len(gold):
         raise ConfigurationError(f"predictions ({len(predictions)}) misaligned with gold ({len(gold)})")
     score = _task_score(args.task, gold, predictions)
+    reports = [] if score is None else [(output, *score)]
     if args.task != "simplify":  # the word distance, beside the F0.5 for gec
         lev = [min_ref_levenshtein(o, p.references) for o, p in zip(predictions, gold)]
         path = output if score is None else output.with_suffix(".levenshtein.json")
-        _write_report(path, "word-levenshtein-min-ref", sum(lev) / len(lev), lev)
-    if score is not None:
-        _write_report(output, *score)
+        reports.insert(0, (path, "word-levenshtein-min-ref", sum(lev) / len(lev), lev))
+    for path, metric, aggregate, per_sample in reports:
+        write_json(path, {"metric": metric, "aggregate": aggregate, "n": len(per_sample), "per_sample": per_sample})
+        print(f"{metric}: {aggregate:.4f} ({path})")
     return 0
 
 
@@ -391,13 +391,14 @@ def _zero_shot_text(args: argparse.Namespace, task: str) -> str:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    output = _output_path(args)
     cfg = load_config(args.config, _overrides(args))
     template = TASK_TEMPLATES[cfg.task]
     meta: dict = {"kind": args.kind, "task": cfg.task, "seed": cfg.seed}
     if args.kind == "copy":
         lines = read_lines(args.input)
-        _write_lines(args.output, lines)
-        print(f"copied {len(lines)} lines to {args.output}")
+        write_text(output, "".join(f"{line}\n" for line in lines))
+        print(f"copied {len(lines)} lines to {output}")
         code = 0
     else:
         text = _zero_shot_text(args, cfg.task)
@@ -417,8 +418,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
                 )
         # zero/few-shot prompts have no instruction bullets; render directly
         prompt_text = "\n\n".join(blocks) + "\n\n" + template.footer
-        code = _infer_file(args, cfg, lambda line: prompt_text.replace(INPUT_SLOT, line))
-    write_json(Path(str(args.output) + ".meta.json"), meta)
+        code = _infer_file(args, cfg, lambda line: prompt_text.replace(INPUT_SLOT, line), output)
+    write_json(Path(f"{output}.meta.json"), meta)
     return code
 
 
@@ -510,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RunStateError, OSError, ValueError) as exc:  # config, corpus, prompt and file errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GatewayError, InductionError) as exc:
+    except (CredentialError, GatewayError, InductionError) as exc:
         print(f"engine failure: {exc}", file=sys.stderr)
         return 1
 

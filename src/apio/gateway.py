@@ -42,11 +42,12 @@ log = logging.getLogger(__name__)
 
 
 class GatewayError(Exception):
-    """Base class for backend failures."""
+    """A request that failed; the caller may skip it and go on."""
 
 
-class CredentialError(GatewayError):
-    """Authentication rejected; retrying cannot help."""
+class CredentialError(Exception):
+    """Authentication rejected: no later request can succeed either, so
+    it is not a ``GatewayError`` and ends the command."""
 
 
 class TransportError(GatewayError):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import fcntl
 import itertools
 import json
@@ -22,7 +23,7 @@ import apio
 from apio.cli import main
 from apio.config import ConfigurationError, OptimizerConfig, RunConfig, from_object, to_object
 from apio.corpus import apply_edits, load_m2
-from apio.gateway import INFER, ScriptedBackend, ScriptExhaustedError
+from apio.gateway import INFER, CredentialError, ScriptedBackend, ScriptExhaustedError
 from apio.optimizer import Candidate
 from apio.prompts import GENERIC_TEMPLATE, Prompt
 from apio.state import BackendState, RunDir, RunState
@@ -538,10 +539,9 @@ def test_stop_between_history_and_state_resumes_to_identical_files(tmp_path, no_
         assert full.replace(b'"full"', b'"x"') == resumed.replace(b'"cut"', b'"x"'), name
 
 
-def test_kill_at_any_call_of_optimize_resumes_to_identical_files(tmp_path, no_network, monkeypatch):
-    paths = make_workspace(tmp_path, n_epochs=3, beam_b=4)
-    workers = ("--workers", "4")
-    # the calls sent by the end of the seed scoring and of each epoch
+def _full_run_marks(paths, monkeypatch, workers) -> list[int]:
+    """Induce and optimize run ``full``; return the calls its optimize had
+    sent by the end of the seed scoring and of each epoch, then in all."""
     marks, backends = [], []
     from_file, write_state = ScriptedBackend.from_file.__func__, RunDir.write_state
 
@@ -559,7 +559,13 @@ def test_kill_at_any_call_of_optimize_resumes_to_identical_files(tmp_path, no_ne
     assert _induce(paths, run_id="full", extra=workers) == 0
     assert _optimize(paths, run_id="full", extra=workers) == 0
     monkeypatch.undo()
-    seed, *epochs, total = *marks, backends[-1].n_calls
+    return [*marks, backends[-1].n_calls]
+
+
+def test_kill_at_any_call_of_optimize_resumes_to_identical_files(tmp_path, no_network, monkeypatch):
+    paths = make_workspace(tmp_path, n_epochs=3, beam_b=4)
+    workers = ("--workers", "4")
+    seed, *epochs, total = _full_run_marks(paths, monkeypatch, workers)
     assert 1 < seed < epochs[0] < epochs[1] < epochs[2] < total
     kill_points = {1, seed, total}  # first and last seed scoring call, last final report call
     for start, end in zip((seed, *epochs), (*epochs, total)):
@@ -692,6 +698,47 @@ def test_interrupted_epoch_cancels_queued_scoring(tmp_path, monkeypatch):
     assert len(sent) - at_interrupt[0] <= 1
 
 
+def test_rejected_key_ends_optimize_at_its_last_epoch_to_resume_from(tmp_path, no_network, monkeypatch, capsys):
+    paths = make_workspace(tmp_path, n_epochs=4, beam_b=4)
+    workers = ("--workers", "2")
+    _, _, epoch_2, epoch_3, *_ = _full_run_marks(paths, monkeypatch, workers)
+    sent, scripted = itertools.count(1), ScriptedBackend._complete
+
+    def rejected_from_mid_epoch_3(self, request):
+        if next(sent) > (epoch_2 + epoch_3) // 2:
+            raise CredentialError("authentication failed (401)")
+        return scripted(self, request)
+
+    assert _induce(paths, run_id="cut", extra=workers) == 0
+    monkeypatch.setattr(ScriptedBackend, "_complete", rejected_from_mid_epoch_3)
+    capsys.readouterr()
+    assert _optimize(paths, run_id="cut", extra=workers) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err == "engine failure: authentication failed (401)\n"
+    cut = paths["runs"] / "cut"
+    assert json.loads((cut / "state.json").read_text(encoding="utf-8"))["epoch"] == 2
+    assert [e["epoch"] for e in json.loads((cut / "history.json").read_text(encoding="utf-8"))["epochs"]] == [1, 2]
+    assert main(["optimize", "--resume", "cut", "--runs-dir", str(paths["runs"]), *workers]) == 0
+    for name in ("trials.json", "prompt.txt", "state.json", "history.json", "best_prompt.txt", "final_report.json"):
+        full = (paths["runs"] / "full" / name).read_bytes().replace(b'"full"', b'"x"')
+        assert (cut / name).read_bytes().replace(b'"cut"', b'"x"') == full, name
+
+
+def test_rejected_key_ends_induce_before_the_next_request(tmp_path, monkeypatch, capsys):
+    paths = make_workspace(tmp_path)
+    sent = []
+
+    def rejected(self, request):
+        sent.append(request)
+        raise CredentialError("authentication failed (403)")
+
+    monkeypatch.setattr(ScriptedBackend, "_complete", rejected)
+    assert _induce(paths) == 1
+    assert len(sent) == 1
+    assert capsys.readouterr().err == "engine failure: authentication failed (403)\n"
+    assert not (paths["runs"] / "r1" / "prompt.txt").exists()
+
+
 def test_final_report_queues_all_six_scorings_before_waiting(tmp_path, monkeypatch):
     import apio.cli as cli
 
@@ -699,12 +746,13 @@ def test_final_report_queues_all_six_scorings_before_waiting(tmp_path, monkeypat
     assert _induce(paths) == 0
     events = []
     submit, gather = cli.submit_scoring, cli.gather_scoring
-    monkeypatch.setattr(cli, "submit_scoring", lambda *a: events.append("submit") or submit(*a))
+    monkeypatch.setattr(cli, "submit_scoring", lambda *a: events.append(len(a[1])) or submit(*a))
     monkeypatch.setattr(cli, "gather_scoring", lambda scoring: events.append("gather") or gather(scoring))
-    assert _optimize(paths) == 0
+    assert _optimize(paths, extra=("--dev-subsample", "4")) == 0
     report = json.loads((paths["runs"] / "r1" / "final_report.json").read_text(encoding="utf-8"))
     assert len(report["top5"]) == 5
-    assert events == ["submit"] * 6 + ["gather"] * 6
+    # the top five on the 4-pair subsample, then the best on the 8-pair dev set
+    assert events == [4] * 5 + [8] + ["gather"] * 6
 
 
 def _gec_m2_workspace(root: Path) -> dict[str, Path]:
@@ -1453,26 +1501,46 @@ def test_baseline_few_shot_below_one_shot_exits_2(tmp_path, capsys):
 
 
 def _command_files(tmp_path: Path) -> dict[str, dict[str, Path | str]]:
-    """For ``infer``, ``evaluate`` and ``baseline``, the flags of a call
-    that exits 0, each mapped to its file or value."""
-    files = {name: tmp_path / name for name in ("p.txt", "in.txt", "s.json", "gold.m2", "pred.txt", "zs.txt")}
+    """For ``infer``, ``evaluate`` (gec, and its ``-simplify`` and
+    ``-generic`` variants) and ``baseline`` (zero-shot, and ``-copy``),
+    the flags of a call that exits 0, each mapped to its file or value."""
+    names = ("p.txt", "in.txt", "s.json", "gold.m2", "pred.txt", "zs.txt", "gold.jsonl", "ref.txt")
+    files = {name: tmp_path / name for name in names}
     _write_prompt(files["p.txt"])
     files["in.txt"].write_text("a foo\n", encoding="utf-8")
     files["s.json"].write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
     files["gold.m2"].write_text(GOLD_M2, encoding="utf-8")
     files["pred.txt"].write_text("she go home\na b c\n", encoding="utf-8")
     files["zs.txt"].write_text("Rewrite the text.\n", encoding="utf-8")
+    files["gold.jsonl"].write_text('{"source": "a", "references": ["b"]}\n{"source": "c", "references": ["d"]}\n',
+                                   encoding="utf-8")
+    files["ref.txt"].write_text("she goes home\na b c\n", encoding="utf-8")
     out = tmp_path / "out.txt"
     return {
         "infer": {"--prompt": files["p.txt"], "--input": files["in.txt"], "--output": out, "--script": files["s.json"]},
         "evaluate": {"--task": "gec", "--m2": files["gold.m2"], "--predictions": files["pred.txt"], "--output": out},
+        "evaluate-simplify": {"--task": "simplify", "--source": files["pred.txt"], "--references": files["ref.txt"],
+                              "--predictions": files["pred.txt"], "--output": out},
+        "evaluate-generic": {"--task": "generic", "--gold": files["gold.jsonl"], "--predictions": files["pred.txt"],
+                             "--output": out},
         "baseline": {"--kind": "zero_shot", "--prompt-file": files["zs.txt"], "--input": files["in.txt"],
                      "--output": out, "--script": files["s.json"]},
+        "baseline-copy": {"--kind": "copy", "--input": files["in.txt"], "--output": out},
     }
 
 
-def _argv(command: str, flags: dict[str, Path | str]) -> list[str]:
+def _argv(case: str, flags: dict[str, Path | str]) -> list[str]:
+    """The command line of a ``_command_files`` case with ``flags``."""
+    command = case.partition("-")[0]
     return [command, *itertools.chain.from_iterable((flag, str(value)) for flag, value in flags.items())]
+
+
+def _served(tmp_path: Path, flags: dict[str, Path | str], url: str) -> dict[str, Path | str]:
+    """``flags`` with their ``--script`` replaced by a config that sends
+    requests to the chat server at ``url``."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"backend": {"base_url": url}}), encoding="utf-8")
+    return {**{flag: value for flag, value in flags.items() if flag != "--script"}, "--config": config}
 
 
 @pytest.mark.parametrize(
@@ -1492,16 +1560,18 @@ def test_directory_given_for_a_file_exits_2_naming_it(tmp_path, capsys, command,
     assert not list(tmp_path.glob("*.tmp"))  # a report whose rename failed leaves no temp file
 
 
-@pytest.mark.parametrize("command", ["infer", "baseline"])
+@pytest.mark.parametrize(
+    "command", ["infer", "baseline", "baseline-copy", "evaluate", "evaluate-simplify", "evaluate-generic"]
+)
 @pytest.mark.parametrize("where", ["a-directory", "in-no-directory"])
 def test_unwritable_output_exits_2_before_any_request(tmp_path, capsys, chat_server, command, where):
     chat_server.fallback = Reply(body=completion("out"))
     flags = _command_files(tmp_path)[command]
-    del flags["--script"]
-    flags["--config"] = tmp_path / "cfg.json"
-    flags["--config"].write_text(json.dumps({"backend": {"base_url": chat_server.url}}), encoding="utf-8")
+    sent = 1 if "--script" in flags else 0  # infer and the zero-shot baseline send the one input line
+    if sent:
+        flags = _served(tmp_path, flags, chat_server.url)
     assert main(_argv(command, flags)) == 0
-    assert len(chat_server.requests) == 1  # the one input line, sent when the output can be written
+    assert len(chat_server.requests) == sent
     capsys.readouterr()
     output = tmp_path / "out-dir"
     if where == "a-directory":
@@ -1510,9 +1580,40 @@ def test_unwritable_output_exits_2_before_any_request(tmp_path, capsys, chat_ser
     else:
         output = output / "out.txt"
         expected = f"error: --output {output}: {output.parent} is not a directory\n"
+    files = sorted(tmp_path.rglob("*"))
     assert main(_argv(command, {**flags, "--output": output})) == 2
     assert capsys.readouterr().err == expected
-    assert len(chat_server.requests) == 1
+    assert len(chat_server.requests) == sent
+    assert sorted(tmp_path.rglob("*")) == files  # no report, no out-dir.levenshtein.json, no temp file
+
+
+@pytest.mark.parametrize("command", ["infer", "baseline-copy"])
+def test_write_that_fails_part_way_leaves_the_old_output_and_no_temp_file(tmp_path, capsys, monkeypatch, command):
+    flags = _command_files(tmp_path)[command]
+    flags["--output"].write_text("old\n", encoding="utf-8")
+    write_text = Path.write_text
+
+    def fails_part_way(path, text, *args, **kwargs):
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", fails_part_way)
+    assert main(_argv(command, flags)) == 2
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert flags["--output"].read_text(encoding="utf-8") == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_rejected_key_ends_infer_at_once_with_no_output(tmp_path, capsys, chat_server):
+    chat_server.fallback = Reply(status=401)
+    flags = _served(tmp_path, _command_files(tmp_path)["infer"], chat_server.url)
+    flags["--input"].write_text("".join(f"line {i}\n" for i in range(20)), encoding="utf-8")
+    assert main(_argv("infer", {**flags, "--workers": "1"})) == 1
+    # the first line's request, and at most the one a worker took up before the pool was shut
+    assert 1 <= len(chat_server.requests) <= 2
+    assert not flags["--output"].exists()
+    assert capsys.readouterr().err == "engine failure: authentication failed (401)\n"
 
 
 # (case, the file made not UTF-8): data files through ``induce``, the
@@ -1539,14 +1640,8 @@ def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, case):
             _write_prompt(bad)
             argv += ["--prompt", str(bad)]
     else:
-        flags = _command_files(tmp_path)[command]
-        if what in ("gold", "references"):
-            gold = tmp_path / "gold.jsonl"
-            gold.write_text('{"source": "a", "references": ["b"]}\n{"source": "c", "references": ["d"]}\n',
-                            encoding="utf-8")
-            del flags["--m2"]
-            flags.update({"--task": "generic", "--gold": gold} if what == "gold" else
-                         {"--task": "simplify", "--source": flags["--predictions"], "--references": gold})
+        variant = {"gold": "-generic", "references": "-simplify"}.get(what, "")
+        flags = _command_files(tmp_path)[command + variant]
         argv = _argv(command, flags)
         bad = flags[f"--{what}"]
     assert main(argv) == 0
