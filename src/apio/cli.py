@@ -28,7 +28,7 @@ from .gateway import (
     OpenAIChatBackend,
     ScriptedBackend,
 )
-from .induction import InductionError, best_of_trials
+from .induction import best_of_trials
 from .metrics.gec import f05_with_counts
 from .metrics.levenshtein import min_ref_levenshtein
 from .metrics.sari import sari
@@ -48,7 +48,7 @@ from .prompts import (
     postprocess_output,
 )
 from .seeding import derived_rng
-from .state import BackendState, RunDir, RunState, RunStateError, write_json, write_text
+from .state import BackendState, RunDir, RunState, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -118,7 +118,7 @@ def _open_run(
         stack.callback(run.release_lock)
         stack.callback(backend.close)
         if run.state_path.exists() and not overwrite:
-            raise RunStateError(f"run {run.run_id!r} already exists at {run.path}; --force overwrites it")
+            raise ConfigurationError(f"run {run.run_id!r} already exists at {run.path}; --force overwrites it")
         run.acquire_lock()
         yield backend, stack.enter_context(_executor(args))
 
@@ -129,14 +129,25 @@ def _backend_state(args: argparse.Namespace, backend: Backend) -> BackendState:
     return BackendState("live")
 
 
-def _output_path(args: argparse.Namespace) -> Path:
+def _meta_path(output: Path) -> Path:  # baseline's record of its run
+    return Path(f"{output}.meta.json")
+
+
+def _levenshtein_path(output: Path) -> Path:  # the word distance of evaluate --task gec
+    return output.with_suffix(".levenshtein.json")
+
+
+def _output_path(args: argparse.Namespace, sidecar: Callable[[Path], Path] | None = None) -> Path:
     """``--output``, refused before any input is read or request sent when
-    it is a directory or its parent is not one."""
+    it is a directory or its parent is not one, or when the file the
+    command writes beside it, ``sidecar(output)``, is a directory."""
     output = Path(args.output)
     if output.is_dir():
         raise ConfigurationError(f"--output {output} is a directory")
     if not output.parent.is_dir():
         raise ConfigurationError(f"--output {output}: {output.parent} is not a directory")
+    if sidecar is not None and sidecar(output).is_dir():
+        raise ConfigurationError(f"--output {output}: {sidecar(output)} is a directory")
     return output
 
 
@@ -228,7 +239,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         run = RunDir(args.runs_dir, args.resume)
         state = run.read_state()
         if state.phase == "induction":
-            raise RunStateError(f"run {args.resume!r} is in phase 'induction', nothing to resume")
+            raise ConfigurationError(f"run {args.resume!r} is in phase 'induction', nothing to resume")
         cfg, overwrite = state.config, True  # a resumed run rewrites its own state
         args.script = args.script or state.backend.script
     else:
@@ -350,7 +361,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     """Score line-aligned predictions against the task's gold data, which
     the corpus loaders read and reject when empty. Each report, written
     once all are computed, holds the aggregate and every sample's score."""
-    output = _output_path(args)
+    output = _output_path(args, _levenshtein_path if args.task == "gec" else None)
     predictions = read_lines(args.predictions)
     if args.task == "simplify":
         if not args.source or not args.references:
@@ -370,7 +381,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     reports = [] if score is None else [(output, *score)]
     if args.task != "simplify":  # the word distance, beside the F0.5 for gec
         lev = [min_ref_levenshtein(o, p.references) for o, p in zip(predictions, gold)]
-        path = output if score is None else output.with_suffix(".levenshtein.json")
+        path = output if score is None else _levenshtein_path(output)
         reports.insert(0, (path, "word-levenshtein-min-ref", sum(lev) / len(lev), lev))
     for path, metric, aggregate, per_sample in reports:
         write_json(path, {"metric": metric, "aggregate": aggregate, "n": len(per_sample), "per_sample": per_sample})
@@ -391,7 +402,7 @@ def _zero_shot_text(args: argparse.Namespace, task: str) -> str:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    output = _output_path(args)
+    output = _output_path(args, _meta_path)
     cfg = load_config(args.config, _overrides(args))
     template = TASK_TEMPLATES[cfg.task]
     meta: dict = {"kind": args.kind, "task": cfg.task, "seed": cfg.seed}
@@ -419,7 +430,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         # zero/few-shot prompts have no instruction bullets; render directly
         prompt_text = "\n\n".join(blocks) + "\n\n" + template.footer
         code = _infer_file(args, cfg, lambda line: prompt_text.replace(INPUT_SLOT, line), output)
-    write_json(Path(f"{output}.meta.json"), meta)
+    write_json(_meta_path(output), meta)
     return code
 
 
@@ -435,10 +446,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, task: bool = True) -> None:
+    """The flags of the commands that send requests; ``task=False`` drops ``--task`` and ``--seed``."""
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--task", choices=sorted(TASK_TEMPLATES), help="task template")
-    sub.add_argument("--seed", type=int, help="run seed")
+    if task:
+        sub.add_argument("--task", choices=sorted(TASK_TEMPLATES), help="task template")
+        sub.add_argument("--seed", type=int, help="run seed")
     sub.add_argument("--script", help="answer requests from this script file instead of the backend")
     sub.add_argument(
         "--workers",
@@ -472,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.set_defaults(func=cmd_optimize)
 
     infer = commands.add_parser("infer", help="run a prompt over an input file")
-    _add_common(infer)
+    _add_common(infer, task=False)
     infer.add_argument("--prompt", required=True)
     infer.add_argument("--input", required=True)
     infer.add_argument("--output", required=True)
@@ -508,10 +521,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (RunStateError, OSError, ValueError) as exc:  # config, corpus, prompt and file errors too
+    except (OSError, ValueError) as exc:  # a ConfigurationError or PromptError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CredentialError, GatewayError, InductionError) as exc:
+    except (CredentialError, GatewayError) as exc:
         print(f"engine failure: {exc}", file=sys.stderr)
         return 1
 

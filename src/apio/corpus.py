@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
-class CorpusFormatError(ValueError):
-    """Input file violates the expected layout."""
-
-
 class ConfigurationError(ValueError):
-    """Infeasible split or loader arguments."""
+    """A usage fault, which exits 2: an input, config, script, state or
+    history file that cannot be used, a flag or split that cannot be met,
+    or a run that is locked, already exists or has nothing to resume."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ def read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{path} is not UTF-8: {exc}") from None
+        raise ConfigurationError(f"{path} is not UTF-8: {exc}") from None
 
 
 def read_json(path: str | Path) -> object:
@@ -81,7 +79,7 @@ def read_json(path: str | Path) -> object:
     try:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{path} is not valid JSON: {exc}") from None
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
 
 
 def read_lines(path: str | Path) -> list[str]:
@@ -93,7 +91,7 @@ def read_lines(path: str | Path) -> list[str]:
 
 def _read_lines(path: str | Path) -> list[str]:
     if not (lines := read_lines(path)):
-        raise CorpusFormatError(f"{path}: file is empty")
+        raise ConfigurationError(f"{path}: file is empty")
     return [line.strip() for line in lines]
 
 
@@ -104,7 +102,7 @@ def load_asset(source_path: str | Path, reference_paths: Sequence[str | Path]) -
     for ref_path in reference_paths:
         lines = _read_lines(ref_path)
         if len(lines) != len(sources):
-            raise CorpusFormatError(
+            raise ConfigurationError(
                 f"{ref_path}: line-count mismatch ({len(lines)} lines, "
                 f"expected {len(sources)} from {source_path})"
             )
@@ -129,7 +127,7 @@ def load_jsonl(path: str | Path) -> list[SamplePair]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            raise ConfigurationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         refs = obj.get("references") if isinstance(obj, dict) else None
         if not (
             isinstance(refs, list)
@@ -137,7 +135,7 @@ def load_jsonl(path: str | Path) -> list[SamplePair]:
             and all(isinstance(r, str) for r in refs)
             and isinstance(obj.get("source"), str)
         ):
-            raise CorpusFormatError(
+            raise ConfigurationError(
                 f"{path}:{lineno}: expected an object with a string 'source'"
                 " and a non-empty list of strings 'references'"
             )
@@ -149,11 +147,11 @@ def load_jsonl(path: str | Path) -> list[SamplePair]:
             )
         )
     if not pairs:
-        raise CorpusFormatError(f"{path}: file is empty")
+        raise ConfigurationError(f"{path}: file is empty")
     seen: set[str] = set()
     for pair in pairs:
         if pair.id in seen:
-            raise CorpusFormatError(f"{path}: duplicate sample id {pair.id!r}")
+            raise ConfigurationError(f"{path}: duplicate sample id {pair.id!r}")
         seen.add(pair.id)
     return pairs
 
@@ -165,43 +163,43 @@ _NONE_FIELD = "-NONE-"
 def _parse_m2_block(lines: list[tuple[int, str]], path: str | Path) -> M2Record:
     lineno, first = lines[0]
     if not first.startswith("S ") and first != "S":
-        raise CorpusFormatError(f"{path}:{lineno}: record must start with an 'S ' line")
+        raise ConfigurationError(f"{path}:{lineno}: record must start with an 'S ' line")
     rest = first[2:]
     tokens = tuple(rest.split(" ")) if rest else ()
     edits: list[M2Edit] = []
     noops: set[int] = set()
     for lineno, line in lines[1:]:
         if not line.startswith("A "):
-            raise CorpusFormatError(f"{path}:{lineno}: expected an 'A ' edit line")
+            raise ConfigurationError(f"{path}:{lineno}: expected an 'A ' edit line")
         fields = line[2:].split("|||")
         if len(fields) != 6:
-            raise CorpusFormatError(
+            raise ConfigurationError(
                 f"{path}:{lineno}: expected 6 '|||'-separated fields, got {len(fields)}"
             )
         span = fields[0].split()
         if len(span) != 2:
-            raise CorpusFormatError(f"{path}:{lineno}: span must be two integers")
+            raise ConfigurationError(f"{path}:{lineno}: span must be two integers")
         try:
             start, end = int(span[0]), int(span[1])
         except ValueError as exc:
-            raise CorpusFormatError(f"{path}:{lineno}: non-integer span") from exc
+            raise ConfigurationError(f"{path}:{lineno}: non-integer span") from exc
         try:
             annotator = int(fields[5])
         except ValueError as exc:
-            raise CorpusFormatError(f"{path}:{lineno}: non-integer annotator id") from exc
+            raise ConfigurationError(f"{path}:{lineno}: non-integer annotator id") from exc
         type_label = fields[1]
         if type_label == _NOOP_TYPE or (start, end) == (-1, -1):
             noops.add(annotator)
             continue
         if not 0 <= start <= end <= len(tokens):
-            raise CorpusFormatError(
+            raise ConfigurationError(
                 f"{path}:{lineno}: span {start} {end} outside 0..{len(tokens)}"
             )
         correction = "" if fields[2] == _NONE_FIELD else fields[2]
         edits.append(M2Edit(start, end, type_label, correction, annotator))
     conflict = noops & {e.annotator for e in edits}
     if conflict:
-        raise CorpusFormatError(
+        raise ConfigurationError(
             f"{path}:{lines[0][0]}: noop coexists with substantive edits "
             f"for annotator(s) {sorted(conflict)}"
         )
@@ -222,7 +220,7 @@ def load_m2(path: str | Path) -> list[M2Record]:
     if block:
         records.append(_parse_m2_block(block, path))
     if not records:
-        raise CorpusFormatError(f"{path}: file is empty")
+        raise ConfigurationError(f"{path}: file is empty")
     return records
 
 
@@ -236,7 +234,7 @@ def apply_edits(record: M2Record, annotator: int) -> str:
     ordered = sorted(edits, key=lambda e: (e.start, e.end))
     for prev, nxt in zip(ordered, ordered[1:]):
         if nxt.start < prev.end:
-            raise CorpusFormatError(
+            raise ConfigurationError(
                 f"overlapping edits for annotator {annotator}: "
                 f"({prev.start},{prev.end}) and ({nxt.start},{nxt.end})"
             )

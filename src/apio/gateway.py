@@ -36,30 +36,20 @@ from pathlib import Path
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .config import from_object
-from .corpus import read_json
+from .corpus import ConfigurationError, read_json
 
 log = logging.getLogger(__name__)
 
 
 class GatewayError(Exception):
-    """A request that failed; the caller may skip it and go on."""
+    """A request that failed: its transient failures exhausted the retry
+    budget, the backend's answer is unusable, or no script entry matches
+    it. The caller may skip it and go on."""
 
 
 class CredentialError(Exception):
     """Authentication rejected: no later request can succeed either, so
     it is not a ``GatewayError`` and ends the command."""
-
-
-class TransportError(GatewayError):
-    """Transient failures exhausted the retry budget."""
-
-
-class BackendError(GatewayError):
-    """The backend answered but the response is unusable."""
-
-
-class ScriptExhaustedError(GatewayError):
-    """No script entry matches the request."""
 
 
 @dataclass(frozen=True)
@@ -204,7 +194,7 @@ class ScriptedBackend(Backend):
                 raise ValueError("a script must be a list of entries")
             return cls([from_object(ScriptEntry, item, f"entry {i}") for i, item in enumerate(raw)])
         except ValueError as exc:
-            raise ValueError(f"script file {path}: {exc}") from exc
+            raise ConfigurationError(f"script file {path}: {exc}") from exc
 
     def consumed_state(self) -> list[int]:
         with self._lock:
@@ -235,7 +225,7 @@ class ScriptedBackend(Backend):
                     break
             else:
                 head = text.splitlines()[0][:120] if text else ""
-                raise ScriptExhaustedError(
+                raise GatewayError(
                     f"no script entry matches request starting {head!r}"
                 )
         if chosen.mode == "literal":
@@ -400,18 +390,18 @@ class OpenAIChatBackend(Backend):
             if status in (401, 403):
                 raise CredentialError(f"authentication failed ({status})")
             if status in _RETRYABLE_STATUS:
-                last_error = BackendError(f"transient status {status}")
+                last_error = GatewayError(f"transient status {status}")
                 continue
             if status != 200:
-                raise BackendError(f"unexpected status {status}: {data.decode('utf-8', 'replace')[:200]}")
+                raise GatewayError(f"unexpected status {status}: {data.decode('utf-8', 'replace')[:200]}")
             try:
                 content = json.loads(data)["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise BackendError(f"malformed completion payload: {exc}") from exc
+                raise GatewayError(f"malformed completion payload: {exc}") from exc
             if not content:
-                raise BackendError("backend returned an empty completion")
+                raise GatewayError("backend returned an empty completion")
             return content
-        raise TransportError(f"retry budget exhausted after {self.retry_max + 1} attempts: {last_error}")
+        raise GatewayError(f"retry budget exhausted after {self.retry_max + 1} attempts: {last_error}")
 
 
 # ---------------------------------------------------------------------------

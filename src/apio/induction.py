@@ -22,10 +22,6 @@ from .seeding import derive_seed
 log = logging.getLogger(__name__)
 
 
-class InductionError(Exception):
-    """Instruction induction failed after its retry."""
-
-
 @dataclass
 class TrialReport:
     trial: int
@@ -48,7 +44,7 @@ def induce_instruction(
 
     The first reference is shown as the example output. A completion that
     is empty or still multi-line after cleanup is retried once, then the
-    trial aborts.
+    trial aborts with a ``GatewayError``: the backend's answer is unusable.
     """
     meta = induction_meta_prompt(template, pair.source, pair.references[0])
     last = ""
@@ -58,7 +54,7 @@ def induce_instruction(
         if last and "\n" not in last:
             return Instruction(last)
         log.warning("unusable induction completion for pair %s (retry %d)", pair.id, retry)
-    raise InductionError(
+    raise GatewayError(
         f"pair {pair.id}: completion unusable after retry (got {last[:80]!r})"
     )
 
@@ -131,7 +127,7 @@ def best_of_trials(
             prompt, report.pair_ids = induce_prompt(train, cfg, template, via, trial_index=trial)
             report.instructions = prompt.instruction_texts()
             gather = fitness_fn(prompt, dev, via)
-        except (InductionError, GatewayError) as exc:
+        except GatewayError as exc:
             log.warning("trial %d failed: %s", trial, exc)
             report.error = str(exc)
         started.append((report, prompt, via, gather))
@@ -147,5 +143,5 @@ def best_of_trials(
         if report.fitness is not None and (best is None or report.fitness > best[0]):
             best = (report.fitness, prompt)
     if best is None:
-        raise InductionError("all induction trials failed")
+        raise GatewayError("all induction trials failed")
     return best[1], [report for report, *_ in started]

@@ -20,10 +20,6 @@ from .corpus import read_json
 from .optimizer import Candidate
 
 
-class RunStateError(Exception):
-    """A locked or existing run, or a run state that does not hold together."""
-
-
 @dataclass(frozen=True)
 class BackendState:
     """``live``, or ``scripted`` from the file ``script`` with its entries ``consumed`` used up."""
@@ -105,7 +101,7 @@ class RunDir:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             os.close(fd)
-            raise RunStateError(
+            raise ConfigurationError(
                 f"run {self.run_id!r} is locked by another process ({self._lock_path})"
             ) from None
         self._lock_fd = fd
@@ -127,7 +123,7 @@ class RunDir:
         try:
             return from_object(RunState, data)
         except ValueError as exc:  # a ConfigurationError, or a PromptError of a pool prompt
-            raise RunStateError(f"state file {self.state_path}: {exc}") from exc
+            raise ConfigurationError(f"state file {self.state_path}: {exc}") from exc
 
     def write_history(self, history: list[dict]) -> None:
         write_json(self.history_path, {"epochs": history})
@@ -138,10 +134,10 @@ class RunDir:
         a history short of the state cannot be resumed."""
         history = read_json(self.history_path)
         if not isinstance(history, dict) or not isinstance(history.get("epochs"), list):
-            raise RunStateError(f"history file {self.history_path} lacks a list of 'epochs'")
+            raise ConfigurationError(f"history file {self.history_path} lacks a list of 'epochs'")
         epochs = history["epochs"][:n_epochs]
         if [e.get("epoch") if isinstance(e, dict) else None for e in epochs] != list(range(1, n_epochs + 1)):
-            raise RunStateError(
+            raise ConfigurationError(
                 f"history file {self.history_path} does not hold epochs 1..{n_epochs} of the state"
             )
         return epochs

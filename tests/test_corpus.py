@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from apio.config import DataConfig, load_pairs
 from apio.corpus import (
     ConfigurationError,
-    CorpusFormatError,
     M2Edit,
     M2Record,
     SamplePair,
@@ -60,14 +59,14 @@ def test_load_asset_mismatch_names_file(tmp_path):
     src, ref = tmp_path / "s.txt", tmp_path / "r.txt"
     _write(src, ["a", "b", "c"])
     _write(ref, ["a", "b"])
-    with pytest.raises(CorpusFormatError, match="r.txt.*line-count mismatch"):
+    with pytest.raises(ConfigurationError, match="r.txt.*line-count mismatch"):
         load_asset(src, [ref])
 
 
 def test_load_asset_empty_file(tmp_path):
     src = tmp_path / "s.txt"
     src.write_text("", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="empty"):
+    with pytest.raises(ConfigurationError, match="empty"):
         load_asset(src, [])
 
 
@@ -99,7 +98,7 @@ def test_load_jsonl(tmp_path):
 def test_load_jsonl_rejects_missing_keys(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"source": "a"}\n', encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="references"):
+    with pytest.raises(ConfigurationError, match="references"):
         load_jsonl(path)
 
 
@@ -116,7 +115,7 @@ def test_load_jsonl_rejects_missing_keys(tmp_path):
 def test_load_jsonl_rejects_malformed_objects(tmp_path, line):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"source": "x", "references": ["y"]}\n' + line + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: "):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:2: "):
         load_jsonl(path)
 
 
@@ -127,7 +126,7 @@ def test_load_jsonl_rejects_duplicate_ids(tmp_path):
         '{"id": "x", "source": "c", "references": ["d"]}\n',
         encoding="utf-8",
     )
-    with pytest.raises(CorpusFormatError, match="duplicate sample id"):
+    with pytest.raises(ConfigurationError, match="duplicate sample id"):
         load_jsonl(path)
 
 
@@ -152,17 +151,17 @@ def test_parse_m2_record(tmp_path):
 def test_parse_m2_errors_carry_line_numbers(tmp_path):
     bad_fields = tmp_path / "f.m2"
     bad_fields.write_text("S a b\nA 0 1|||R:X|||x\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match=":2:"):
+    with pytest.raises(ConfigurationError, match=":2:"):
         load_m2(bad_fields)
 
     bad_span = tmp_path / "s.m2"
     bad_span.write_text("S a b\nA zero 1|||R:X|||x|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="non-integer span"):
+    with pytest.raises(ConfigurationError, match="non-integer span"):
         load_m2(bad_span)
 
     out_of_range = tmp_path / "o.m2"
     out_of_range.write_text("S a b\nA 1 5|||R:X|||x|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="span"):
+    with pytest.raises(ConfigurationError, match="span"):
         load_m2(out_of_range)
 
 
@@ -174,7 +173,7 @@ def test_noop_conflict_rejected(tmp_path):
         "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n",
         encoding="utf-8",
     )
-    with pytest.raises(CorpusFormatError, match="noop"):
+    with pytest.raises(ConfigurationError, match="noop"):
         load_m2(path)
 
 
@@ -231,7 +230,7 @@ def test_overlapping_edits_rejected():
         ("a", "b", "c"),
         (M2Edit(0, 2, "R:X", "x", 0), M2Edit(1, 3, "R:Y", "y", 0)),
     )
-    with pytest.raises(CorpusFormatError, match="overlapping edits"):
+    with pytest.raises(ConfigurationError, match="overlapping edits"):
         apply_edits(record, 0)
 
 

@@ -20,17 +20,15 @@ import pytest
 from apio import gateway
 from apio.gateway import (
     Backend,
-    BackendError,
     CachedBackend,
     ChatRequest,
     CredentialError,
     EXPLORE,
+    GatewayError,
     INFER,
     OpenAIChatBackend,
     ScriptEntry,
-    ScriptExhaustedError,
     ScriptedBackend,
-    TransportError,
     request_key,
 )
 from apio.prompts import TASK_TEMPLATES, Prompt
@@ -61,13 +59,13 @@ def test_scripted_queue_semantics():
     backend = scripted_pairs([("ask", "first"), ("ask", "second")])
     assert backend.complete(ChatRequest("ask me", EXPLORE)) == "first"
     assert backend.complete(ChatRequest("ask me", EXPLORE)) == "second"
-    with pytest.raises(ScriptExhaustedError, match="ask me"):
+    with pytest.raises(GatewayError, match="ask me"):
         backend.complete(ChatRequest("ask me", EXPLORE))
 
 
 def test_scripted_unmatched_is_loud():
     backend = scripted_pairs([("improve", "x")])
-    with pytest.raises(ScriptExhaustedError):
+    with pytest.raises(GatewayError):
         backend.complete(ChatRequest("something else entirely", EXPLORE))
 
 
@@ -294,7 +292,7 @@ def test_waiters_send_their_own_request_when_the_leader_fails(tmp_path):
             time.sleep(self.delay)
             with self._calls_lock:
                 self.running -= 1
-            raise BackendError("down")
+            raise GatewayError("down")
 
     inner = Failing()
     backend = CachedBackend(inner, tmp_path / "c")
@@ -305,7 +303,7 @@ def test_waiters_send_their_own_request_when_the_leader_fails(tmp_path):
         barrier.wait(timeout=10)
         try:
             backend.complete(ChatRequest("doomed", INFER))
-        except BackendError as exc:
+        except GatewayError as exc:
             errors.append(exc)
 
     threads = [threading.Thread(target=call) for _ in range(4)]
@@ -403,14 +401,14 @@ def test_openai_retries_transients_then_succeeds(chat_server, openai):
 
 def test_openai_retry_budget_exhausted(chat_server, openai):
     chat_server.fallback = Reply(status=500)
-    with pytest.raises(TransportError, match="after 3 attempts"):
+    with pytest.raises(GatewayError, match="after 3 attempts"):
         openai(retry_max=2).complete(ChatRequest("x", INFER))
     assert len(chat_server.requests) == 3
 
 
 def test_openai_unexpected_status_is_error_with_body(chat_server, openai):
     chat_server.script = [Reply(status=404, body="x" * 300)]
-    with pytest.raises(BackendError, match="unexpected status 404") as info:
+    with pytest.raises(GatewayError, match="unexpected status 404") as info:
         openai().complete(ChatRequest("x", INFER))
     assert str(info.value).endswith(": " + "x" * 200)
     assert len(chat_server.requests) == 1
@@ -423,14 +421,14 @@ def test_openai_unexpected_status_is_error_with_body(chat_server, openai):
 )
 def test_openai_malformed_payload_is_error(chat_server, openai, body):
     chat_server.script = [Reply(body=body)]
-    with pytest.raises(BackendError, match="malformed"):
+    with pytest.raises(GatewayError, match="malformed"):
         openai().complete(ChatRequest("x", INFER))
     assert len(chat_server.requests) == 1
 
 
 def test_openai_empty_completion_is_error(chat_server, openai):
     chat_server.script = [Reply(body=completion(""))]
-    with pytest.raises(BackendError, match="empty"):
+    with pytest.raises(GatewayError, match="empty"):
         openai().complete(ChatRequest("x", INFER))
 
 
@@ -483,7 +481,7 @@ def test_openai_unreachable_endpoint_exhausts_budget():
     backend = OpenAIChatBackend(
         base_url=f"http://127.0.0.1:{_closed_port()}/v1", model="m", retry_max=1, backoff_base_s=0.0
     )
-    with pytest.raises(TransportError, match="after 2 attempts"):
+    with pytest.raises(GatewayError, match="after 2 attempts"):
         backend.complete(ChatRequest("x", INFER))
 
 
@@ -501,7 +499,7 @@ def test_openai_https_goes_through_connect_tunnel(chat_server, openai, monkeypat
     proxy = chat_server.url.removesuffix("/v1").replace("http://", "http://user:pw@")
     monkeypatch.setenv("HTTPS_PROXY", proxy)
     chat_server.script = [Reply(status=407, close=True)]
-    with pytest.raises(TransportError, match="407"):
+    with pytest.raises(GatewayError, match="407"):
         openai(base_url="https://llm.test/v1", retry_max=0).complete(ChatRequest("x", INFER))
     sent = chat_server.requests[0]
     assert (sent["method"], sent["path"]) == ("CONNECT", "llm.test:443")

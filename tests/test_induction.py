@@ -7,10 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from apio.corpus import SamplePair
-from apio.gateway import ChatRequest, INFER, ScriptEntry, ScriptedBackend
+from apio.gateway import ChatRequest, GatewayError, INFER, ScriptEntry, ScriptedBackend
 from apio.config import InductionConfig
 from apio.induction import (
-    InductionError,
     best_of_trials,
     induce_instruction,
     induce_prompt,
@@ -60,7 +59,7 @@ def test_induce_retries_newline_once_then_errors():
     assert ok_after_retry.n_calls == 2
 
     always_bad = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response="a\nb", sticky=True)])
-    with pytest.raises(InductionError):
+    with pytest.raises(GatewayError):
         induce_instruction(_pair(), GEC_TEMPLATE, always_bad)
     assert always_bad.n_calls == 2
 
@@ -211,5 +210,5 @@ def test_best_of_trials_skips_failed_trials(toy_pairs):
 def test_best_of_trials_all_failed(toy_pairs):
     backend = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response="a\nb", sticky=True)])
     cfg = InductionConfig(n_instructions=1, n_trials=2, seed=1)
-    with pytest.raises(InductionError, match="all induction trials failed"):
+    with pytest.raises(GatewayError, match="all induction trials failed"):
         best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, _flat_fitness)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from apio.corpus import SamplePair
 from apio.cli import main
-from apio.gateway import EXPLORE, INFER, Backend, ScriptEntry, ScriptedBackend, ScriptExhaustedError
+from apio.gateway import EXPLORE, INFER, Backend, GatewayError, ScriptEntry, ScriptedBackend
 from apio.config import OptimizerConfig
 from apio.optimizer import (
     Candidate,
@@ -84,7 +84,7 @@ class SlowEchoBackend(Backend):
         time.sleep(0.002 * (20 - int(source.split()[1])))
         self.finished.append(source)
         if "fail" in source:
-            raise ScriptExhaustedError(f"scripted failure for {source!r}")
+            raise GatewayError(f"scripted failure for {source!r}")
         return source
 
 
@@ -120,7 +120,7 @@ def test_score_prompt_failure_waits_for_every_request(workers):
     backend = SlowEchoBackend()
     with ThreadPoolExecutor(max_workers=workers or 1) as own_pool:
         pool = own_pool if workers else SEQUENTIAL
-        with pytest.raises(ScriptExhaustedError, match="item 3 fail"):
+        with pytest.raises(GatewayError, match="item 3 fail"):
             score_prompt(_prompt(DECOY), pairs, backend, pool)
         # nothing is left in flight once the first failure surfaces
         assert len(backend.finished) == len(pairs)
@@ -470,7 +470,7 @@ class FailingPromptBackend(Backend):
 
     def _complete(self, request):
         if request.profile == INFER and _prompt_of(request) == self.failing:
-            raise ScriptExhaustedError("injected window failure")
+            raise GatewayError("injected window failure")
         return self.inner.complete(request)
 
 

@@ -3,10 +3,12 @@ from __future__ import annotations
 import contextlib
 import errno
 import fcntl
+import importlib
 import itertools
 import json
 import logging
 import os
+import pkgutil
 import random
 import signal
 import socket
@@ -23,7 +25,7 @@ import apio
 from apio.cli import main
 from apio.config import ConfigurationError, OptimizerConfig, RunConfig, from_object, to_object
 from apio.corpus import apply_edits, load_m2
-from apio.gateway import INFER, CredentialError, ScriptedBackend, ScriptExhaustedError
+from apio.gateway import INFER, CredentialError, GatewayError, ScriptedBackend
 from apio.optimizer import Candidate
 from apio.prompts import GENERIC_TEMPLATE, Prompt
 from apio.state import BackendState, RunDir, RunState
@@ -171,6 +173,14 @@ def test_induce_exhausted_script_is_engine_failure(tmp_path):
     paths = make_workspace(tmp_path)
     paths["script"].write_text(json.dumps([{"match": "never matches", "response": "x"}]))
     assert _induce(paths, run_id="r3") == 1
+
+
+def test_induce_whose_every_trial_fails_exits_1_and_writes_no_run_file(tmp_path, capsys):
+    paths = make_workspace(tmp_path)
+    paths["script"].write_text(json.dumps([{"match": INDUCE_MATCH, "response": "a\nb", "sticky": True}]))
+    assert _induce(paths) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "engine failure: all induction trials failed"
+    assert [path.name for path in (paths["runs"] / "r1").iterdir()] == [".lock"]
 
 
 def test_locked_run_dir_is_refused(tmp_path, capsys):
@@ -653,7 +663,7 @@ def test_failed_child_scoring_drops_only_that_child(tmp_path, monkeypatch, caplo
 
     def complete(self, request):
         if request.profile == INFER and failing in request.text():
-            raise ScriptExhaustedError("injected inference failure")
+            raise GatewayError("injected inference failure")
         return scripted(self, request)
 
     def run(name, workers):
@@ -1136,6 +1146,14 @@ def test_script_alone_selects_the_scripted_backend(tmp_path, no_network):
     assert no_network["n"] == 0
 
 
+@pytest.mark.parametrize("flag", [("--task", "gec"), ("--seed", "1")], ids=["task", "seed"])
+def test_infer_takes_no_task_or_seed(tmp_path, capsys, flag):
+    argv = _argv("infer", _command_files(tmp_path)["infer"])
+    assert main(argv) == 0
+    assert main([*argv, *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_infer_parallel_workers_preserve_order(tmp_path):
     prompt = tmp_path / "p.txt"
     _write_prompt(prompt)
@@ -1561,9 +1579,12 @@ def test_directory_given_for_a_file_exits_2_naming_it(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
-    "command", ["infer", "baseline", "baseline-copy", "evaluate", "evaluate-simplify", "evaluate-generic"]
+    ("where", "command"),
+    [(where, command) for where in ("a-directory", "in-no-directory")
+     for command in ("infer", "baseline", "baseline-copy", "evaluate", "evaluate-simplify", "evaluate-generic")]
+    # the commands that write a second file beside --output
+    + [("sidecar-a-directory", command) for command in ("baseline", "baseline-copy", "evaluate")],
 )
-@pytest.mark.parametrize("where", ["a-directory", "in-no-directory"])
 def test_unwritable_output_exits_2_before_any_request(tmp_path, capsys, chat_server, command, where):
     chat_server.fallback = Reply(body=completion("out"))
     flags = _command_files(tmp_path)[command]
@@ -1577,9 +1598,14 @@ def test_unwritable_output_exits_2_before_any_request(tmp_path, capsys, chat_ser
     if where == "a-directory":
         output.mkdir()
         expected = f"error: --output {output} is a directory\n"
-    else:
+    elif where == "in-no-directory":
         output = output / "out.txt"
         expected = f"error: --output {output}: {output.parent} is not a directory\n"
+    else:
+        output = tmp_path / "rep.txt"
+        sidecar = tmp_path / ("rep.levenshtein.json" if command == "evaluate" else "rep.txt.meta.json")
+        sidecar.mkdir()
+        expected = f"error: --output {output}: {sidecar} is a directory\n"
     files = sorted(tmp_path.rglob("*"))
     assert main(_argv(command, {**flags, "--output": output})) == 2
     assert capsys.readouterr().err == expected
@@ -1649,6 +1675,40 @@ def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, case):
     bad.write_bytes(b"caf\xe9 " + bad.read_bytes())
     assert main(argv) == 2
     assert f"error: {bad} is not UTF-8: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+
+
+def _apio_exception_classes() -> list[type[Exception]]:
+    """Every ``Exception`` subclass defined in an ``apio`` module, once all are imported."""
+    for module in pkgutil.walk_packages(apio.__path__, "apio."):
+        importlib.import_module(module.name)
+    found, todo = [], [Exception]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.partition(".")[0] == "apio" and cls not in found:
+                found.append(cls)
+    return found
+
+
+APIO_EXCEPTIONS = _apio_exception_classes()
+
+
+def test_the_exception_classes_are_the_four_outcomes():
+    assert sorted(cls.__name__ for cls in APIO_EXCEPTIONS) == [
+        "ConfigurationError", "CredentialError", "GatewayError", "PromptError"]
+
+
+@pytest.mark.parametrize("cls", APIO_EXCEPTIONS, ids=lambda cls: cls.__name__)
+def test_every_apio_exception_maps_to_an_exit_code(tmp_path, capsys, monkeypatch, cls):
+    def raises(args):
+        raise cls("boom")
+
+    monkeypatch.setattr("apio.cli.cmd_evaluate", raises)
+    code = main(["evaluate", "--task", "generic", "--predictions", "p.txt", "--output", str(tmp_path / "o.json")])
+    if issubclass(cls, (ValueError, OSError)):
+        assert (code, capsys.readouterr().err) == (2, "error: boom\n")
+    else:
+        assert (code, capsys.readouterr().err) == (1, "engine failure: boom\n")
 
 
 def test_usage_error_exit_code():
