@@ -51,7 +51,7 @@ def _run(requests: list[ChatRequest], threads: int) -> tuple[float, float]:
             hit_s = time.perf_counter() - start
         backend.close()
     # sanity: one inner call per distinct request, every repeat a hit
-    assert (backend.inner.n_calls, backend.hits) == (len(requests), len(requests))
+    assert (backend.inner.calls.total(), backend.calls.total()) == (len(requests), 2 * len(requests))
     return miss_s, hit_s
 
 

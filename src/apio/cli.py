@@ -48,7 +48,7 @@ from .prompts import (
     postprocess_output,
 )
 from .seeding import derived_rng
-from .state import BackendState, RunDir, RunState, write_json, write_text
+from .state import BackendState, RunDir, RunState, temp_path, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -139,15 +139,17 @@ def _levenshtein_path(output: Path) -> Path:  # the word distance of evaluate --
 
 def _output_path(args: argparse.Namespace, sidecar: Callable[[Path], Path] | None = None) -> Path:
     """``--output``, refused before any input is read or request sent when
-    it is a directory or its parent is not one, or when the file the
-    command writes beside it, ``sidecar(output)``, is a directory."""
+    it is a directory or its parent is not one, or when ``sidecar(output)``,
+    the file the command writes beside it, or a temp file is a directory."""
     output = Path(args.output)
     if output.is_dir():
         raise ConfigurationError(f"--output {output} is a directory")
     if not output.parent.is_dir():
         raise ConfigurationError(f"--output {output}: {output.parent} is not a directory")
-    if sidecar is not None and sidecar(output).is_dir():
-        raise ConfigurationError(f"--output {output}: {sidecar(output)} is a directory")
+    written = [output] if sidecar is None else [output, sidecar(output)]
+    for path in written[1:] + [temp_path(path) for path in written]:
+        if path.is_dir():
+            raise ConfigurationError(f"--output {output}: {path} is a directory")
     return output
 
 
@@ -202,8 +204,8 @@ def cmd_induce(args: argparse.Namespace) -> int:
     dev_eval = select_dev_subsample(dev, cfg.optimizer)
     with _open_run(args, cfg, run, args.force) as (backend, pool):
 
-        def fitness_fn(prompt: Prompt, pairs, via: Backend) -> Callable[[], float]:
-            scoring = submit_scoring(prompt, pairs, via, pool)
+        def fitness_fn(prompt: Prompt, pairs, trial: int) -> Callable[[], float]:
+            scoring = submit_scoring(prompt, pairs, backend, pool, trial)
             return lambda: -gather_scoring(scoring)[0]
 
         prompt, trials = best_of_trials(train, dev_eval, cfg.induction, template, backend, fitness_fn)
@@ -307,8 +309,9 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
     top = sorted(pool, key=rank_key)[:5]
     best = top[0]
     write_text(run.best_prompt_path, best.prompt.text() + "\n")
-    top_scorings = [submit_scoring(c.prompt, engine.dev_eval, engine.backend, engine.executor) for c in top]
-    full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor)
+    top_scorings = [submit_scoring(c.prompt, engine.dev_eval, engine.backend, engine.executor, 0, "report")
+                    for c in top]
+    full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor, 0, "report")
     top_report = []
     for cand, scoring in zip(top, top_scorings):
         _, _, outputs = gather_scoring(scoring)

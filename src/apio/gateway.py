@@ -1,7 +1,7 @@
 """Chat-completion backends behind one interface.
 
-Every network interaction in the engine goes through ``Backend.complete``.
-Three implementations cover the deployment modes:
+Every request goes through ``Backend.complete``, which counts it in
+``Backend.calls``. Three implementations cover the deployment modes:
 
 * ``OpenAIChatBackend`` - OpenAI-style chat-completions HTTP endpoint with
   retry/backoff, bearer token from ``APIO_API_KEY``;
@@ -31,6 +31,7 @@ import sqlite3
 import threading
 import time
 import urllib.request
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import SplitResult, unquote, urlsplit
@@ -67,6 +68,8 @@ class ChatRequest:
     content: str  # the one user message
     profile: GenerationProfile
     attempt_tag: int = 0
+    purpose: str = "infer"  # induce, improve, rephrase, score, report or infer; Backend.calls counts by it and step
+    step: int = 0  # the induction trial or optimize epoch; 0 for the seed scoring, the report and elsewhere
 
     def __post_init__(self):
         if not self.content:
@@ -77,7 +80,7 @@ class ChatRequest:
 
 
 def request_key(request: ChatRequest, model: str, max_tokens: int) -> str:
-    """The cache key of ``request`` sent to ``model`` with ``max_tokens``."""
+    """The cache key of ``request`` sent to ``model`` with ``max_tokens``; its ``purpose`` and ``step`` stay out."""
     payload = json.dumps(
         {
             "model": model,
@@ -94,18 +97,18 @@ def request_key(request: ChatRequest, model: str, max_tokens: int) -> str:
 
 
 class Backend:
-    """Base backend; counts the requests it is sent in ``n_calls``."""
+    """Base backend; ``calls`` counts the requests it is sent by ``(purpose, step)``."""
 
     model = ""
     max_tokens = 1024
 
     def __init__(self) -> None:
-        self.n_calls = 0
+        self.calls: Counter[tuple[str, int]] = Counter()
         self._calls_lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> str:
         with self._calls_lock:
-            self.n_calls += 1
+            self.calls[request.purpose, request.step] += 1
         return self._complete(request)
 
     def _complete(self, request: ChatRequest) -> str:
@@ -408,13 +411,15 @@ class OpenAIChatBackend(Backend):
 # completion cache
 # ---------------------------------------------------------------------------
 
+CACHE_BUSY_TIMEOUT_S = 5.0  # how long a cache write waits for another connection's write lock
+
 
 class CachedBackend(Backend):
     """Completion cache in front of a backend: one SQLite file in WAL mode,
-    ``<cache_dir>/completions.sqlite3``, that processes can share. An entry
-    is never replaced, so writers of one key all get the first text stored.
-    Identical concurrent requests wait for the first one, then read its
-    entry, or send their own request if it failed."""
+    ``<cache_dir>/completions.sqlite3``, that processes can share. An entry is never
+    replaced, so writers of one key all get the first text stored. Identical concurrent
+    requests wait for the first one, then read its entry, or send their own request if it
+    failed. The cache hits number ``calls.total() - inner.calls.total()``."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path) -> None:
         super().__init__()
@@ -427,12 +432,12 @@ class CachedBackend(Backend):
         self._lock = threading.Lock()  # guards _db and _inflight
         self._db: sqlite3.Connection | None = self._connect()
         self._inflight: dict[str, threading.Event] = {}  # set when the key's request ends
-        self.hits = 0  # counted under _calls_lock
 
     def _connect(self) -> sqlite3.Connection:
         path = self.cache_dir / "completions.sqlite3"
-        db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+        db = None
         try:
+            db = sqlite3.connect(path, timeout=CACHE_BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False)
             # a table of another shape is refused before the file is changed
             columns = [row[1] for row in db.execute("PRAGMA table_info(completions)")]
             if columns not in ([], ["key", "response_text"]):
@@ -441,8 +446,9 @@ class CachedBackend(Backend):
                 "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS"
                 " completions (key TEXT PRIMARY KEY, response_text TEXT NOT NULL);"
             )
-        except sqlite3.DatabaseError as exc:
-            db.close()
+        except sqlite3.DatabaseError as exc:  # an OperationalError too, when the file cannot be opened
+            if db is not None:
+                db.close()
             raise ValueError(f"cache file {path} is not a usable SQLite database: {exc}") from exc
         return db
 
@@ -457,9 +463,13 @@ class CachedBackend(Backend):
     def _stored(self, key: str, text: str | None = None) -> str | None:
         """The text stored for ``key``, after storing ``text`` if it has none; hold ``_lock``."""
         self._db = self._db or self._connect()
-        if text is not None:
-            self._db.execute("INSERT OR IGNORE INTO completions VALUES (?, ?)", (key, text))
-        row = self._db.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
+        try:
+            if text is not None:
+                self._db.execute("INSERT OR IGNORE INTO completions VALUES (?, ?)", (key, text))
+            row = self._db.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
+        except sqlite3.Error as exc:  # a failed lookup is a miss, a failed write keeps its answer
+            log.warning("completion cache %s failed: %s", "lookup" if text is None else "write", exc)
+            return text
         return row[0] if row else None
 
     def _complete(self, request: ChatRequest) -> str:
@@ -467,7 +477,7 @@ class CachedBackend(Backend):
         while True:
             with self._lock:
                 if (text := self._stored(key)) is not None:
-                    break
+                    return text
                 running = self._inflight.setdefault(key, done := threading.Event())
             if running is done:
                 try:
@@ -479,6 +489,3 @@ class CachedBackend(Backend):
                         del self._inflight[key]
                     done.set()
             running.wait()
-        with self._calls_lock:
-            self.hits += 1
-        return text

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import random
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import InductionConfig
 from .corpus import SamplePair
@@ -26,10 +26,10 @@ log = logging.getLogger(__name__)
 class TrialReport:
     trial: int
     seed: int
-    pair_ids: list[str]
-    instructions: list[str]
-    fitness: float | None
-    backend_calls: int
+    pair_ids: list[str] = field(default_factory=list)
+    instructions: list[str] = field(default_factory=list)
+    fitness: float | None = None
+    backend_calls: int = 0
     error: str | None = None
     dev_evaluations: int = 0
 
@@ -39,8 +39,9 @@ def induce_instruction(
     template: TaskTemplate,
     backend: Backend,
     attempt_base: int = 0,
+    trial: int = 0,
 ) -> Instruction:
-    """Derive one instruction from a single example pair.
+    """Derive one instruction from a single example pair in requests of ``trial``.
 
     The first reference is shown as the example output. A completion that
     is empty or still multi-line after cleanup is retried once, then the
@@ -49,7 +50,7 @@ def induce_instruction(
     meta = induction_meta_prompt(template, pair.source, pair.references[0])
     last = ""
     for retry in (0, 1):
-        raw = backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=attempt_base + retry))
+        raw = backend.complete(ChatRequest(meta, EXPLORE, attempt_base + retry, purpose="induce", step=trial))
         last = clean_completion(raw)
         if last and "\n" not in last:
             return Instruction(last)
@@ -81,21 +82,9 @@ def induce_prompt(
     instructions = []
     for k, idx in enumerate(picks):
         attempt_base = (trial_index * cfg.n_instructions + k) * 2
-        instructions.append(induce_instruction(train[idx], template, backend, attempt_base))
+        instructions.append(induce_instruction(train[idx], template, backend, attempt_base, trial_index))
     prompt = Prompt(header="", instructions=tuple(instructions), footer=template.footer)
     return prompt, [train[i].id for i in picks]
-
-
-class _TrialRequests(Backend):
-    """``inner`` seen through a request count of its own, so that a trial
-    counts its requests while other trials' scorings are in flight."""
-
-    def __init__(self, inner: Backend) -> None:
-        super().__init__()
-        self.inner = inner
-
-    def _complete(self, request: ChatRequest) -> str:
-        return self.inner.complete(request)
 
 
 def best_of_trials(
@@ -104,42 +93,38 @@ def best_of_trials(
     cfg: InductionConfig,
     template: TaskTemplate,
     backend: Backend,
-    fitness_fn: Callable[[Prompt, Sequence[SamplePair], Backend], Callable[[], float]],
+    fitness_fn: Callable[[Prompt, Sequence[SamplePair], int], Callable[[], float]],
 ) -> tuple[Prompt, list[TrialReport]]:
     """Run ``n_trials`` inductions and keep the dev-fitness argmax.
 
-    ``fitness_fn(prompt, dev, via)`` starts scoring ``prompt`` on ``dev``
-    with requests sent through ``via`` and returns a function that waits
-    for the fitness. Every trial is induced and its scoring started before
-    the first fitness is gathered, in trial order. Ties break to the lowest
+    ``fitness_fn(prompt, dev, trial)`` starts scoring ``prompt`` on ``dev``
+    in requests of ``trial`` and returns a function that waits for the
+    fitness. Every trial is induced and its scoring started before the
+    first fitness is gathered, in trial order. Ties break to the lowest
     trial index; trials that fail to induce or to be scored are recorded
-    and skipped. A trial's ``backend_calls`` counts the requests it sent.
+    and skipped. A trial's ``backend_calls`` counts its requests.
     """
-    started: list[tuple[TrialReport, Prompt | None, _TrialRequests, Callable[[], float] | None]] = []
+    started: list[tuple[TrialReport, Prompt | None, Callable[[], float] | None]] = []
     for trial in range(cfg.n_trials):
-        report = TrialReport(
-            trial=trial, seed=trial_seed(cfg.seed, trial), pair_ids=[], instructions=[],
-            fitness=None, backend_calls=0,
-        )
-        via = _TrialRequests(backend)
+        report = TrialReport(trial, trial_seed(cfg.seed, trial))
         prompt, gather = None, None
         try:
-            prompt, report.pair_ids = induce_prompt(train, cfg, template, via, trial_index=trial)
+            prompt, report.pair_ids = induce_prompt(train, cfg, template, backend, trial_index=trial)
             report.instructions = prompt.instruction_texts()
-            gather = fitness_fn(prompt, dev, via)
+            gather = fitness_fn(prompt, dev, trial)
         except GatewayError as exc:
             log.warning("trial %d failed: %s", trial, exc)
             report.error = str(exc)
-        started.append((report, prompt, via, gather))
+        started.append((report, prompt, gather))
     best: tuple[float, Prompt] | None = None
-    for report, prompt, via, gather in started:
+    for report, prompt, gather in started:
         if gather is not None:
             try:
                 report.fitness, report.dev_evaluations = gather(), 1
             except GatewayError as exc:
                 log.warning("trial %d failed: %s", report.trial, exc)
                 report.error = str(exc)
-        report.backend_calls = via.n_calls
+        report.backend_calls = backend.calls["induce", report.trial] + backend.calls["score", report.trial]
         if report.fitness is not None and (best is None or report.fitness > best[0]):
             best = (report.fitness, prompt)
     if best is None:

@@ -59,18 +59,20 @@ def submit_scoring(
     pairs: Sequence[SamplePair],
     backend: Backend,
     executor: Executor,
+    step: int,
+    purpose: str = "score",
 ) -> list[Future]:
     """Start scoring ``prompt`` on ``pairs`` in ``executor``: one future
     per pair, in input order, each rendering the source, completing it
-    under the INFER profile, postprocessing, and taking the word distance
-    to the nearest reference. An empty source scores the empty output.
-    Pass the result to ``gather_scoring``.
+    in an INFER request of ``purpose`` and ``step``, postprocessing, and
+    taking the word distance to the nearest reference. An empty source
+    scores the empty output. Pass the result to ``gather_scoring``.
     """
 
     def one(pair: SamplePair) -> tuple[str, int]:
         output = ""
         if pair.source:
-            raw = backend.complete(ChatRequest(prompt.render(pair.source), INFER))
+            raw = backend.complete(ChatRequest(prompt.render(pair.source), INFER, purpose=purpose, step=step))
             output = postprocess_output(raw)
         return output, min_ref_levenshtein(output, pair.references)
 
@@ -136,9 +138,9 @@ class PromptOptimizer:
 
     # -- fitness ------------------------------------------------------------
 
-    def submit_fitness(self, prompt: Prompt) -> list[Future]:
-        """Start scoring ``prompt`` on the fixed dev subsample."""
-        return submit_scoring(prompt, self.dev_eval, self.backend, self.executor)
+    def submit_fitness(self, prompt: Prompt, epoch: int) -> list[Future]:
+        """Start scoring ``prompt`` on the fixed dev subsample, as requests of ``epoch``."""
+        return submit_scoring(prompt, self.dev_eval, self.backend, self.executor, epoch)
 
     def fitness(
         self, prompt: Prompt, parent: Prompt | None, scoring: list[Future]
@@ -161,7 +163,7 @@ class PromptOptimizer:
         window_size = min(len(self.train), 2 * self.cfg.improve_batch)
         rng = derived_rng(self.cfg.seed, "improve-batch", epoch, parent.id)
         pairs = [self.train[idx] for idx in rng.sample(range(len(self.train)), window_size)]
-        return pairs, submit_scoring(parent.prompt, pairs, self.backend, self.executor)
+        return pairs, submit_scoring(parent.prompt, pairs, self.backend, self.executor, epoch)
 
     def _improve_examples(self, window: Window) -> list[tuple[str, str, str, int]]:
         """The rows of a ``_submit_window`` scoring with the worst errors.
@@ -187,7 +189,7 @@ class PromptOptimizer:
         children = []
         for s in range(self.cfg.improve_samples):
             tag = epoch * self.cfg.improve_samples + s
-            raw = self.backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=tag))
+            raw = self.backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=tag, purpose="improve", step=epoch))
             try:
                 text = parse_new_instruction(raw)
             except PromptError as exc:
@@ -203,9 +205,8 @@ class PromptOptimizer:
         children = []
         parent_text = parent.prompt.text()
         for i, instruction in enumerate(parent.prompt.instructions):
-            raw = self.backend.complete(
-                ChatRequest(rephrase_meta_prompt(instruction), EXPLORE, attempt_tag=epoch)
-            )
+            meta = rephrase_meta_prompt(instruction)
+            raw = self.backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=epoch, purpose="rephrase", step=epoch))
             text = clean_completion(raw, collapse_newlines=True)
             if not text:
                 log.warning("empty rephrase for candidate %d position %d", parent.id, i)
@@ -235,7 +236,7 @@ class PromptOptimizer:
     # -- epoch loop ----------------------------------------------------------
 
     def score_seed(self, prompt: Prompt) -> Candidate:
-        fit, raw, drift = self.fitness(prompt, None, self.submit_fitness(prompt))
+        fit, raw, drift = self.fitness(prompt, None, self.submit_fitness(prompt, 0))
         return Candidate(
             id=self._take_id(),
             prompt=prompt,
@@ -254,8 +255,7 @@ class PromptOptimizer:
         soon as it is proposed, so its dev requests overlap the generation
         of later children. Children are proposed, gathered, numbered and
         admitted in proposal order, which the early submissions leave as it
-        was."""
-        calls_before = self.backend.n_calls
+        was. ``backend_calls`` counts the epoch's score, improve and rephrase requests."""
         parents = sorted(pool, key=lambda c: c.id)
         seen = {c.prompt.text() for c in pool}
         windows: dict[int, Window] = {}
@@ -265,14 +265,14 @@ class PromptOptimizer:
             windows[parent.id] = self._submit_window(parent, epoch)
             child = permuted[parent.id] = self.permute(parent, epoch)
             if child is not None and (text := child.text()) not in seen and text not in early:
-                early[text] = self.submit_fitness(child)
+                early[text] = self.submit_fitness(child, epoch)
         proposals: list[tuple[Prompt, str, Candidate, list[Future]]] = []
 
         def propose(prompt: Prompt, op: str, parent: Candidate) -> None:
             text = prompt.text()
             if text not in seen:
                 seen.add(text)
-                scoring = early.pop(text) if text in early else self.submit_fitness(prompt)
+                scoring = early.pop(text) if text in early else self.submit_fitness(prompt, epoch)
                 proposals.append((prompt, op, parent, scoring))
 
         for parent in parents:
@@ -319,7 +319,7 @@ class PromptOptimizer:
                 "pool": [c.id for c in new_pool],
                 "best_fitness": new_pool[0].fitness,
                 "best_id": new_pool[0].id,
-                "backend_calls": self.backend.n_calls - calls_before,
+                "backend_calls": sum(self.backend.calls[p, epoch] for p in ("score", "improve", "rephrase")),
             }
         )
         return new_pool

@@ -59,11 +59,15 @@ class RunState:
             raise ConfigurationError(f"pool must hold a candidate in phase {self.phase}")
 
 
+def temp_path(path: Path) -> Path:  # the file write_text writes before renaming it to path
+    return path.with_name(path.name + ".tmp")
+
+
 def write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, atomically: a reader sees the
     old file or the new one, never a part. A write that fails leaves no
     temp file."""
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = temp_path(path)
     try:
         tmp.write_text(text, encoding="utf-8")
         tmp.replace(path)

@@ -124,7 +124,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        self._reply(self.server.answer(self, json.loads(body)))
+        self._reply(self.server.answer(self, body))
 
     def do_CONNECT(self) -> None:
         # a proxy's tunnel request, answered from the script; a tunnel that
@@ -148,8 +148,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
 class ChatServer(ThreadingHTTPServer):
     """A chat-completions server on 127.0.0.1 that answers from ``script``
     in order and then with ``fallback``. Each request's method, path,
-    headers, JSON body and client port go into ``requests``; ``closed``
-    counts the connections it has closed."""
+    headers, body (as sent and as parsed JSON) and client port go into
+    ``requests``; ``closed`` counts the connections it has closed."""
 
     daemon_threads = True
     # handler threads wait on kept-alive connections; do not join them
@@ -167,14 +167,15 @@ class ChatServer(ThreadingHTTPServer):
     def url(self) -> str:
         return f"http://127.0.0.1:{self.server_address[1]}/v1"
 
-    def answer(self, handler: _ChatHandler, payload) -> Reply:
+    def answer(self, handler: _ChatHandler, body: bytes | None) -> Reply:
         with self.changed:
             self.requests.append(
                 {
                     "method": handler.command,
                     "path": handler.path,
                     "headers": dict(handler.headers),
-                    "json": payload,
+                    "body": body,
+                    "json": None if body is None else json.loads(body),
                     "port": handler.client_address[1],
                 }
             )

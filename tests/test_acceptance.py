@@ -433,12 +433,12 @@ def test_c9_induction_call_accounting():
     cfg = InductionConfig(n_instructions=3, n_trials=10, seed=4)
     dev_evaluations = []
 
-    def fitness_fn(prompt, pairs, via):
+    def fitness_fn(prompt, pairs, trial):
         dev_evaluations.append(prompt)
         return lambda: 0.0
 
     best_of_trials(dev, dev, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
-    assert backend.n_calls == 30  # every request is an induction: fitness_fn sends none
+    assert backend.calls.total() == 30  # every request is an induction: fitness_fn sends none
     assert len(dev_evaluations) == 10
 
 

@@ -45,6 +45,13 @@ def test_request_validation():
         ChatRequest("", INFER)
 
 
+def test_calls_are_counted_by_purpose_and_step():
+    backend = scripted_pairs([("", "answer")] * 4)
+    for purpose, step in [("induce", 1), ("score", 1), ("induce", 1), ("improve", 3)]:
+        backend.complete(ChatRequest("x", EXPLORE, purpose=purpose, step=step))
+    assert backend.calls == {("induce", 1): 2, ("score", 1): 1, ("improve", 3): 1}
+
+
 # -- scripted ----------------------------------------------------------------
 
 
@@ -52,7 +59,7 @@ def test_scripted_pass_through():
     backend = scripted_pairs([("Generate a variation", "new text")])
     out = backend.complete(ChatRequest("Generate a variation of x", EXPLORE))
     assert out == "new text"
-    assert backend.n_calls == 1
+    assert backend.calls.total() == 1
 
 
 def test_scripted_queue_semantics():
@@ -128,14 +135,18 @@ class CountingBackend(Backend):
         return self.response
 
 
+def _hits(backend: CachedBackend) -> int:
+    return backend.calls.total() - backend.inner.calls.total()
+
+
 def test_cache_hit_skips_inner(tmp_path):
     inner = CountingBackend()
     backend = CachedBackend(inner, tmp_path / "cache")
     request = ChatRequest("hello", INFER)
     assert backend.complete(request) == "pong"
     assert backend.complete(request) == "pong"
-    assert inner.n_calls == 1
-    assert backend.hits == 1
+    assert inner.calls.total() == 1
+    assert _hits(backend) == 1
 
 
 def test_cache_key_sensitive_to_every_field():
@@ -150,6 +161,17 @@ def test_cache_key_sensitive_to_every_field():
     ]
     assert base_key not in variants
     assert len(set(variants)) == len(variants)
+
+
+def test_purpose_and_step_reach_neither_the_cache_key_nor_the_wire(chat_server, openai):
+    plain = ChatRequest("hello", EXPLORE, attempt_tag=3)
+    labelled = ChatRequest("hello", EXPLORE, attempt_tag=3, purpose="rephrase", step=7)
+    assert request_key(plain, "m", 1024) == request_key(labelled, "m", 1024)
+    backend = openai()
+    backend.complete(plain)
+    backend.complete(labelled)
+    first, second = (sent["body"] for sent in chat_server.requests)
+    assert first == second
 
 
 def test_cache_keys_of_existing_files_still_hit(tmp_path):
@@ -168,7 +190,7 @@ def test_cache_keys_of_existing_files_still_hit(tmp_path):
     inner = CountingBackend()
     inner.model = "stub"
     assert CachedBackend(inner, tmp_path / "c").complete(request) == "stored"
-    assert inner.n_calls == 0
+    assert inner.calls.total() == 0
 
 
 def test_cache_persists_across_instances(tmp_path):
@@ -178,7 +200,7 @@ def test_cache_persists_across_instances(tmp_path):
     second_inner = CountingBackend(response="different")
     second = CachedBackend(second_inner, tmp_path / "c")
     assert second.complete(request) == "pong"  # byte-identical, no inner call
-    assert second_inner.n_calls == 0
+    assert second_inner.calls.total() == 0
 
 
 def test_writers_sharing_a_cache_dir_keep_the_first_text(tmp_path):
@@ -196,8 +218,8 @@ def test_writers_sharing_a_cache_dir_keep_the_first_text(tmp_path):
     assert first.complete(request) == "second"
     third = CachedBackend(CountingBackend(response="third"), tmp_path / "c")
     assert third.complete(request) == "second"
-    assert (first.inner.n_calls, second.inner.n_calls, third.inner.n_calls) == (1, 1, 0)
-    assert (first.hits, second.hits, third.hits) == (0, 0, 1)
+    assert (first.inner.calls.total(), second.inner.calls.total(), third.inner.calls.total()) == (1, 1, 0)
+    assert (_hits(first), _hits(second), _hits(third)) == (0, 0, 1)
     for backend in (first, second, third):
         backend.close()
     assert [p.name for p in (tmp_path / "c").iterdir()] == ["completions.sqlite3"]
@@ -228,7 +250,7 @@ def test_cache_is_readable_after_a_writer_exits_without_close(tmp_path):
     assert [reader.complete(ChatRequest(f"entry {i}", INFER)) for i in range(50)] == [
         f"ENTRY {i}" for i in range(50)
     ]
-    assert (inner.n_calls, reader.hits) == (0, 50)
+    assert (inner.calls.total(), _hits(reader)) == (0, 50)
     reader.close()
 
 
@@ -242,7 +264,7 @@ def test_close_leaves_only_the_database_and_reopens_on_use(tmp_path):
     assert backend.complete(ChatRequest("after", INFER)) == "pong"  # a miss, stored
     backend.close()
     backend.close()
-    assert (inner.n_calls, backend.hits) == (2, 1)
+    assert (inner.calls.total(), _hits(backend)) == (2, 1)
     assert CachedBackend(CountingBackend(response="other"), backend.cache_dir).complete(
         ChatRequest("after", INFER)
     ) == "pong"
@@ -259,7 +281,7 @@ def test_inflight_dedup(tmp_path):
     for t in threads:
         t.join()
     assert results == ["pong"] * 4
-    assert inner.n_calls == 1
+    assert inner.calls.total() == 1
 
 
 def test_inflight_entries_are_dropped_after_a_burst(tmp_path):
@@ -276,7 +298,7 @@ def test_inflight_entries_are_dropped_after_a_burst(tmp_path):
         sys.setswitchinterval(interval)
     assert results == ["pong"] * 96
     assert backend._inflight == {}
-    assert (inner.n_calls, backend.hits) == (8, 88)
+    assert (inner.calls.total(), _hits(backend)) == (8, 88)
 
 
 def test_waiters_send_their_own_request_when_the_leader_fails(tmp_path):
@@ -314,8 +336,8 @@ def test_waiters_send_their_own_request_when_the_leader_fails(tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert len(errors) == 4
     # one request each, one at a time: the waiters held back while each ran
-    assert (inner.n_calls, inner.max_running) == (4, 1)
-    assert backend.hits == 0 and backend._inflight == {}
+    assert (inner.calls.total(), inner.max_running) == (4, 1)
+    assert _hits(backend) == 0 and backend._inflight == {}
 
 
 def test_cache_hits_counted_exactly_across_threads(tmp_path):
@@ -341,8 +363,8 @@ def test_cache_hits_counted_exactly_across_threads(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert backend.hits == n_threads * per_thread
-    assert (backend.n_calls, backend.inner.n_calls) == (n_threads * per_thread + 1, 1)
+    assert _hits(backend) == n_threads * per_thread
+    assert (backend.calls.total(), backend.inner.calls.total()) == (n_threads * per_thread + 1, 1)
 
 
 # -- openai-compatible http ----------------------------------------------------

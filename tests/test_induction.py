@@ -56,12 +56,12 @@ def test_induce_retries_newline_once_then_errors():
         [(INDUCE_MATCH, "bad\ncompletion"), (INDUCE_MATCH, "Good one.")]
     )
     assert induce_instruction(_pair(), GEC_TEMPLATE, ok_after_retry) == "Good one."
-    assert ok_after_retry.n_calls == 2
+    assert ok_after_retry.calls.total() == 2
 
     always_bad = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response="a\nb", sticky=True)])
     with pytest.raises(GatewayError):
         induce_instruction(_pair(), GEC_TEMPLATE, always_bad)
-    assert always_bad.n_calls == 2
+    assert always_bad.calls.total() == 2
 
 
 def _sticky_backend(response="Do the rewrite."):
@@ -90,7 +90,7 @@ def _zero() -> float:
     return 0.0
 
 
-def _flat_fitness(prompt, dev, via):
+def _flat_fitness(prompt, dev, trial):
     """A fitness step that sends no request and scores every trial 0."""
     return _zero
 
@@ -102,7 +102,7 @@ def test_best_of_trials_argmax_and_tiebreak(toy_pairs):
     scores[4] = -0.25
     calls = {"n": -1}
 
-    def fitness_fn(prompt, dev, via):
+    def fitness_fn(prompt, dev, trial):
         calls["n"] += 1
         return lambda score=scores[calls["n"]]: score
 
@@ -124,12 +124,12 @@ def test_best_of_trials_call_accounting(toy_pairs):
     backend = _sticky_backend()
     dev_evaluations = []
 
-    def fitness_fn(prompt, dev, via):
+    def fitness_fn(prompt, dev, trial):
         dev_evaluations.append(prompt)
         return _zero
 
     _, reports = best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
-    assert backend.n_calls == 30  # n_trials x n_instructions; fitness_fn sends none
+    assert backend.calls.total() == 30  # n_trials x n_instructions; fitness_fn sends none
     assert len(dev_evaluations) == 10
     assert sum(r.dev_evaluations for r in reports) == 10
     assert sum(r.backend_calls for r in reports) == 30
@@ -140,11 +140,11 @@ def test_best_of_trials_induces_every_trial_before_gathering_a_fitness(toy_pairs
     backend = _sticky_backend()
     events = []
 
-    def fitness_fn(prompt, dev, via):
-        events.append(("submit", backend.n_calls))
+    def fitness_fn(prompt, dev, trial):
+        events.append(("submit", backend.calls.total()))
 
         def gather():
-            events.append(("gather", backend.n_calls))
+            events.append(("gather", backend.calls.total()))
             return 0.0
 
         return gather
@@ -161,10 +161,10 @@ def test_best_of_trials_counts_each_trials_requests_while_others_score(toy_pairs
     backend = ScriptedBackend([ScriptEntry(match="", response="Do the rewrite.", sticky=True)])
     submitted = []
 
-    def fitness_fn(prompt, dev, via):
-        trial = len(submitted)
+    def fitness_fn(prompt, dev, trial):
+        request = ChatRequest("score", INFER, purpose="score", step=trial)
         sends = range(100 * (trial + 1))
-        submitted.append(pool.map(lambda _: via.complete(ChatRequest("score", INFER)), sends, timeout=30))
+        submitted.append(pool.map(lambda _: backend.complete(request), sends, timeout=30))
         return lambda: float(len(list(submitted[trial])))
 
     interval = sys.getswitchinterval()
@@ -176,7 +176,7 @@ def test_best_of_trials_counts_each_trials_requests_while_others_score(toy_pairs
         sys.setswitchinterval(interval)
     assert [r.backend_calls for r in reports] == [102, 202, 302]
     assert [r.fitness for r in reports] == [100.0, 200.0, 300.0]
-    assert backend.n_calls == 606
+    assert backend.calls.total() == 606
 
 
 def test_best_of_trials_records_each_trials_seed(toy_pairs):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from apio.corpus import SamplePair
 from apio.cli import main
-from apio.gateway import EXPLORE, INFER, Backend, GatewayError, ScriptEntry, ScriptedBackend
+from apio.gateway import EXPLORE, INFER, Backend, ChatRequest, GatewayError, ScriptEntry, ScriptedBackend
 from apio.config import OptimizerConfig
 from apio.optimizer import (
     Candidate,
@@ -60,7 +60,7 @@ def _distance_pairs():
 def test_fitness_mean_error_no_parent():
     backend = RecordingBackend(rewrite_backend())
     engine = _engine(_distance_pairs(), backend)
-    fit, raw, drift = engine.fitness(_prompt(DECOY), None, engine.submit_fitness(_prompt(DECOY)))
+    fit, raw, drift = engine.fitness(_prompt(DECOY), None, engine.submit_fitness(_prompt(DECOY), 0))
     assert raw == pytest.approx(1.5)
     assert drift == 0.0
     assert fit == pytest.approx(-1.5)
@@ -96,7 +96,7 @@ def _indexed_pairs(n=20, failing=()):
 
 
 def score_prompt(prompt, pairs, backend, executor):
-    return gather_scoring(submit_scoring(prompt, pairs, backend, executor))
+    return gather_scoring(submit_scoring(prompt, pairs, backend, executor, 0))
 
 
 def test_score_prompt_concurrent_keeps_input_order():
@@ -133,7 +133,7 @@ def test_fitness_zero_drift_for_identical_parent():
     ]
     engine = _engine(pairs, rewrite_backend())
     prompt = _prompt(DECOY)
-    fit, raw, drift = engine.fitness(prompt, prompt, engine.submit_fitness(prompt))
+    fit, raw, drift = engine.fitness(prompt, prompt, engine.submit_fitness(prompt, 0))
     assert raw == pytest.approx(2.5)
     assert drift == 0.0
     assert fit == pytest.approx(-2.5)
@@ -142,7 +142,7 @@ def test_fitness_zero_drift_for_identical_parent():
 def test_fitness_perfect_outputs(toy_pairs):
     engine = _engine(toy_pairs, rewrite_backend())
     prompt = _prompt(PLANTED)
-    fit, raw, drift = engine.fitness(prompt, prompt, engine.submit_fitness(prompt))
+    fit, raw, drift = engine.fitness(prompt, prompt, engine.submit_fitness(prompt, 0))
     assert (fit, raw, drift) == (0.0, 0.0, 0.0)
 
 
@@ -150,7 +150,7 @@ def test_fitness_drift_normalized_by_parent_tokens(toy_pairs):
     engine = _engine(toy_pairs, rewrite_backend())
     parent = _prompt(DECOY)
     child = parent.append_instruction(PLANTED)
-    _, _, drift = engine.fitness(child, parent, engine.submit_fitness(child))
+    _, _, drift = engine.fitness(child, parent, engine.submit_fitness(child, 0))
     added_tokens = len(f"* {PLANTED}".split())
     assert drift == pytest.approx(added_tokens / len(parent.text().split()))
 
@@ -337,6 +337,28 @@ def test_run_epoch_budget_bound(toy_pairs):
             entry["candidates"]
         ) * len(engine.dev_eval)
         assert entry["backend_calls"] <= bound
+
+
+class OtherStepTraffic(ScriptedBackend):
+    """Sends a scoring request of step 0 beside each request of a later
+    step, as a concurrent scoring of another epoch would."""
+
+    def _complete(self, request):
+        if request.step:
+            self.complete(ChatRequest("Input: x\nOutput:", INFER, purpose="score", step=0))
+        return super()._complete(request)
+
+
+def test_epoch_backend_calls_leave_out_requests_of_other_steps(toy_pairs):
+    histories = []
+    for cls in (ScriptedBackend, OtherStepTraffic):
+        engine = _engine(toy_pairs, cls([ScriptEntry(**e) for e in script_entries()]))
+        engine.run_epoch([engine.score_seed(_prompt(DECOY))], 1)
+        histories.append(engine.history)
+    assert histories[0] == histories[1]
+    calls = engine.backend.calls
+    assert histories[1][0]["backend_calls"] == calls.total() - calls["score", 0]
+    assert calls["score", 0] == len(engine.dev_eval) + histories[1][0]["backend_calls"]
 
 
 class InflightBackend(Backend):

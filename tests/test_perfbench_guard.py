@@ -63,7 +63,7 @@ def test_layer_metrics_of_a_traced_scripted_run(tmp_path, monkeypatch):
     run = paths["runs"] / "r"
     trials = json.loads((run / "trials.json").read_text(encoding="utf-8"))["trials"]
     epochs = json.loads((run / "history.json").read_text(encoding="utf-8"))["epochs"]
-    assert metrics["gateway.calls"] == sum(b.n_calls for b in backends) > 0
+    assert metrics["gateway.calls"] == sum(b.calls.total() for b in backends) > 0
     assert metrics["gateway.calls.induce"] == 4  # two trials of two instructions
     assert min(metrics[f"gateway.calls.{p}"] for p in ("improve", "rephrase", "infer")) > 0
     assert metrics["induction.trials"] == len(trials) == 2

@@ -16,12 +16,14 @@ import sqlite3
 import subprocess
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
 
 import apio
+from apio import gateway
 from apio.cli import main
 from apio.config import ConfigurationError, OptimizerConfig, RunConfig, from_object, to_object
 from apio.corpus import apply_edits, load_m2
@@ -561,7 +563,7 @@ def _full_run_marks(paths, monkeypatch, workers) -> list[int]:
 
     def recording_write_state(run, state):
         if state.phase != "induction":
-            marks.append(backends[-1].n_calls)
+            marks.append(backends[-1].calls.total())
         write_state(run, state)
 
     monkeypatch.setattr(ScriptedBackend, "from_file", classmethod(recording_from_file))
@@ -569,7 +571,7 @@ def _full_run_marks(paths, monkeypatch, workers) -> list[int]:
     assert _induce(paths, run_id="full", extra=workers) == 0
     assert _optimize(paths, run_id="full", extra=workers) == 0
     monkeypatch.undo()
-    return [*marks, backends[-1].n_calls]
+    return [*marks, backends[-1].calls.total()]
 
 
 def test_kill_at_any_call_of_optimize_resumes_to_identical_files(tmp_path, no_network, monkeypatch):
@@ -1218,6 +1220,22 @@ def test_cache_file_that_is_not_a_database_exits_2(tmp_path, chat_server, capsys
     assert cache_file.read_bytes() == stored.encode("latin-1")
 
 
+def test_cache_file_that_cannot_be_opened_exits_2(tmp_path, chat_server, capsys):
+    prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    _write_prompt(prompt)
+    source.write_text("line one\n", encoding="utf-8")
+    cache_file = tmp_path / "cache" / "completions.sqlite3"
+    cache_file.mkdir(parents=True)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"backend": {"base_url": chat_server.url, "cache_dir": str(cache_file.parent)}}))
+    assert main(["infer", "--prompt", str(prompt), "--input", str(source),
+                 "--output", str(out), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cache file {cache_file} is not a usable SQLite database: unable to open database file\n"
+    )
+    assert chat_server.requests == [] and not out.exists()
+
+
 @pytest.mark.parametrize("under", ["", "sub"])
 def test_cache_dir_that_is_a_file_exits_2(tmp_path, chat_server, capsys, under):
     prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
@@ -1233,6 +1251,50 @@ def test_cache_dir_that_is_a_file_exits_2(tmp_path, chat_server, capsys, under):
     assert f"cache directory {cache_dir} is a file or lies under one" in capsys.readouterr().err
     assert chat_server.requests == [] and not out.exists()
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@contextlib.contextmanager
+def _write_locked(cache_file: Path) -> Iterator[None]:
+    """Another connection holding the write lock of ``cache_file``."""
+    with contextlib.closing(sqlite3.connect(cache_file, isolation_level=None)) as db:
+        db.execute("BEGIN IMMEDIATE")
+        yield
+        db.execute("ROLLBACK")
+
+
+def test_infer_keeps_the_answer_that_a_locked_cache_cannot_store(tmp_path, chat_server, caplog, monkeypatch):
+    """A cache write that waits out the busy timeout is logged and the
+    answer it could not store is used; a lookup still reads the cache."""
+    monkeypatch.setattr(gateway, "CACHE_BUSY_TIMEOUT_S", 0.05)
+    chat_server.fallback = Reply(body=completion("rewritten"))
+    prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    _write_prompt(prompt)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"backend": {"base_url": chat_server.url, "cache_dir": str(tmp_path / "cache")}}))
+    argv = ["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out), "--config", str(config)]
+    source.write_text("line one\n", encoding="utf-8")
+    assert main(argv) == 0
+    source.write_text("line one\nline two\n", encoding="utf-8")
+    with _write_locked(tmp_path / "cache" / "completions.sqlite3"), caplog.at_level(logging.WARNING):
+        assert main(argv) == 0
+    assert out.read_text(encoding="utf-8") == "rewritten\nrewritten\n"
+    assert len(chat_server.requests) == 2  # line one was read from the cache
+    assert "completion cache write failed: database is locked" in caplog.text
+
+
+def test_live_optimize_finishes_while_its_cache_is_locked(tmp_path, chat_server, caplog, monkeypatch):
+    monkeypatch.setattr(gateway, "CACHE_BUSY_TIMEOUT_S", 0.01)
+    chat_server.fallback = Reply(body=completion(f"<new_instruction>{PLANTED}</new_instruction>"))
+    paths = make_workspace(tmp_path, n_epochs=1, beam_b=2)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["backend"] = {"base_url": chat_server.url}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    argv = ["--config", str(paths["config"]), "--run-id", "r1", "--runs-dir", str(paths["runs"])]
+    assert main(["induce", *argv]) == 0
+    with _write_locked(paths["runs"] / "r1" / "cache" / "completions.sqlite3"), caplog.at_level(logging.WARNING):
+        assert main(["optimize", *argv]) == 0
+    assert json.loads((paths["runs"] / "r1" / "state.json").read_text(encoding="utf-8"))["phase"] == "done"
+    assert "completion cache write failed: database is locked" in caplog.text
 
 
 def test_infer_failures_yield_placeholder_and_exit_1(tmp_path, capsys):
@@ -1580,10 +1642,11 @@ def test_directory_given_for_a_file_exits_2_naming_it(tmp_path, capsys, command,
 
 @pytest.mark.parametrize(
     ("where", "command"),
-    [(where, command) for where in ("a-directory", "in-no-directory")
+    [(where, command) for where in ("a-directory", "in-no-directory", "temp-a-directory")
      for command in ("infer", "baseline", "baseline-copy", "evaluate", "evaluate-simplify", "evaluate-generic")]
     # the commands that write a second file beside --output
-    + [("sidecar-a-directory", command) for command in ("baseline", "baseline-copy", "evaluate")],
+    + [(where, command) for where in ("sidecar-a-directory", "sidecar-temp-a-directory")
+       for command in ("baseline", "baseline-copy", "evaluate")],
 )
 def test_unwritable_output_exits_2_before_any_request(tmp_path, capsys, chat_server, command, where):
     chat_server.fallback = Reply(body=completion("out"))
@@ -1601,11 +1664,15 @@ def test_unwritable_output_exits_2_before_any_request(tmp_path, capsys, chat_ser
     elif where == "in-no-directory":
         output = output / "out.txt"
         expected = f"error: --output {output}: {output.parent} is not a directory\n"
-    else:
+    else:  # a directory where the command writes the output's temp file, its sidecar or the sidecar's temp file
         output = tmp_path / "rep.txt"
-        sidecar = tmp_path / ("rep.levenshtein.json" if command == "evaluate" else "rep.txt.meta.json")
-        sidecar.mkdir()
-        expected = f"error: --output {output}: {sidecar} is a directory\n"
+        blocker = tmp_path / ("rep.levenshtein.json" if command == "evaluate" else "rep.txt.meta.json")
+        if where == "temp-a-directory":
+            blocker = tmp_path / "rep.txt.tmp"
+        elif where == "sidecar-temp-a-directory":
+            blocker = blocker.with_name(blocker.name + ".tmp")
+        blocker.mkdir()
+        expected = f"error: --output {output}: {blocker} is a directory\n"
     files = sorted(tmp_path.rglob("*"))
     assert main(_argv(command, {**flags, "--output": output})) == 2
     assert capsys.readouterr().err == expected
