@@ -160,27 +160,25 @@ def _read_prompt(path: str | Path) -> Prompt:
 def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str], str], output: Path) -> int:
     """Infer each line of ``--input``, rendered into a prompt by ``render``,
     on the ``--workers`` pool, and write the outputs to ``output`` in
-    input order. Empty lines pass through untouched; a line is retried
-    once and one that still fails becomes ``<FAILED>``, which exits 1."""
+    input order. Empty lines pass through untouched; every other line is one
+    request, and a line whose request fails becomes ``<FAILED>``, which exits 1."""
     lines = read_lines(args.input)
     backend = _build_backend(args, cfg, None)
 
     def one(line: str) -> str:
         if not line.strip():
             return ""
-        for attempt in (0, 1):
-            try:
-                raw = backend.complete(ChatRequest(render(line), INFER, attempt_tag=attempt))
-                return postprocess_output(raw).replace("\n", " ")
-            except GatewayError as exc:
-                log.warning("inference failed (attempt %d): %s", attempt, exc)
-        return FAILED_PLACEHOLDER
+        try:
+            return postprocess_output(backend.complete(ChatRequest(render(line), INFER))).replace("\n", " ")
+        except GatewayError as exc:
+            log.warning("inference failed: %s", exc)
+            return FAILED_PLACEHOLDER
 
     with contextlib.closing(backend), _executor(args) as pool:
         outputs = list(pool.map(one, lines))
     write_text(output, "".join(f"{line}\n" for line in outputs))
     if failures := outputs.count(FAILED_PLACEHOLDER):
-        print(f"{failures}/{len(lines)} lines failed after retry", file=sys.stderr)
+        print(f"{failures}/{len(lines)} lines failed", file=sys.stderr)
         return 1
     print(f"wrote {len(outputs)} predictions to {output}")
     return 0

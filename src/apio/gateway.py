@@ -45,7 +45,7 @@ log = logging.getLogger(__name__)
 class GatewayError(Exception):
     """A request that failed: its transient failures exhausted the retry
     budget, the backend's answer is unusable, or no script entry matches
-    it. The caller may skip it and go on."""
+    it. Nothing re-sends it: the caller drops the one result it was for."""
 
 
 class CredentialError(Exception):
@@ -400,8 +400,9 @@ class OpenAIChatBackend(Backend):
             try:
                 content = json.loads(data)["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise GatewayError(f"malformed completion payload: {exc}") from exc
-            if not content:
+                last_error = GatewayError(f"malformed completion payload: {exc}")
+                continue
+            if not content:  # a temperature-0 answer would repeat, so it is not sent again
                 raise GatewayError("backend returned an empty completion")
             return content
         raise GatewayError(f"retry budget exhausted after {self.retry_max + 1} attempts: {last_error}")
@@ -430,7 +431,11 @@ class CachedBackend(Backend):
         except (FileExistsError, NotADirectoryError) as exc:
             raise ValueError(f"cache directory {self.cache_dir} is a file or lies under one") from exc
         self._lock = threading.Lock()  # guards _db and _inflight
-        self._db: sqlite3.Connection | None = self._connect()
+        self._db: sqlite3.Connection | None = self._connect()  # for lookups
+        # writes wait out other processes' write locks on a connection of
+        # their own, one at a time, so that no lookup waits behind them
+        self._write_lock = threading.Lock()  # guards _writer
+        self._writer: sqlite3.Connection | None = None
         self._inflight: dict[str, threading.Event] = {}  # set when the key's request ends
 
     def _connect(self) -> sqlite3.Connection:
@@ -453,37 +458,47 @@ class CachedBackend(Backend):
         return db
 
     def close(self) -> None:
-        """Close the database, folding its log into the file, and the inner backend; both reopen on use."""
-        with self._lock:
-            if self._db is not None:
-                self._db.close()
-                self._db = None
+        """Close the database, folding its log into the file, and the inner backend; all reopen on use."""
+        with self._lock, self._write_lock:
+            for db in (self._db, self._writer):
+                if db is not None:
+                    db.close()
+            self._db = self._writer = None
         self.inner.close()
 
-    def _stored(self, key: str, text: str | None = None) -> str | None:
-        """The text stored for ``key``, after storing ``text`` if it has none; hold ``_lock``."""
+    def _lookup(self, key: str) -> str | None:
+        """The text stored for ``key``; a lookup that fails is a miss. Hold ``_lock``."""
         self._db = self._db or self._connect()
         try:
-            if text is not None:
-                self._db.execute("INSERT OR IGNORE INTO completions VALUES (?, ?)", (key, text))
             row = self._db.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
-        except sqlite3.Error as exc:  # a failed lookup is a miss, a failed write keeps its answer
-            log.warning("completion cache %s failed: %s", "lookup" if text is None else "write", exc)
-            return text
+        except sqlite3.Error as exc:
+            log.warning("completion cache lookup failed: %s", exc)
+            return None
         return row[0] if row else None
+
+    def _store(self, key: str, text: str) -> str:
+        """Store ``text`` for ``key`` unless it holds one, and return the text
+        stored first; a write that fails keeps ``text``."""
+        with self._write_lock:
+            try:
+                self._writer = self._writer or self._connect()
+                self._writer.execute("INSERT OR IGNORE INTO completions VALUES (?, ?)", (key, text))
+                row = self._writer.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
+            except (sqlite3.Error, ValueError) as exc:  # ValueError: the writer could not be opened
+                log.warning("completion cache write failed: %s", exc)
+                return text
+        return row[0] if row else text
 
     def _complete(self, request: ChatRequest) -> str:
         key = request_key(request, self.inner.model, self.inner.max_tokens)
         while True:
             with self._lock:
-                if (text := self._stored(key)) is not None:
+                if (text := self._lookup(key)) is not None:
                     return text
                 running = self._inflight.setdefault(key, done := threading.Event())
             if running is done:
                 try:
-                    text = self.inner.complete(request)
-                    with self._lock:
-                        return self._stored(key, text)
+                    return self._store(key, self.inner.complete(request))
                 finally:
                     with self._lock:
                         del self._inflight[key]

@@ -80,14 +80,3 @@ def alignment_table(src_tokens: Sequence[str], hyp_tokens: Sequence[str]) -> lis
         table.append(row)
     return table
 
-
-def pairwise_word_levenshtein(texts_a: Sequence[str], texts_b: Sequence[str]) -> list[list[int]]:
-    """All-pairs distances: ``out[i][j]`` is the distance from
-    ``texts_a[i]`` to ``texts_b[j]``."""
-    tok_b = [t.split() for t in texts_b]
-    out = []
-    for text in texts_a:
-        pattern = text.split()
-        masks, m = _match_masks(pattern), len(pattern)
-        out.append([_distance(masks, m, tokens) for tokens in tok_b])
-    return out

@@ -184,16 +184,20 @@ class PromptOptimizer:
     def improve(self, parent: Candidate, epoch: int, window: Window | None = None) -> list[Prompt]:
         """Children extending the parent by one proposed instruction, shown
         the worst rows of its train ``window``, scored here unless given."""
-        examples = self._improve_examples(window or self._submit_window(parent, epoch))
+        try:
+            examples = self._improve_examples(window or self._submit_window(parent, epoch))
+        except GatewayError as exc:
+            log.warning("improve failed for candidate %d: %s", parent.id, exc)
+            return []
         meta = improve_meta_prompt(self.template, parent.prompt.instruction_texts(), examples)
         children = []
         for s in range(self.cfg.improve_samples):
             tag = epoch * self.cfg.improve_samples + s
-            raw = self.backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=tag, purpose="improve", step=epoch))
             try:
+                raw = self.backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=tag, purpose="improve", step=epoch))
                 text = parse_new_instruction(raw)
-            except PromptError as exc:
-                log.warning("improve sample %d unparseable for candidate %d: %s", s, parent.id, exc)
+            except (GatewayError, PromptError) as exc:
+                log.warning("improve sample %d failed for candidate %d: %s", s, parent.id, exc)
                 continue
             children.append(parent.prompt.append_instruction(text))
         if not children:
@@ -201,13 +205,17 @@ class PromptOptimizer:
         return children
 
     def rephrase(self, parent: Candidate, epoch: int) -> list[Prompt]:
-        """Children differing from the parent at exactly one position."""
+        """Children differing from the parent at exactly one position; a failed request drops only its own."""
         children = []
         parent_text = parent.prompt.text()
         for i, instruction in enumerate(parent.prompt.instructions):
             meta = rephrase_meta_prompt(instruction)
-            raw = self.backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=epoch, purpose="rephrase", step=epoch))
-            text = clean_completion(raw, collapse_newlines=True)
+            request = ChatRequest(meta, EXPLORE, attempt_tag=epoch, purpose="rephrase", step=epoch)
+            try:
+                text = clean_completion(self.backend.complete(request), collapse_newlines=True)
+            except GatewayError as exc:
+                log.warning("rephrase failed for candidate %d position %d: %s", parent.id, i, exc)
+                continue
             if not text:
                 log.warning("empty rephrase for candidate %d position %d", parent.id, i)
                 continue
@@ -276,16 +284,10 @@ class PromptOptimizer:
                 proposals.append((prompt, op, parent, scoring))
 
         for parent in parents:
-            operators = (
-                ("improve", lambda: self.improve(parent, epoch, windows[parent.id])),
-                ("rephrase", lambda: self.rephrase(parent, epoch)),
-            )
-            for op, generate in operators:
-                try:
-                    for child in generate():
-                        propose(child, op, parent)
-                except GatewayError as exc:
-                    log.warning("%s failed for candidate %d: %s", op, parent.id, exc)
+            for child in self.improve(parent, epoch, windows[parent.id]):
+                propose(child, "improve", parent)
+            for child in self.rephrase(parent, epoch):
+                propose(child, "rephrase", parent)
             if permuted[parent.id] is not None:
                 propose(permuted[parent.id], "permute", parent)
 

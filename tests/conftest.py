@@ -5,6 +5,7 @@ import json
 import sys
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -12,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from apio.corpus import SamplePair
-from apio.gateway import Backend, ChatRequest, ScriptedBackend, ScriptEntry
+from apio.gateway import Backend, ChatRequest, GenerationProfile, ScriptedBackend, ScriptEntry
 
 
 # the engine tests' scoring pool: one thread, as with ``--workers 1``
@@ -147,9 +148,10 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
 class ChatServer(ThreadingHTTPServer):
     """A chat-completions server on 127.0.0.1 that answers from ``script``
-    in order and then with ``fallback``. Each request's method, path,
-    headers, body (as sent and as parsed JSON) and client port go into
-    ``requests``; ``closed`` counts the connections it has closed."""
+    in order and then with ``fallback``, or with ``respond(request)`` when
+    that is set. Each request's method, path, headers, body (as sent and
+    as parsed JSON) and client port go into ``requests``; ``closed``
+    counts the connections it has closed."""
 
     daemon_threads = True
     # handler threads wait on kept-alive connections; do not join them
@@ -159,6 +161,7 @@ class ChatServer(ThreadingHTTPServer):
         super().__init__(("127.0.0.1", 0), _ChatHandler)
         self.script: list[Reply] = []
         self.fallback = Reply()
+        self.respond: Callable[[dict], Reply] | None = None  # called under the lock
         self.requests: list[dict] = []
         self.closed = 0
         self.changed = threading.Condition()
@@ -179,7 +182,9 @@ class ChatServer(ThreadingHTTPServer):
                     "port": handler.client_address[1],
                 }
             )
-            return self.script.pop(0) if self.script else self.fallback
+            if self.script:
+                return self.script.pop(0)
+            return self.respond(self.requests[-1]) if self.respond else self.fallback
 
     def shutdown_request(self, request) -> None:
         super().shutdown_request(request)
@@ -195,6 +200,19 @@ class ChatServer(ThreadingHTTPServer):
         # clients closing their end mid-request is part of the tests
         if not isinstance(sys.exc_info()[1], ConnectionError):
             super().handle_error(request, client_address)
+
+
+def answered_by(backend: ScriptedBackend) -> Callable[[dict], Reply]:
+    """A ``ChatServer.respond`` that answers each request as ``backend``
+    answers its user message and generation profile; with only sticky
+    entries, the answer is a pure function of the request body."""
+
+    def respond(request: dict) -> Reply:
+        sent = request["json"]
+        profile = GenerationProfile(sent["temperature"], sent["top_p"])
+        return Reply(body=completion(backend.complete(ChatRequest(sent["messages"][0]["content"], profile))))
+
+    return respond
 
 
 @pytest.fixture

@@ -21,12 +21,13 @@ from apio.config import InductionConfig, OptimizerConfig
 from apio.corpus import load_asset, load_m2
 from apio.gateway import ScriptEntry, ScriptedBackend
 from apio.induction import best_of_trials
-from apio.metrics.levenshtein import pairwise_word_levenshtein, word_levenshtein
+from apio.metrics.levenshtein import word_levenshtein
 from apio.metrics.sari import sari
 from apio.optimizer import Candidate, PromptOptimizer
 from apio.prompts import GEC_TEMPLATE, GENERIC_TEMPLATE, Instruction, Prompt
 from conftest import SEQUENTIAL
 from m2gen import random_record, serialize_m2
+from test_levenshtein import pairwise_word_levenshtein
 from toytask import DECOY, PLANTED, make_workspace, script_entries
 
 pytestmark = pytest.mark.acceptance

