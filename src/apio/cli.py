@@ -210,6 +210,8 @@ def cmd_induce(args: argparse.Namespace) -> int:
         write_text(run.prompt_path, prompt.text() + "\n")
         run.write_json(run.trials_path, {"trials": to_object(trials)})
         run.write_state(RunState(run.run_id, "induction", cfg, _backend_state(args, backend)))
+        for stale in (run.history_path, run.best_prompt_path, run.final_report_path):  # of the run it replaces
+            stale.unlink(missing_ok=True)
     best_fitness = max(t.fitness for t in trials if t.fitness is not None)
     print(f"induced prompt written to {run.prompt_path} (dev fitness {best_fitness:.4f})")
     return 0
@@ -264,6 +266,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                              epoch=0, next_id=engine.next_id, pool=pool, seed_prompt=seed_prompt.text())
             run.write_history(engine.history)
             run.write_state(state)
+            for stale in (run.best_prompt_path, run.final_report_path):  # of the run it replaces
+                stale.unlink(missing_ok=True)
         else:
             if state.backend.consumed is not None:
                 backend.restore_consumed(state.backend.consumed)
@@ -327,7 +331,7 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
         )
     full_raw, _, _ = gather_scoring(full)
     run.write_json(
-        run.path / "final_report.json",
+        run.final_report_path,
         {
             "best_id": best.id,
             "best_fitness": best.fitness,

@@ -28,6 +28,7 @@ import re
 import select
 import socket
 import sqlite3
+import ssl
 import threading
 import time
 import urllib.request
@@ -49,8 +50,10 @@ class GatewayError(Exception):
 
 
 class CredentialError(Exception):
-    """Authentication rejected: no later request can succeed either, so
-    it is not a ``GatewayError`` and ends the command."""
+    """The endpoint and the client do not trust each other: it rejected
+    the credentials (401/403), or its TLS certificate is not trusted. No
+    later request can succeed either, so it is not a ``GatewayError`` and
+    ends the command."""
 
 
 @dataclass(frozen=True)
@@ -386,6 +389,9 @@ class OpenAIChatBackend(Backend):
                 conn.request("POST", self._target, body, self._headers)
                 response = conn.getresponse()
                 status, data = response.status, response.read()
+            except ssl.SSLCertVerificationError as exc:
+                conn.close()
+                raise CredentialError(f"TLS certificate not trusted: {exc}") from exc
             except (OSError, http.client.HTTPException) as exc:
                 conn.close()
                 last_error = exc
@@ -399,11 +405,18 @@ class OpenAIChatBackend(Backend):
                 raise GatewayError(f"unexpected status {status}: {data.decode('utf-8', 'replace')[:200]}")
             try:
                 content = json.loads(data)["choices"][0]["message"]["content"]
+                if content and not isinstance(content, str):
+                    raise TypeError(f"content is {type(content).__name__}, not a string")
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = GatewayError(f"malformed completion payload: {exc}")
                 continue
-            if not content:  # a temperature-0 answer would repeat, so it is not sent again
+            # a temperature-0 answer would repeat, so neither of these is sent again
+            if not content:
                 raise GatewayError("backend returned an empty completion")
+            try:
+                content.encode("utf-8")
+            except UnicodeEncodeError as exc:  # a lone surrogate, which JSON can escape
+                raise GatewayError(f"backend returned a completion that is not Unicode text: {exc}") from None
             return content
         raise GatewayError(f"retry budget exhausted after {self.retry_max + 1} attempts: {last_error}")
 

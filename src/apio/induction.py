@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .config import InductionConfig
 from .corpus import SamplePair
 from .gateway import Backend, ChatRequest, EXPLORE, GatewayError
-from .prompts import Instruction, Prompt, TaskTemplate, clean_completion, induction_meta_prompt
+from .prompts import Instruction, Prompt, PromptError, TaskTemplate, clean_completion, induction_meta_prompt
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -38,26 +38,17 @@ def induce_instruction(
     pair: SamplePair,
     template: TaskTemplate,
     backend: Backend,
-    attempt_base: int = 0,
+    attempt_tag: int = 0,
     trial: int = 0,
 ) -> Instruction:
-    """Derive one instruction from a single example pair in requests of ``trial``.
+    """Derive one instruction from a single example pair in one request of ``trial``.
 
-    The first reference is shown as the example output. A completion that
-    is empty or still multi-line after cleanup is retried once, then the
-    trial aborts with a ``GatewayError``: the backend's answer is unusable.
+    The first reference is shown as the example output. An answer with
+    nothing left after ``clean_completion`` raises its ``PromptError``.
     """
     meta = induction_meta_prompt(template, pair.source, pair.references[0])
-    last = ""
-    for retry in (0, 1):
-        raw = backend.complete(ChatRequest(meta, EXPLORE, attempt_base + retry, purpose="induce", step=trial))
-        last = clean_completion(raw)
-        if last and "\n" not in last:
-            return Instruction(last)
-        log.warning("unusable induction completion for pair %s (retry %d)", pair.id, retry)
-    raise GatewayError(
-        f"pair {pair.id}: completion unusable after retry (got {last[:80]!r})"
-    )
+    raw = backend.complete(ChatRequest(meta, EXPLORE, attempt_tag, purpose="induce", step=trial))
+    return Instruction(clean_completion(raw))
 
 
 def trial_seed(seed: int, trial_index: int) -> int:
@@ -81,8 +72,9 @@ def induce_prompt(
     picks = rng.sample(range(len(train)), cfg.n_instructions)
     instructions = []
     for k, idx in enumerate(picks):
-        attempt_base = (trial_index * cfg.n_instructions + k) * 2
-        instructions.append(induce_instruction(train[idx], template, backend, attempt_base, trial_index))
+        # tags stay two apart, as when each instruction had a resample, so caches written then still hit
+        attempt_tag = (trial_index * cfg.n_instructions + k) * 2
+        instructions.append(induce_instruction(train[idx], template, backend, attempt_tag, trial_index))
     prompt = Prompt(header="", instructions=tuple(instructions), footer=template.footer)
     return prompt, [train[i].id for i in picks]
 
@@ -101,7 +93,8 @@ def best_of_trials(
     in requests of ``trial`` and returns a function that waits for the
     fitness. Every trial is induced and its scoring started before the
     first fitness is gathered, in trial order. Ties break to the lowest
-    trial index; trials that fail to induce or to be scored are recorded
+    trial index; trials that fail to induce (a failed request, or an
+    answer with nothing left after cleanup) or to be scored are recorded
     and skipped. A trial's ``backend_calls`` counts its requests.
     """
     started: list[tuple[TrialReport, Prompt | None, Callable[[], float] | None]] = []
@@ -112,7 +105,7 @@ def best_of_trials(
             prompt, report.pair_ids = induce_prompt(train, cfg, template, backend, trial_index=trial)
             report.instructions = prompt.instruction_texts()
             gather = fitness_fn(prompt, dev, trial)
-        except GatewayError as exc:
+        except (GatewayError, PromptError) as exc:
             log.warning("trial %d failed: %s", trial, exc)
             report.error = str(exc)
         started.append((report, prompt, gather))

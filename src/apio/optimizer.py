@@ -205,19 +205,16 @@ class PromptOptimizer:
         return children
 
     def rephrase(self, parent: Candidate, epoch: int) -> list[Prompt]:
-        """Children differing from the parent at exactly one position; a failed request drops only its own."""
+        """Children differing from the parent at exactly one position; a failed request or empty answer drops only its own."""
         children = []
         parent_text = parent.prompt.text()
         for i, instruction in enumerate(parent.prompt.instructions):
             meta = rephrase_meta_prompt(instruction)
             request = ChatRequest(meta, EXPLORE, attempt_tag=epoch, purpose="rephrase", step=epoch)
             try:
-                text = clean_completion(self.backend.complete(request), collapse_newlines=True)
-            except GatewayError as exc:
+                text = clean_completion(self.backend.complete(request))
+            except (GatewayError, PromptError) as exc:
                 log.warning("rephrase failed for candidate %d position %d: %s", parent.id, i, exc)
-                continue
-            if not text:
-                log.warning("empty rephrase for candidate %d position %d", parent.id, i)
                 continue
             child = parent.prompt.replace_instruction(i, text)
             if child.text() == parent_text:

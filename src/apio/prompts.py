@@ -221,16 +221,13 @@ def rephrase_meta_prompt(instruction_text: str) -> str:
 def parse_new_instruction(completion: str) -> str:
     """Extract the tagged instruction from an improve completion.
 
-    Raises ``PromptError`` when the tag pair is missing or empty; embedded
-    newlines are collapsed to single spaces.
+    Raises ``PromptError`` when the tag pair is missing; the tagged text
+    is cleaned by ``clean_completion``.
     """
     found = NEW_INSTRUCTION_RE.search(completion)
     if not found:
         raise PromptError("completion lacks a <new_instruction> tag pair")
-    text = clean_completion(found.group(1), collapse_newlines=True)
-    if not text:
-        raise PromptError("tagged instruction is empty after cleanup")
-    return text
+    return clean_completion(found.group(1))
 
 
 def postprocess_output(text: str) -> str:
@@ -252,15 +249,16 @@ _BULLET_PREFIXES = ("* ", "- ", "• ")
 _LABEL_RE = re.compile(r"^(?:new |updated )?instruction\s*:\s*", re.IGNORECASE)
 
 
-def clean_completion(text: str, collapse_newlines: bool = False) -> str:
-    """Strip the decorations LLMs wrap around instruction text.
+def clean_completion(text: str) -> str:
+    """The one line of instruction text in an LLM's answer: the induce,
+    improve and rephrase answers alike.
 
-    Applied until stable: surrounding whitespace, matching quote pairs,
+    Newlines collapse to single spaces, then these decorations are
+    stripped until stable: surrounding whitespace, matching quote pairs,
     leading bullet markers, and leading "Instruction:"-style echoes.
+    Raises ``PromptError`` when nothing is left.
     """
-    s = text.strip()
-    if collapse_newlines:
-        s = re.sub(r"\s*\n+\s*", " ", s)
+    s = re.sub(r"\s*\n+\s*", " ", text.strip())
     while True:
         before = s
         s = s.strip()
@@ -272,4 +270,6 @@ def clean_completion(text: str, collapse_newlines: bool = False) -> str:
                 s = s[len(prefix):]
         s = _LABEL_RE.sub("", s)
         if s == before:
+            if not s:
+                raise PromptError("instruction text is empty after cleanup")
             return s

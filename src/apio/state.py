@@ -90,6 +90,7 @@ class RunDir:
         self.history_path = self.path / "history.json"
         self.prompt_path = self.path / "prompt.txt"
         self.best_prompt_path = self.path / "best_prompt.txt"
+        self.final_report_path = self.path / "final_report.json"
         self.trials_path = self.path / "trials.json"
         self.cache_path = self.path / "cache"
         self._lock_path = self.path / ".lock"

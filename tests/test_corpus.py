@@ -148,6 +148,16 @@ def test_parse_m2_record(tmp_path):
     assert records[1].noop_annotators == frozenset({0})
 
 
+def test_m2_file_without_a_trailing_newline_keeps_its_last_record(tmp_path):
+    text = "S a b c\nA 1 2|||R:X|||x|||REQUIRED|||-NONE-|||0\n\nS d e\nA 0 1|||R:Y|||f|||REQUIRED|||-NONE-|||1"
+    ended, unended = tmp_path / "ended.m2", tmp_path / "unended.m2"
+    ended.write_text(text + "\n", encoding="utf-8")
+    unended.write_text(text, encoding="utf-8")
+    records = load_m2(unended)
+    assert records == load_m2(ended)
+    assert records[1].edits == (M2Edit(0, 1, "R:Y", "f", 1),)
+
+
 def test_parse_m2_errors_carry_line_numbers(tmp_path):
     bad_fields = tmp_path / "f.m2"
     bad_fields.write_text("S a b\nA 0 1|||R:X|||x\n", encoding="utf-8")

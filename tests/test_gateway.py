@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import http.client
+import json
+import logging
 import os
 import pathlib
 import shutil
@@ -18,6 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 from apio import gateway
+from apio.cli import main
 from apio.gateway import (
     Backend,
     CachedBackend,
@@ -270,6 +274,19 @@ def test_close_leaves_only_the_database_and_reopens_on_use(tmp_path):
     ) == "pong"
 
 
+def test_a_lookup_that_fails_is_a_miss(tmp_path, caplog):
+    backend = CachedBackend(scripted_pairs([("first", "one"), ("second", "two")]), tmp_path)
+    assert backend.complete(ChatRequest("first", INFER)) == "one"  # opens the writer too
+    with contextlib.closing(sqlite3.connect(tmp_path / "completions.sqlite3", isolation_level=None)) as db:
+        db.execute("DROP TABLE completions")
+    with caplog.at_level(logging.WARNING, logger="apio.gateway"):
+        assert backend.complete(ChatRequest("second", INFER)) == "two"
+    backend.close()
+    assert backend.inner.calls.total() == 2
+    assert "completion cache lookup failed: no such table: completions" in caplog.text
+    assert "completion cache write failed: no such table: completions" in caplog.text
+
+
 def test_inflight_dedup(tmp_path):
     inner = CountingBackend(delay=0.15)
     backend = CachedBackend(inner, tmp_path / "c")
@@ -467,8 +484,8 @@ def test_openai_unexpected_status_is_error_with_body(chat_server, openai):
 
 @pytest.mark.parametrize(
     "body",
-    ["not json", [], {"choices": []}, {"choices": [{"text": "t"}]}],
-    ids=["not-json", "list", "no-choices", "no-message"],
+    ["not json", [], {"choices": []}, {"choices": [{"text": "t"}]}, completion(123), completion(["x"])],
+    ids=["not-json", "list", "no-choices", "no-message", "number-content", "list-content"],
 )
 def test_openai_malformed_payload_is_error(chat_server, openai, body):
     # a malformed 200 is a transient fault: it spends the retry budget
@@ -486,6 +503,14 @@ def test_openai_empty_completion_is_error(chat_server, openai):
     with pytest.raises(GatewayError, match="empty"):
         openai().complete(ChatRequest("x", INFER))
     assert len(chat_server.requests) == 1  # a temperature-0 answer would repeat
+
+
+def test_openai_completion_that_is_not_unicode_is_error_at_once(chat_server, openai):
+    # a JSON-escaped lone surrogate decodes, but can be neither cached nor written
+    chat_server.script = [Reply(body='{"choices": [{"message": {"content": "fixed \\ud83d"}}]}')]
+    with pytest.raises(GatewayError, match="not Unicode text: 'utf-8' codec can't encode character '.ud83d'"):
+        openai().complete(ChatRequest("x", INFER))
+    assert len(chat_server.requests) == 1
 
 
 def test_openai_max_tokens_override(chat_server, openai):
@@ -593,7 +618,8 @@ def _relay_one_tunnel(listener: socket.socket, heads: list[bytes]) -> None:
             back.join(timeout=10)
 
 
-def test_openai_https_handshake_through_connect_tunnel(tmp_path, no_proxy_env):
+def _self_signed_certificate(tmp_path: pathlib.Path) -> tuple[pathlib.Path, pathlib.Path]:
+    """A certificate for 127.0.0.1 and its key, made with ``openssl``; the test is skipped without it."""
     openssl = shutil.which("openssl")
     if openssl is None:
         pytest.skip("no openssl binary to make a certificate with")
@@ -603,6 +629,11 @@ def test_openai_https_handshake_through_connect_tunnel(tmp_path, no_proxy_env):
          "-addext", "subjectAltName=IP:127.0.0.1", "-keyout", str(key), "-out", str(cert)],
         check=True, capture_output=True,
     )
+    return cert, key
+
+
+def test_openai_https_handshake_through_connect_tunnel(tmp_path, no_proxy_env):
+    cert, key = _self_signed_certificate(tmp_path)
     # the client trusts only this certificate
     no_proxy_env.setenv("SSL_CERT_FILE", str(cert))
     context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
@@ -637,6 +668,38 @@ def test_openai_https_handshake_through_connect_tunnel(tmp_path, no_proxy_env):
     sent = server.requests[0]
     assert (sent["method"], sent["path"]) == ("POST", "/v1/chat/completions")
     assert sent["headers"]["Authorization"] == "Bearer sk-test"
+
+
+def test_untrusted_certificate_ends_infer_after_one_request(tmp_path, no_proxy_env, capsys):
+    cert, key = _self_signed_certificate(tmp_path)
+    # the client trusts only its default store, which lacks this certificate
+    no_proxy_env.delenv("SSL_CERT_FILE", raising=False)
+    no_proxy_env.delenv("SSL_CERT_DIR", raising=False)
+    connects = []
+    connect = http.client.HTTPSConnection.connect
+    no_proxy_env.setattr(http.client.HTTPSConnection, "connect", lambda conn: (connects.append(1), connect(conn))[1])
+    context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+    context.load_cert_chain(cert, key)
+    server = ChatServer()
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    serving = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    prompt, source, out, config = (tmp_path / name for name in ("p.txt", "in.txt", "out.txt", "cfg.json"))
+    prompt.write_text("* Fix it.\nInput: {input_text}\nOutput:\n", encoding="utf-8")
+    source.write_text("line one\n", encoding="utf-8")
+    url = f"https://127.0.0.1:{server.server_address[1]}/v1"
+    config.write_text(json.dumps({"backend": {"base_url": url, "retry_max": 1}}), encoding="utf-8")
+    serving.start()
+    try:
+        assert main(["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out),
+                     "--config", str(config), "--workers", "1"]) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=10)
+    assert len(connects) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("engine failure: TLS certificate not trusted: ")
+    assert server.requests == []
 
 
 def test_openai_no_proxy_bypasses_proxy(chat_server, openai, monkeypatch):

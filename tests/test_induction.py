@@ -14,7 +14,7 @@ from apio.induction import (
     induce_instruction,
     induce_prompt,
 )
-from apio.prompts import GEC_TEMPLATE, GENERIC_TEMPLATE
+from apio.prompts import GEC_TEMPLATE, GENERIC_TEMPLATE, PromptError
 from apio.seeding import derive_seed
 from conftest import RecordingBackend, scripted_pairs
 
@@ -51,17 +51,15 @@ def test_induce_strips_quotes():
     assert induce_instruction(_pair(), GEC_TEMPLATE, backend) == "Fix the grammar."
 
 
-def test_induce_retries_newline_once_then_errors():
-    ok_after_retry = scripted_pairs(
-        [(INDUCE_MATCH, "bad\ncompletion"), (INDUCE_MATCH, "Good one.")]
-    )
-    assert induce_instruction(_pair(), GEC_TEMPLATE, ok_after_retry) == "Good one."
-    assert ok_after_retry.calls.total() == 2
+def test_induce_sends_one_request_and_an_empty_answer_fails():
+    multi_line = scripted_pairs([(INDUCE_MATCH, '"Fix the\ngrammar."')])
+    assert induce_instruction(_pair(), GEC_TEMPLATE, multi_line) == "Fix the grammar."
+    assert multi_line.calls.total() == 1
 
-    always_bad = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response="a\nb", sticky=True)])
-    with pytest.raises(GatewayError):
-        induce_instruction(_pair(), GEC_TEMPLATE, always_bad)
-    assert always_bad.calls.total() == 2
+    decoration_only = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response='""', sticky=True)])
+    with pytest.raises(PromptError, match="empty after cleanup"):
+        induce_instruction(_pair(), GEC_TEMPLATE, decoration_only)
+    assert decoration_only.calls.total() == 1
 
 
 def _sticky_backend(response="Do the rewrite."):
@@ -192,11 +190,10 @@ def test_best_of_trials_records_each_trials_seed(toy_pairs):
 
 
 def test_best_of_trials_skips_failed_trials(toy_pairs):
-    # first trial consumes a broken completion twice, later trials succeed
+    # the first trial's one answer is only quotes, later trials succeed
     backend = ScriptedBackend(
         [
-            ScriptEntry(match=INDUCE_MATCH, response="bad\nline"),
-            ScriptEntry(match=INDUCE_MATCH, response="worse\nline"),
+            ScriptEntry(match=INDUCE_MATCH, response='""'),
             ScriptEntry(match=INDUCE_MATCH, response="Fine instruction.", sticky=True),
         ]
     )
@@ -208,7 +205,7 @@ def test_best_of_trials_skips_failed_trials(toy_pairs):
 
 
 def test_best_of_trials_all_failed(toy_pairs):
-    backend = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response="a\nb", sticky=True)])
+    backend = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response='""', sticky=True)])
     cfg = InductionConfig(n_instructions=1, n_trials=2, seed=1)
     with pytest.raises(GatewayError, match="all induction trials failed"):
         best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, _flat_fitness)

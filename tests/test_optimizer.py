@@ -222,6 +222,17 @@ def test_failed_improve_sample_drops_only_its_child(toy_pairs, caplog):
     assert "improve sample 1 failed for candidate 0: injected improve failure" in caplog.text
 
 
+def test_improve_sample_with_nothing_left_drops_only_its_child(toy_pairs, caplog):
+    entries = [ScriptEntry(match=IMPROVE_MATCH, response=f"<new_instruction>{t}</new_instruction>")
+               for t in ("A", '""', "C")]
+    engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=3)
+    parent = _seed_candidate(engine, _prompt(DECOY))
+    with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
+        children = engine.improve(parent, epoch=1)
+    assert [c.instruction_texts()[-1] for c in children] == ["A", "C"]
+    assert "improve sample 1 failed for candidate 0: instruction text is empty after cleanup" in caplog.text
+
+
 def test_improve_meta_shows_worst_error_examples(toy_pairs):
     entries = [ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>X y.</new_instruction>", sticky=True)]
     backend = RecordingBackend(rewrite_backend(entries))
@@ -266,6 +277,19 @@ def test_failed_rephrase_request_drops_only_its_positions_child(toy_pairs, caplo
     ]
     assert engine.backend.calls["rephrase", 1] == 3
     assert "rephrase failed for candidate 0 position 1: injected rephrase failure" in caplog.text
+
+
+def test_rephrase_with_nothing_left_drops_only_its_positions_child(toy_pairs, caplog):
+    entries = [ScriptEntry(match=REPHRASE_MATCH, response=r) for r in ("Rewritten\nfirst.", '""', "Rewritten third.")]
+    engine = _engine(toy_pairs, rewrite_backend(entries))
+    parent = _seed_candidate(engine, _prompt("First rule.", "Second rule.", "Third rule."))
+    with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
+        children = engine.rephrase(parent, epoch=1)
+    assert [c.instruction_texts() for c in children] == [
+        ["Rewritten first.", "Second rule.", "Third rule."],
+        ["First rule.", "Second rule.", "Rewritten third."],
+    ]
+    assert "rephrase failed for candidate 0 position 1: instruction text is empty after cleanup" in caplog.text
 
 
 def test_rephrase_drops_identical_and_empty(toy_pairs):

@@ -210,8 +210,15 @@ def test_clean_completion_table(raw, expected):
 
 
 def test_clean_completion_collapse_newlines():
-    assert clean_completion("a\nb", collapse_newlines=True) == "a b"
-    assert clean_completion("a\n\n  b", collapse_newlines=True) == "a b"
+    assert clean_completion("a\nb") == "a b"
+    assert clean_completion("a\n\n  b") == "a b"
+    assert clean_completion('"Fix it\r\n  now."') == "Fix it now."
+
+
+@pytest.mark.parametrize("raw", ["", "  \n ", '""', '"\n"', "'* '", "Instruction:", "'- '"])
+def test_clean_completion_with_nothing_left_raises(raw):
+    with pytest.raises(PromptError, match="empty after cleanup"):
+        clean_completion(raw)
 
 
 def test_postprocess_output():

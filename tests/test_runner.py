@@ -92,6 +92,24 @@ def test_induce_refuses_existing_run_id(tmp_path, no_network):
     assert _induce(paths, extra=("--force",)) == 0
 
 
+def test_a_run_that_starts_over_removes_the_files_of_the_run_it_replaces(tmp_path):
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    run = paths["runs"] / "r1"
+    results = ("history.json", "best_prompt.txt", "final_report.json")
+    assert _induce(paths) == 0 and _optimize(paths) == 0
+    assert all((run / name).exists() for name in results)
+    # a new induction leaves no file of the optimization it replaces
+    assert _induce(paths, extra=("--force",)) == 0
+    assert not any((run / name).exists() for name in results)
+    assert _optimize(paths) == 0
+    # a fresh optimization keeps its own history, but no result of the run it replaces
+    assert _optimize(paths, extra=("--force", "--stop-after-epoch", "1")) == 0
+    assert json.loads((run / "state.json").read_text(encoding="utf-8"))["epoch"] == 1
+    assert [(run / name).exists() for name in results] == [True, False, False]
+    assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 0
+    assert all((run / name).exists() for name in results)
+
+
 def test_induce_missing_dataset_path_exits_2(tmp_path, capsys):
     paths = make_workspace(tmp_path)
     config = json.loads(paths["config"].read_text())
@@ -157,18 +175,17 @@ def test_induce_scoring_failure_fails_only_that_trial(tmp_path):
 @pytest.mark.parametrize("workers", ["1", "8"])
 def test_induce_counts_each_trials_requests(tmp_path, workers):
     paths = make_workspace(tmp_path, n_trials=4, n_instructions=1)
-    # trial 0 fails to induce after its retry, no entry answers trial 1's
+    # trial 0's one induce answer is only quotes, no entry answers trial 1's
     # inference, and trials 2 and 3 score on all 8 dev pairs
     paths["script"].write_text(json.dumps([
-        {"match": INDUCE_MATCH, "response": "bad\nline"},
-        {"match": INDUCE_MATCH, "response": "worse\nline"},
+        {"match": INDUCE_MATCH, "response": '""'},
         {"match": INDUCE_MATCH, "response": "Rule two."},
         {"match": INDUCE_MATCH, "response": "Rule one.", "sticky": True},
         {"match": "* Rule one.\n", "mode": "rewrite_rules", "sticky": True},
     ]))
     assert _induce(paths, extra=("--workers", workers)) == 0
     trials = json.loads((paths["runs"] / "r1" / "trials.json").read_text())["trials"]
-    assert [t["backend_calls"] for t in trials] == [2, 9, 9, 9]
+    assert [t["backend_calls"] for t in trials] == [1, 9, 9, 9]
     assert [t["dev_evaluations"] for t in trials] == [0, 0, 1, 1]
     assert [t["error"] is None for t in trials] == [False, False, True, True]
 
@@ -181,7 +198,7 @@ def test_induce_exhausted_script_is_engine_failure(tmp_path):
 
 def test_induce_whose_every_trial_fails_exits_1_and_writes_no_run_file(tmp_path, capsys):
     paths = make_workspace(tmp_path)
-    paths["script"].write_text(json.dumps([{"match": INDUCE_MATCH, "response": "a\nb", "sticky": True}]))
+    paths["script"].write_text(json.dumps([{"match": INDUCE_MATCH, "response": '""', "sticky": True}]))
     assert _induce(paths) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "engine failure: all induction trials failed"
     assert [path.name for path in (paths["runs"] / "r1").iterdir()] == [".lock"]
@@ -1848,6 +1865,41 @@ def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, case):
     bad.write_bytes(b"caf\xe9 " + bad.read_bytes())
     assert main(argv) == 2
     assert f"error: {bad} is not UTF-8: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+
+
+# case: (the command of ``_command_files``, or ``induce`` on the toy
+# workspace; the flag whose file gets the text, or that is dropped when the
+# text is None; the text; the error, given the file)
+REFUSED = {
+    "script-empty": ("infer", "--script", "[]", "script file {}: script must be non-empty"),
+    "data-format-unknown": ("induce", "--config", '{"data": {"format": "csv"}}', "unknown data format 'csv'"),
+    "jsonl-invalid-json": ("evaluate-generic", "--gold", '{"source": "a"\n', "{}:1: invalid JSON: "),
+    "m2-empty": ("evaluate", "--m2", "\n\n", "{}: file is empty"),
+    "m2-without-s-line": ("evaluate", "--m2", "A 0 1|||R:X|||x|||REQUIRED|||-NONE-|||0\n",
+                          "{}:1: record must start with an 'S ' line"),
+    "m2-without-a-line": ("evaluate", "--m2", "S she go home\nS a b c\n", "{}:2: expected an 'A ' edit line"),
+    "simplify-without-source": ("evaluate-simplify", "--source", None,
+                                "simplify evaluation needs --source and --references"),
+    "gec-without-m2": ("evaluate", "--m2", None, "gec evaluation needs --m2 <gold file>"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_refused_input_exits_2_naming_it(tmp_path, capsys, case):
+    command, flag, text, message = REFUSED[case]
+    if command == "induce":
+        paths = make_workspace(tmp_path)
+        flags = {"--config": paths["config"], "--run-id": "r1", "--runs-dir": paths["runs"], "--script": paths["script"]}
+    else:
+        flags = _command_files(tmp_path)[command]
+    assert main(_argv(command, flags)) == 0
+    capsys.readouterr()
+    if text is None:
+        del flags[flag]
+    else:
+        flags[flag].write_text(text, encoding="utf-8")
+    assert main(_argv(command, flags)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message.format(flags.get(flag))}")
 
 
 def _apio_exception_classes() -> list[type[Exception]]:
