@@ -320,6 +320,11 @@ class OpenAIChatBackend(Backend):
         self.model = model
         self.max_tokens = max_tokens
         self.api_key = api_key if api_key is not None else os.environ.get("APIO_API_KEY", "")
+        # a header carries Latin-1 text without control characters; the key is not echoed
+        if any(c < " " or "\x7f" <= c <= "\x9f" or c > "\xff" for c in self.api_key):
+            raise ConfigurationError(
+                "APIO_API_KEY holds a control character or one outside Latin-1, which an HTTP header cannot carry"
+            )
         self.retry_max = retry_max
         self.timeout_s = timeout_s
         self.backoff_base_s = backoff_base_s
@@ -481,11 +486,14 @@ class CachedBackend(Backend):
 
     def _lookup(self, key: str) -> str | None:
         """The text stored for ``key``; a lookup that fails is a miss. Hold ``_lock``."""
-        self._db = self._db or self._connect()
         try:
+            self._db = self._db or self._connect()
             row = self._db.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, ValueError) as exc:  # ValueError: the connection could not be opened
             log.warning("completion cache lookup failed: %s", exc)
+            if self._db is not None:  # reopened on next use, which makes a dropped table again
+                self._db.close()
+                self._db = None
             return None
         return row[0] if row else None
 
@@ -499,6 +507,9 @@ class CachedBackend(Backend):
                 row = self._writer.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
             except (sqlite3.Error, ValueError) as exc:  # ValueError: the writer could not be opened
                 log.warning("completion cache write failed: %s", exc)
+                if self._writer is not None:  # reopened on next use, as a lookup's is
+                    self._writer.close()
+                    self._writer = None
                 return text
         return row[0] if row else text
 

@@ -51,34 +51,6 @@ def induce_instruction(
     return Instruction(clean_completion(raw))
 
 
-def trial_seed(seed: int, trial_index: int) -> int:
-    """Seed from which induction trial ``trial_index`` samples its pairs."""
-    return derive_seed(seed, "induce", trial_index)
-
-
-def induce_prompt(
-    train: Sequence[SamplePair],
-    cfg: InductionConfig,
-    template: TaskTemplate,
-    backend: Backend,
-    trial_index: int = 0,
-) -> tuple[Prompt, list[str]]:
-    """Induce a full prompt from seeded-sampled training pairs.
-
-    Returns the prompt and the ids of the pairs used. Pairs are resampled
-    per trial from a derived seed.
-    """
-    rng = random.Random(trial_seed(cfg.seed, trial_index))
-    picks = rng.sample(range(len(train)), cfg.n_instructions)
-    instructions = []
-    for k, idx in enumerate(picks):
-        # tags stay two apart, as when each instruction had a resample, so caches written then still hit
-        attempt_tag = (trial_index * cfg.n_instructions + k) * 2
-        instructions.append(induce_instruction(train[idx], template, backend, attempt_tag, trial_index))
-    prompt = Prompt(header="", instructions=tuple(instructions), footer=template.footer)
-    return prompt, [train[i].id for i in picks]
-
-
 def best_of_trials(
     train: Sequence[SamplePair],
     dev: Sequence[SamplePair],
@@ -95,15 +67,23 @@ def best_of_trials(
     first fitness is gathered, in trial order. Ties break to the lowest
     trial index; trials that fail to induce (a failed request, or an
     answer with nothing left after cleanup) or to be scored are recorded
-    and skipped. A trial's ``backend_calls`` counts its requests.
+    and skipped. A trial's report holds the pairs drawn from its seed before
+    its first request, and each instruction as it is induced, so a trial
+    that fails to induce failed on ``pair_ids[len(instructions)]``. A
+    trial's ``backend_calls`` counts its requests.
     """
     started: list[tuple[TrialReport, Prompt | None, Callable[[], float] | None]] = []
     for trial in range(cfg.n_trials):
-        report = TrialReport(trial, trial_seed(cfg.seed, trial))
+        seed = derive_seed(cfg.seed, "induce", trial)
+        pairs = [train[i] for i in random.Random(seed).sample(range(len(train)), cfg.n_instructions)]
+        report = TrialReport(trial, seed, [pair.id for pair in pairs])
         prompt, gather = None, None
         try:
-            prompt, report.pair_ids = induce_prompt(train, cfg, template, backend, trial_index=trial)
-            report.instructions = prompt.instruction_texts()
+            for k, pair in enumerate(pairs):
+                # tags stay two apart, as when each instruction had a resample, so caches written then still hit
+                attempt_tag = (trial * cfg.n_instructions + k) * 2
+                report.instructions.append(induce_instruction(pair, template, backend, attempt_tag, trial))
+            prompt = Prompt(header="", instructions=tuple(report.instructions), footer=template.footer)
             gather = fitness_fn(prompt, dev, trial)
         except (GatewayError, PromptError) as exc:
             log.warning("trial %d failed: %s", trial, exc)

@@ -275,16 +275,38 @@ def test_close_leaves_only_the_database_and_reopens_on_use(tmp_path):
 
 
 def test_a_lookup_that_fails_is_a_miss(tmp_path, caplog):
-    backend = CachedBackend(scripted_pairs([("first", "one"), ("second", "two")]), tmp_path)
+    script = [("first", "one"), ("second", "two"), ("third", "three"), ("fourth", "four")]
+    backend = CachedBackend(scripted_pairs(script), tmp_path)
     assert backend.complete(ChatRequest("first", INFER)) == "one"  # opens the writer too
     with contextlib.closing(sqlite3.connect(tmp_path / "completions.sqlite3", isolation_level=None)) as db:
         db.execute("DROP TABLE completions")
     with caplog.at_level(logging.WARNING, logger="apio.gateway"):
         assert backend.complete(ChatRequest("second", INFER)) == "two"
+        # both connections were reopened, which made the table again: stored, then a hit
+        assert backend.complete(ChatRequest("third", INFER)) == "three"
+        assert backend.complete(ChatRequest("third", INFER)) == "three"
+    assert backend.inner.calls.total() == 3
+    assert _cache_warnings(caplog) == [
+        "completion cache lookup failed: no such table: completions",
+        "completion cache write failed: no such table: completions",
+    ]
+    # a connection that cannot be reopened is a miss and a failed write too
     backend.close()
-    assert backend.inner.calls.total() == 2
-    assert "completion cache lookup failed: no such table: completions" in caplog.text
-    assert "completion cache write failed: no such table: completions" in caplog.text
+    cache_file = tmp_path / "completions.sqlite3"
+    cache_file.unlink()
+    cache_file.mkdir()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="apio.gateway"):
+        assert backend.complete(ChatRequest("fourth", INFER)) == "four"
+    assert _cache_warnings(caplog) == [
+        f"completion cache {step} failed: cache file {cache_file} is not a usable SQLite database:"
+        " unable to open database file"
+        for step in ("lookup", "write")
+    ]
+
+
+def _cache_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("completion cache")]
 
 
 def test_inflight_dedup(tmp_path):

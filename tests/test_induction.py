@@ -7,13 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from apio.corpus import SamplePair
-from apio.gateway import ChatRequest, GatewayError, INFER, ScriptEntry, ScriptedBackend
+from apio.gateway import Backend, ChatRequest, GatewayError, INFER, ScriptEntry, ScriptedBackend
 from apio.config import InductionConfig
-from apio.induction import (
-    best_of_trials,
-    induce_instruction,
-    induce_prompt,
-)
+from apio.induction import best_of_trials, induce_instruction
 from apio.prompts import GEC_TEMPLATE, GENERIC_TEMPLATE, PromptError
 from apio.seeding import derive_seed
 from conftest import RecordingBackend, scripted_pairs
@@ -66,24 +62,6 @@ def _sticky_backend(response="Do the rewrite."):
     return ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response=response, sticky=True)])
 
 
-def test_induce_prompt_structure_and_determinism(toy_pairs):
-    cfg = InductionConfig(n_instructions=3, n_trials=1, seed=11)
-    first, ids_a = induce_prompt(toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend())
-    second, ids_b = induce_prompt(toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend())
-    assert first == second
-    assert ids_a == ids_b
-    assert len(first.instructions) == 3
-    assert first.header == ""
-    assert first.footer == GENERIC_TEMPLATE.footer
-    assert first.text().count("* ") == 3
-
-
-def test_induce_prompt_single_instruction_boundary(toy_pairs):
-    cfg = InductionConfig(n_instructions=1, n_trials=1, seed=0)
-    prompt, _ = induce_prompt(toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend())
-    assert len(prompt.instructions) == 1
-
-
 def _zero() -> float:
     return 0.0
 
@@ -93,27 +71,58 @@ def _flat_fitness(prompt, dev, trial):
     return _zero
 
 
+def _induced(pairs, cfg, backend):
+    """The prompt and reports of ``best_of_trials`` under a flat fitness."""
+    return best_of_trials(pairs, pairs, cfg, GENERIC_TEMPLATE, backend, _flat_fitness)
+
+
+def test_induce_prompt_structure_and_determinism(toy_pairs):
+    cfg = InductionConfig(n_instructions=3, n_trials=1, seed=11)
+    first, (report_a,) = _induced(toy_pairs, cfg, _sticky_backend())
+    second, (report_b,) = _induced(toy_pairs, cfg, _sticky_backend())
+    assert first == second
+    assert report_a.pair_ids == report_b.pair_ids
+    assert len(report_a.pair_ids) == 3
+    assert len(first.instructions) == 3
+    assert first.header == ""
+    assert first.footer == GENERIC_TEMPLATE.footer
+    assert first.text().count("* ") == 3
+
+
+def test_induce_prompt_single_instruction_boundary(toy_pairs):
+    cfg = InductionConfig(n_instructions=1, n_trials=1, seed=0)
+    prompt, _ = _induced(toy_pairs, cfg, _sticky_backend())
+    assert len(prompt.instructions) == 1
+
+
+def _per_pair_backend(pairs):
+    """Answers the induce request of each pair with an instruction naming it."""
+    return ScriptedBackend(
+        [ScriptEntry(match=f"Input: {p.source}\n", response=f"Rewrite {p.id}.", sticky=True) for p in pairs]
+    )
+
+
 def test_best_of_trials_argmax_and_tiebreak(toy_pairs):
-    # fitness keyed on the sampled pair ids; trial 4 planted as the best
+    # fitness keyed on the trial; trial 4 planted as the best
     cfg = InductionConfig(n_instructions=2, n_trials=10, seed=5)
     scores = {t: -1.0 for t in range(10)}
     scores[4] = -0.25
-    calls = {"n": -1}
+    induced = {}
 
     def fitness_fn(prompt, dev, trial):
-        calls["n"] += 1
-        return lambda score=scores[calls["n"]]: score
+        induced[trial] = prompt
+        return lambda: scores[trial]
 
     best, reports = best_of_trials(
-        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), fitness_fn
+        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _per_pair_backend(toy_pairs), fitness_fn
     )
     assert [r.fitness for r in reports][4] == -0.25
-    assert best == induce_prompt(toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), trial_index=4)[0]
+    assert best == induced[4]
+    assert best.instruction_texts() == reports[4].instructions == [f"Rewrite {i}." for i in reports[4].pair_ids]
 
-    flat, reports = best_of_trials(
-        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), _flat_fitness
-    )
-    assert flat == induce_prompt(toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), trial_index=0)[0]
+    flat, reports = _induced(toy_pairs, cfg, _per_pair_backend(toy_pairs))
+    assert reports[0].pair_ids != reports[1].pair_ids  # so the tie is not trivially met
+    assert flat.instruction_texts() == reports[0].instructions
     assert all(r.fitness == 0.0 for r in reports)
 
 
@@ -202,6 +211,38 @@ def test_best_of_trials_skips_failed_trials(toy_pairs):
     assert reports[0].error is not None
     assert reports[1].error is None
     assert best.instruction_texts() == ["Fine instruction."]
+
+
+class _SecondAnswer(Backend):
+    """Answers every request "Do one." but the second, which gets ``second``:
+    an answer, or an exception raised in its place."""
+
+    def __init__(self, second) -> None:
+        super().__init__()
+        self.second = second
+
+    def _complete(self, request: ChatRequest) -> str:
+        if self.calls.total() != 2:
+            return "Do one."
+        if isinstance(self.second, Exception):
+            raise self.second
+        return self.second
+
+
+@pytest.mark.parametrize(
+    "second, error",
+    [('""', "instruction text is empty after cleanup"), (GatewayError("boom"), "boom")],
+    ids=["empty-answer", "failed-request"],
+)
+def test_a_failed_trial_records_its_pairs_and_the_instructions_before_the_failure(toy_pairs, second, error):
+    cfg = InductionConfig(n_instructions=3, n_trials=2, seed=9)
+    _, (failed, fine) = _induced(toy_pairs, cfg, _SecondAnswer(second))
+    picks = random.Random(derive_seed(9, "induce", 0)).sample(range(len(toy_pairs)), 3)
+    assert failed.pair_ids == [toy_pairs[i].id for i in picks]
+    assert failed.instructions == ["Do one."]  # so the pair that failed is pair_ids[1]
+    assert failed.error == error
+    assert (failed.fitness, failed.backend_calls) == (None, 2)
+    assert fine.error is None and fine.instructions == ["Do one."] * 3
 
 
 def test_best_of_trials_all_failed(toy_pairs):

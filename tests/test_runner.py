@@ -1255,6 +1255,28 @@ def test_cache_file_that_cannot_be_opened_exits_2(tmp_path, chat_server, capsys)
     assert chat_server.requests == [] and not out.exists()
 
 
+@pytest.mark.parametrize("key", ["sk-abc\ndef", "sk-\u043a\u043b\u044e\u0447"], ids=["newline", "not-latin-1"])
+@pytest.mark.parametrize("command", ["induce", "infer"])
+def test_api_key_that_a_header_cannot_carry_exits_2_unechoed(tmp_path, chat_server, capsys, monkeypatch, command, key):
+    monkeypatch.setenv("APIO_API_KEY", key)
+    paths = make_workspace(tmp_path)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["backend"] = {"base_url": chat_server.url}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    _write_prompt(prompt)
+    source.write_text("line one\n", encoding="utf-8")
+    argv = {
+        "induce": ["induce", "--run-id", "r1", "--runs-dir", str(paths["runs"])],
+        "infer": ["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out)],
+    }[command]
+    assert main([*argv, "--config", str(paths["config"])]) == 2
+    err = capsys.readouterr().err
+    assert "APIO_API_KEY" in err and "sk-" not in err
+    assert chat_server.requests == []
+    assert not (paths["runs"] / "r1").exists() and not out.exists()
+
+
 @pytest.mark.parametrize("under", ["", "sub"])
 def test_cache_dir_that_is_a_file_exits_2(tmp_path, chat_server, capsys, under):
     prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
@@ -1369,6 +1391,67 @@ def test_live_run_under_a_fault_soak_writes_the_fault_free_files(tmp_path, chat_
     assert sorted(clean) == ["best_prompt.txt", "final_report.json", "history.json", "prompt.txt", "state.json",
                              "trials.json"]
     assert all(fault in injected for fault in SOAK_FAULTS)
+
+
+def test_live_optimize_killed_at_seeded_requests_resumes_to_the_uninterrupted_files(tmp_path, chat_server):
+    """A live ``optimize`` process killed mid-run resumes from its cache: the
+    files match the uninterrupted run's, and the requests sent again are at
+    most those in flight at the kill, one per ``--workers`` thread and one
+    from the main thread. Counts are compared, not bodies: a parent's
+    improve samples share one body, told apart only by the attempt tag."""
+    chat_server.respond = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries() if e.get("sticky")]))
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["backend"] = {"base_url": chat_server.url}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    workers = 4
+    runs = ["--runs-dir", str(paths["runs"]), "--workers", str(workers)]
+
+    def optimize(run_id: str, *flags: str) -> list[str]:
+        return ["optimize", "--config", str(paths["config"]), "--run-id", run_id, *runs, *flags]
+
+    assert main(["induce", "--config", str(paths["config"]), "--run-id", "full", *runs]) == 0
+    before = len(chat_server.requests)
+    assert main(optimize("full")) == 0
+    full = len(chat_server.requests) - before
+
+    names = ("trials.json", "prompt.txt", "state.json", "history.json", "best_prompt.txt", "final_report.json")
+    answer = chat_server.respond
+    for kill_at in sorted(random.Random(24).sample(range(1, full + 1), 3)):
+        run_id = f"kill{kill_at}"
+        assert main(["induce", "--config", str(paths["config"]), "--run-id", run_id, *runs]) == 0
+        start = len(chat_server.requests)
+        process: list[subprocess.Popen] = []
+
+        def killing(request: dict, kill_at=kill_at, start=start) -> Reply:
+            if len(chat_server.requests) - start == kill_at:
+                process[0].send_signal(signal.SIGKILL)
+            return answer(request)
+
+        chat_server.respond = killing
+        process.append(subprocess.Popen(
+            [sys.executable, "-c", "from apio.cli import entrypoint; entrypoint()", *optimize(run_id)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+        ))
+        try:
+            _, errors = process[0].communicate(timeout=60)
+        finally:
+            if process[0].poll() is None:
+                process[0].kill()
+                process[0].wait(timeout=10)
+        assert process[0].returncode == -signal.SIGKILL, errors
+        chat_server.respond = answer
+        cut = paths["runs"] / run_id
+        if json.loads((cut / "state.json").read_text(encoding="utf-8"))["phase"] == "induction":
+            assert main(optimize(run_id)) == 0  # killed before its epoch-0 state: nothing to resume
+        else:
+            assert main(["optimize", "--resume", run_id, *runs]) == 0
+        for name in names:
+            uninterrupted = (paths["runs"] / "full" / name).read_bytes().replace(b'"full"', b'"x"')
+            resumed = (cut / name).read_bytes().replace(f'"{run_id}"'.encode(), b'"x"')
+            assert uninterrupted == resumed, (kill_at, name)
+        sent = len(chat_server.requests) - start
+        assert full <= sent <= full + workers + 1, (kill_at, sent, full)
 
 
 def test_infer_failures_yield_placeholder_and_exit_1(tmp_path, capsys):
