@@ -160,8 +160,9 @@ def _read_prompt(path: str | Path) -> Prompt:
 def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str], str], output: Path) -> int:
     """Infer each line of ``--input``, rendered into a prompt by ``render``,
     on the ``--workers`` pool, and write the outputs to ``output`` in
-    input order. Empty lines pass through untouched; every other line is one
-    request, and a line whose request fails becomes ``<FAILED>``, which exits 1."""
+    input order. Empty lines pass through untouched; every other distinct line
+    is one request, and each copy of a line whose request fails becomes
+    ``<FAILED>``, which exits 1."""
     lines = read_lines(args.input)
     backend = _build_backend(args, cfg, None)
 
@@ -174,8 +175,10 @@ def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str]
             log.warning("inference failed: %s", exc)
             return FAILED_PLACEHOLDER
 
+    distinct = list(dict.fromkeys(lines))
     with contextlib.closing(backend), _executor(args) as pool:
-        outputs = list(pool.map(one, lines))
+        answers = dict(zip(distinct, pool.map(one, distinct)))
+    outputs = [answers[line] for line in lines]
     write_text(output, "".join(f"{line}\n" for line in outputs))
     if failures := outputs.count(FAILED_PLACEHOLDER):
         print(f"{failures}/{len(lines)} lines failed", file=sys.stderr)

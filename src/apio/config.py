@@ -125,6 +125,12 @@ class BackendConfig:
             valid = False
         if not valid:
             raise ConfigurationError(f"base_url must be an http(s) URL with a host, got {self.base_url!r}")
+        # an HTTP request line carries only printable ASCII; the host goes IDNA-encoded into a header
+        if any(c.isspace() or not c.isprintable() for c in self.base_url) or not (url.path + url.query).isascii():
+            raise ConfigurationError(
+                "base_url must hold no whitespace or control character, and no non-ASCII one in its path"
+                f" or query, got {self.base_url!r}"
+            )
 
 
 # a run needs training pairs for induction and dev pairs for every fitness

@@ -75,10 +75,10 @@ def read_text(path: str | Path) -> str:
 
 def read_json(path: str | Path) -> object:
     """The JSON value of the UTF-8 file ``path``; a file that is not UTF-8
-    or not JSON is refused naming it."""
+    or not JSON, or nested too deeply to parse, is refused naming it."""
     try:
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -126,7 +126,7 @@ def load_jsonl(path: str | Path) -> list[SamplePair]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigurationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         refs = obj.get("references") if isinstance(obj, dict) else None
         if not (

@@ -6,8 +6,7 @@ Every request goes through ``Backend.complete``, which counts it in
 * ``OpenAIChatBackend`` - OpenAI-style chat-completions HTTP endpoint with
   retry/backoff, bearer token from ``APIO_API_KEY``;
 * ``CachedBackend`` - content-addressed completion cache in one SQLite
-  file, shared safely by processes, wrapping another backend, with
-  in-flight deduplication of identical requests;
+  file, shared safely by processes, wrapping another backend;
 * ``ScriptedBackend`` - deterministic offline backend driven by an
   ordered script of (matcher, response) entries.
 
@@ -412,7 +411,7 @@ class OpenAIChatBackend(Backend):
                 content = json.loads(data)["choices"][0]["message"]["content"]
                 if content and not isinstance(content, str):
                     raise TypeError(f"content is {type(content).__name__}, not a string")
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
                 last_error = GatewayError(f"malformed completion payload: {exc}")
                 continue
             # a temperature-0 answer would repeat, so neither of these is sent again
@@ -435,10 +434,10 @@ CACHE_BUSY_TIMEOUT_S = 5.0  # how long a cache write waits for another connectio
 
 class CachedBackend(Backend):
     """Completion cache in front of a backend: one SQLite file in WAL mode,
-    ``<cache_dir>/completions.sqlite3``, that processes can share. An entry is never
-    replaced, so writers of one key all get the first text stored. Identical concurrent
-    requests wait for the first one, then read its entry, or send their own request if it
-    failed. The cache hits number ``calls.total() - inner.calls.total()``."""
+    ``<cache_dir>/completions.sqlite3``, that processes can share. A request is looked
+    up, and on a miss sent to the inner backend and stored. An entry is never replaced, so
+    identical misses that overlap each send a request, and all get the first text stored.
+    The cache hits number ``calls.total() - inner.calls.total()``."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path) -> None:
         super().__init__()
@@ -448,13 +447,12 @@ class CachedBackend(Backend):
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError) as exc:
             raise ValueError(f"cache directory {self.cache_dir} is a file or lies under one") from exc
-        self._lock = threading.Lock()  # guards _db and _inflight
+        self._lock = threading.Lock()  # guards _db
         self._db: sqlite3.Connection | None = self._connect()  # for lookups
         # writes wait out other processes' write locks on a connection of
         # their own, one at a time, so that no lookup waits behind them
         self._write_lock = threading.Lock()  # guards _writer
         self._writer: sqlite3.Connection | None = None
-        self._inflight: dict[str, threading.Event] = {}  # set when the key's request ends
 
     def _connect(self) -> sqlite3.Connection:
         path = self.cache_dir / "completions.sqlite3"
@@ -515,16 +513,6 @@ class CachedBackend(Backend):
 
     def _complete(self, request: ChatRequest) -> str:
         key = request_key(request, self.inner.model, self.inner.max_tokens)
-        while True:
-            with self._lock:
-                if (text := self._lookup(key)) is not None:
-                    return text
-                running = self._inflight.setdefault(key, done := threading.Event())
-            if running is done:
-                try:
-                    return self._store(key, self.inner.complete(request))
-                finally:
-                    with self._lock:
-                        del self._inflight[key]
-                    done.set()
-            running.wait()
+        with self._lock:
+            text = self._lookup(key)
+        return text if text is not None else self._store(key, self.inner.complete(request))

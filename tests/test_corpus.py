@@ -119,6 +119,13 @@ def test_load_jsonl_rejects_malformed_objects(tmp_path, line):
         load_jsonl(path)
 
 
+def test_load_jsonl_refuses_a_line_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"source": "x", "references": ["y"]}\n' + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:2: invalid JSON: maximum recursion depth"):
+        load_jsonl(path)
+
+
 def test_load_jsonl_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "dup.jsonl"
     path.write_text(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import http.client
+import itertools
 import json
 import logging
 import os
@@ -309,74 +310,58 @@ def _cache_warnings(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records if r.getMessage().startswith("completion cache")]
 
 
-def test_inflight_dedup(tmp_path):
-    inner = CountingBackend(delay=0.15)
-    backend = CachedBackend(inner, tmp_path / "c")
-    request = ChatRequest("slow", INFER)
-    results = []
-    threads = [threading.Thread(target=lambda: results.append(backend.complete(request))) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert results == ["pong"] * 4
-    assert inner.calls.total() == 1
+class Numbering(Backend):
+    """Answers every request anew, ``<content> <n>``, after ``barrier``
+    when one is given."""
+
+    model = "test-model"
+
+    def __init__(self, barrier: threading.Barrier | None = None):
+        super().__init__()
+        self.barrier = barrier
+        self.numbers = itertools.count()
+
+    def _complete(self, request):
+        if self.barrier is not None:
+            self.barrier.wait(timeout=10)
+        with self._calls_lock:
+            return f"{request.content} {next(self.numbers)}"
 
 
-def test_inflight_entries_are_dropped_after_a_burst(tmp_path):
-    inner = CountingBackend(delay=0.005)
-    backend = CachedBackend(inner, tmp_path / "c")
-    # 16 threads, 8 distinct keys, each sent 12 times
-    requests = [ChatRequest(f"key {i % 8}", INFER) for i in range(96)]
+def _stored(cache_dir: pathlib.Path) -> list[tuple[str, str]]:
+    with contextlib.closing(sqlite3.connect(cache_dir / "completions.sqlite3")) as db:
+        return db.execute("SELECT key, response_text FROM completions").fetchall()
+
+
+def test_identical_misses_that_overlap_all_get_the_first_text_stored(tmp_path):
+    """Callers that miss one key at once each send their request, and all
+    of them get the text stored first, the one row kept; in a burst over
+    a few keys every caller gets its key's stored text."""
+    n = 8
+    request = ChatRequest("same", INFER)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        # every caller has looked up and missed before the first answer is stored
+        at_once = CachedBackend(Numbering(threading.Barrier(n)), tmp_path / "at-once")
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            results = list(pool.map(at_once.complete, [request] * n, timeout=60))
+        burst = CachedBackend(Numbering(), tmp_path / "burst")
+        # 16 threads, 8 distinct keys, each sent 12 times
+        requests = [ChatRequest(f"key {i % 8}", INFER) for i in range(96)]
         with ThreadPoolExecutor(max_workers=16) as pool:
-            results = list(pool.map(backend.complete, requests, timeout=60))
+            answers = list(pool.map(burst.complete, requests, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert results == ["pong"] * 96
-    assert backend._inflight == {}
-    assert (inner.calls.total(), _hits(backend)) == (8, 88)
-
-
-def test_waiters_send_their_own_request_when_the_leader_fails(tmp_path):
-    class Failing(CountingBackend):
-        def __init__(self):
-            super().__init__(delay=0.1)
-            self.running = self.max_running = 0
-
-        def _complete(self, request):
-            with self._calls_lock:
-                self.running += 1
-                self.max_running = max(self.max_running, self.running)
-            time.sleep(self.delay)
-            with self._calls_lock:
-                self.running -= 1
-            raise GatewayError("down")
-
-    inner = Failing()
-    backend = CachedBackend(inner, tmp_path / "c")
-    barrier = threading.Barrier(4)
-    errors = []
-
-    def call():
-        barrier.wait(timeout=10)
-        try:
-            backend.complete(ChatRequest("doomed", INFER))
-        except GatewayError as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=call) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    assert not any(t.is_alive() for t in threads)
-    assert len(errors) == 4
-    # one request each, one at a time: the waiters held back while each ran
-    assert (inner.calls.total(), inner.max_running) == (4, 1)
-    assert _hits(backend) == 0 and backend._inflight == {}
+    assert at_once.inner.calls.total() == n and _hits(at_once) == 0
+    assert results == [results[0]] * n and results[0].startswith("same ")
+    assert _stored(tmp_path / "at-once") == [(request_key(request, "test-model", Backend.max_tokens), results[0])]
+    stored = dict(_stored(tmp_path / "burst"))
+    assert len(stored) == 8
+    assert answers == [stored[request_key(r, "test-model", Backend.max_tokens)] for r in requests]
+    assert all(answer.startswith(f"{r.content} ") for answer, r in zip(answers, requests))
+    for backend in (at_once, burst):
+        backend.close()
 
 
 def test_cache_hits_counted_exactly_across_threads(tmp_path):

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import fcntl
 import functools
+import hashlib
 import importlib
 import itertools
 import json
@@ -461,13 +462,15 @@ def test_live_run_records_the_live_backend_and_resumes_through_it(tmp_path, chat
 # (the JSON file, its fault): config files through ``induce``, and the
 # state, history and script files that ``optimize --resume`` reads
 JSON_FILE_FAULTS = [(kind, fault) for kind in ("config", "state", "history", "script")
-                    for fault in ("missing", "not-utf8", "not-json")]
+                    for fault in ("missing", "not-utf8", "not-json", "too-deep")]
+TOO_DEEP = "[" * 100_000 + "]" * 100_000  # json.loads raises RecursionError, not JSONDecodeError
 
 
 @pytest.mark.parametrize(("kind", "fault"), JSON_FILE_FAULTS, ids=[f"{k}-{f}" for k, f in JSON_FILE_FAULTS])
 def test_json_file_fault_exits_2_naming_it(tmp_path, capsys, kind, fault):
-    """A config, state, history or script file that is missing, not UTF-8
-    or not JSON exits 2 with one message per fault, whatever the file."""
+    """A config, state, history or script file that is missing, not UTF-8,
+    not JSON or nested too deeply to parse exits 2 with one message per
+    fault, whatever the file."""
     paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
     assert _induce(paths) == 0
     assert _optimize(paths, extra=("--stop-after-epoch", "1")) == 0
@@ -477,19 +480,21 @@ def test_json_file_fault_exits_2_naming_it(tmp_path, capsys, kind, fault):
     elif fault == "not-utf8":
         bad.write_bytes(b"\xe9" + bad.read_bytes())
     else:
-        bad.write_text("not json", encoding="utf-8")
+        bad.write_text("not json" if fault == "not-json" else TOO_DEEP, encoding="utf-8")
     capsys.readouterr()
     if kind == "config":
         assert _induce(paths, run_id="r2") == 2
         assert not (paths["runs"] / "r2").exists()
     else:
         assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 2
-    assert capsys.readouterr().err == {
+    # the rest of the depth message differs between Python versions
+    assert capsys.readouterr().err.startswith({
         "missing": f"error: [Errno 2] No such file or directory: '{bad}'\n",
         "not-utf8": f"error: {bad} is not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 0: "
                     "invalid continuation byte\n",
         "not-json": f"error: {bad} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n",
-    }[fault]
+        "too-deep": f"error: {bad} is not valid JSON: maximum recursion depth exceeded",
+    }[fault])
 
 
 # -- optimize -----------------------------------------------------------------
@@ -1277,6 +1282,32 @@ def test_api_key_that_a_header_cannot_carry_exits_2_unechoed(tmp_path, chat_serv
     assert not (paths["runs"] / "r1").exists() and not out.exists()
 
 
+@pytest.mark.parametrize("suffix", ["/v1 x", "/v\u00e9"], ids=["space", "non-ascii-path"])
+@pytest.mark.parametrize("command", ["induce", "infer"])
+def test_base_url_that_a_request_line_cannot_carry_exits_2(tmp_path, chat_server, capsys, command, suffix):
+    base_url = chat_server.url.removesuffix("/v1") + suffix
+    paths = make_workspace(tmp_path)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["backend"] = {"base_url": base_url, "retry_max": 0}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    _write_prompt(prompt)
+    source.write_text("line one\n", encoding="utf-8")
+    argv = {
+        "induce": ["induce", "--run-id", "r1", "--runs-dir", str(paths["runs"])],
+        "infer": ["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out)],
+    }[command]
+    assert main([*argv, "--config", str(paths["config"])]) == 2
+    assert capsys.readouterr().err.startswith("error: backend.base_url must hold no whitespace or control character")
+    assert chat_server.requests == []
+    assert not (paths["runs"] / "r1").exists() and not out.exists()
+
+
+@pytest.mark.parametrize("base_url", ["http://\u00e9xample.test/v1", "http://127.0.0.1:1/v1?q=a%20b"])
+def test_base_url_with_a_non_ascii_host_or_an_escaped_query_is_accepted(base_url):
+    assert from_object(RunConfig, {"backend": {"base_url": base_url}}).backend.base_url == base_url
+
+
 @pytest.mark.parametrize("under", ["", "sub"])
 def test_cache_dir_that_is_a_file_exits_2(tmp_path, chat_server, capsys, under):
     prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
@@ -1393,6 +1424,34 @@ def test_live_run_under_a_fault_soak_writes_the_fault_free_files(tmp_path, chat_
     assert all(fault in injected for fault in SOAK_FAULTS)
 
 
+def _run_killed_at(chat_server, argv: list[str], kill_at: int) -> None:
+    """Run ``apio argv`` in a subprocess that ``chat_server`` SIGKILLs when
+    the ``kill_at``-th request from it arrives, before it is answered."""
+    answer, start = chat_server.respond, len(chat_server.requests)
+    process: list[subprocess.Popen] = []
+
+    def killing(request: dict) -> Reply:
+        if len(chat_server.requests) - start == kill_at:
+            process[0].send_signal(signal.SIGKILL)
+        return answer(request)
+
+    chat_server.respond = killing
+    try:
+        process.append(subprocess.Popen(
+            [sys.executable, "-c", "from apio.cli import entrypoint; entrypoint()", *argv],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+        ))
+        try:
+            _, errors = process[0].communicate(timeout=60)
+        finally:
+            if process[0].poll() is None:
+                process[0].kill()
+                process[0].wait(timeout=10)
+    finally:
+        chat_server.respond = answer
+    assert process[0].returncode == -signal.SIGKILL, errors
+
+
 def test_live_optimize_killed_at_seeded_requests_resumes_to_the_uninterrupted_files(tmp_path, chat_server):
     """A live ``optimize`` process killed mid-run resumes from its cache: the
     files match the uninterrupted run's, and the requests sent again are at
@@ -1416,31 +1475,11 @@ def test_live_optimize_killed_at_seeded_requests_resumes_to_the_uninterrupted_fi
     full = len(chat_server.requests) - before
 
     names = ("trials.json", "prompt.txt", "state.json", "history.json", "best_prompt.txt", "final_report.json")
-    answer = chat_server.respond
     for kill_at in sorted(random.Random(24).sample(range(1, full + 1), 3)):
         run_id = f"kill{kill_at}"
         assert main(["induce", "--config", str(paths["config"]), "--run-id", run_id, *runs]) == 0
         start = len(chat_server.requests)
-        process: list[subprocess.Popen] = []
-
-        def killing(request: dict, kill_at=kill_at, start=start) -> Reply:
-            if len(chat_server.requests) - start == kill_at:
-                process[0].send_signal(signal.SIGKILL)
-            return answer(request)
-
-        chat_server.respond = killing
-        process.append(subprocess.Popen(
-            [sys.executable, "-c", "from apio.cli import entrypoint; entrypoint()", *optimize(run_id)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
-        ))
-        try:
-            _, errors = process[0].communicate(timeout=60)
-        finally:
-            if process[0].poll() is None:
-                process[0].kill()
-                process[0].wait(timeout=10)
-        assert process[0].returncode == -signal.SIGKILL, errors
-        chat_server.respond = answer
+        _run_killed_at(chat_server, optimize(run_id), kill_at)
         cut = paths["runs"] / run_id
         if json.loads((cut / "state.json").read_text(encoding="utf-8"))["phase"] == "induction":
             assert main(optimize(run_id)) == 0  # killed before its epoch-0 state: nothing to resume
@@ -1450,6 +1489,50 @@ def test_live_optimize_killed_at_seeded_requests_resumes_to_the_uninterrupted_fi
             uninterrupted = (paths["runs"] / "full" / name).read_bytes().replace(b'"full"', b'"x"')
             resumed = (cut / name).read_bytes().replace(f'"{run_id}"'.encode(), b'"x"')
             assert uninterrupted == resumed, (kill_at, name)
+        sent = len(chat_server.requests) - start
+        assert full <= sent <= full + workers + 1, (kill_at, sent, full)
+
+
+def test_live_induce_killed_at_seeded_requests_reruns_to_the_uninterrupted_files(tmp_path, chat_server):
+    """A live ``induce`` process killed mid-run and run again with
+    ``--force`` on its cache writes the uninterrupted run's files, and the
+    requests sent again are at most those in flight at the kill. Each pair
+    induces its own instruction, so no two trials score one prompt and
+    send the same scoring requests at once."""
+    scripted = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries() if e.get("sticky")]))
+
+    def answer(request: dict) -> Reply:
+        content = request["json"]["messages"][0]["content"]
+        if "Could you give an instruction" not in content:
+            return scripted(request)
+        tag = hashlib.sha256(content.encode("utf-8")).hexdigest()[:8]
+        return Reply(body=completion(f'Replace "{tag}" with "{tag}".'))
+
+    chat_server.respond = answer
+    paths = make_workspace(tmp_path, n_trials=4, seed=1)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["backend"] = {"base_url": chat_server.url}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    workers = 4
+
+    def induce(run_id: str, *flags: str) -> list[str]:
+        return ["induce", "--config", str(paths["config"]), "--run-id", run_id, "--runs-dir", str(paths["runs"]),
+                "--workers", str(workers), *flags]
+
+    assert main(induce("full")) == 0
+    full = len(chat_server.requests)
+    trials = json.loads((paths["runs"] / "full" / "trials.json").read_text(encoding="utf-8"))["trials"]
+    assert len({tuple(trial["instructions"]) for trial in trials}) == len(trials) == 4
+
+    for kill_at in sorted(random.Random(25).sample(range(1, full + 1), 3)):
+        run_id = f"kill{kill_at}"
+        start = len(chat_server.requests)
+        _run_killed_at(chat_server, induce(run_id), kill_at)
+        assert main(induce(run_id, "--force")) == 0
+        for name in ("prompt.txt", "trials.json", "state.json"):
+            uninterrupted = (paths["runs"] / "full" / name).read_bytes().replace(b'"full"', b'"x"')
+            rerun = (paths["runs"] / run_id / name).read_bytes().replace(f'"{run_id}"'.encode(), b'"x"')
+            assert uninterrupted == rerun, (kill_at, name)
         sent = len(chat_server.requests) - start
         assert full <= sent <= full + workers + 1, (kill_at, sent, full)
 
@@ -1478,13 +1561,53 @@ def test_a_failing_line_is_sent_once(tmp_path, chat_server, capsys, command):
     chat_server.fallback = Reply(status=500)
     prompt, source, out, config = (tmp_path / name for name in ("p.txt", "in.txt", "out.txt", "cfg.json"))
     _write_prompt(prompt)
-    source.write_text("only line\n", encoding="utf-8")
+    source.write_text("only line\n\nonly line\n", encoding="utf-8")
     config.write_text(json.dumps({"backend": {"base_url": chat_server.url, "retry_max": 0}}))
     kind = ["--prompt", str(prompt)] if command == "infer" else ["--kind", "zero_shot"]
     assert main([command, *kind, "--input", str(source), "--output", str(out), "--config", str(config)]) == 1
+    # a repeated line is sent once, and every copy of it fails
     assert len(chat_server.requests) == 1
-    assert out.read_text(encoding="utf-8") == "<FAILED>\n"
-    assert capsys.readouterr().err == "1/1 lines failed\n"
+    assert out.read_text(encoding="utf-8") == "<FAILED>\n\n<FAILED>\n"
+    assert capsys.readouterr().err == "2/3 lines failed\n"
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("command", ["infer", "baseline"])
+def test_each_distinct_line_is_sent_once(tmp_path, chat_server, command, cache):
+    """A repeated line is one request, with or without a cache, and its
+    answer fills every copy; an empty line stays empty and sends nothing."""
+    chat_server.respond = answered_by(rewrite_backend())
+    prompt, source, out, config = (tmp_path / name for name in ("p.txt", "in.txt", "out.txt", "cfg.json"))
+    _write_prompt(prompt)
+    lines = ["a foo", "a foo", "", "b foo", "b foo", "b foo", "a foo", "", "c"]
+    source.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    backend = {"base_url": chat_server.url, "cache_dir": str(tmp_path / "cache") if cache else None}
+    config.write_text(json.dumps({"backend": backend}))
+    kind = ["--prompt", str(prompt)] if command == "infer" else ["--kind", "zero_shot"]
+    assert main([command, *kind, "--input", str(source), "--output", str(out), "--config", str(config),
+                 "--workers", "8"]) == 0
+    sent = [request["json"]["messages"][0]["content"] for request in chat_server.requests]
+    assert len(sent) == len(set(sent)) == 3
+    # the zero-shot prompt holds no rewrite rule, so its answer is the input
+    answer = {"infer": lambda line: line.replace("foo", "bar"), "baseline": lambda line: line}[command]
+    assert out.read_text(encoding="utf-8") == "".join(f"{answer(line)}\n" for line in lines)
+
+
+def test_a_reply_nested_too_deeply_fails_only_its_line(tmp_path, chat_server, capsys):
+    """A 200 whose JSON is nested too deeply to parse is a malformed reply:
+    it spends the retry budget, then fails its line, with no traceback."""
+    chat_server.respond = lambda request: (
+        Reply(body=TOO_DEEP) if "Input: deep\n" in request["json"]["messages"][0]["content"] else Reply()
+    )
+    prompt, source, out, config = (tmp_path / name for name in ("p.txt", "in.txt", "out.txt", "cfg.json"))
+    _write_prompt(prompt)
+    source.write_text("deep\nflat\n", encoding="utf-8")
+    config.write_text(json.dumps({"backend": {"base_url": chat_server.url, "retry_max": 1}}))
+    assert main(["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out),
+                 "--config", str(config)]) == 1
+    assert len(chat_server.requests) == 3
+    assert out.read_text(encoding="utf-8") == "<FAILED>\nok\n"
+    assert capsys.readouterr().err == "1/2 lines failed\n"
 
 
 def test_two_infer_processes_share_one_cache(tmp_path, chat_server):
