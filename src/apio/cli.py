@@ -123,10 +123,8 @@ def _open_run(
         yield backend, stack.enter_context(_executor(args))
 
 
-def _backend_state(args: argparse.Namespace, backend: Backend) -> BackendState:
-    if isinstance(backend, ScriptedBackend):
-        return BackendState("scripted", str(args.script), backend.consumed_state())
-    return BackendState("live")
+def _backend_state(args: argparse.Namespace) -> BackendState:
+    return BackendState("scripted", str(args.script)) if args.script else BackendState("live")
 
 
 def _meta_path(output: Path) -> Path:  # baseline's record of its run
@@ -212,7 +210,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
         prompt, trials = best_of_trials(train, dev_eval, cfg.induction, template, backend, fitness_fn)
         write_text(run.prompt_path, prompt.text() + "\n")
         run.write_json(run.trials_path, {"trials": to_object(trials)})
-        run.write_state(RunState(run.run_id, "induction", cfg, _backend_state(args, backend)))
+        run.write_state(RunState(run.run_id, "induction", cfg, _backend_state(args)))
         for stale in (run.history_path, run.best_prompt_path, run.final_report_path):  # of the run it replaces
             stale.unlink(missing_ok=True)
     best_fitness = max(t.fitness for t in trials if t.fitness is not None)
@@ -247,6 +245,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"run {args.resume!r} is in phase 'induction', nothing to resume")
         cfg, overwrite = state.config, True  # a resumed run rewrites its own state
         args.script = args.script or state.backend.script
+        state = replace(state, backend=_backend_state(args))  # a --script given to the resume is recorded
     else:
         state = None
         cfg = load_config(args.config, _overrides(args))
@@ -265,22 +264,20 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template, executor)
         if state is None:
             pool = [engine.score_seed(seed_prompt)]
-            state = RunState(run.run_id, "optimization" if n_epochs else "done", cfg, _backend_state(args, backend),
+            state = RunState(run.run_id, "optimization" if n_epochs else "done", cfg, _backend_state(args),
                              epoch=0, next_id=engine.next_id, pool=pool, seed_prompt=seed_prompt.text())
             run.write_history(engine.history)
             run.write_state(state)
             for stale in (run.best_prompt_path, run.final_report_path):  # of the run it replaces
                 stale.unlink(missing_ok=True)
         else:
-            if state.backend.consumed is not None:
-                backend.restore_consumed(state.backend.consumed)
             engine.history = run.read_history(state.epoch)
             engine.next_id = state.next_id
         for epoch in range(state.epoch + 1, n_epochs + 1):
             pool = engine.run_epoch(state.pool, epoch)
             run.write_history(engine.history)
             state = replace(state, phase="optimization" if epoch < n_epochs else "done",
-                            backend=_backend_state(args, backend), epoch=epoch, next_id=engine.next_id, pool=pool)
+                            epoch=epoch, next_id=engine.next_id, pool=pool)
             run.write_state(state)
             log.info("epoch %d/%d: best fitness %.4f", epoch, n_epochs, pool[0].fitness)
             if args.stop_after_epoch is not None and args.stop_after_epoch <= epoch < n_epochs:

@@ -125,6 +125,8 @@ class BackendConfig:
             valid = False
         if not valid:
             raise ConfigurationError(f"base_url must be an http(s) URL with a host, got {self.base_url!r}")
+        if "#" in self.base_url:  # a fragment never reaches the endpoint
+            raise ConfigurationError(f"base_url must hold no fragment ('#'), got {self.base_url!r}")
         # an HTTP request line carries only printable ASCII; the host goes IDNA-encoded into a header
         if any(c.isspace() or not c.isprintable() for c in self.base_url) or not (url.path + url.query).isascii():
             raise ConfigurationError(

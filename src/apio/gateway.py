@@ -7,8 +7,8 @@ Every request goes through ``Backend.complete``, which counts it in
   retry/backoff, bearer token from ``APIO_API_KEY``;
 * ``CachedBackend`` - content-addressed completion cache in one SQLite
   file, shared safely by processes, wrapping another backend;
-* ``ScriptedBackend`` - deterministic offline backend driven by an
-  ordered script of (matcher, response) entries.
+* ``ScriptedBackend`` - deterministic offline backend that answers each
+  request from the first script entry matching it.
 
 Two generation profiles exist: EXPLORE (temperature 1.0, top-p 1.0) for
 prompt search and INFER (temperature 0.0, top-p 0.1) for inference.
@@ -131,12 +131,12 @@ _ECHO_RE = re.compile(r"Instruction:(.*)\nUpdated instruction:", re.DOTALL)
 _SCRIPT_MODES = ("literal", "rewrite_rules", "echo_instruction")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptEntry:
     match: str
     response: str = ""
     mode: str = "literal"  # one of _SCRIPT_MODES
-    sticky: bool = False
+    attempt_tag: int | None = None  # None answers any tag
 
     def __post_init__(self):
         if self.mode not in _SCRIPT_MODES:
@@ -170,29 +170,24 @@ def _echo_instruction(prompt_text: str) -> str:
 
 
 class ScriptedBackend(Backend):
-    """Deterministic backend consuming an ordered (matcher, response) script.
-
-    Each request takes the first matching unconsumed entry; matchers test
-    substring presence in the request text. Plain entries are consumed on
-    use; ``sticky`` entries answer any number of requests, which the
-    synthetic end-to-end tasks need for inference traffic. Inference
-    requests may arrive concurrently, so a plain entry that answers one
-    goes to whichever request comes first; this is logged once.
+    """Deterministic backend answering each request from the first script
+    entry that matches it: the entry's ``match`` is a substring of the
+    request's content, and its ``attempt_tag``, unless None, is the
+    request's. No entry is used up, so an answer is a function of the
+    request's content and tag, the inputs of its cache key, whatever the
+    order, number or concurrency of the requests.
     """
 
     def __init__(self, entries: list[ScriptEntry]) -> None:
         super().__init__()
         if not entries:
             raise ValueError("script must be non-empty")
-        self.entries = entries
-        self._consumed: set[int] = set()
-        self._lock = threading.Lock()
-        self._warned_plain_infer = False
+        self.entries = tuple(entries)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         """Load a script: a JSON list of objects, each with a ``match`` and
-        optionally a ``response``, ``mode`` and ``sticky``, and no other key."""
+        optionally a ``response``, ``mode`` and ``attempt_tag``, and no other key."""
         raw = read_json(path)
         try:
             if not isinstance(raw, list):
@@ -201,41 +196,16 @@ class ScriptedBackend(Backend):
         except ValueError as exc:
             raise ConfigurationError(f"script file {path}: {exc}") from exc
 
-    def consumed_state(self) -> list[int]:
-        with self._lock:
-            return sorted(self._consumed)
-
-    def restore_consumed(self, indices: list[int]) -> None:
-        with self._lock:
-            self._consumed = set(indices)
-
     def _complete(self, request: ChatRequest) -> str:
-        text = request.text()
-        with self._lock:
-            for idx, entry in enumerate(self.entries):
-                if not entry.sticky and idx in self._consumed:
-                    continue
-                if entry.match in text:
-                    if not entry.sticky:
-                        self._consumed.add(idx)
-                        if request.profile == INFER and not self._warned_plain_infer:
-                            self._warned_plain_infer = True
-                            log.warning(
-                                "script entry %d answers an inference request but is not"
-                                " sticky; with --workers > 1 the answer order is not"
-                                " deterministic",
-                                idx,
-                            )
-                    chosen = entry
-                    break
-            else:
-                head = text.splitlines()[0][:120] if text else ""
-                raise GatewayError(
-                    f"no script entry matches request starting {head!r}"
-                )
-        if chosen.mode == "literal":
-            return chosen.response
-        if chosen.mode == "rewrite_rules":
+        text = request.content
+        tag = request.attempt_tag
+        entry = next((e for e in self.entries if e.match in text and e.attempt_tag in (None, tag)), None)
+        if entry is None:
+            head = text.splitlines()[0][:120]
+            raise GatewayError(f"no script entry matches request starting {head!r}")
+        if entry.mode == "literal":
+            return entry.response
+        if entry.mode == "rewrite_rules":
             return _apply_rewrite_rules(text)
         return _echo_instruction(text)
 
@@ -315,7 +285,6 @@ class OpenAIChatBackend(Backend):
         backoff_base_s: float = 0.5,
     ) -> None:
         super().__init__()
-        self.base_url = base_url.rstrip("/")
         self.model = model
         self.max_tokens = max_tokens
         self.api_key = api_key if api_key is not None else os.environ.get("APIO_API_KEY", "")
@@ -327,17 +296,19 @@ class OpenAIChatBackend(Backend):
         self.retry_max = retry_max
         self.timeout_s = timeout_s
         self.backoff_base_s = backoff_base_s
-        url = f"{self.base_url}/chat/completions"
-        self._endpoint = urlsplit(url)
-        self._proxy, self._proxy_auth = _environment_proxy(self._endpoint)
+        base = urlsplit(base_url)
+        self._endpoint = endpoint = base._replace(path=base.path.rstrip("/") + "/chat/completions")
+        self._proxy, self._proxy_auth = _environment_proxy(endpoint)
         self._headers = {"Content-Type": "application/json", "Authorization": f"Bearer {self.api_key}"}
-        if self._proxy is not None and self._endpoint.scheme == "http":
-            # a plain-HTTP proxy is sent the absolute URL and the credentials;
-            # for https they go into the CONNECT request instead
-            self._target = url
+        self._target = endpoint.path + (f"?{endpoint.query}" if endpoint.query else "")
+        if self._proxy is not None and endpoint.scheme == "http":
+            # a plain-HTTP proxy is sent the absolute URL, its host IDNA-encoded as
+            # in the Host header, and the credentials; for https they go into the
+            # CONNECT request instead
+            host = endpoint.hostname.encode("idna").decode("ascii")
+            netloc = (f"[{host}]" if ":" in host else host) + (f":{endpoint.port}" if endpoint.port else "")
+            self._target = f"http://{netloc}{self._target}"
             self._headers.update(self._proxy_auth)
-        else:
-            self._target = self._endpoint.path + (f"?{self._endpoint.query}" if self._endpoint.query else "")
         self._local = threading.local()
         # every thread's connection, so that close() reaches them all
         self._connections: list[http.client.HTTPConnection] = []

@@ -22,16 +22,14 @@ from .optimizer import Candidate
 
 @dataclass(frozen=True)
 class BackendState:
-    """``live``, or ``scripted`` from the file ``script`` with its entries ``consumed`` used up."""
+    """``live``, or ``scripted`` from the file ``script``."""
 
     mode: str
     script: str | None = None
-    consumed: list[int] | None = None
 
     def __post_init__(self) -> None:
-        shape = (self.mode, not self.script, self.consumed is None)
-        if shape not in (("live", True, True), ("scripted", False, False)):
-            raise ConfigurationError("mode must be live, or scripted with a script and consumed entries")
+        if (self.mode, not self.script) not in (("live", True), ("scripted", False)):
+            raise ConfigurationError("mode must be live with no script, or scripted with one")
 
 
 @dataclass

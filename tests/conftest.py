@@ -54,14 +54,14 @@ def toy_pairs() -> list[SamplePair]:
 
 
 def scripted_pairs(pairs: list[tuple[str, str]]) -> ScriptedBackend:
-    """Backend answering from plain (match, response) script entries."""
+    """Backend answering from untagged (match, response) script entries."""
     return ScriptedBackend([ScriptEntry(match=m, response=r) for m, r in pairs])
 
 
 def rewrite_backend(extra: list[ScriptEntry] | None = None) -> ScriptedBackend:
     """Backend whose inference applies bullet rewrite rules literally."""
     entries = list(extra or [])
-    entries.append(ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True))
+    entries.append(ScriptEntry(match="\nOutput:", mode="rewrite_rules"))
     return ScriptedBackend(entries)
 
 
@@ -204,8 +204,9 @@ class ChatServer(ThreadingHTTPServer):
 
 def answered_by(backend: ScriptedBackend) -> Callable[[dict], Reply]:
     """A ``ChatServer.respond`` that answers each request as ``backend``
-    answers its user message and generation profile; with only sticky
-    entries, the answer is a pure function of the request body."""
+    answers its user message and generation profile. The body carries no
+    attempt tag, so the request has tag 0, and the answer is a function of
+    the body."""
 
     def respond(request: dict) -> Reply:
         sent = request["json"]

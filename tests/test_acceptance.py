@@ -247,15 +247,15 @@ def _random_script(rng: random.Random) -> ScriptedBackend:
             ScriptEntry(
                 match="Suggest new instruction",
                 response=f'<new_instruction>Replace "{old}" with "{new}".</new_instruction>',
+                attempt_tag=rng.randint(2, 7),  # the tags of epochs 1-3 at improve_samples 2
             )
         )
     entries.append(
         ScriptEntry(match="Suggest new instruction",
-                    response='<new_instruction>Replace "pad" with "pad".</new_instruction>',
-                    sticky=True)
+                    response='<new_instruction>Replace "pad" with "pad".</new_instruction>')
     )
-    entries.append(ScriptEntry(match="Generate a variation", mode="echo_instruction", sticky=True))
-    entries.append(ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True))
+    entries.append(ScriptEntry(match="Generate a variation", mode="echo_instruction"))
+    entries.append(ScriptEntry(match="\nOutput:", mode="rewrite_rules"))
     return ScriptedBackend(entries)
 
 
@@ -305,11 +305,9 @@ def test_c6_operator_contracts_fuzz():
     dev = _toy_dev()
     entries = [
         ScriptEntry(match="Suggest new instruction",
-                    response="<new_instruction>Brand new instruction.</new_instruction>",
-                    sticky=True),
-        ScriptEntry(match="Generate a variation", response="A different phrasing entirely.",
-                    sticky=True),
-        ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True),
+                    response="<new_instruction>Brand new instruction.</new_instruction>"),
+        ScriptEntry(match="Generate a variation", response="A different phrasing entirely."),
+        ScriptEntry(match="\nOutput:", mode="rewrite_rules"),
     ]
     cfg = OptimizerConfig(n_epochs=1, beam_b=8, improve_samples=1, improve_batch=2,
                           dev_subsample=4, seed=0)
@@ -426,9 +424,8 @@ def test_c9_induction_call_accounting():
     dev = _toy_dev()
     backend = ScriptedBackend(
         [
-            ScriptEntry(match="Could you give an instruction", response="Do the rewrite.",
-                        sticky=True),
-            ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True),
+            ScriptEntry(match="Could you give an instruction", response="Do the rewrite."),
+            ScriptEntry(match="\nOutput:", mode="rewrite_rules"),
         ]
     )
     cfg = InductionConfig(n_instructions=3, n_trials=10, seed=4)

@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import pathlib
+import random
 import shutil
 import socket
 import sqlite3
@@ -67,12 +68,19 @@ def test_scripted_pass_through():
     assert backend.calls.total() == 1
 
 
-def test_scripted_queue_semantics():
-    backend = scripted_pairs([("ask", "first"), ("ask", "second")])
-    assert backend.complete(ChatRequest("ask me", EXPLORE)) == "first"
-    assert backend.complete(ChatRequest("ask me", EXPLORE)) == "second"
-    with pytest.raises(GatewayError, match="ask me"):
-        backend.complete(ChatRequest("ask me", EXPLORE))
+def test_scripted_tagged_entry_answers_only_its_tag():
+    backend = ScriptedBackend([
+        ScriptEntry(match="ask", response="tag 3", attempt_tag=3),
+        ScriptEntry(match="other", response="other"),
+        ScriptEntry(match="ask", response="any tag"),
+    ])
+    assert backend.complete(ChatRequest("ask me", EXPLORE, attempt_tag=3)) == "tag 3"
+    # another tag, or content the entry does not match, falls through to the next match
+    for request in (ChatRequest("ask me", EXPLORE), ChatRequest("ask me", EXPLORE, attempt_tag=4)):
+        assert backend.complete(request) == "any tag"
+    assert backend.complete(ChatRequest("other", EXPLORE, attempt_tag=3)) == "other"
+    with pytest.raises(GatewayError, match="no script entry matches request starting 'neither'"):
+        backend.complete(ChatRequest("neither", EXPLORE, attempt_tag=3))
 
 
 def test_scripted_unmatched_is_loud():
@@ -81,46 +89,61 @@ def test_scripted_unmatched_is_loud():
         backend.complete(ChatRequest("something else entirely", EXPLORE))
 
 
-def test_scripted_sticky_entries_repeat():
-    backend = ScriptedBackend([ScriptEntry(match="go", response="yes", sticky=True)])
-    for _ in range(5):
-        assert backend.complete(ChatRequest("go now", INFER)) == "yes"
-
-
-def test_scripted_plain_inference_entry_warns_once(caplog):
-    backend = scripted_pairs([("go", "a"), ("go", "b"), ("go", "c")])
-    backend.complete(ChatRequest("go", EXPLORE))
-    assert not caplog.records
+def test_scripted_entry_answers_any_number_of_requests(caplog):
+    backend = ScriptedBackend([
+        ScriptEntry(match="go", response="tagged", attempt_tag=1),
+        ScriptEntry(match="go", response="untagged"),
+    ])
     with caplog.at_level("WARNING", logger="apio.gateway"):
-        backend.complete(ChatRequest("go", INFER))
-        backend.complete(ChatRequest("go", INFER))
-    assert [r.getMessage() for r in caplog.records] == [
-        "script entry 1 answers an inference request but is not sticky;"
-        " with --workers > 1 the answer order is not deterministic"
+        for profile in (EXPLORE, INFER, EXPLORE):
+            for _ in range(3):
+                assert backend.complete(ChatRequest("go now", profile, attempt_tag=1)) == "tagged"
+                assert backend.complete(ChatRequest("go now", profile)) == "untagged"
+    assert not caplog.records
+    assert backend.calls.total() == 18
+
+
+def test_scripted_answers_do_not_depend_on_order_or_threads():
+    """Each request gets the answer that a serial pass gives it when a mix
+    of EXPLORE and INFER requests, repeats among them, is sent in a
+    shuffled order from 8 threads."""
+    entries = [ScriptEntry(match="Suggest", response=f"improve {tag}", attempt_tag=tag) for tag in (4, 5, 6)]
+    entries += [
+        ScriptEntry(match="Suggest", response="improve fallback"),
+        ScriptEntry(match="Generate a variation", mode="echo_instruction"),
+        ScriptEntry(match="\nOutput:", mode="rewrite_rules"),
     ]
+    footer = TASK_TEMPLATES["generic"].footer
+    requests = [ChatRequest(f"Suggest new instruction for parent {p}", EXPLORE, attempt_tag=tag, purpose="improve")
+                for p in range(3) for tag in range(4, 8)]
+    requests += [ChatRequest(f"Generate a variation\n\nInstruction:Rule {i}.\nUpdated instruction:", EXPLORE,
+                             attempt_tag=1, purpose="rephrase") for i in range(4)]
+    requests += [ChatRequest(Prompt("", ('Replace "a" with "b".',), footer).render(f"a {i}"), INFER) for i in range(8)]
+    requests += [requests[1]] * 16  # one (content, attempt_tag), sent again and again
+    serial_backend = ScriptedBackend(entries)
+    serial = [serial_backend.complete(request) for request in requests]
+    assert serial.count("improve 5") == 3 + 16 and serial.count("improve fallback") == 3
+    assert "Rule 3." in serial and "b 7" in serial
+    order = list(range(len(requests)))
+    random.Random(26).shuffle(order)
+    backend = ScriptedBackend(entries)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        answers = dict(zip(order, pool.map(lambda i: backend.complete(requests[i]), order)))
+    assert [answers[i] for i in range(len(requests))] == serial
 
 
 def test_rewrite_rules_mode():
     """The rules rewrite the input of every task's footer, whatever its labels."""
-    backend = ScriptedBackend([ScriptEntry(match="* ", mode="rewrite_rules", sticky=True)])
+    backend = ScriptedBackend([ScriptEntry(match="* ", mode="rewrite_rules")])
     for template in TASK_TEMPLATES.values():
         prompt = Prompt("", ('Replace "foo" with "bar".', 'Replace "x" with "y".'), template.footer)
         assert backend.complete(ChatRequest(prompt.render("a foo and an x"), INFER)) == "a bar and an y"
 
 
 def test_echo_instruction_mode():
-    backend = ScriptedBackend([ScriptEntry(match="variation", mode="echo_instruction", sticky=True)])
+    backend = ScriptedBackend([ScriptEntry(match="variation", mode="echo_instruction")])
     prompt = "Generate a variation ...\n\nInstruction:Keep it simple.\nUpdated instruction:"
     assert backend.complete(ChatRequest(prompt, EXPLORE)) == "Keep it simple."
-
-
-def test_scripted_consumed_state_restores():
-    backend = scripted_pairs([("a", "1"), ("a", "2")])
-    backend.complete(ChatRequest("a", EXPLORE))
-    snapshot = backend.consumed_state()
-    fresh = scripted_pairs([("a", "1"), ("a", "2")])
-    fresh.restore_consumed(snapshot)
-    assert fresh.complete(ChatRequest("a", EXPLORE)) == "2"
 
 
 # -- cache -------------------------------------------------------------------
@@ -581,6 +604,19 @@ def test_openai_http_proxy_gets_absolute_url_and_credentials(chat_server, openai
     assert sent["path"] == "http://llm.test/v1/chat/completions"
     assert sent["headers"]["Host"] == "llm.test"
     assert sent["headers"]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_openai_base_url_query_stays_after_the_path(chat_server, openai):
+    openai(base_url=chat_server.url + "/?api-version=1").complete(ChatRequest("x", INFER))
+    assert chat_server.requests[0]["path"] == "/v1/chat/completions?api-version=1"
+
+
+def test_openai_http_proxy_gets_the_idna_encoded_host(chat_server, openai, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", chat_server.url.removesuffix("/v1"))
+    assert openai(base_url="http://\u00e9xample.test/v1").complete(ChatRequest("x", INFER)) == "ok"
+    sent = chat_server.requests[0]
+    assert sent["path"] == "http://xn--xample-9ua.test/v1/chat/completions"
+    assert sent["headers"]["Host"] == "xn--xample-9ua.test"
 
 
 def test_openai_https_goes_through_connect_tunnel(chat_server, openai, monkeypatch):

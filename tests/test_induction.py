@@ -52,14 +52,14 @@ def test_induce_sends_one_request_and_an_empty_answer_fails():
     assert induce_instruction(_pair(), GEC_TEMPLATE, multi_line) == "Fix the grammar."
     assert multi_line.calls.total() == 1
 
-    decoration_only = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response='""', sticky=True)])
+    decoration_only = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response='""')])
     with pytest.raises(PromptError, match="empty after cleanup"):
         induce_instruction(_pair(), GEC_TEMPLATE, decoration_only)
     assert decoration_only.calls.total() == 1
 
 
-def _sticky_backend(response="Do the rewrite."):
-    return ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response=response, sticky=True)])
+def _induce_backend(response="Do the rewrite."):
+    return ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response=response)])
 
 
 def _zero() -> float:
@@ -78,8 +78,8 @@ def _induced(pairs, cfg, backend):
 
 def test_induce_prompt_structure_and_determinism(toy_pairs):
     cfg = InductionConfig(n_instructions=3, n_trials=1, seed=11)
-    first, (report_a,) = _induced(toy_pairs, cfg, _sticky_backend())
-    second, (report_b,) = _induced(toy_pairs, cfg, _sticky_backend())
+    first, (report_a,) = _induced(toy_pairs, cfg, _induce_backend())
+    second, (report_b,) = _induced(toy_pairs, cfg, _induce_backend())
     assert first == second
     assert report_a.pair_ids == report_b.pair_ids
     assert len(report_a.pair_ids) == 3
@@ -91,14 +91,14 @@ def test_induce_prompt_structure_and_determinism(toy_pairs):
 
 def test_induce_prompt_single_instruction_boundary(toy_pairs):
     cfg = InductionConfig(n_instructions=1, n_trials=1, seed=0)
-    prompt, _ = _induced(toy_pairs, cfg, _sticky_backend())
+    prompt, _ = _induced(toy_pairs, cfg, _induce_backend())
     assert len(prompt.instructions) == 1
 
 
 def _per_pair_backend(pairs):
     """Answers the induce request of each pair with an instruction naming it."""
     return ScriptedBackend(
-        [ScriptEntry(match=f"Input: {p.source}\n", response=f"Rewrite {p.id}.", sticky=True) for p in pairs]
+        [ScriptEntry(match=f"Input: {p.source}\n", response=f"Rewrite {p.id}.") for p in pairs]
     )
 
 
@@ -128,7 +128,7 @@ def test_best_of_trials_argmax_and_tiebreak(toy_pairs):
 
 def test_best_of_trials_call_accounting(toy_pairs):
     cfg = InductionConfig(n_instructions=3, n_trials=10, seed=2)
-    backend = _sticky_backend()
+    backend = _induce_backend()
     dev_evaluations = []
 
     def fitness_fn(prompt, dev, trial):
@@ -144,7 +144,7 @@ def test_best_of_trials_call_accounting(toy_pairs):
 
 def test_best_of_trials_induces_every_trial_before_gathering_a_fitness(toy_pairs):
     cfg = InductionConfig(n_instructions=2, n_trials=3, seed=5)
-    backend = _sticky_backend()
+    backend = _induce_backend()
     events = []
 
     def fitness_fn(prompt, dev, trial):
@@ -165,7 +165,7 @@ def test_best_of_trials_counts_each_trials_requests_while_others_score(toy_pairs
     # threads than cores; they overlap the next trials' induction and
     # count to trial t alone, even with threads switching every microsecond
     cfg = InductionConfig(n_instructions=2, n_trials=3, seed=5)
-    backend = ScriptedBackend([ScriptEntry(match="", response="Do the rewrite.", sticky=True)])
+    backend = ScriptedBackend([ScriptEntry(match="", response="Do the rewrite.")])
     submitted = []
 
     def fitness_fn(prompt, dev, trial):
@@ -189,7 +189,7 @@ def test_best_of_trials_counts_each_trials_requests_while_others_score(toy_pairs
 def test_best_of_trials_records_each_trials_seed(toy_pairs):
     cfg = InductionConfig(n_instructions=2, n_trials=3, seed=5)
     _, reports = best_of_trials(
-        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _sticky_backend(), _flat_fitness
+        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _induce_backend(), _flat_fitness
     )
     assert [r.seed for r in reports] == [derive_seed(5, "induce", t) for t in range(3)]
     for report in reports:
@@ -199,11 +199,11 @@ def test_best_of_trials_records_each_trials_seed(toy_pairs):
 
 
 def test_best_of_trials_skips_failed_trials(toy_pairs):
-    # the first trial's one answer is only quotes, later trials succeed
+    # the first trial's one answer (tag 0) is only quotes, later trials succeed
     backend = ScriptedBackend(
         [
-            ScriptEntry(match=INDUCE_MATCH, response='""'),
-            ScriptEntry(match=INDUCE_MATCH, response="Fine instruction.", sticky=True),
+            ScriptEntry(match=INDUCE_MATCH, response='""', attempt_tag=0),
+            ScriptEntry(match=INDUCE_MATCH, response="Fine instruction."),
         ]
     )
     cfg = InductionConfig(n_instructions=1, n_trials=3, seed=9)
@@ -246,7 +246,7 @@ def test_a_failed_trial_records_its_pairs_and_the_instructions_before_the_failur
 
 
 def test_best_of_trials_all_failed(toy_pairs):
-    backend = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response='""', sticky=True)])
+    backend = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response='""')])
     cfg = InductionConfig(n_instructions=1, n_trials=2, seed=1)
     with pytest.raises(GatewayError, match="all induction trials failed"):
         best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, _flat_fitness)

@@ -164,8 +164,11 @@ def _seed_candidate(engine: PromptOptimizer, prompt: Prompt) -> Candidate:
 
 def test_improve_appends_exactly_one_instruction(toy_pairs):
     entries = [
-        ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>Keep punctuation unchanged.</new_instruction>"),
-        ScriptEntry(match=IMPROVE_MATCH, response="pre <new_instruction>Check\nspacing rules.</new_instruction> post"),
+        # epoch 1's two improve samples have the tags 2 and 3
+        ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>Keep punctuation unchanged.</new_instruction>",
+                    attempt_tag=2),
+        ScriptEntry(match=IMPROVE_MATCH, response="pre <new_instruction>Check\nspacing rules.</new_instruction> post",
+                    attempt_tag=3),
     ]
     engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=2)
     parent = _seed_candidate(engine, _prompt(DECOY, PLANTED))
@@ -178,8 +181,8 @@ def test_improve_appends_exactly_one_instruction(toy_pairs):
 
 def test_improve_discards_unparseable_samples(toy_pairs):
     entries = [
-        ScriptEntry(match=IMPROVE_MATCH, response="no tags here"),
-        ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>Valid addition.</new_instruction>"),
+        ScriptEntry(match=IMPROVE_MATCH, response="no tags here", attempt_tag=2),
+        ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>Valid addition.</new_instruction>", attempt_tag=3),
     ]
     engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=2)
     parent = _seed_candidate(engine, _prompt(DECOY))
@@ -189,7 +192,7 @@ def test_improve_discards_unparseable_samples(toy_pairs):
 
 
 def test_improve_all_unparseable_yields_zero_children(toy_pairs):
-    entries = [ScriptEntry(match=IMPROVE_MATCH, response="nothing tagged", sticky=True)]
+    entries = [ScriptEntry(match=IMPROVE_MATCH, response="nothing tagged")]
     engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=3)
     parent = _seed_candidate(engine, _prompt(DECOY))
     assert engine.improve(parent, epoch=1) == []
@@ -210,21 +213,23 @@ class FailingNthBackend(Backend):
 
 
 def test_failed_improve_sample_drops_only_its_child(toy_pairs, caplog):
-    entries = [ScriptEntry(match=IMPROVE_MATCH, response=f"<new_instruction>{t}</new_instruction>") for t in "ABC"]
+    # epoch 1's three improve samples have the tags 3 to 5
+    entries = [ScriptEntry(match=IMPROVE_MATCH, response=f"<new_instruction>{t}</new_instruction>", attempt_tag=tag)
+               for tag, t in enumerate("ABC", start=3)]
     engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=3)
     parent = _seed_candidate(engine, _prompt(DECOY))
     engine.backend = FailingNthBackend(engine.backend, "improve", 1)
     with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
         children = engine.improve(parent, epoch=1)
-    # sample 1 fails on its way to the script, so sample 2 takes the second entry
-    assert [c.instruction_texts()[-1] for c in children] == ["A", "B"]
+    # sample 1 fails on its way to the script; sample 2 gets its own answer
+    assert [c.instruction_texts()[-1] for c in children] == ["A", "C"]
     assert engine.backend.calls["improve", 1] == 3
     assert "improve sample 1 failed for candidate 0: injected improve failure" in caplog.text
 
 
 def test_improve_sample_with_nothing_left_drops_only_its_child(toy_pairs, caplog):
-    entries = [ScriptEntry(match=IMPROVE_MATCH, response=f"<new_instruction>{t}</new_instruction>")
-               for t in ("A", '""', "C")]
+    entries = [ScriptEntry(match=IMPROVE_MATCH, response=f"<new_instruction>{t}</new_instruction>", attempt_tag=tag)
+               for tag, t in enumerate(("A", '""', "C"), start=3)]
     engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=3)
     parent = _seed_candidate(engine, _prompt(DECOY))
     with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
@@ -234,7 +239,7 @@ def test_improve_sample_with_nothing_left_drops_only_its_child(toy_pairs, caplog
 
 
 def test_improve_meta_shows_worst_error_examples(toy_pairs):
-    entries = [ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>X y.</new_instruction>", sticky=True)]
+    entries = [ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>X y.</new_instruction>")]
     backend = RecordingBackend(rewrite_backend(entries))
     engine = _engine(toy_pairs, backend, improve_batch=2)
     parent = _seed_candidate(engine, _prompt(DECOY))
@@ -252,8 +257,8 @@ def test_improve_meta_shows_worst_error_examples(toy_pairs):
 
 def test_rephrase_replaces_one_position(toy_pairs):
     entries = [
-        ScriptEntry(match=REPHRASE_MATCH, response="Rewritten first."),
-        ScriptEntry(match=REPHRASE_MATCH, response="Rewritten second."),
+        ScriptEntry(match="Instruction:First rule.", response="Rewritten first."),
+        ScriptEntry(match="Instruction:Second rule.", response="Rewritten second."),
     ]
     engine = _engine(toy_pairs, rewrite_backend(entries))
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule."))
@@ -265,7 +270,7 @@ def test_rephrase_replaces_one_position(toy_pairs):
 
 
 def test_failed_rephrase_request_drops_only_its_positions_child(toy_pairs, caplog):
-    entries = [ScriptEntry(match=REPHRASE_MATCH, response="Rewritten.", sticky=True)]
+    entries = [ScriptEntry(match=REPHRASE_MATCH, response="Rewritten.")]
     engine = _engine(toy_pairs, rewrite_backend(entries))
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule.", "Third rule."))
     engine.backend = FailingNthBackend(engine.backend, "rephrase", 1)
@@ -280,7 +285,8 @@ def test_failed_rephrase_request_drops_only_its_positions_child(toy_pairs, caplo
 
 
 def test_rephrase_with_nothing_left_drops_only_its_positions_child(toy_pairs, caplog):
-    entries = [ScriptEntry(match=REPHRASE_MATCH, response=r) for r in ("Rewritten\nfirst.", '""', "Rewritten third.")]
+    entries = [ScriptEntry(match=f"Instruction:{i} rule.", response=r)
+               for i, r in [("First", "Rewritten\nfirst."), ("Second", '""'), ("Third", "Rewritten third.")]]
     engine = _engine(toy_pairs, rewrite_backend(entries))
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule.", "Third rule."))
     with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
@@ -294,8 +300,8 @@ def test_rephrase_with_nothing_left_drops_only_its_positions_child(toy_pairs, ca
 
 def test_rephrase_drops_identical_and_empty(toy_pairs):
     entries = [
-        ScriptEntry(match=REPHRASE_MATCH, response="First rule."),  # identical -> dropped
-        ScriptEntry(match=REPHRASE_MATCH, response="   "),  # empty -> skipped
+        ScriptEntry(match="Instruction:First rule.", response="First rule."),  # identical -> dropped
+        ScriptEntry(match="Instruction:Second rule.", response="   "),  # empty -> skipped
     ]
     engine = _engine(toy_pairs, rewrite_backend(entries))
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule."))
@@ -303,7 +309,7 @@ def test_rephrase_drops_identical_and_empty(toy_pairs):
 
 
 def test_rephrase_echo_backend_produces_no_children(toy_pairs):
-    entries = [ScriptEntry(match=REPHRASE_MATCH, mode="echo_instruction", sticky=True)]
+    entries = [ScriptEntry(match=REPHRASE_MATCH, mode="echo_instruction")]
     engine = _engine(toy_pairs, rewrite_backend(entries))
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule."))
     assert engine.rephrase(parent, epoch=1) == []
@@ -345,10 +351,10 @@ def test_permute_preserves_multiset(labels, epoch):
 # -- epoch loop ---------------------------------------------------------------
 
 
-def _toy_engine(toy_pairs, planted_offset=2, **overrides):
-    entries = [ScriptEntry(**e) for e in script_entries(planted_offset=planted_offset)]
+def _toy_engine(toy_pairs, planted_offset=2, improve_samples=2, **overrides):
+    entries = [ScriptEntry(**e) for e in script_entries(planted_offset, improve_samples)]
     backend = ScriptedBackend(entries)
-    return _engine(toy_pairs, backend, **overrides)
+    return _engine(toy_pairs, backend, improve_samples=improve_samples, **overrides)
 
 
 def test_run_epoch_planted_child_ranks_first(toy_pairs):
@@ -529,9 +535,9 @@ def test_run_epoch_submits_windows_and_permute_children_before_exploring(toy_pai
 def test_permute_child_duplicating_an_earlier_proposal_is_scored_once(toy_pairs):
     first, second = 'Replace "zz" with "zz".', 'Replace "foo" with "bar".'
     entries = [
-        ScriptEntry(match=IMPROVE_MATCH, response=f"<new_instruction>{second}</new_instruction>", sticky=True),
-        ScriptEntry(match=REPHRASE_MATCH, mode="echo_instruction", sticky=True),
-        ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True),
+        ScriptEntry(match=IMPROVE_MATCH, response=f"<new_instruction>{second}</new_instruction>"),
+        ScriptEntry(match=REPHRASE_MATCH, mode="echo_instruction"),
+        ScriptEntry(match="\nOutput:", mode="rewrite_rules"),
     ]
     engine = _engine(toy_pairs, RecordingBackend(ScriptedBackend(entries)), improve_samples=1)
     # parent 0's improve child and parent 1's permute child are one prompt
@@ -565,9 +571,9 @@ class FailingPromptBackend(Backend):
 def test_failed_window_drops_only_that_parents_improve_children(toy_pairs, caplog):
     def epoch(fail_first_parent):
         entries = [
-            ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>Add more.</new_instruction>", sticky=True),
-            ScriptEntry(match=REPHRASE_MATCH, response="Say it again.", sticky=True),
-            ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True),
+            ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>Add more.</new_instruction>"),
+            ScriptEntry(match=REPHRASE_MATCH, response="Say it again."),
+            ScriptEntry(match="\nOutput:", mode="rewrite_rules"),
         ]
         engine = _engine(toy_pairs, ScriptedBackend(entries), improve_samples=2)
         pool = [engine.score_seed(_prompt(DECOY, "Rule one.")), engine.score_seed(_prompt("Rule two.", DECOY))]
@@ -592,9 +598,9 @@ def test_failed_window_drops_only_that_parents_improve_children(toy_pairs, caplo
 
 def test_zero_successful_candidates_keeps_pool(toy_pairs):
     entries = [
-        ScriptEntry(match=IMPROVE_MATCH, response="untagged", sticky=True),
-        ScriptEntry(match=REPHRASE_MATCH, mode="echo_instruction", sticky=True),
-        ScriptEntry(match="\nOutput:", mode="rewrite_rules", sticky=True),
+        ScriptEntry(match=IMPROVE_MATCH, response="untagged"),
+        ScriptEntry(match=REPHRASE_MATCH, mode="echo_instruction"),
+        ScriptEntry(match="\nOutput:", mode="rewrite_rules"),
     ]
     engine = _engine(toy_pairs, ScriptedBackend(entries))
     pool = [engine.score_seed(_prompt("Only rule."))]  # no permute possible

@@ -158,11 +158,11 @@ def test_induce_non_object_jsonl_line_exits_2_naming_it(tmp_path, capsys):
 
 def test_induce_scoring_failure_fails_only_that_trial(tmp_path):
     paths = make_workspace(tmp_path, n_trials=2, n_instructions=1)
-    # trial 1 induces "Rule two." and no script entry answers its inference
+    # trial 1 (tag 2) induces "Rule two." and no script entry answers its inference
     paths["script"].write_text(json.dumps([
-        {"match": INDUCE_MATCH, "response": "Rule one."},
-        {"match": INDUCE_MATCH, "response": "Rule two.", "sticky": True},
-        {"match": "* Rule one.\n", "mode": "rewrite_rules", "sticky": True},
+        {"match": INDUCE_MATCH, "response": "Rule one.", "attempt_tag": 0},
+        {"match": INDUCE_MATCH, "response": "Rule two."},
+        {"match": "* Rule one.\n", "mode": "rewrite_rules"},
     ]))
     assert _induce(paths) == 0
     run = paths["runs"] / "r1"
@@ -177,13 +177,13 @@ def test_induce_scoring_failure_fails_only_that_trial(tmp_path):
 @pytest.mark.parametrize("workers", ["1", "8"])
 def test_induce_counts_each_trials_requests(tmp_path, workers):
     paths = make_workspace(tmp_path, n_trials=4, n_instructions=1)
-    # trial 0's one induce answer is only quotes, no entry answers trial 1's
-    # inference, and trials 2 and 3 score on all 8 dev pairs
+    # trial 0's one induce answer (tag 0) is only quotes, no entry answers
+    # trial 1's (tag 2) inference, and trials 2 and 3 score on all 8 dev pairs
     paths["script"].write_text(json.dumps([
-        {"match": INDUCE_MATCH, "response": '""'},
-        {"match": INDUCE_MATCH, "response": "Rule two."},
-        {"match": INDUCE_MATCH, "response": "Rule one.", "sticky": True},
-        {"match": "* Rule one.\n", "mode": "rewrite_rules", "sticky": True},
+        {"match": INDUCE_MATCH, "response": '""', "attempt_tag": 0},
+        {"match": INDUCE_MATCH, "response": "Rule two.", "attempt_tag": 2},
+        {"match": INDUCE_MATCH, "response": "Rule one."},
+        {"match": "* Rule one.\n", "mode": "rewrite_rules"},
     ]))
     assert _induce(paths, extra=("--workers", workers)) == 0
     trials = json.loads((paths["runs"] / "r1" / "trials.json").read_text())["trials"]
@@ -200,7 +200,7 @@ def test_induce_exhausted_script_is_engine_failure(tmp_path):
 
 def test_induce_whose_every_trial_fails_exits_1_and_writes_no_run_file(tmp_path, capsys):
     paths = make_workspace(tmp_path)
-    paths["script"].write_text(json.dumps([{"match": INDUCE_MATCH, "response": '""', "sticky": True}]))
+    paths["script"].write_text(json.dumps([{"match": INDUCE_MATCH, "response": '""'}]))
     assert _induce(paths) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "engine failure: all induction trials failed"
     assert [path.name for path in (paths["runs"] / "r1").iterdir()] == [".lock"]
@@ -277,8 +277,10 @@ def test_lock_of_killed_process_is_reclaimed(tmp_path, capsys):
         "script-entry-without-match",
         "script-not-a-list",
         "script-unknown-mode",
-        "script-sticky-not-a-boolean",
+        "script-holding-sticky",
+        "script-attempt-tag-not-an-int",
         "script-unknown-key",
+        "state-with-consumed",
     ],
 )
 def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
@@ -308,8 +310,9 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
             "script-entry-without-match": [*entries, {"response": "x"}],
             "script-not-a-list": "a string",
             "script-unknown-mode": [*entries, {"match": "x", "mode": "shout"}],
-            "script-sticky-not-a-boolean": [*entries, {"match": "x", "sticky": "false"}],
-            # a misspelt "sticky" made the entry plain
+            # a script of the old shape is refused, not read with another meaning
+            "script-holding-sticky": [*entries, {"match": "x", "sticky": True}],
+            "script-attempt-tag-not-an-int": [*entries, {"match": "x", "attempt_tag": "4"}],
             "script-unknown-key": [*entries, {"match": "x", "stiky": True}],
         }[broken]), encoding="utf-8")
     else:
@@ -338,6 +341,8 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
                 "state-next-id-a-boolean": ("next_id", True),
                 "state-unknown-key": ("epochs", 1),
                 "state-unknown-phase": ("phase", "tuning"),
+                # the old shape, which recorded the script entries used up
+                "state-with-consumed": ("backend", {**data["backend"], "consumed": [1, 2]}),
             }[broken]
             data[key] = value
         state.write_text(json.dumps(data), encoding="utf-8")
@@ -347,8 +352,10 @@ def test_malformed_run_files_exit_2_and_release_lock(tmp_path, capsys, broken):
     err = capsys.readouterr().err
     assert str(named) in err
     assert broken != "script-unknown-key" or "unknown key 'stiky'" in err
-    sticky = f"entry {len(script_entries())}.sticky must be true or false"  # the appended entry
-    assert broken != "script-sticky-not-a-boolean" or sticky in err
+    appended = f"entry {len(script_entries())}"
+    assert broken != "script-holding-sticky" or f"{appended} holds the unknown key 'sticky'" in err
+    assert broken != "script-attempt-tag-not-an-int" or f"{appended}.attempt_tag must be an integer or null" in err
+    assert broken != "state-with-consumed" or "backend holds the unknown key 'consumed'" in err
     assert broken != "state-pool-prompt-header-a-number" or "pool[0].prompt.header must be a string" in err
     lock = RunDir(paths["runs"], "r1")
     lock.acquire_lock()  # nothing holds the run any more
@@ -369,7 +376,7 @@ NAMED_BY_PATH = [
     ("state", "pool.0.prompt.footer", 5, "pool[0].prompt.footer must be a string, got 5"),
     ("state", "pool.0.prompt.footer", "Output:",
      "pool[0].prompt: prompt footer must contain the '{input_text}' slot exactly once"),
-    ("state", "backend.mode", "shout", "backend.mode must be live, or scripted with a script and consumed entries"),
+    ("state", "backend.mode", "shout", "backend.mode must be live with no script, or scripted with one"),
     ("state", "phase", "tuning", "phase must be induction, optimization or done, got 'tuning'"),
     ("script", "mode", "shout",
      f"entry {len(script_entries())}.mode must be one of literal, rewrite_rules, echo_instruction, got 'shout'"),
@@ -546,6 +553,17 @@ def test_optimize_resume_matches_uninterrupted(tmp_path, no_network):
         full = (paths["runs"] / "full" / name).read_bytes()
         cut = (paths["runs"] / "cut" / name).read_bytes()
         assert full.replace(b'"full"', b'"x"') == cut.replace(b'"cut"', b'"x"'), name
+
+
+def test_resume_records_the_script_it_is_given(tmp_path):
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    assert _induce(paths) == 0
+    assert _optimize(paths, extra=("--stop-after-epoch", "1")) == 0
+    script = tmp_path / "moved.json"
+    paths["script"].rename(script)
+    assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"]), "--script", str(script)]) == 0
+    state = json.loads((paths["runs"] / "r1" / "state.json").read_text(encoding="utf-8"))
+    assert (state["epoch"], state["backend"]) == (2, {"mode": "scripted", "script": str(script)})
 
 
 def test_stop_between_history_and_state_resumes_to_identical_files(tmp_path, no_network, monkeypatch):
@@ -807,12 +825,13 @@ def _gec_m2_workspace(root: Path) -> dict[str, Path]:
     config["data"].update(format="m2", path=str(paths["gold"]))
     paths["config"].write_text(json.dumps(config), encoding="utf-8")
     paths["script"].write_text(json.dumps([
-        {"match": INDUCE_MATCH, "response": "Fix the grammar.", "sticky": True},
-        {"match": "Suggest new instruction", "response": "<new_instruction>Fix verbs.</new_instruction>"},
-        {"match": "Suggest new instruction", "response": "<new_instruction>Fix nouns.</new_instruction>",
-         "sticky": True},
-        {"match": "Generate a variation", "mode": "echo_instruction", "sticky": True},
-        {"match": "Corrected sentence:", "response": "the cat sat", "sticky": True},
+        {"match": INDUCE_MATCH, "response": "Fix the grammar."},
+        # epoch 1's first improve sample has tag 4
+        {"match": "Suggest new instruction", "response": "<new_instruction>Fix verbs.</new_instruction>",
+         "attempt_tag": 4},
+        {"match": "Suggest new instruction", "response": "<new_instruction>Fix nouns.</new_instruction>"},
+        {"match": "Generate a variation", "mode": "echo_instruction"},
+        {"match": "Corrected sentence:", "response": "the cat sat"},
     ]), encoding="utf-8")
     return paths
 
@@ -967,7 +986,7 @@ def test_run_files_read_back_what_is_written():
     seed = Prompt("A header.", ("Do x.", "Do y."), GENERIC_TEMPLATE.footer)
     pool = [Candidate(3, seed.append_instruction("Do z."), -0.5, 0.25, 0.5, 0, "improve", 1),
             Candidate(0, seed, -1.5, 1.5, 0.0, None, "init", 0)]
-    state = RunState("r1", "optimization", cfg, BackendState("scripted", "script.json", [0, 2]),
+    state = RunState("r1", "optimization", cfg, BackendState("scripted", "script.json"),
                      epoch=1, next_id=4, pool=pool, seed_prompt=seed.text())
     assert to_object(cfg)["optimizer"]["lambda"] == 0.25
     for obj in (state, cfg):
@@ -1146,7 +1165,7 @@ def test_infer_line_contract(tmp_path):
     source.write_text("a foo\n\nanother foo here\n", encoding="utf-8")
     out = tmp_path / "out.txt"
     script = tmp_path / "s.json"
-    script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
+    script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules"}]))
     code = main(
         ["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out),
          "--script", str(script)]
@@ -1159,7 +1178,7 @@ def test_infer_joins_a_multi_line_answer_into_one_output_line(tmp_path):
     prompt, source, script, out = (tmp_path / name for name in ("p.txt", "in.txt", "s.json", "out.txt"))
     _write_prompt(prompt)
     source.write_text("a foo\n", encoding="utf-8")
-    script.write_text(json.dumps([{"match": "\nOutput:", "response": " one\ntwo\n\ndropped", "sticky": True}]))
+    script.write_text(json.dumps([{"match": "\nOutput:", "response": " one\ntwo\n\ndropped"}]))
     assert main(["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out),
                  "--script", str(script)]) == 0
     assert out.read_text(encoding="utf-8") == "one two\n"
@@ -1169,7 +1188,7 @@ def test_script_alone_selects_the_scripted_backend(tmp_path, no_network):
     prompt, source, script, out = (tmp_path / name for name in ("p.txt", "in.txt", "s.json", "out.txt"))
     _write_prompt(prompt)
     source.write_text("a foo\n", encoding="utf-8")
-    script.write_text(json.dumps([{"match": "\nOutput:", "response": "scripted", "sticky": True}]))
+    script.write_text(json.dumps([{"match": "\nOutput:", "response": "scripted"}]))
     assert main(["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out),
                  "--script", str(script)]) == 0
     assert out.read_text(encoding="utf-8") == "scripted\n"
@@ -1191,7 +1210,7 @@ def test_infer_parallel_workers_preserve_order(tmp_path):
     lines = [f"item {i} foo" if i % 3 else "" for i in range(40)]
     source.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     script = tmp_path / "s.json"
-    script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
+    script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules"}]))
     sequential, parallel = tmp_path / "seq.txt", tmp_path / "par.txt"
     base = ["infer", "--prompt", str(prompt), "--input", str(source),
             "--script", str(script)]
@@ -1310,6 +1329,19 @@ def test_base_url_that_a_request_line_cannot_carry_exits_2(tmp_path, chat_server
     assert not (paths["runs"] / "r1").exists() and not out.exists()
 
 
+@pytest.mark.parametrize("suffix", ["#frag", "?api-version=1#"])
+def test_base_url_with_a_fragment_exits_2(tmp_path, chat_server, capsys, suffix):
+    prompt, source, out, config = (tmp_path / name for name in ("p.txt", "in.txt", "out.txt", "cfg.json"))
+    _write_prompt(prompt)
+    source.write_text("line one\n", encoding="utf-8")
+    base_url = chat_server.url + suffix
+    config.write_text(json.dumps({"backend": {"base_url": base_url}}), encoding="utf-8")
+    assert main(["infer", "--prompt", str(prompt), "--input", str(source),
+                 "--output", str(out), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: backend.base_url must hold no fragment ('#'), got {base_url!r}\n"
+    assert chat_server.requests == [] and not out.exists()
+
+
 @pytest.mark.parametrize("base_url", ["http://\u00e9xample.test/v1", "http://127.0.0.1:1/v1?q=a%20b"])
 def test_base_url_with_a_non_ascii_host_or_an_escaped_query_is_accepted(base_url):
     assert from_object(RunConfig, {"backend": {"base_url": base_url}}).backend.base_url == base_url
@@ -1392,7 +1424,7 @@ def test_live_run_under_a_fault_soak_writes_the_fault_free_files(tmp_path, chat_
     each within the retry budget, change no run file."""
     backend = gateway.OpenAIChatBackend
     monkeypatch.setattr(backend, "__init__", functools.partialmethod(backend.__init__, backoff_base_s=0.0))
-    answer = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries() if e.get("sticky")]))
+    answer = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries()]))
     paths = make_workspace(tmp_path, n_epochs=3, beam_b=4)
     config = json.loads(paths["config"].read_text(encoding="utf-8"))
     config["backend"] = {"base_url": chat_server.url, "retry_max": SOAK_BURST + 1}
@@ -1416,7 +1448,7 @@ def test_live_run_under_a_fault_soak_writes_the_fault_free_files(tmp_path, chat_
         sent[body] += 1
         rng = random.Random(b"soak %d " % earlier + body)
         if earlier == 0 and request["json"]["temperature"] == 0.0 and 'Replace "pad"' in content:
-            fault = SOAK_FAULTS[4]  # malformed, on the scoring of a child that toytask's sticky improve made
+            fault = SOAK_FAULTS[4]  # malformed, on the scoring of a child that toytask's untagged improve made
         elif earlier < SOAK_BURST and rng.random() < 0.3:
             fault = rng.choice(SOAK_FAULTS)
         else:
@@ -1465,7 +1497,7 @@ def test_live_optimize_killed_at_seeded_requests_resumes_to_the_uninterrupted_fi
     most those in flight at the kill, one per ``--workers`` thread and one
     from the main thread. Counts are compared, not bodies: a parent's
     improve samples share one body, told apart only by the attempt tag."""
-    chat_server.respond = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries() if e.get("sticky")]))
+    chat_server.respond = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries()]))
     paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
     config = json.loads(paths["config"].read_text(encoding="utf-8"))
     config["backend"] = {"base_url": chat_server.url}
@@ -1506,7 +1538,7 @@ def test_live_induce_killed_at_seeded_requests_reruns_to_the_uninterrupted_files
     requests sent again are at most those in flight at the kill. Each pair
     induces its own instruction, so no two trials score one prompt and
     send the same scoring requests at once."""
-    scripted = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries() if e.get("sticky")]))
+    scripted = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries()]))
 
     def answer(request: dict) -> Reply:
         content = request["json"]["messages"][0]["content"]
@@ -1856,7 +1888,7 @@ def test_baseline_few_shot_exemplars_recorded_and_rendered(tmp_path):
     source.write_text("a foo here\n", encoding="utf-8")
     out = tmp_path / "out.txt"
     script = tmp_path / "s.json"
-    script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
+    script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules"}]))
     assert main(["baseline", "--kind", "few_shot", "--shots", "2", "--seed", "3",
                  "--input", str(source), "--output", str(out),
                  "--config", str(paths["config"]), "--script", str(script)]) == 0
@@ -1872,7 +1904,7 @@ def test_baseline_workers_preserve_order(tmp_path):
     source.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     script = tmp_path / "s.json"
     # the zero-shot prompt has no rule bullets, so each output is its input
-    script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
+    script.write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules"}]))
     sequential, parallel = tmp_path / "seq.txt", tmp_path / "par.txt"
     base = ["baseline", "--kind", "zero_shot", "--input", str(source),
             "--script", str(script)]
@@ -1924,7 +1956,7 @@ def _command_files(tmp_path: Path) -> dict[str, dict[str, Path | str]]:
     files = {name: tmp_path / name for name in names}
     _write_prompt(files["p.txt"])
     files["in.txt"].write_text("a foo\n", encoding="utf-8")
-    files["s.json"].write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True}]))
+    files["s.json"].write_text(json.dumps([{"match": "\nOutput:", "mode": "rewrite_rules"}]))
     files["gold.m2"].write_text(GOLD_M2, encoding="utf-8")
     files["pred.txt"].write_text("she go home\na b c\n", encoding="utf-8")
     files["zs.txt"].write_text("Rewrite the text.\n", encoding="utf-8")

@@ -39,29 +39,28 @@ def write_dataset(path: Path) -> None:
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
 
 
-def script_entries(planted_offset: int = 2, extra_improves: tuple[str, ...] = ()) -> list[dict]:
+def script_entries(planted_offset: int = 2, improve_samples: int = 4) -> list[dict]:
     """Script serving induction, improve, rephrase, and inference traffic.
 
-    The planted instruction is the ``planted_offset``-th improve response
-    (0-based), so with defaults it appears within epoch 1's improve
-    samples.
+    Epoch 1's improve samples carry the tags from ``improve_samples`` on:
+    the planted instruction answers the one at ``improve_samples +
+    planted_offset``, and no-op instructions answer those before it. Any
+    other improve request gets the untagged no-op fallback.
     """
     entries: list[dict] = [
-        {"match": "Could you give an instruction", "response": DECOY, "sticky": True},
+        {"match": "Could you give an instruction", "response": DECOY},
     ]
     improves = [f'<new_instruction>Replace "q{i}" with "q{i}".</new_instruction>' for i in range(planted_offset)]
     improves.append(f"<new_instruction>{PLANTED}</new_instruction>")
-    improves.extend(extra_improves)
-    entries.extend({"match": "Suggest new instruction", "response": r} for r in improves)
-    entries.append(
-        {
-            "match": "Suggest new instruction",
-            "response": '<new_instruction>Replace "pad" with "pad".</new_instruction>',
-            "sticky": True,
-        }
+    entries.extend(
+        {"match": "Suggest new instruction", "response": r, "attempt_tag": improve_samples + i}
+        for i, r in enumerate(improves)
     )
-    entries.append({"match": "Generate a variation", "mode": "echo_instruction", "sticky": True})
-    entries.append({"match": "\nOutput:", "mode": "rewrite_rules", "sticky": True})
+    entries.append(
+        {"match": "Suggest new instruction", "response": '<new_instruction>Replace "pad" with "pad".</new_instruction>'}
+    )
+    entries.append({"match": "Generate a variation", "mode": "echo_instruction"})
+    entries.append({"match": "\nOutput:", "mode": "rewrite_rules"})
     return entries
 
 
