@@ -89,18 +89,28 @@ def test_scripted_unmatched_is_loud():
         backend.complete(ChatRequest("something else entirely", EXPLORE))
 
 
-def test_scripted_entry_answers_any_number_of_requests(caplog):
+def test_scripted_entry_answers_any_number_of_requests():
+    backend = ScriptedBackend([
+        ScriptEntry(match="go", response="tagged", attempt_tag=1),
+        ScriptEntry(match="go", response="untagged"),
+    ])
+    for _ in range(5):
+        assert backend.complete(ChatRequest("go now", EXPLORE, attempt_tag=1)) == "tagged"
+        assert backend.complete(ChatRequest("go now", EXPLORE)) == "untagged"
+    assert backend.calls.total() == 10
+
+
+def test_scripted_inference_reuses_an_entry_without_warning(caplog):
     backend = ScriptedBackend([
         ScriptEntry(match="go", response="tagged", attempt_tag=1),
         ScriptEntry(match="go", response="untagged"),
     ])
     with caplog.at_level("WARNING", logger="apio.gateway"):
-        for profile in (EXPLORE, INFER, EXPLORE):
-            for _ in range(3):
-                assert backend.complete(ChatRequest("go now", profile, attempt_tag=1)) == "tagged"
-                assert backend.complete(ChatRequest("go now", profile)) == "untagged"
+        for profile in (EXPLORE, INFER, EXPLORE, INFER):
+            assert backend.complete(ChatRequest("go now", profile, attempt_tag=1)) == "tagged"
+            assert backend.complete(ChatRequest("go now", profile)) == "untagged"
     assert not caplog.records
-    assert backend.calls.total() == 18
+    assert backend.calls.total() == 8
 
 
 def test_scripted_answers_do_not_depend_on_order_or_threads():
