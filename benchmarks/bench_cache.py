@@ -5,8 +5,9 @@ Sends 2000 distinct inference requests (prompts of ~1.5 KB, answers of
 ~100 characters) through a cache on an empty directory, so that each is a
 miss plus a write, then sends them again, so that each is a hit. The inner
 backend answers at once, so the figures are the cache's own cost. Each
-pass runs on 1 and on 8 threads; each timing is the best of three runs,
-each run on a fresh cache directory. Run with ``src`` on the import path:
+pass runs on 1 thread and on as many as a command's default ``--workers``
+pool holds; each timing is the best of three runs, each run on a fresh
+cache directory. Run with ``src`` on the import path:
 
     PYTHONPATH=src python benchmarks/bench_cache.py
 """
@@ -18,6 +19,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from apio.cli import DEFAULT_WORKERS
 from apio.gateway import INFER, Backend, CachedBackend, ChatRequest
 
 N_REQUESTS = 2000
@@ -27,7 +29,7 @@ class _Instant(Backend):
     model = "bench-model"
 
     def _complete(self, request: ChatRequest) -> str:
-        return request.text()[-100:]
+        return request.content[-100:]
 
 
 def _requests(rng: random.Random) -> list[ChatRequest]:
@@ -58,11 +60,11 @@ def _run(requests: list[ChatRequest], threads: int) -> tuple[float, float]:
 def main() -> None:
     requests = _requests(random.Random(0))
     print(f"{N_REQUESTS} distinct requests, instant inner backend\n")
-    for threads in (1, 8):
+    for threads in (1, DEFAULT_WORKERS):
         runs = [_run(requests, threads) for _ in range(3)]
         miss_s = min(r[0] for r in runs)
         hit_s = min(r[1] for r in runs)
-        print(f"  {threads} thread(s): miss + write {miss_s / N_REQUESTS * 1e6:7.1f} us each,"
+        print(f"  {threads:2d} thread(s): miss + write {miss_s / N_REQUESTS * 1e6:7.1f} us each,"
               f" hit {hit_s / N_REQUESTS * 1e6:7.1f} us each")
 
 

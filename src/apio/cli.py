@@ -54,7 +54,7 @@ log = logging.getLogger(__name__)
 
 FAILED_PLACEHOLDER = "<FAILED>"
 # inference requests in flight at once unless --workers says otherwise
-DEFAULT_WORKERS = 8
+DEFAULT_WORKERS = 16
 
 
 # ---------------------------------------------------------------------------

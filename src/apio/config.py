@@ -7,6 +7,7 @@ write the JSON form of this and every other dataclass a run file holds;
 bound, so a section the program makes itself is not checked again.
 """
 
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -118,6 +119,11 @@ class BackendConfig:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
+        # userinfo is never sent (the key goes in APIO_API_KEY) and state.json would keep
+        # it on disk; it is looked for first, so that no message below echoes a password
+        authority = re.match(r"[^/?#]*//([^/?#]*)", self.base_url)
+        if authority and "@" in authority[1]:
+            raise ConfigurationError("base_url must hold no user name or password ('user:password@')")
         try:
             url = urlsplit(self.base_url)
             valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0

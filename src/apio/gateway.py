@@ -268,6 +268,9 @@ class OpenAIChatBackend(Backend):
     Each thread sends its requests over one persistent connection of its
     own, opened on first use. A connection that the server closed while it
     sat idle is replaced before it is reused, without spending a retry.
+    A retry waits ``backoff_base_s * 2**k``, or longer when a 429 or 503
+    reply's ``Retry-After`` asks for more, in delta-seconds, up to
+    ``timeout_s``; an HTTP-date there is not read.
     Proxies come from the environment (``HTTPS_PROXY``, ``HTTP_PROXY``,
     ``ALL_PROXY``, ``NO_PROXY``): an ``https`` endpoint is reached through
     a CONNECT tunnel and an ``http`` one by sending the proxy the absolute
@@ -356,9 +359,11 @@ class OpenAIChatBackend(Backend):
         }
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
+        retry_after = 0.0
         for attempt in range(self.retry_max + 1):
             if attempt:
-                time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+                time.sleep(max(self.backoff_base_s * (2 ** (attempt - 1)), retry_after))
+                retry_after = 0.0
             conn = self._connection()
             try:
                 conn.request("POST", self._target, body, self._headers)
@@ -375,6 +380,9 @@ class OpenAIChatBackend(Backend):
                 raise CredentialError(f"authentication failed ({status})")
             if status in _RETRYABLE_STATUS:
                 last_error = GatewayError(f"transient status {status}")
+                wait = response.getheader("Retry-After", "").strip()
+                if status in (429, 503) and wait.isdigit() and wait.isascii():
+                    retry_after = min(float(wait), self.timeout_s)
                 continue
             if status != 200:
                 raise GatewayError(f"unexpected status {status}: {data.decode('utf-8', 'replace')[:200]}")

@@ -105,12 +105,13 @@ def completion(content: str) -> dict:
 @dataclass
 class Reply:
     """One scripted answer: ``body`` is sent as JSON unless it is a string,
-    after ``delay`` seconds. ``close`` closes the connection after
-    replying, without saying so in a header; ``drop`` closes it without
-    replying."""
+    with ``headers`` besides the content type and length, after ``delay``
+    seconds. ``close`` closes the connection after replying, without
+    saying so in a header; ``drop`` closes it without replying."""
 
     status: int = 200
     body: object = field(default_factory=lambda: completion("ok"))
+    headers: dict[str, str] = field(default_factory=dict)
     close: bool = False
     drop: bool = False
     delay: float = 0.0
@@ -118,6 +119,9 @@ class Reply:
 
 class _ChatHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # the headers and the body go out in two writes; with Nagle's algorithm
+    # the body would wait for the client's delayed ACK of the headers
+    disable_nagle_algorithm = True
     server: "ChatServer"
 
     def log_message(self, format, *args) -> None:  # noqa: A002 - stdlib signature
@@ -141,6 +145,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
         self.send_response(reply.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in reply.headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
         self.close_connection = reply.close
@@ -156,6 +162,9 @@ class ChatServer(ThreadingHTTPServer):
     daemon_threads = True
     # handler threads wait on kept-alive connections; do not join them
     block_on_close = False
+    # a client's pool opens a connection per thread at once; a burst beyond
+    # socketserver's default backlog of 5 can stall a connect for a second
+    request_queue_size = 64
 
     def __init__(self) -> None:
         super().__init__(("127.0.0.1", 0), _ChatHandler)

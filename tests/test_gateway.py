@@ -270,7 +270,7 @@ def test_cache_is_readable_after_a_writer_exits_without_close(tmp_path):
         "class Upper(Backend):\n"
         "    model = 'test-model'\n"
         "    def _complete(self, request):\n"
-        "        return request.text().upper()\n"
+        "        return request.content.upper()\n"
         "backend = CachedBackend(Upper(), sys.argv[1])\n"
         "for i in range(50):\n"
         "    backend.complete(ChatRequest(f'entry {i}', INFER))\n"
@@ -505,6 +505,29 @@ def test_openai_retries_transients_then_succeeds(chat_server, openai):
     chat_server.script = [Reply(status=429), Reply(status=503), Reply(body=completion("done"))]
     assert openai(retry_max=5).complete(ChatRequest("x", INFER)) == "done"
     assert len(chat_server.requests) == 3
+
+
+@pytest.mark.parametrize(
+    ("status", "retry_after", "backoff", "slept"),
+    [
+        (429, "3", 0.0, 3.0),
+        (503, "3", 0.0, 3.0),
+        (429, "99999", 0.0, 10.0),  # capped at timeout_s
+        (503, "soon", 0.0, 0.0),
+        (429, "Wed, 21 Oct 2026 07:28:00 GMT", 0.0, 0.0),
+        (429, "3", 4.0, 4.0),  # the longer of the backoff and the header
+        (500, "3", 0.0, 0.0),  # only a rate limit or an overload is read
+    ],
+)
+def test_openai_retry_waits_as_retry_after_asks(chat_server, openai, monkeypatch, status, retry_after, backoff, slept):
+    sleeps = []
+    monkeypatch.setattr(gateway, "time", SimpleNamespace(sleep=sleeps.append))
+    chat_server.script = [Reply(status=status, headers={"Retry-After": retry_after}), Reply(status=500),
+                          Reply(body=completion("done"))]
+    backend = openai(retry_max=2, timeout_s=10.0, backoff_base_s=backoff)
+    assert backend.complete(ChatRequest("x", INFER)) == "done"
+    # the header holds for the one retry after its reply
+    assert sleeps == [slept, 2 * backoff]
 
 
 def test_openai_retry_budget_exhausted(chat_server, openai):

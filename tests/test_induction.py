@@ -36,7 +36,7 @@ def test_induce_instruction_verbatim():
 def test_induce_shows_first_reference():
     backend = RecordingBackend(scripted_pairs([(INDUCE_MATCH, "Do x.")]))
     induce_instruction(_pair(3), GEC_TEMPLATE, backend)
-    sent = backend.requests[0].text()
+    sent = backend.requests[0].content
     assert "Sentence: src 3" in sent
     assert "Corrected sentence: ref 3" in sent
     assert "alt 3" not in sent

@@ -80,7 +80,7 @@ class SlowEchoBackend(Backend):
 
     def _complete(self, request):
         self.threads.add(threading.get_ident())
-        source = request.text().split("Input: ")[-1].split("\n")[0]
+        source = request.content.split("Input: ")[-1].split("\n")[0]
         time.sleep(0.002 * (20 - int(source.split()[1])))
         self.finished.append(source)
         if "fail" in source:
@@ -447,7 +447,7 @@ class InflightBackend(Backend):
     def _complete(self, request):
         if request.profile != INFER:
             return self.script.complete(request)
-        prompt = request.text().split("\nInput: ")[0]
+        prompt = request.content.split("\nInput: ")[0]
         with self._lock:
             self.in_flight[prompt] += 1
             self.peak_prompts = max(self.peak_prompts, len(+self.in_flight))
@@ -492,7 +492,7 @@ class InlineExecutor(Executor):
 
 def _prompt_of(request) -> str:
     """The rendered prompt of an inference request, without its input."""
-    return request.text().split("\nInput: ")[0]
+    return request.content.split("\nInput: ")[0]
 
 
 def _rendered(prompt: Prompt) -> str:

@@ -21,14 +21,14 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import pytest
 
 import apio
 from apio import gateway
-from apio.cli import main
+from apio.cli import DEFAULT_WORKERS, main
 from apio.config import ConfigurationError, OptimizerConfig, RunConfig, from_object, to_object
 from apio.corpus import apply_edits, load_m2
 from apio.gateway import INFER, CredentialError, GatewayError, ScriptedBackend, ScriptEntry
@@ -710,7 +710,7 @@ def test_failed_child_scoring_drops_only_that_child(tmp_path, monkeypatch, caplo
     scripted = ScriptedBackend._complete
 
     def complete(self, request):
-        if request.profile == INFER and failing in request.text():
+        if request.profile == INFER and failing in request.content:
             raise GatewayError("injected inference failure")
         return scripted(self, request)
 
@@ -743,7 +743,7 @@ def test_interrupted_epoch_cancels_queued_scoring(tmp_path, monkeypatch):
         if request.profile == INFER:
             time.sleep(0.005)
             sent.append(request)
-        elif "Generate a variation" in request.text():
+        elif "Generate a variation" in request.content:
             at_interrupt.append(len(sent))
             raise KeyboardInterrupt
         return scripted(self, request)
@@ -1342,6 +1342,29 @@ def test_base_url_with_a_fragment_exits_2(tmp_path, chat_server, capsys, suffix)
     assert chat_server.requests == [] and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["induce", "infer"])
+@pytest.mark.parametrize("userinfo", ["user:s3cret@", "user@", ":s3cret@"])
+def test_base_url_with_userinfo_exits_2(tmp_path, chat_server, capsys, command, userinfo):
+    """A password in ``base_url`` would never be sent, and ``state.json``
+    would keep it on disk; the message does not echo it."""
+    base_url = chat_server.url.replace("//", "//" + userinfo, 1)
+    paths = make_workspace(tmp_path)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["backend"] = {"base_url": base_url}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    _write_prompt(prompt)
+    source.write_text("line one\n", encoding="utf-8")
+    argv = {
+        "induce": ["induce", "--run-id", "r1", "--runs-dir", str(paths["runs"])],
+        "infer": ["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out)],
+    }[command]
+    assert main([*argv, "--config", str(paths["config"])]) == 2
+    assert capsys.readouterr().err == "error: backend.base_url must hold no user name or password ('user:password@')\n"
+    assert chat_server.requests == []
+    assert not paths["runs"].exists() and not out.exists()
+
+
 @pytest.mark.parametrize("base_url", ["http://\u00e9xample.test/v1", "http://127.0.0.1:1/v1?q=a%20b"])
 def test_base_url_with_a_non_ascii_host_or_an_escaped_query_is_accepted(base_url):
     assert from_object(RunConfig, {"backend": {"base_url": base_url}}).backend.base_url == base_url
@@ -1406,6 +1429,41 @@ def test_live_optimize_finishes_while_its_cache_is_locked(tmp_path, chat_server,
         assert main(["optimize", *argv]) == 0
     assert json.loads((paths["runs"] / "r1" / "state.json").read_text(encoding="utf-8"))["phase"] == "done"
     assert "completion cache write failed: database is locked" in caplog.text
+
+
+def test_live_run_at_the_default_workers_writes_the_files_of_one_worker(tmp_path, chat_server):
+    """A toy live ``induce`` + ``optimize`` without ``--workers``, each pool
+    thread on a connection of its own, writes the run files that
+    ``--workers 1`` writes."""
+    answer = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries()]))
+
+    def slow_inference(request: dict) -> Reply:
+        # each scoring burst then finds every pool thread busy and starts another
+        reply = answer(request)
+        return replace(reply, delay=0.05) if request["json"]["temperature"] == 0.0 else reply
+
+    paths = make_workspace(tmp_path, n_epochs=3, beam_b=4)
+    config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["backend"] = {"base_url": chat_server.url}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+
+    def run(name: str, *extra: str) -> tuple[dict[str, bytes], int]:
+        """The run files, and how many connections ``optimize`` sent on."""
+        argv = ["--config", str(paths["config"]), "--run-id", "r", "--runs-dir", str(tmp_path / name), *extra]
+        assert main(["induce", *argv]) == 0
+        start = len(chat_server.requests)
+        assert main(["optimize", *argv]) == 0
+        names = ("trials.json", "history.json", "state.json", "best_prompt.txt", "final_report.json")
+        ports = {r["port"] for r in chat_server.requests[start:]}
+        return {n: (tmp_path / name / "r" / n).read_bytes() for n in names}, len(ports)
+
+    chat_server.respond = slow_inference
+    default, connections = run("default")
+    chat_server.respond = answer
+    one, one_connections = run("one", "--workers", "1")
+    assert default == one
+    # the main thread's and every pool thread's
+    assert (connections, one_connections) == (DEFAULT_WORKERS + 1, 2)
 
 
 # the soak's faults: each request body is answered with at most SOAK_BURST of
