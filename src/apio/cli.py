@@ -53,8 +53,8 @@ from .state import BackendState, RunDir, RunState, temp_path, write_json, write_
 log = logging.getLogger(__name__)
 
 FAILED_PLACEHOLDER = "<FAILED>"
-# inference requests in flight at once unless --workers says otherwise
-DEFAULT_WORKERS = 16
+# requests in flight at once unless --workers says otherwise
+DEFAULT_WORKERS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +94,11 @@ def _build_backend(args: argparse.Namespace, cfg: RunConfig, run: RunDir | None)
 
 @contextlib.contextmanager
 def _executor(args: argparse.Namespace) -> Iterator[ThreadPoolExecutor]:
-    """The command's inference pool of ``--workers`` threads, shut down
-    when the command ends. An epoch queues the scoring of all its children
-    up front, so a command that fails or is interrupted cancels the queued
+    """The command's pool of ``--workers`` threads, shut down when the
+    command ends. It sends every inference request, and every request of
+    an ``optimize`` epoch: the epoch's improve and rephrase requests too.
+    An epoch queues its scorings and its improve and rephrase tasks up
+    front, so a command that fails or is interrupted cancels the queued
     requests instead of sending them."""
     pool = ThreadPoolExecutor(max_workers=args.workers, thread_name_prefix="apio-infer")
     try:
@@ -462,7 +464,8 @@ def _add_common(sub: argparse.ArgumentParser, task: bool = True) -> None:
         "--workers",
         type=_positive_int,
         default=DEFAULT_WORKERS,
-        help=f"inference requests in flight at once (default {DEFAULT_WORKERS})",
+        help=f"requests in flight at once: caps every inference request, and every request "
+        f"an optimize epoch sends (default {DEFAULT_WORKERS})",
     )
 
 

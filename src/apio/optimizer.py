@@ -11,7 +11,8 @@ member is never evicted and best-pool fitness is non-decreasing.
 """
 
 import logging
-from collections.abc import Sequence
+import threading
+from collections.abc import Callable, Sequence
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .corpus import SamplePair
 from .gateway import Backend, ChatRequest, EXPLORE, GatewayError, INFER
 from .metrics.levenshtein import min_ref_levenshtein, word_levenshtein
 from .prompts import (
+    Instruction,
     Prompt,
     PromptError,
     TaskTemplate,
@@ -35,6 +37,10 @@ log = logging.getLogger(__name__)
 
 # a train window and the futures of its scoring under one parent
 Window = tuple[list[SamplePair], list[Future]]
+
+
+def _ignore(child: Prompt) -> None:
+    """A ``start`` that queues no scoring: the caller scores the children."""
 
 
 @dataclass
@@ -181,38 +187,86 @@ class PromptOptimizer:
             rows.append((pair.source, output, gold, error))
         return rows
 
-    def improve(self, parent: Candidate, epoch: int, window: Window | None = None) -> list[Prompt]:
-        """Children extending the parent by one proposed instruction, shown
-        the worst rows of its train ``window``, scored here unless given."""
-        try:
-            examples = self._improve_examples(window or self._submit_window(parent, epoch))
-        except GatewayError as exc:
-            log.warning("improve failed for candidate %d: %s", parent.id, exc)
-            return []
-        meta = improve_meta_prompt(self.template, parent.prompt.instruction_texts(), examples)
-        children = []
+    def _sample_improvements(
+        self, parent: Candidate, epoch: int, window: Window, start: Callable[[Prompt], None]
+    ) -> list[Prompt | Exception]:
+        """Each improve sample of the parent: the child that its proposed
+        instruction makes, passed to ``start`` once known, or the error
+        that dropped it. A window that failed to score raises. The samples
+        share one request body, so they go out one at a time in tag order.
+        Run it in ``executor`` after the window's requests are queued, so
+        that no pool thread waits on a request queued behind it."""
+        meta = improve_meta_prompt(self.template, parent.prompt.instruction_texts(), self._improve_examples(window))
+        samples: list[Prompt | Exception] = []
         for s in range(self.cfg.improve_samples):
             tag = epoch * self.cfg.improve_samples + s
             try:
                 raw = self.backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=tag, purpose="improve", step=epoch))
-                text = parse_new_instruction(raw)
+                child = parent.prompt.append_instruction(parse_new_instruction(raw))
             except (GatewayError, PromptError) as exc:
-                log.warning("improve sample %d failed for candidate %d: %s", s, parent.id, exc)
+                samples.append(exc)
                 continue
-            children.append(parent.prompt.append_instruction(text))
+            start(child)
+            samples.append(child)
+        return samples
+
+    def improve(self, parent: Candidate, epoch: int, samples: Future | None = None) -> list[Prompt]:
+        """Children extending the parent by one proposed instruction, from
+        the ``samples`` of a ``_sample_improvements`` task, or of one
+        started here on a train window scored here."""
+        if samples is None:
+            window = self._submit_window(parent, epoch)
+            samples = self.executor.submit(self._sample_improvements, parent, epoch, window, _ignore)
+        try:
+            outcomes = samples.result()
+        except GatewayError as exc:
+            log.warning("improve failed for candidate %d: %s", parent.id, exc)
+            return []
+        children = []
+        for s, outcome in enumerate(outcomes):
+            if isinstance(outcome, Exception):
+                log.warning("improve sample %d failed for candidate %d: %s", s, parent.id, outcome)
+            else:
+                children.append(outcome)
         if not children:
             log.warning("improve yielded zero children for candidate %d", parent.id)
         return children
 
-    def rephrase(self, parent: Candidate, epoch: int) -> list[Prompt]:
-        """Children differing from the parent at exactly one position; a failed request or empty answer drops only its own."""
+    def _submit_rephrasings(
+        self, parents: Sequence[Candidate], epoch: int, start: Callable[[Prompt], None]
+    ) -> dict[Instruction, Future]:
+        """Start one rephrase request in ``executor`` per distinct
+        instruction of ``parents``, in order of first appearance. Each
+        future holds the rephrased instruction; the children it makes, one
+        per position that holds the instruction, are passed to ``start``."""
+        holders: dict[Instruction, list[tuple[Candidate, int]]] = {}
+        for parent in parents:
+            for i, instruction in enumerate(parent.prompt.instructions):
+                holders.setdefault(instruction, []).append((parent, i))
+
+        def one(instruction: Instruction) -> Instruction:
+            request = ChatRequest(rephrase_meta_prompt(instruction), EXPLORE, attempt_tag=epoch, purpose="rephrase",
+                                  step=epoch)
+            text = Instruction(clean_completion(self.backend.complete(request)))
+            for parent, i in holders[instruction]:
+                start(parent.prompt.replace_instruction(i, text))
+            return text
+
+        return {instruction: self.executor.submit(one, instruction) for instruction in holders}
+
+    def rephrase(
+        self, parent: Candidate, epoch: int, rephrasings: dict[Instruction, Future] | None = None
+    ) -> list[Prompt]:
+        """Children differing from the parent at exactly one position, from
+        the ``rephrasings`` that ``_submit_rephrasings`` started, or started
+        here; a failed request or empty answer drops only its own."""
+        if rephrasings is None:
+            rephrasings = self._submit_rephrasings([parent], epoch, _ignore)
         children = []
         parent_text = parent.prompt.text()
         for i, instruction in enumerate(parent.prompt.instructions):
-            meta = rephrase_meta_prompt(instruction)
-            request = ChatRequest(meta, EXPLORE, attempt_tag=epoch, purpose="rephrase", step=epoch)
             try:
-                text = clean_completion(self.backend.complete(request))
+                text = rephrasings[instruction].result()
             except (GatewayError, PromptError) as exc:
                 log.warning("rephrase failed for candidate %d position %d: %s", parent.id, i, exc)
                 continue
@@ -254,36 +308,52 @@ class PromptOptimizer:
         )
 
     def run_epoch(self, pool: list[Candidate], epoch: int) -> list[Candidate]:
-        """One beam step. The scorings whose inputs are known at the start
-        (each parent's improve window and permute child) are submitted
-        first, in parent-id order; every other child starts scoring as
-        soon as it is proposed, so its dev requests overlap the generation
-        of later children. Children are proposed, gathered, numbered and
-        admitted in proposal order, which the early submissions leave as it
-        was. ``backend_calls`` counts the epoch's score, improve and rephrase requests."""
+        """One beam step, whose requests all go out on ``executor``. It
+        first queues, parent by parent in id order, the scoring of each
+        parent's improve window and permute child. Then it starts one
+        rephrase request per distinct instruction among the parents, and
+        per parent a task that waits for its window and sends its improve
+        samples in tag order. Each child's dev scoring is queued as soon as
+        the child is known, once per text. Children are proposed, gathered,
+        numbered and admitted in proposal order, parent by parent, which
+        none of this changes. ``backend_calls`` counts the epoch's score,
+        improve and rephrase requests, every one of which has finished."""
         parents = sorted(pool, key=lambda c: c.id)
-        seen = {c.prompt.text() for c in pool}
+        pool_texts = {c.prompt.text() for c in pool}
+        scorings: dict[str, list[Future]] = {}  # dev scoring by child text
+        scorings_lock = threading.Lock()  # pool tasks start scorings too
+
+        def start(child: Prompt) -> None:
+            text = child.text()
+            with scorings_lock:
+                if text not in pool_texts and text not in scorings:
+                    scorings[text] = self.submit_fitness(child, epoch)
+
         windows: dict[int, Window] = {}
         permuted: dict[int, Prompt | None] = {}
-        early: dict[str, list[Future]] = {}  # dev scorings started before their child is proposed
         for parent in parents:
             windows[parent.id] = self._submit_window(parent, epoch)
             child = permuted[parent.id] = self.permute(parent, epoch)
-            if child is not None and (text := child.text()) not in seen and text not in early:
-                early[text] = self.submit_fitness(child, epoch)
+            if child is not None:
+                start(child)
+        rephrasings = self._submit_rephrasings(parents, epoch, start)
+        improvements = {p.id: self.executor.submit(self._sample_improvements, p, epoch, windows[p.id], start)
+                        for p in parents}
+
+        seen = set(pool_texts)
         proposals: list[tuple[Prompt, str, Candidate, list[Future]]] = []
 
         def propose(prompt: Prompt, op: str, parent: Candidate) -> None:
             text = prompt.text()
             if text not in seen:
                 seen.add(text)
-                scoring = early.pop(text) if text in early else self.submit_fitness(prompt, epoch)
-                proposals.append((prompt, op, parent, scoring))
+                start(prompt)
+                proposals.append((prompt, op, parent, scorings[text]))
 
         for parent in parents:
-            for child in self.improve(parent, epoch, windows[parent.id]):
+            for child in self.improve(parent, epoch, improvements[parent.id]):
                 propose(child, "improve", parent)
-            for child in self.rephrase(parent, epoch):
+            for child in self.rephrase(parent, epoch, rephrasings):
                 propose(child, "rephrase", parent)
             if permuted[parent.id] is not None:
                 propose(permuted[parent.id], "permute", parent)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 import threading
 import time
 from collections import Counter
@@ -475,6 +476,128 @@ def test_run_epoch_overlaps_scoring_of_several_children(toy_pairs):
     assert sequential_peak == 1
     assert concurrent_peak > 1  # children's dev requests share one wait
     assert concurrent == sequential
+
+
+class RendezvousBackend(ScriptedBackend):
+    """Serves the toy script, but each request of ``purposes`` first waits,
+    up to 5 s, for another such request to arrive. ``met`` counts the waits
+    that another request ended, and ``arrivals`` holds the (content, tag)
+    of each such request in arrival order. With ``once``, the first meeting
+    ends every later wait."""
+
+    def __init__(self, purposes: set[str], once: bool = False) -> None:
+        super().__init__([ScriptEntry(**e) for e in script_entries()])
+        self.purposes, self.once = purposes, once
+        self.barrier = threading.Barrier(2, timeout=5)
+        self.met = 0
+        self.arrivals: list[tuple[str, int]] = []
+        self._lock = threading.Lock()
+
+    def _complete(self, request):
+        if request.purpose in self.purposes:
+            with self._lock:
+                self.arrivals.append((request.content, request.attempt_tag))
+            try:
+                self.barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            else:
+                with self._lock:
+                    self.met += 1
+                if self.once:
+                    self.barrier.abort()
+        return super()._complete(request)
+
+
+def _two_parent_epoch(toy_pairs, backend, executor) -> PromptOptimizer:
+    cfg = OptimizerConfig(beam_b=6, improve_samples=3, improve_batch=2, dev_subsample=3, seed=13)
+    engine = PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, backend, GENERIC_TEMPLATE, executor)
+    pool = [engine.score_seed(_prompt(DECOY, 'Replace "a" with "a".')), engine.score_seed(_prompt(PLANTED))]
+    engine.run_epoch(pool, 1)
+    return engine
+
+
+def test_run_epoch_sends_explore_requests_of_several_parents_at_once(toy_pairs):
+    with ThreadPoolExecutor(max_workers=8) as executor:
+        backend = RendezvousBackend({"improve", "rephrase"}, once=True)
+        concurrent = _two_parent_epoch(toy_pairs, backend, executor)
+    assert backend.met >= 1  # two of them waited for each other
+    reference = _two_parent_epoch(toy_pairs, ScriptedBackend([ScriptEntry(**e) for e in script_entries()]), SEQUENTIAL)
+    assert concurrent.history == reference.history
+
+
+def test_each_parents_improve_samples_reach_the_backend_in_tag_order(toy_pairs):
+    with ThreadPoolExecutor(max_workers=8) as executor:
+        backend = RendezvousBackend({"improve"})
+        _two_parent_epoch(toy_pairs, backend, executor)
+    # the parents' samples went out side by side, each parent's one at a time
+    assert backend.met == len(backend.arrivals) == 6
+    tags: dict[str, list[int]] = {}
+    for content, tag in backend.arrivals:
+        tags.setdefault(content, []).append(tag)
+    assert list(tags.values()) == [[3, 4, 5]] * 2
+
+
+def test_epoch_sends_one_rephrase_request_per_distinct_instruction(toy_pairs):
+    engine = _toy_engine(toy_pairs, improve_samples=3, beam_b=6)
+    pool = [engine.score_seed(_prompt(DECOY, 'Replace "a" with "a".'))]
+    shared = 0
+    for epoch in (1, 2, 3):
+        instructions = [ins for c in pool for ins in c.prompt.instructions]
+        shared += len(instructions) - len(set(instructions))
+        pool = engine.run_epoch(pool, epoch)
+        assert engine.backend.calls["rephrase", epoch] == len(set(instructions))
+    assert shared > 0  # parents held instructions in common
+
+
+def test_epochs_score_each_child_once_under_rapid_thread_switching(toy_pairs):
+    """Pool tasks and the main thread start children's scorings side by
+    side; with threads switching every few microseconds, every child is
+    still scored once and the run matches the sequential one."""
+
+    def run(executor):
+        engine = _toy_engine(toy_pairs, improve_samples=4, beam_b=8, dev_subsample=3)
+        engine.executor = executor
+        pool = [engine.score_seed(_prompt(DECOY, 'Replace "a" with "a".'))]
+        windows = []
+        for epoch in (1, 2, 3):
+            windows.append(len(pool) * min(len(engine.train), 2 * engine.cfg.improve_batch))
+            pool = engine.run_epoch(pool, epoch)
+        return engine, windows
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as executor:
+            engine, windows = run(executor)
+    finally:
+        sys.setswitchinterval(interval)
+    for entry, window in zip(engine.history, windows):
+        scored = len(entry["candidates"]) * len(engine.dev_eval)
+        assert engine.backend.calls["score", entry["epoch"]] == window + scored
+    assert engine.history == run(SEQUENTIAL)[0].history
+
+
+def test_failed_rephrase_of_a_shared_instruction_drops_it_for_every_parent(toy_pairs, caplog):
+    shared = "Shared rule."
+    entries = [
+        ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>Add more.</new_instruction>"),
+        ScriptEntry(match=REPHRASE_MATCH, response="Say it again."),
+    ]
+    engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=1)
+    pool = [engine.score_seed(_prompt(shared, "Rule one.")), engine.score_seed(_prompt("Rule two.", shared))]
+    # the epoch's first rephrase request is the shared instruction's; only it fails
+    engine.backend = FailingNthBackend(engine.backend, "rephrase", 0)
+    with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
+        engine.run_epoch(pool, 1)
+    rephrased = [(c["parent_id"], c["prompt"]["instructions"])
+                 for c in engine.history[-1]["candidates"] if c["operator"] == "rephrase"]
+    assert rephrased == [(0, [shared, "Say it again."]), (1, ["Say it again.", shared])]
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("rephrase failed")] == [
+        "rephrase failed for candidate 0 position 0: injected rephrase failure",
+        "rephrase failed for candidate 1 position 1: injected rephrase failure",
+    ]
+    assert engine.backend.calls["rephrase", 1] == 3
 
 
 class InlineExecutor(Executor):

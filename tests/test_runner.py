@@ -37,7 +37,7 @@ from apio.prompts import GENERIC_TEMPLATE, Prompt
 from apio.state import BackendState, RunDir, RunState
 from conftest import Reply, answered_by, completion, rewrite_backend
 from m2gen import random_record, serialize_m2
-from toytask import PLANTED, make_workspace, script_entries, write_config
+from toytask import PLANTED, SOURCES, make_workspace, script_entries, write_config
 
 INDUCE_MATCH = "Could you give an instruction"
 SRC = Path(apio.__file__).resolve().parents[1]
@@ -686,20 +686,22 @@ def test_concurrency_leaves_run_artifacts_unchanged(tmp_path, no_network, monkey
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
 
-    def run(runs_dir, workers, extra=()):
+    def run(runs_dir, workers=None, extra=()):
         args = ["--config", str(paths["config"]), "--run-id", "r", "--runs-dir", str(runs_dir),
-                "--script", str(paths["script"]), "--workers", str(workers)]
+                "--script", str(paths["script"]), *(("--workers", str(workers)) if workers else ())]
         assert main(["induce", *args]) == 0
         assert main(["optimize", *args, *extra]) == 0
 
     run(tmp_path / "one", 1)
     run(tmp_path / "eight", 8)
+    run(tmp_path / "default")
     # stopped at concurrency 1, resumed without --workers at the default
     run(tmp_path / "resumed", 1, extra=("--stop-after-epoch", "3"))
     assert main(["optimize", "--resume", "r", "--runs-dir", str(tmp_path / "resumed")]) == 0
-    assert pool_sizes == [1, 1, 8, 8, 1, 1, cli.DEFAULT_WORKERS]
+    default = cli.DEFAULT_WORKERS
+    assert pool_sizes == [1, 1, 8, 8, default, default, 1, 1, default]
     names = ("trials.json", "state.json", "history.json", "best_prompt.txt", "final_report.json")
-    for other in ("eight", "resumed"):
+    for other in ("eight", "default", "resumed"):
         for name in names:
             expected = (tmp_path / "one" / "r" / name).read_bytes()
             assert (tmp_path / other / "r" / name).read_bytes() == expected, (other, name)
@@ -751,8 +753,9 @@ def test_interrupted_epoch_cancels_queued_scoring(tmp_path, monkeypatch):
     monkeypatch.setattr(ScriptedBackend, "_complete", complete)
     with pytest.raises(KeyboardInterrupt):
         _optimize(paths, extra=("--workers", "1"))
-    # the four improve children queued 8 dev requests each before the
-    # first rephrase request; only the one already running still finishes
+    # the four improve children's 8 dev requests each are queued behind the
+    # interrupted rephrase request; once the main thread reads the interrupt
+    # it cancels them, and only the one already running still finishes
     assert len(sent) - at_interrupt[0] <= 1
 
 
@@ -1434,16 +1437,22 @@ def test_live_optimize_finishes_while_its_cache_is_locked(tmp_path, chat_server,
 def test_live_run_at_the_default_workers_writes_the_files_of_one_worker(tmp_path, chat_server):
     """A toy live ``induce`` + ``optimize`` without ``--workers``, each pool
     thread on a connection of its own, writes the run files that
-    ``--workers 1`` writes."""
+    ``--workers 1`` writes. ``optimize`` sends every request from its pool,
+    none from the main thread."""
     answer = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries()]))
 
     def slow_inference(request: dict) -> Reply:
-        # each scoring burst then finds every pool thread busy and starts another
         reply = answer(request)
         return replace(reply, delay=0.05) if request["json"]["temperature"] == 0.0 else reply
 
     paths = make_workspace(tmp_path, n_epochs=3, beam_b=4)
+    # 48 dev pairs: a child's dev scoring queues 48 requests at once, which
+    # find every pool thread busy, so that the pool starts all of its threads
+    rows = [{"id": f"toy-{i}", "source": f"{source} {i}", "references": [f"{source.replace('foo', 'bar')} {i}"]}
+            for i, source in enumerate(SOURCES * 5)]
+    paths["data"].write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     config = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config["data"]["dev_size"] = 48
     config["backend"] = {"base_url": chat_server.url}
     paths["config"].write_text(json.dumps(config), encoding="utf-8")
 
@@ -1462,8 +1471,8 @@ def test_live_run_at_the_default_workers_writes_the_files_of_one_worker(tmp_path
     chat_server.respond = answer
     one, one_connections = run("one", "--workers", "1")
     assert default == one
-    # the main thread's and every pool thread's
-    assert (connections, one_connections) == (DEFAULT_WORKERS + 1, 2)
+    # every pool thread's, and no other
+    assert (connections, one_connections) == (DEFAULT_WORKERS, 1)
 
 
 # the soak's faults: each request body is answered with at most SOAK_BURST of
@@ -1552,9 +1561,9 @@ def _run_killed_at(chat_server, argv: list[str], kill_at: int) -> None:
 def test_live_optimize_killed_at_seeded_requests_resumes_to_the_uninterrupted_files(tmp_path, chat_server):
     """A live ``optimize`` process killed mid-run resumes from its cache: the
     files match the uninterrupted run's, and the requests sent again are at
-    most those in flight at the kill, one per ``--workers`` thread and one
-    from the main thread. Counts are compared, not bodies: a parent's
-    improve samples share one body, told apart only by the attempt tag."""
+    most those in flight at the kill, one per ``--workers`` thread: the main
+    thread sends none. Counts are compared, not bodies: a parent's improve
+    samples share one body, told apart only by the attempt tag."""
     chat_server.respond = answered_by(ScriptedBackend([ScriptEntry(**e) for e in script_entries()]))
     paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
     config = json.loads(paths["config"].read_text(encoding="utf-8"))
@@ -1587,7 +1596,7 @@ def test_live_optimize_killed_at_seeded_requests_resumes_to_the_uninterrupted_fi
             resumed = (cut / name).read_bytes().replace(f'"{run_id}"'.encode(), b'"x"')
             assert uninterrupted == resumed, (kill_at, name)
         sent = len(chat_server.requests) - start
-        assert full <= sent <= full + workers + 1, (kill_at, sent, full)
+        assert full <= sent <= full + workers, (kill_at, sent, full)
 
 
 def test_live_induce_killed_at_seeded_requests_reruns_to_the_uninterrupted_files(tmp_path, chat_server):
