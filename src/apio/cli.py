@@ -43,6 +43,7 @@ from .optimizer import (
 from .prompts import (
     INPUT_SLOT,
     Prompt,
+    PromptError,
     TASK_TEMPLATES,
     parse_prompt,
     postprocess_output,
@@ -154,7 +155,10 @@ def _output_path(args: argparse.Namespace, sidecar: Callable[[Path], Path] | Non
 
 
 def _read_prompt(path: str | Path) -> Prompt:
-    return parse_prompt(read_text(path).rstrip("\n"))
+    try:
+        return parse_prompt(read_text(path).rstrip("\n"))
+    except PromptError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str], str], output: Path) -> int:
@@ -202,14 +206,14 @@ def cmd_induce(args: argparse.Namespace) -> int:
     template = TASK_TEMPLATES[cfg.task]
     train, dev = split_pairs(cfg)
     run = RunDir(args.runs_dir, args.run_id or _default_run_id())
-    dev_eval = select_dev_subsample(dev, cfg.optimizer)
+    dev_eval = select_dev_subsample(dev, cfg.optimizer, cfg.seed)
     with _open_run(args, cfg, run, args.force) as (backend, pool):
 
         def fitness_fn(prompt: Prompt, pairs, trial: int) -> Callable[[], float]:
             scoring = submit_scoring(prompt, pairs, backend, pool, trial)
             return lambda: -gather_scoring(scoring)[0]
 
-        prompt, trials = best_of_trials(train, dev_eval, cfg.induction, template, backend, fitness_fn)
+        prompt, trials = best_of_trials(train, dev_eval, cfg.induction, cfg.seed, template, backend, fitness_fn)
         write_text(run.prompt_path, prompt.text() + "\n")
         run.write_json(run.trials_path, {"trials": to_object(trials)})
         run.write_state(RunState(run.run_id, "induction", cfg, _backend_state(args)))
@@ -263,7 +267,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     template = TASK_TEMPLATES[cfg.task]
     n_epochs = cfg.optimizer.n_epochs
     with _open_run(args, cfg, run, overwrite) as (backend, executor):
-        engine = PromptOptimizer(train, dev, cfg.optimizer, backend, template, executor)
+        engine = PromptOptimizer(train, dev, cfg.optimizer, cfg.seed, backend, template, executor)
         if state is None:
             pool = [engine.score_seed(seed_prompt)]
             state = RunState(run.run_id, "optimization" if n_epochs else "done", cfg, _backend_state(args),

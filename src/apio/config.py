@@ -8,7 +8,7 @@ bound, so a section the program makes itself is not checked again.
 """
 
 import re
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_type_hints
@@ -157,7 +157,6 @@ class DataConfig:
 class InductionConfig:
     n_instructions: int = bounded(3, ">=", 1)
     n_trials: int = bounded(10, ">=", 1)
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,6 @@ class OptimizerConfig:
     improve_samples: int = bounded(4, ">=", 1)
     improve_batch: int = bounded(2, ">=", 1)
     dev_subsample: int | None = bounded(50, ">=", 1)  # None scores on the whole dev split
-    seed: int = 0
 
 
 @dataclass
@@ -204,13 +202,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
             node[leaf] = value
     if isinstance(optimizer := data.get("optimizer"), dict) and optimizer.get("dev_subsample") == "all":
         optimizer["dev_subsample"] = None
-    cfg = from_object(RunConfig, data)
-    # seeds propagate from the run seed unless set explicitly
-    if "seed" not in (data.get("induction") or {}):
-        cfg.induction = replace(cfg.induction, seed=cfg.seed)
-    if "seed" not in (data.get("optimizer") or {}):
-        cfg.optimizer = replace(cfg.optimizer, seed=cfg.seed)
-    return cfg
+    return from_object(RunConfig, data)
 
 
 def load_pairs(data: DataConfig) -> list[SamplePair]:

@@ -31,7 +31,6 @@ class TrialReport:
     fitness: float | None = None
     backend_calls: int = 0
     error: str | None = None
-    dev_evaluations: int = 0
 
 
 def induce_instruction(
@@ -55,6 +54,7 @@ def best_of_trials(
     train: Sequence[SamplePair],
     dev: Sequence[SamplePair],
     cfg: InductionConfig,
+    seed: int,
     template: TaskTemplate,
     backend: Backend,
     fitness_fn: Callable[[Prompt, Sequence[SamplePair], int], Callable[[], float]],
@@ -74,9 +74,9 @@ def best_of_trials(
     """
     started: list[tuple[TrialReport, Prompt | None, Callable[[], float] | None]] = []
     for trial in range(cfg.n_trials):
-        seed = derive_seed(cfg.seed, "induce", trial)
-        pairs = [train[i] for i in random.Random(seed).sample(range(len(train)), cfg.n_instructions)]
-        report = TrialReport(trial, seed, [pair.id for pair in pairs])
+        trial_seed = derive_seed(seed, "induce", trial)
+        pairs = [train[i] for i in random.Random(trial_seed).sample(range(len(train)), cfg.n_instructions)]
+        report = TrialReport(trial, trial_seed, [pair.id for pair in pairs])
         prompt, gather = None, None
         try:
             for k, pair in enumerate(pairs):
@@ -93,7 +93,7 @@ def best_of_trials(
     for report, prompt, gather in started:
         if gather is not None:
             try:
-                report.fitness, report.dev_evaluations = gather(), 1
+                report.fitness = gather()
             except GatewayError as exc:
                 log.warning("trial %d failed: %s", report.trial, exc)
                 report.error = str(exc)

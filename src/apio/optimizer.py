@@ -99,13 +99,13 @@ def gather_scoring(scoring: list[Future]) -> tuple[float, list[int], list[str]]:
     return sum(errors) / max(len(errors), 1), errors, [output for output, _ in scored]
 
 
-def select_dev_subsample(dev: Sequence[SamplePair], cfg: OptimizerConfig) -> list[SamplePair]:
-    """Fixed seeded dev subsample, constant across a run so fitness values
-    stay comparable between epochs."""
+def select_dev_subsample(dev: Sequence[SamplePair], cfg: OptimizerConfig, seed: int) -> list[SamplePair]:
+    """Fixed dev subsample drawn from the run ``seed``, constant across a
+    run so fitness values stay comparable between epochs."""
     n = cfg.dev_subsample
     if n is None or n >= len(dev):
         return list(dev)
-    rng = derived_rng(cfg.seed, "dev-subsample")
+    rng = derived_rng(seed, "dev-subsample")
     picks = sorted(rng.sample(range(len(dev)), n))
     return [dev[i] for i in picks]
 
@@ -119,6 +119,7 @@ class PromptOptimizer:
         train: Sequence[SamplePair],
         dev: Sequence[SamplePair],
         cfg: OptimizerConfig,
+        seed: int,
         backend: Backend,
         template: TaskTemplate,
         executor: Executor,
@@ -128,12 +129,13 @@ class PromptOptimizer:
         self.train = list(train)
         self.dev = list(dev)
         self.cfg = cfg
+        self.seed = seed
         self.backend = backend
         self.template = template
         self.executor = executor
         self.history: list[dict] = []
         self.next_id = 0
-        self.dev_eval = select_dev_subsample(self.dev, self.cfg)
+        self.dev_eval = select_dev_subsample(self.dev, self.cfg, seed)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -167,7 +169,7 @@ class PromptOptimizer:
         """Start scoring the parent on its seeded train window, which
         depends only on (seed, epoch, parent id, parent prompt)."""
         window_size = min(len(self.train), 2 * self.cfg.improve_batch)
-        rng = derived_rng(self.cfg.seed, "improve-batch", epoch, parent.id)
+        rng = derived_rng(self.seed, "improve-batch", epoch, parent.id)
         pairs = [self.train[idx] for idx in rng.sample(range(len(self.train)), window_size)]
         return pairs, submit_scoring(parent.prompt, pairs, self.backend, self.executor, epoch)
 
@@ -281,7 +283,7 @@ class PromptOptimizer:
         k = len(parent.prompt.instructions)
         if k < 2:
             return None
-        rng = derived_rng(self.cfg.seed, "permute", epoch, parent.id)
+        rng = derived_rng(self.seed, "permute", epoch, parent.id)
         m = min(self.cfg.n_permute, k)
         positions = sorted(rng.sample(range(k), m))
         shuffled = list(positions)

@@ -284,9 +284,9 @@ def test_c5_determinism_and_elitism(tmp_path, no_network):
         rng = random.Random(run_idx)
         cfg = OptimizerConfig(
             n_epochs=3, beam_b=6, improve_samples=2, improve_batch=2,
-            dev_subsample=None, seed=run_idx,
+            dev_subsample=None,
         )
-        engine = PromptOptimizer(dev[:4], dev, cfg, _random_script(rng), GENERIC_TEMPLATE, SEQUENTIAL)
+        engine = PromptOptimizer(dev[:4], dev, cfg, run_idx, _random_script(rng), GENERIC_TEMPLATE, SEQUENTIAL)
         pool = [engine.score_seed(seed_prompt)]
         for epoch in range(1, cfg.n_epochs + 1):
             pool = engine.run_epoch(pool, epoch)
@@ -310,8 +310,8 @@ def test_c6_operator_contracts_fuzz():
         ScriptEntry(match="\nOutput:", mode="rewrite_rules"),
     ]
     cfg = OptimizerConfig(n_epochs=1, beam_b=8, improve_samples=1, improve_batch=2,
-                          dev_subsample=4, seed=0)
-    engine = PromptOptimizer(dev[:4], dev, cfg, ScriptedBackend(entries), GENERIC_TEMPLATE, SEQUENTIAL)
+                          dev_subsample=4)
+    engine = PromptOptimizer(dev[:4], dev, cfg, 0, ScriptedBackend(entries), GENERIC_TEMPLATE, SEQUENTIAL)
     rng = random.Random(6)
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon"]
     for parent_idx in range(1000):
@@ -348,9 +348,9 @@ def test_c6_operator_contracts_fuzz():
     # pool invariants after truncation, over a multi-epoch scripted run
     paths_entries = [ScriptEntry(**e) for e in script_entries()]
     pool_cfg = OptimizerConfig(n_epochs=4, beam_b=5, improve_samples=3, improve_batch=2,
-                               dev_subsample=None, seed=3)
+                               dev_subsample=None)
     engine2 = PromptOptimizer(
-        dev[:4], dev, pool_cfg, ScriptedBackend(paths_entries), GENERIC_TEMPLATE, SEQUENTIAL
+        dev[:4], dev, pool_cfg, 3, ScriptedBackend(paths_entries), GENERIC_TEMPLATE, SEQUENTIAL
     )
     pool = [engine2.score_seed(Prompt("", (Instruction(DECOY), Instruction('Replace "b" with "b".')), GENERIC_TEMPLATE.footer))]
     for epoch in range(1, 5):
@@ -428,14 +428,14 @@ def test_c9_induction_call_accounting():
             ScriptEntry(match="\nOutput:", mode="rewrite_rules"),
         ]
     )
-    cfg = InductionConfig(n_instructions=3, n_trials=10, seed=4)
+    cfg = InductionConfig(n_instructions=3, n_trials=10)
     dev_evaluations = []
 
     def fitness_fn(prompt, pairs, trial):
         dev_evaluations.append(prompt)
         return lambda: 0.0
 
-    best_of_trials(dev, dev, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
+    best_of_trials(dev, dev, cfg, 4, GENERIC_TEMPLATE, backend, fitness_fn)
     assert backend.calls.total() == 30  # every request is an induction: fitness_fn sends none
     assert len(dev_evaluations) == 10
 

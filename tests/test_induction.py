@@ -71,15 +71,15 @@ def _flat_fitness(prompt, dev, trial):
     return _zero
 
 
-def _induced(pairs, cfg, backend):
+def _induced(pairs, cfg, seed, backend):
     """The prompt and reports of ``best_of_trials`` under a flat fitness."""
-    return best_of_trials(pairs, pairs, cfg, GENERIC_TEMPLATE, backend, _flat_fitness)
+    return best_of_trials(pairs, pairs, cfg, seed, GENERIC_TEMPLATE, backend, _flat_fitness)
 
 
 def test_induce_prompt_structure_and_determinism(toy_pairs):
-    cfg = InductionConfig(n_instructions=3, n_trials=1, seed=11)
-    first, (report_a,) = _induced(toy_pairs, cfg, _induce_backend())
-    second, (report_b,) = _induced(toy_pairs, cfg, _induce_backend())
+    cfg = InductionConfig(n_instructions=3, n_trials=1)
+    first, (report_a,) = _induced(toy_pairs, cfg, 11, _induce_backend())
+    second, (report_b,) = _induced(toy_pairs, cfg, 11, _induce_backend())
     assert first == second
     assert report_a.pair_ids == report_b.pair_ids
     assert len(report_a.pair_ids) == 3
@@ -90,8 +90,8 @@ def test_induce_prompt_structure_and_determinism(toy_pairs):
 
 
 def test_induce_prompt_single_instruction_boundary(toy_pairs):
-    cfg = InductionConfig(n_instructions=1, n_trials=1, seed=0)
-    prompt, _ = _induced(toy_pairs, cfg, _induce_backend())
+    cfg = InductionConfig(n_instructions=1, n_trials=1)
+    prompt, _ = _induced(toy_pairs, cfg, 0, _induce_backend())
     assert len(prompt.instructions) == 1
 
 
@@ -104,7 +104,7 @@ def _per_pair_backend(pairs):
 
 def test_best_of_trials_argmax_and_tiebreak(toy_pairs):
     # fitness keyed on the trial; trial 4 planted as the best
-    cfg = InductionConfig(n_instructions=2, n_trials=10, seed=5)
+    cfg = InductionConfig(n_instructions=2, n_trials=10)
     scores = {t: -1.0 for t in range(10)}
     scores[4] = -0.25
     induced = {}
@@ -114,20 +114,20 @@ def test_best_of_trials_argmax_and_tiebreak(toy_pairs):
         return lambda: scores[trial]
 
     best, reports = best_of_trials(
-        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _per_pair_backend(toy_pairs), fitness_fn
+        toy_pairs, toy_pairs, cfg, 5, GENERIC_TEMPLATE, _per_pair_backend(toy_pairs), fitness_fn
     )
     assert [r.fitness for r in reports][4] == -0.25
     assert best == induced[4]
     assert best.instruction_texts() == reports[4].instructions == [f"Rewrite {i}." for i in reports[4].pair_ids]
 
-    flat, reports = _induced(toy_pairs, cfg, _per_pair_backend(toy_pairs))
+    flat, reports = _induced(toy_pairs, cfg, 5, _per_pair_backend(toy_pairs))
     assert reports[0].pair_ids != reports[1].pair_ids  # so the tie is not trivially met
     assert flat.instruction_texts() == reports[0].instructions
     assert all(r.fitness == 0.0 for r in reports)
 
 
 def test_best_of_trials_call_accounting(toy_pairs):
-    cfg = InductionConfig(n_instructions=3, n_trials=10, seed=2)
+    cfg = InductionConfig(n_instructions=3, n_trials=10)
     backend = _induce_backend()
     dev_evaluations = []
 
@@ -135,15 +135,15 @@ def test_best_of_trials_call_accounting(toy_pairs):
         dev_evaluations.append(prompt)
         return _zero
 
-    _, reports = best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
+    _, reports = best_of_trials(toy_pairs, toy_pairs, cfg, 2, GENERIC_TEMPLATE, backend, fitness_fn)
     assert backend.calls.total() == 30  # n_trials x n_instructions; fitness_fn sends none
     assert len(dev_evaluations) == 10
-    assert sum(r.dev_evaluations for r in reports) == 10
+    assert all(r.fitness == 0.0 for r in reports)
     assert sum(r.backend_calls for r in reports) == 30
 
 
 def test_best_of_trials_induces_every_trial_before_gathering_a_fitness(toy_pairs):
-    cfg = InductionConfig(n_instructions=2, n_trials=3, seed=5)
+    cfg = InductionConfig(n_instructions=2, n_trials=3)
     backend = _induce_backend()
     events = []
 
@@ -156,7 +156,7 @@ def test_best_of_trials_induces_every_trial_before_gathering_a_fitness(toy_pairs
 
         return gather
 
-    best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
+    best_of_trials(toy_pairs, toy_pairs, cfg, 5, GENERIC_TEMPLATE, backend, fitness_fn)
     assert events == [("submit", 2), ("submit", 4), ("submit", 6)] + [("gather", 6)] * 3
 
 
@@ -164,7 +164,7 @@ def test_best_of_trials_counts_each_trials_requests_while_others_score(toy_pairs
     # trial t's scoring sends 100 * (t + 1) requests from a pool of more
     # threads than cores; they overlap the next trials' induction and
     # count to trial t alone, even with threads switching every microsecond
-    cfg = InductionConfig(n_instructions=2, n_trials=3, seed=5)
+    cfg = InductionConfig(n_instructions=2, n_trials=3)
     backend = ScriptedBackend([ScriptEntry(match="", response="Do the rewrite.")])
     submitted = []
 
@@ -178,7 +178,7 @@ def test_best_of_trials_counts_each_trials_requests_while_others_score(toy_pairs
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=16) as pool:
-            _, reports = best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, fitness_fn)
+            _, reports = best_of_trials(toy_pairs, toy_pairs, cfg, 5, GENERIC_TEMPLATE, backend, fitness_fn)
     finally:
         sys.setswitchinterval(interval)
     assert [r.backend_calls for r in reports] == [102, 202, 302]
@@ -187,10 +187,8 @@ def test_best_of_trials_counts_each_trials_requests_while_others_score(toy_pairs
 
 
 def test_best_of_trials_records_each_trials_seed(toy_pairs):
-    cfg = InductionConfig(n_instructions=2, n_trials=3, seed=5)
-    _, reports = best_of_trials(
-        toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, _induce_backend(), _flat_fitness
-    )
+    cfg = InductionConfig(n_instructions=2, n_trials=3)
+    _, reports = _induced(toy_pairs, cfg, 5, _induce_backend())
     assert [r.seed for r in reports] == [derive_seed(5, "induce", t) for t in range(3)]
     for report in reports:
         # the recorded seed alone reproduces the trial's pair sample
@@ -206,8 +204,8 @@ def test_best_of_trials_skips_failed_trials(toy_pairs):
             ScriptEntry(match=INDUCE_MATCH, response="Fine instruction."),
         ]
     )
-    cfg = InductionConfig(n_instructions=1, n_trials=3, seed=9)
-    best, reports = best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, _flat_fitness)
+    cfg = InductionConfig(n_instructions=1, n_trials=3)
+    best, reports = _induced(toy_pairs, cfg, 9, backend)
     assert reports[0].error is not None
     assert reports[1].error is None
     assert best.instruction_texts() == ["Fine instruction."]
@@ -235,8 +233,8 @@ class _SecondAnswer(Backend):
     ids=["empty-answer", "failed-request"],
 )
 def test_a_failed_trial_records_its_pairs_and_the_instructions_before_the_failure(toy_pairs, second, error):
-    cfg = InductionConfig(n_instructions=3, n_trials=2, seed=9)
-    _, (failed, fine) = _induced(toy_pairs, cfg, _SecondAnswer(second))
+    cfg = InductionConfig(n_instructions=3, n_trials=2)
+    _, (failed, fine) = _induced(toy_pairs, cfg, 9, _SecondAnswer(second))
     picks = random.Random(derive_seed(9, "induce", 0)).sample(range(len(toy_pairs)), 3)
     assert failed.pair_ids == [toy_pairs[i].id for i in picks]
     assert failed.instructions == ["Do one."]  # so the pair that failed is pair_ids[1]
@@ -247,6 +245,6 @@ def test_a_failed_trial_records_its_pairs_and_the_instructions_before_the_failur
 
 def test_best_of_trials_all_failed(toy_pairs):
     backend = ScriptedBackend([ScriptEntry(match=INDUCE_MATCH, response='""')])
-    cfg = InductionConfig(n_instructions=1, n_trials=2, seed=1)
+    cfg = InductionConfig(n_instructions=1, n_trials=2)
     with pytest.raises(GatewayError, match="all induction trials failed"):
-        best_of_trials(toy_pairs, toy_pairs, cfg, GENERIC_TEMPLATE, backend, _flat_fitness)
+        _induced(toy_pairs, cfg, 1, backend)

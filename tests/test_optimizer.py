@@ -39,11 +39,11 @@ def _prompt(*texts: str) -> Prompt:
 def _engine(pairs, backend, **overrides) -> PromptOptimizer:
     defaults = dict(
         n_epochs=3, beam_b=8, n_permute=2, drift_weight=0.05,
-        improve_samples=2, improve_batch=2, dev_subsample=None, seed=13,
+        improve_samples=2, improve_batch=2, dev_subsample=None,
     )
     defaults.update(overrides)
     cfg = OptimizerConfig(**defaults)
-    return PromptOptimizer(pairs[:4], pairs, cfg, backend, GENERIC_TEMPLATE, SEQUENTIAL)
+    return PromptOptimizer(pairs[:4], pairs, cfg, 13, backend, GENERIC_TEMPLATE, SEQUENTIAL)
 
 
 # -- fitness ------------------------------------------------------------------
@@ -463,9 +463,9 @@ class InflightBackend(Backend):
 def test_run_epoch_overlaps_scoring_of_several_children(toy_pairs):
     def run(workers):
         backend = InflightBackend()
-        cfg = OptimizerConfig(n_epochs=2, beam_b=4, improve_samples=3, dev_subsample=3, seed=13)
+        cfg = OptimizerConfig(n_epochs=2, beam_b=4, improve_samples=3, dev_subsample=3)
         with ThreadPoolExecutor(max_workers=workers) as executor:
-            engine = PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, backend, GENERIC_TEMPLATE, executor)
+            engine = PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, 13, backend, GENERIC_TEMPLATE, executor)
             pool = [engine.score_seed(_prompt(DECOY, DECOY))]
             for epoch in (1, 2):
                 pool = engine.run_epoch(pool, epoch)
@@ -510,8 +510,8 @@ class RendezvousBackend(ScriptedBackend):
 
 
 def _two_parent_epoch(toy_pairs, backend, executor) -> PromptOptimizer:
-    cfg = OptimizerConfig(beam_b=6, improve_samples=3, improve_batch=2, dev_subsample=3, seed=13)
-    engine = PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, backend, GENERIC_TEMPLATE, executor)
+    cfg = OptimizerConfig(beam_b=6, improve_samples=3, improve_batch=2, dev_subsample=3)
+    engine = PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, 13, backend, GENERIC_TEMPLATE, executor)
     pool = [engine.score_seed(_prompt(DECOY, 'Replace "a" with "a".')), engine.score_seed(_prompt(PLANTED))]
     engine.run_epoch(pool, 1)
     return engine
@@ -625,8 +625,8 @@ def _rendered(prompt: Prompt) -> str:
 def test_run_epoch_submits_windows_and_permute_children_before_exploring(toy_pairs):
     def engine_for(executor):
         backend = RecordingBackend(ScriptedBackend([ScriptEntry(**e) for e in script_entries()]))
-        cfg = OptimizerConfig(beam_b=6, improve_samples=3, improve_batch=2, dev_subsample=3, seed=13)
-        return PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, backend, GENERIC_TEMPLATE, executor)
+        cfg = OptimizerConfig(beam_b=6, improve_samples=3, improve_batch=2, dev_subsample=3)
+        return PromptOptimizer(toy_pairs[:4], toy_pairs, cfg, 13, backend, GENERIC_TEMPLATE, executor)
 
     engine = engine_for(InlineExecutor())
     pool = engine.run_epoch([engine.score_seed(_prompt(DECOY, 'Replace "a" with "a".'))], 1)
@@ -756,10 +756,10 @@ def test_rank_key_prefers_fitness_then_age():
 
 
 def test_select_dev_subsample_fixed_and_sorted(toy_pairs):
-    cfg = OptimizerConfig(dev_subsample=3, seed=9)
-    first = select_dev_subsample(toy_pairs, cfg)
-    second = select_dev_subsample(toy_pairs, cfg)
+    cfg = OptimizerConfig(dev_subsample=3)
+    first = select_dev_subsample(toy_pairs, cfg, 9)
+    second = select_dev_subsample(toy_pairs, cfg, 9)
     assert first == second
     assert len(first) == 3
-    assert select_dev_subsample(toy_pairs, OptimizerConfig(dev_subsample=None)) == list(toy_pairs)
-    assert select_dev_subsample(toy_pairs, OptimizerConfig(dev_subsample=99)) == list(toy_pairs)
+    assert select_dev_subsample(toy_pairs, OptimizerConfig(dev_subsample=None), 9) == list(toy_pairs)
+    assert select_dev_subsample(toy_pairs, OptimizerConfig(dev_subsample=99), 9) == list(toy_pairs)

@@ -29,7 +29,7 @@ import pytest
 import apio
 from apio import gateway
 from apio.cli import DEFAULT_WORKERS, main
-from apio.config import ConfigurationError, OptimizerConfig, RunConfig, from_object, to_object
+from apio.config import ConfigurationError, OptimizerConfig, RunConfig, from_object, load_config, to_object
 from apio.corpus import apply_edits, load_m2
 from apio.gateway import INFER, CredentialError, GatewayError, ScriptedBackend, ScriptEntry
 from apio.optimizer import Candidate
@@ -188,7 +188,7 @@ def test_induce_counts_each_trials_requests(tmp_path, workers):
     assert _induce(paths, extra=("--workers", workers)) == 0
     trials = json.loads((paths["runs"] / "r1" / "trials.json").read_text())["trials"]
     assert [t["backend_calls"] for t in trials] == [1, 9, 9, 9]
-    assert [t["dev_evaluations"] for t in trials] == [0, 0, 1, 1]
+    assert [t["fitness"] is not None for t in trials] == [False, False, True, True]
     assert [t["error"] is None for t in trials] == [False, False, True, True]
 
 
@@ -380,6 +380,11 @@ NAMED_BY_PATH = [
     ("state", "phase", "tuning", "phase must be induction, optimization or done, got 'tuning'"),
     ("script", "mode", "shout",
      f"entry {len(script_entries())}.mode must be one of literal, rewrite_rules, echo_instruction, got 'shout'"),
+    # the section seeds of the old shape: every draw derives from the run seed
+    ("config", "induction.seed", 3, "induction holds the unknown key 'seed'"),
+    ("config", "optimizer.seed", 3, "optimizer holds the unknown key 'seed'"),
+    ("state", "config.induction.seed", 0, "config.induction holds the unknown key 'seed'"),
+    ("state", "config.optimizer.seed", 0, "config.optimizer holds the unknown key 'seed'"),
 ]
 
 
@@ -996,6 +1001,21 @@ def test_run_files_read_back_what_is_written():
         assert from_object(type(obj), json.loads(json.dumps(to_object(obj)))) == obj
 
 
+def test_readme_configuration_example_loads_as_written(tmp_path):
+    """README's configuration example is a config file that ``load_config``
+    reads to the values it shows, so a key the docs keep after the code
+    drops it fails here."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    text = re.search(r"### Configuration\n.*?```json\n(.*?)```", readme, re.S)[1]
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    loaded = to_object(load_config(path))
+    example = json.loads(text)
+    shown = {key: {k: loaded[key][k] for k in value} if isinstance(value, dict) else loaded[key]
+             for key, value in example.items()}
+    assert shown == example
+
+
 @pytest.mark.parametrize("command", ["induce", "optimize"])
 @pytest.mark.parametrize(("field", "value"), [("dev_size", 0), ("train_size", 0), ("dev_size", -1)])
 def test_split_size_below_one_exits_2_before_creating_run(tmp_path, capsys, command, field, value):
@@ -1047,7 +1067,7 @@ def test_prompt_file_without_one_footer_slot_exits_2_before_creating_run(tmp_pat
     prompt = tmp_path / "seed.txt"
     prompt.write_text("* Do x.\nInput: {input_text}\nAgain: {input_text}\nOutput:\n", encoding="utf-8")
     assert _optimize(paths, extra=("--prompt", str(prompt))) == 2
-    assert "slot exactly once" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {prompt}: prompt footer must contain the '{{input_text}}' slot exactly once\n"
     assert not (paths["runs"] / "r1").exists()
 
 
@@ -1135,8 +1155,11 @@ def test_dev_subsample_flag_all_overrides_a_config_count(tmp_path, capsys):
         {"base_url": "api.openai.com/v1"},
         {"base_url": "ftp://llm.test/v1"},
         {"base_url": "http:///v1"},
+        {"base_url": "http://127.0.0.1:99999/v1"},
+        {"base_url": "http://127.0.0.1:port/v1"},
     ],
-    ids=["retry_max", "timeout_s", "max_tokens", "no-scheme", "ftp", "no-host"],
+    ids=["retry_max", "timeout_s", "max_tokens", "no-scheme", "ftp", "no-host", "port-out-of-range",
+         "port-not-a-number"],
 )
 @pytest.mark.parametrize("command", ["induce", "infer"])
 def test_invalid_backend_config_exits_2(tmp_path, command, backend, capsys):
@@ -2185,11 +2208,23 @@ def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, case):
 REFUSED = {
     "script-empty": ("infer", "--script", "[]", "script file {}: script must be non-empty"),
     "data-format-unknown": ("induce", "--config", '{"data": {"format": "csv"}}', "unknown data format 'csv'"),
+    "data-m2-without-path": ("induce", "--config", '{"data": {"format": "m2"}}', "data.path is required for m2 format"),
     "jsonl-invalid-json": ("evaluate-generic", "--gold", '{"source": "a"\n', "{}:1: invalid JSON: "),
     "m2-empty": ("evaluate", "--m2", "\n\n", "{}: file is empty"),
     "m2-without-s-line": ("evaluate", "--m2", "A 0 1|||R:X|||x|||REQUIRED|||-NONE-|||0\n",
                           "{}:1: record must start with an 'S ' line"),
     "m2-without-a-line": ("evaluate", "--m2", "S she go home\nS a b c\n", "{}:2: expected an 'A ' edit line"),
+    "m2-one-number-span": ("evaluate", "--m2", "S she go home\nA 1|||R:VERB|||goes|||REQUIRED|||-NONE-|||0\n",
+                           "{}:2: span must be two integers"),
+    "m2-annotator-not-an-integer": ("evaluate", "--m2",
+                                    "S she go home\nA 1 2|||R:VERB|||goes|||REQUIRED|||-NONE-|||first\n",
+                                    "{}:2: non-integer annotator id"),
+    "prompt-without-bullets": ("infer", "--prompt", "Do x.\nInput: {input_text}\nOutput:\n",
+                               "{}: prompt text has no '* ' instruction lines"),
+    "prompt-bullets-apart": ("infer", "--prompt", "* Do x.\nThen:\n* Do y.\nInput: {input_text}\nOutput:\n",
+                             "{}: instruction bullets must be contiguous"),
+    "prompt-two-footer-slots": ("infer", "--prompt", "* Do x.\nInput: {input_text}\nAgain: {input_text}\nOutput:\n",
+                                "{}: prompt footer must contain the '{{input_text}}' slot exactly once"),
     "simplify-without-source": ("evaluate-simplify", "--source", None,
                                 "simplify evaluation needs --source and --references"),
     "gec-without-m2": ("evaluate", "--m2", None, "gec evaluation needs --m2 <gold file>"),
