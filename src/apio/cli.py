@@ -63,8 +63,9 @@ DEFAULT_WORKERS = 32
 # ---------------------------------------------------------------------------
 
 
-def _default_run_id() -> str:
-    return time.strftime("run-%Y%m%d-%H%M%S")
+def _run_id(args: argparse.Namespace) -> str:
+    """``--run-id``, else an id named by the time the command started."""
+    return time.strftime("run-%Y%m%d-%H%M%S") if args.run_id is None else args.run_id
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -74,7 +75,7 @@ def _overrides(args: argparse.Namespace) -> dict:
         "task": getattr(args, "task", None),
         "seed": getattr(args, "seed", None),
         # a count, else "all" or a word for the config check to refuse
-        "optimizer.dev_subsample": int(sub) if sub and sub.lstrip("-").isdigit() else sub,
+        "optimizer.dev_subsample": int(sub) if sub and sub.removeprefix("-").isdecimal() else sub,
     }
 
 
@@ -205,7 +206,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
         )
     template = TASK_TEMPLATES[cfg.task]
     train, dev = split_pairs(cfg)
-    run = RunDir(args.runs_dir, args.run_id or _default_run_id())
+    run = RunDir(args.runs_dir, _run_id(args))
     dev_eval = select_dev_subsample(dev, cfg.optimizer, cfg.seed)
     with _open_run(args, cfg, run, args.force) as (backend, pool):
 
@@ -238,7 +239,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     """Optimize a run on one ``RunState``: the state a resume reads, or
     for a fresh run the epoch-0 state made once its prompt is scored.
     Each epoch writes the history, then that state at the new epoch."""
-    if args.resume:
+    if args.resume is not None:
         given = [name for name in _FROM_STATE if (value := getattr(args, name)) is not None and value is not False]
         if given:
             raise ConfigurationError(
@@ -255,7 +256,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         state = None
         cfg = load_config(args.config, _overrides(args))
-        run = RunDir(args.runs_dir, args.run_id or _default_run_id())
+        run = RunDir(args.runs_dir, _run_id(args))
         prompt_file = args.prompt or (run.prompt_path if run.prompt_path.exists() else None)
         if prompt_file is None:
             raise ConfigurationError("no --prompt file given and the run has no induced prompt")
@@ -295,12 +296,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def _task_score(task: str, pairs: list[SamplePair], outputs: list[str]) -> tuple[str, float, list] | None:
     """The task metric of ``outputs`` against ``pairs``: (name, aggregate,
-    per-sample scores). Simplify takes the mean SARI; gec takes the corpus
-    F0.5 with each sentence's (TP, FP, FN) when the pairs carry their M2
-    records. Any other task or data has none."""
+    per-sample scores). Simplify takes the mean of sentence-level SARI,
+    not the corpus-level SARI that papers usually report; gec takes the
+    corpus F0.5 with each sentence's (TP, FP, FN) when the pairs carry
+    their M2 records. Any other task or data has none."""
     if task == "simplify":
         scores = [sari(p.source, o, p.references) for p, o in zip(pairs, outputs)]
-        return "sari", sum(scores) / len(scores), scores
+        return "sari-sentence-mean", sum(scores) / len(scores), scores
     if task == "gec" and all(p.record is not None for p in pairs):
         return "f05-approx", *f05_with_counts([p.record for p in pairs], outputs)
     return None

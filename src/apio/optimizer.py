@@ -39,10 +39,6 @@ log = logging.getLogger(__name__)
 Window = tuple[list[SamplePair], list[Future]]
 
 
-def _ignore(child: Prompt) -> None:
-    """A ``start`` that queues no scoring: the caller scores the children."""
-
-
 @dataclass
 class Candidate:
     id: int
@@ -111,8 +107,9 @@ def select_dev_subsample(dev: Sequence[SamplePair], cfg: OptimizerConfig, seed: 
 
 
 class PromptOptimizer:
-    """Holds the search context and runs one beam step per ``run_epoch``;
-    every dev and train scoring runs in ``executor``."""
+    """Holds the search context and runs one beam step per ``run_epoch``,
+    which starts every request of the epoch in ``executor``. ``improve``
+    and ``rephrase`` only collect the children of the requests it started."""
 
     def __init__(
         self,
@@ -212,13 +209,10 @@ class PromptOptimizer:
             samples.append(child)
         return samples
 
-    def improve(self, parent: Candidate, epoch: int, samples: Future | None = None) -> list[Prompt]:
-        """Children extending the parent by one proposed instruction, from
-        the ``samples`` of a ``_sample_improvements`` task, or of one
-        started here on a train window scored here."""
-        if samples is None:
-            window = self._submit_window(parent, epoch)
-            samples = self.executor.submit(self._sample_improvements, parent, epoch, window, _ignore)
+    def improve(self, parent: Candidate, samples: Future) -> list[Prompt]:
+        """Children extending the parent by one proposed instruction,
+        collected from the ``samples`` of the ``_sample_improvements`` task
+        that ``run_epoch`` started; it sends no request of its own."""
         try:
             outcomes = samples.result()
         except GatewayError as exc:
@@ -256,14 +250,11 @@ class PromptOptimizer:
 
         return {instruction: self.executor.submit(one, instruction) for instruction in holders}
 
-    def rephrase(
-        self, parent: Candidate, epoch: int, rephrasings: dict[Instruction, Future] | None = None
-    ) -> list[Prompt]:
-        """Children differing from the parent at exactly one position, from
-        the ``rephrasings`` that ``_submit_rephrasings`` started, or started
-        here; a failed request or empty answer drops only its own."""
-        if rephrasings is None:
-            rephrasings = self._submit_rephrasings([parent], epoch, _ignore)
+    def rephrase(self, parent: Candidate, rephrasings: dict[Instruction, Future]) -> list[Prompt]:
+        """Children differing from the parent at exactly one position,
+        collected from the ``rephrasings`` that ``run_epoch`` started with
+        ``_submit_rephrasings``; it sends no request of its own. A failed
+        request or empty answer drops only its own child."""
         children = []
         parent_text = parent.prompt.text()
         for i, instruction in enumerate(parent.prompt.instructions):
@@ -353,9 +344,9 @@ class PromptOptimizer:
                 proposals.append((prompt, op, parent, scorings[text]))
 
         for parent in parents:
-            for child in self.improve(parent, epoch, improvements[parent.id]):
+            for child in self.improve(parent, improvements[parent.id]):
                 propose(child, "improve", parent)
-            for child in self.rephrase(parent, epoch, rephrasings):
+            for child in self.rephrase(parent, rephrasings):
                 propose(child, "rephrase", parent)
             if permuted[parent.id] is not None:
                 propose(permuted[parent.id], "permute", parent)

@@ -82,6 +82,9 @@ def write_json(path: Path, data) -> None:
 
 class RunDir:
     def __init__(self, runs_dir: str | Path, run_id: str) -> None:
+        if run_id in ("", ".", "..") or "/" in run_id or "\0" in run_id:
+            raise ConfigurationError(f"run id {run_id!r} must be one path component: not empty, '.' or '..', "
+                                     "and without '/' or NUL")
         self.run_id = run_id
         self.path = Path(runs_dir) / run_id
         self.state_path = self.path / "state.json"

@@ -322,15 +322,19 @@ def test_c6_operator_contracts_fuzz():
         prompt = Prompt("", tuple(Instruction(t) for t in texts), GENERIC_TEMPLATE.footer)
         parent = Candidate(parent_idx, prompt, 0.0, 0.0, 0.0, None, "init", 0)
 
-        improved = engine.improve(parent, epoch=1)
+        # the children that an epoch on a pool of this parent alone scores
+        engine.run_epoch([parent], 1)
+        children = {op: [c["prompt"]["instructions"] for c in engine.history[-1]["candidates"]
+                         if c["operator"] == op] for op in ("improve", "rephrase")}
+        improved = children["improve"]
         assert improved, "sticky improve script must always parse"
         for child in improved:
-            assert len(child.instructions) == len(prompt.instructions) + 1
-            assert child.instruction_texts()[:-1] == texts
+            assert len(child) == len(prompt.instructions) + 1
+            assert child[:-1] == texts
 
-        for child in engine.rephrase(parent, epoch=1):
+        for child in children["rephrase"]:
             diffs = [
-                i for i, (a, b) in enumerate(zip(texts, child.instruction_texts())) if a != b
+                i for i, (a, b) in enumerate(zip(texts, child)) if a != b
             ]
             assert len(diffs) == 1
 

@@ -163,6 +163,13 @@ def _seed_candidate(engine: PromptOptimizer, prompt: Prompt) -> Candidate:
     return engine.score_seed(prompt)
 
 
+def _epoch_children(engine: PromptOptimizer, parent: Candidate, operator: str) -> list[list[str]]:
+    """Run epoch 1 on a pool of ``parent`` alone and return the instruction
+    texts of each ``operator`` child that it scored, in proposal order."""
+    engine.run_epoch([parent], 1)
+    return [c["prompt"]["instructions"] for c in engine.history[-1]["candidates"] if c["operator"] == operator]
+
+
 def test_improve_appends_exactly_one_instruction(toy_pairs):
     entries = [
         # epoch 1's two improve samples have the tags 2 and 3
@@ -173,11 +180,11 @@ def test_improve_appends_exactly_one_instruction(toy_pairs):
     ]
     engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=2)
     parent = _seed_candidate(engine, _prompt(DECOY, PLANTED))
-    children = engine.improve(parent, epoch=1)
+    children = _epoch_children(engine, parent, "improve")
     assert len(children) == 2
-    assert children[0].instruction_texts() == [DECOY, PLANTED, "Keep punctuation unchanged."]
+    assert children[0] == [DECOY, PLANTED, "Keep punctuation unchanged."]
     # embedded newline collapsed before the instruction is built
-    assert children[1].instruction_texts()[-1] == "Check spacing rules."
+    assert children[1][-1] == "Check spacing rules."
 
 
 def test_improve_discards_unparseable_samples(toy_pairs):
@@ -187,16 +194,16 @@ def test_improve_discards_unparseable_samples(toy_pairs):
     ]
     engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=2)
     parent = _seed_candidate(engine, _prompt(DECOY))
-    children = engine.improve(parent, epoch=1)
+    children = _epoch_children(engine, parent, "improve")
     assert len(children) == 1
-    assert children[0].instruction_texts()[-1] == "Valid addition."
+    assert children[0][-1] == "Valid addition."
 
 
 def test_improve_all_unparseable_yields_zero_children(toy_pairs):
     entries = [ScriptEntry(match=IMPROVE_MATCH, response="nothing tagged")]
     engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=3)
     parent = _seed_candidate(engine, _prompt(DECOY))
-    assert engine.improve(parent, epoch=1) == []
+    assert _epoch_children(engine, parent, "improve") == []
 
 
 class FailingNthBackend(Backend):
@@ -221,9 +228,9 @@ def test_failed_improve_sample_drops_only_its_child(toy_pairs, caplog):
     parent = _seed_candidate(engine, _prompt(DECOY))
     engine.backend = FailingNthBackend(engine.backend, "improve", 1)
     with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
-        children = engine.improve(parent, epoch=1)
+        children = _epoch_children(engine, parent, "improve")
     # sample 1 fails on its way to the script; sample 2 gets its own answer
-    assert [c.instruction_texts()[-1] for c in children] == ["A", "C"]
+    assert [c[-1] for c in children] == ["A", "C"]
     assert engine.backend.calls["improve", 1] == 3
     assert "improve sample 1 failed for candidate 0: injected improve failure" in caplog.text
 
@@ -234,8 +241,8 @@ def test_improve_sample_with_nothing_left_drops_only_its_child(toy_pairs, caplog
     engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=3)
     parent = _seed_candidate(engine, _prompt(DECOY))
     with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
-        children = engine.improve(parent, epoch=1)
-    assert [c.instruction_texts()[-1] for c in children] == ["A", "C"]
+        children = _epoch_children(engine, parent, "improve")
+    assert [c[-1] for c in children] == ["A", "C"]
     assert "improve sample 1 failed for candidate 0: instruction text is empty after cleanup" in caplog.text
 
 
@@ -244,7 +251,7 @@ def test_improve_meta_shows_worst_error_examples(toy_pairs):
     backend = RecordingBackend(rewrite_backend(entries))
     engine = _engine(toy_pairs, backend, improve_batch=2)
     parent = _seed_candidate(engine, _prompt(DECOY))
-    engine.improve(parent, epoch=1)
+    engine.run_epoch([parent], 1)
     meta = next(c.text() for c in backend.requests if IMPROVE_MATCH in c.text())
     assert "Input 1: " in meta and "Input 2: " in meta
     assert "Input 3: " not in meta
@@ -263,8 +270,8 @@ def test_rephrase_replaces_one_position(toy_pairs):
     ]
     engine = _engine(toy_pairs, rewrite_backend(entries))
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule."))
-    children = engine.rephrase(parent, epoch=1)
-    assert [c.instruction_texts() for c in children] == [
+    children = _epoch_children(engine, parent, "rephrase")
+    assert children == [
         ["Rewritten first.", "Second rule."],
         ["First rule.", "Rewritten second."],
     ]
@@ -276,8 +283,8 @@ def test_failed_rephrase_request_drops_only_its_positions_child(toy_pairs, caplo
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule.", "Third rule."))
     engine.backend = FailingNthBackend(engine.backend, "rephrase", 1)
     with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
-        children = engine.rephrase(parent, epoch=1)
-    assert [c.instruction_texts() for c in children] == [
+        children = _epoch_children(engine, parent, "rephrase")
+    assert children == [
         ["Rewritten.", "Second rule.", "Third rule."],
         ["First rule.", "Second rule.", "Rewritten."],
     ]
@@ -291,8 +298,8 @@ def test_rephrase_with_nothing_left_drops_only_its_positions_child(toy_pairs, ca
     engine = _engine(toy_pairs, rewrite_backend(entries))
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule.", "Third rule."))
     with caplog.at_level(logging.WARNING, logger="apio.optimizer"):
-        children = engine.rephrase(parent, epoch=1)
-    assert [c.instruction_texts() for c in children] == [
+        children = _epoch_children(engine, parent, "rephrase")
+    assert children == [
         ["Rewritten first.", "Second rule.", "Third rule."],
         ["First rule.", "Second rule.", "Rewritten third."],
     ]
@@ -306,14 +313,14 @@ def test_rephrase_drops_identical_and_empty(toy_pairs):
     ]
     engine = _engine(toy_pairs, rewrite_backend(entries))
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule."))
-    assert engine.rephrase(parent, epoch=1) == []
+    assert _epoch_children(engine, parent, "rephrase") == []
 
 
 def test_rephrase_echo_backend_produces_no_children(toy_pairs):
     entries = [ScriptEntry(match=REPHRASE_MATCH, mode="echo_instruction")]
     engine = _engine(toy_pairs, rewrite_backend(entries))
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule."))
-    assert engine.rephrase(parent, epoch=1) == []
+    assert _epoch_children(engine, parent, "rephrase") == []
 
 
 def test_permute_is_seeded_transposition(toy_pairs):

@@ -28,7 +28,7 @@ import pytest
 
 import apio
 from apio import gateway
-from apio.cli import DEFAULT_WORKERS, main
+from apio.cli import DEFAULT_WORKERS, entrypoint, main
 from apio.config import ConfigurationError, OptimizerConfig, RunConfig, from_object, load_config, to_object
 from apio.corpus import apply_edits, load_m2
 from apio.gateway import INFER, CredentialError, GatewayError, ScriptedBackend, ScriptEntry
@@ -1137,6 +1137,10 @@ def test_dev_subsample_flag_all_overrides_a_config_count(tmp_path, capsys):
     paths["config"].write_text(json.dumps(config), encoding="utf-8")
     assert _induce(paths, run_id="word", extra=("--dev-subsample", "most")) == 2
     assert "optimizer.dev_subsample must be an integer >= 1 or null, got 'most'" in capsys.readouterr().err
+    # so do a digit that is no decimal digit and a count with two signs
+    for word in ("²", "--3"):
+        assert _induce(paths, run_id="word", extra=(f"--dev-subsample={word}",)) == 2
+        assert f"optimizer.dev_subsample must be an integer >= 1 or null, got {word!r}" in capsys.readouterr().err
     assert not (paths["runs"] / "word").exists()
     assert _induce(paths, extra=("--dev-subsample", "all")) == 0
     state = json.loads((paths["runs"] / "r1" / "state.json").read_text(encoding="utf-8"))
@@ -1817,7 +1821,7 @@ def test_evaluate_simplify_known_value(tmp_path):
     )
     assert code == 0
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    assert report["metric"] == "sari"
+    assert report["metric"] == "sari-sentence-mean"
     assert report["n"] == 2
     # hand-computed: copy vs shorter ref = 20/3, identical pair = 50/3
     assert report["per_sample"][0] == pytest.approx(20 / 3, abs=1e-9)
@@ -2203,13 +2207,15 @@ def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, case):
 
 
 # case: (the command of ``_command_files``, or ``induce`` on the toy
-# workspace; the flag whose file gets the text, or that is dropped when the
-# text is None; the text; the error, given the file)
+# workspace; the flag whose file gets the text, whose value the text
+# replaces when it names no file, or that is dropped when the text is None;
+# the text; the error, given the file or value)
 REFUSED = {
     "script-empty": ("infer", "--script", "[]", "script file {}: script must be non-empty"),
     "data-format-unknown": ("induce", "--config", '{"data": {"format": "csv"}}', "unknown data format 'csv'"),
     "data-m2-without-path": ("induce", "--config", '{"data": {"format": "m2"}}', "data.path is required for m2 format"),
     "jsonl-invalid-json": ("evaluate-generic", "--gold", '{"source": "a"\n', "{}:1: invalid JSON: "),
+    "jsonl-blank-lines": ("evaluate-generic", "--gold", "\n  \n\n", "{}: file is empty"),
     "m2-empty": ("evaluate", "--m2", "\n\n", "{}: file is empty"),
     "m2-without-s-line": ("evaluate", "--m2", "A 0 1|||R:X|||x|||REQUIRED|||-NONE-|||0\n",
                           "{}:1: record must start with an 'S ' line"),
@@ -2228,6 +2234,9 @@ REFUSED = {
     "simplify-without-source": ("evaluate-simplify", "--source", None,
                                 "simplify evaluation needs --source and --references"),
     "gec-without-m2": ("evaluate", "--m2", None, "gec evaluation needs --m2 <gold file>"),
+    **{f"run-id-{name}": ("induce", "--run-id", run_id, "run id {!r} must be one path component")
+       for name, run_id in [("empty", ""), ("dot", "."), ("dot-dot", ".."), ("parent", "../escaped"),
+                            ("two-components", "a/b"), ("nul", "a\0b")]},
 }
 
 
@@ -2243,10 +2252,47 @@ def test_refused_input_exits_2_naming_it(tmp_path, capsys, case):
     capsys.readouterr()
     if text is None:
         del flags[flag]
-    else:
+    elif isinstance(flags[flag], Path):
         flags[flag].write_text(text, encoding="utf-8")
+    else:
+        flags[flag] = text
     assert main(_argv(command, flags)) == 2
     assert capsys.readouterr().err.startswith(f"error: {message.format(flags.get(flag))}")
+
+
+def test_a_run_id_that_is_not_one_path_component_writes_nothing(tmp_path, capsys):
+    paths = make_workspace(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    common = ["--runs-dir", str(paths["runs"]), "--script", str(paths["script"])]
+    for run_id in (".", "../outside", str(tmp_path / "outside")):
+        for argv in (["induce", "--config", str(paths["config"]), "--run-id", run_id],
+                     ["optimize", "--config", str(paths["config"]), "--run-id", run_id],
+                     ["optimize", "--resume", run_id]):
+            assert main(argv + common) == 2
+            assert capsys.readouterr().err.startswith(f"error: run id {run_id!r} must be one path component")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_run_without_run_id_is_named_by_its_start_time(tmp_path):
+    paths = make_workspace(tmp_path)
+    earliest = time.strftime("run-%Y%m%d-%H%M%S")
+    assert main(["induce", "--config", str(paths["config"]), "--runs-dir", str(paths["runs"]),
+                 "--script", str(paths["script"])]) == 0
+    latest = time.strftime("run-%Y%m%d-%H%M%S")
+    [run] = paths["runs"].iterdir()
+    assert re.fullmatch(r"run-\d{8}-\d{6}", run.name)
+    assert earliest <= run.name <= latest
+    assert json.loads((run / "state.json").read_text(encoding="utf-8"))["run_id"] == run.name
+
+
+def test_entrypoint_exits_with_mains_code(tmp_path, monkeypatch, capsys):
+    copy = _argv("baseline-copy", _command_files(tmp_path)["baseline-copy"])
+    for argv, code in ((copy, 0), (["optimize", "--resume", ".."], 2)):
+        monkeypatch.setattr(sys, "argv", ["apio", *argv])
+        with pytest.raises(SystemExit) as exited:
+            entrypoint()
+        assert exited.value.code == code
+    assert "error: run id '..' must be one path component" in capsys.readouterr().err
 
 
 def _apio_exception_classes() -> list[type[Exception]]:
