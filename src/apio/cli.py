@@ -313,15 +313,15 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
     candidate rescored on the full dev set, and the top five rescored with
     the task metric on the fixed subsample, against the gold that the
     run's split read. All six scorings are queued before the first is
-    waited on, the full-dev one last, so each of the top five's task
-    metric is computed while the scorings queued after it are still in
-    flight."""
+    waited on, the full-dev one first: after a search the top five's
+    requests repeat ones it sent, so queued first they would hold the
+    pool with cache hits while the full-dev misses wait."""
     top = sorted(pool, key=rank_key)[:5]
     best = top[0]
     write_text(run.best_prompt_path, best.prompt.text() + "\n")
+    full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor, 0, "report")
     top_scorings = [submit_scoring(c.prompt, engine.dev_eval, engine.backend, engine.executor, 0, "report")
                     for c in top]
-    full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor, 0, "report")
     top_report = []
     for cand, scoring in zip(top, top_scorings):
         _, _, outputs = gather_scoring(scoring)

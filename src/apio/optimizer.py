@@ -233,40 +233,36 @@ class PromptOptimizer:
     ) -> dict[Instruction, Future]:
         """Start one rephrase request in ``executor`` per distinct
         instruction of ``parents``, in order of first appearance. Each
-        future holds the rephrased instruction; the children it makes, one
-        per position that holds the instruction, are passed to ``start``."""
+        future holds the children its answer makes by (parent id, position),
+        each passed to ``start``. A child equal to its parent is kept, since
+        ``run_epoch`` alone drops a repeated child text."""
         holders: dict[Instruction, list[tuple[Candidate, int]]] = {}
         for parent in parents:
             for i, instruction in enumerate(parent.prompt.instructions):
                 holders.setdefault(instruction, []).append((parent, i))
 
-        def one(instruction: Instruction) -> Instruction:
+        def one(instruction: Instruction) -> dict[tuple[int, int], Prompt]:
             request = ChatRequest(rephrase_meta_prompt(instruction), EXPLORE, attempt_tag=epoch, purpose="rephrase",
                                   step=epoch)
             text = Instruction(clean_completion(self.backend.complete(request)))
-            for parent, i in holders[instruction]:
-                start(parent.prompt.replace_instruction(i, text))
-            return text
+            children = {(p.id, i): p.prompt.replace_instruction(i, text) for p, i in holders[instruction]}
+            for child in children.values():
+                start(child)
+            return children
 
         return {instruction: self.executor.submit(one, instruction) for instruction in holders}
 
     def rephrase(self, parent: Candidate, rephrasings: dict[Instruction, Future]) -> list[Prompt]:
-        """Children differing from the parent at exactly one position,
-        collected from the ``rephrasings`` that ``run_epoch`` started with
-        ``_submit_rephrasings``; it sends no request of its own. A failed
-        request or empty answer drops only its own child."""
+        """The parent's children, in position order, collected from the
+        ``rephrasings`` that ``run_epoch`` started with ``_submit_rephrasings``;
+        it sends no request and drops no repeated text. A failed request or
+        empty answer drops only its own child."""
         children = []
-        parent_text = parent.prompt.text()
         for i, instruction in enumerate(parent.prompt.instructions):
             try:
-                text = rephrasings[instruction].result()
+                children.append(rephrasings[instruction].result()[parent.id, i])
             except (GatewayError, PromptError) as exc:
                 log.warning("rephrase failed for candidate %d position %d: %s", parent.id, i, exc)
-                continue
-            child = parent.prompt.replace_instruction(i, text)
-            if child.text() == parent_text:
-                continue
-            children.append(child)
         return children
 
     def permute(self, parent: Candidate, epoch: int) -> Prompt | None:
@@ -306,11 +302,12 @@ class PromptOptimizer:
         parent's improve window and permute child. Then it starts one
         rephrase request per distinct instruction among the parents, and
         per parent a task that waits for its window and sends its improve
-        samples in tag order. Each child's dev scoring is queued as soon as
-        the child is known, once per text. Children are proposed, gathered,
+        samples in tag order. Each child's dev scoring is queued where the
+        child is made, once per text. Children are proposed, gathered,
         numbered and admitted in proposal order, parent by parent, which
-        none of this changes. ``backend_calls`` counts the epoch's score,
-        improve and rephrase requests, every one of which has finished."""
+        none of this changes; proposing alone drops a child whose text is a
+        pool member's or an earlier proposal's. ``backend_calls`` counts the
+        epoch's score, improve and rephrase requests, all of them finished."""
         parents = sorted(pool, key=lambda c: c.id)
         pool_texts = {c.prompt.text() for c in pool}
         scorings: dict[str, list[Future]] = {}  # dev scoring by child text
@@ -340,7 +337,6 @@ class PromptOptimizer:
             text = prompt.text()
             if text not in seen:
                 seen.add(text)
-                start(prompt)
                 proposals.append((prompt, op, parent, scorings[text]))
 
         for parent in parents:

@@ -307,13 +307,39 @@ def test_rephrase_with_nothing_left_drops_only_its_positions_child(toy_pairs, ca
 
 
 def test_rephrase_drops_identical_and_empty(toy_pairs):
+    """An empty rephrasing makes no child; one that repeats its instruction
+    makes the parent's twin, which the epoch drops where it proposes."""
     entries = [
-        ScriptEntry(match="Instruction:First rule.", response="First rule."),  # identical -> dropped
-        ScriptEntry(match="Instruction:Second rule.", response="   "),  # empty -> skipped
+        ScriptEntry(match="Instruction:First rule.", response="First rule."),  # the parent's twin
+        ScriptEntry(match="Instruction:Second rule.", response="   "),  # empty: no child
     ]
     engine = _engine(toy_pairs, rewrite_backend(entries))
     parent = _seed_candidate(engine, _prompt("First rule.", "Second rule."))
     assert _epoch_children(engine, parent, "rephrase") == []
+
+
+def test_epoch_scores_each_new_child_text_once(toy_pairs):
+    """Two improve samples propose one instruction and a rephrasing echoes
+    its instruction: the epoch scores the improve child once, and neither
+    scores nor records the parent's twin."""
+    parent = _prompt("First rule.", "Second rule.")
+    entries = [
+        ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>Added rule.</new_instruction>"),
+        ScriptEntry(match="Instruction:First rule.", mode="echo_instruction"),
+        ScriptEntry(match="Instruction:Second rule.", response="Rewritten second."),
+    ]
+    engine = _engine(toy_pairs, rewrite_backend(entries), improve_samples=2)
+    engine.run_epoch([engine.score_seed(parent)], 1)
+    children = [c["prompt"]["instructions"] for c in engine.history[-1]["candidates"]]
+    assert children == [
+        ["First rule.", "Second rule.", "Added rule."],
+        ["First rule.", "Rewritten second."],
+        ["Second rule.", "First rule."],
+    ]
+    assert parent.instruction_texts() not in children
+    window = min(len(engine.train), 2 * engine.cfg.improve_batch)
+    assert engine.backend.calls["improve", 1] == 2
+    assert engine.backend.calls["score", 1] == len(children) * len(engine.dev_eval) + window
 
 
 def test_rephrase_echo_backend_produces_no_children(toy_pairs):

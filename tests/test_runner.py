@@ -817,8 +817,9 @@ def test_final_report_queues_all_six_scorings_before_waiting(tmp_path, monkeypat
     assert _optimize(paths, extra=("--dev-subsample", "4")) == 0
     report = json.loads((paths["runs"] / "r1" / "final_report.json").read_text(encoding="utf-8"))
     assert len(report["top5"]) == 5
-    # the top five on the 4-pair subsample, then the best on the 8-pair dev set
-    assert events == [4] * 5 + [8] + ["gather"] * 6
+    # the best on the 8-pair dev set, half of whose requests the search
+    # never sent, then the top five on the 4-pair subsample
+    assert events == [8] + [4] * 5 + ["gather"] * 6
 
 
 def _gec_m2_workspace(root: Path) -> dict[str, Path]:
