@@ -95,36 +95,33 @@ def _build_backend(args: argparse.Namespace, cfg: RunConfig, run: RunDir | None)
 
 
 @contextlib.contextmanager
-def _executor(args: argparse.Namespace) -> Iterator[ThreadPoolExecutor]:
-    """The command's pool of ``--workers`` threads, shut down when the
-    command ends. It sends every inference request, and every request of
-    an ``optimize`` epoch: the epoch's improve and rephrase requests too.
-    An epoch queues its scorings and its improve and rephrase tasks up
-    front, so a command that fails or is interrupted cancels the queued
-    requests instead of sending them."""
-    pool = ThreadPoolExecutor(max_workers=args.workers, thread_name_prefix="apio-infer")
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-@contextlib.contextmanager
 def _open_run(
-    args: argparse.Namespace, cfg: RunConfig, run: RunDir, overwrite: bool
+    args: argparse.Namespace, cfg: RunConfig, run: RunDir | None = None, overwrite: bool = False
 ) -> Iterator[tuple[Backend, ThreadPoolExecutor]]:
-    """Build the backend, then make ``run`` (its state is kept unless
+    """The session of every command that sends requests: build the
+    backend, then, given a ``run``, make it (its state is kept unless
     ``overwrite``) and hold its lock, and yield the backend and the
-    ``--workers`` pool. A usage error of the backend leaves no run."""
+    command's pool of ``--workers`` threads. A usage error of the backend
+    leaves no run.
+
+    The pool sends every inference request, and every request of an
+    ``optimize`` epoch: the epoch's improve and rephrase requests too. An
+    epoch queues its scorings and its improve and rephrase tasks up front,
+    so a command that fails or is interrupted cancels the queued requests
+    instead of sending them."""
     backend = _build_backend(args, cfg, run)
     with contextlib.ExitStack() as stack:
         # undone in reverse: the pool shuts down, the backend closes, the lock goes
-        stack.callback(run.release_lock)
+        if run is not None:
+            stack.callback(run.release_lock)
         stack.callback(backend.close)
-        if run.state_path.exists() and not overwrite:
-            raise ConfigurationError(f"run {run.run_id!r} already exists at {run.path}; --force overwrites it")
-        run.acquire_lock()
-        yield backend, stack.enter_context(_executor(args))
+        if run is not None:
+            if run.state_path.exists() and not overwrite:
+                raise ConfigurationError(f"run {run.run_id!r} already exists at {run.path}; --force overwrites it")
+            run.acquire_lock()
+        pool = ThreadPoolExecutor(max_workers=args.workers, thread_name_prefix="apio-infer")
+        stack.callback(pool.shutdown, cancel_futures=True)
+        yield backend, pool
 
 
 def _backend_state(args: argparse.Namespace) -> BackendState:
@@ -164,12 +161,13 @@ def _read_prompt(path: str | Path) -> Prompt:
 
 def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str], str], output: Path) -> int:
     """Infer each line of ``--input``, rendered into a prompt by ``render``,
-    on the ``--workers`` pool, and write the outputs to ``output`` in
-    input order. Empty lines pass through untouched; every other distinct line
-    is one request, and each copy of a line whose request fails becomes
-    ``<FAILED>``, which exits 1."""
+    and write the outputs to ``output`` in input order, one line each. The
+    input is read first; then ``_open_run``, given no run, builds the
+    backend and the ``--workers`` pool. Empty lines pass through untouched; every
+    other distinct line is one request, whose postprocessed answer has its
+    line breaks made spaces, and each copy of a line whose request fails
+    becomes ``<FAILED>``, which exits 1."""
     lines = read_lines(args.input)
-    backend = _build_backend(args, cfg, None)
 
     def one(line: str) -> str:
         if not line.strip():
@@ -181,7 +179,7 @@ def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str]
             return FAILED_PLACEHOLDER
 
     distinct = list(dict.fromkeys(lines))
-    with contextlib.closing(backend), _executor(args) as pool:
+    with _open_run(args, cfg) as (backend, pool):
         answers = dict(zip(distinct, pool.map(one, distinct)))
     outputs = [answers[line] for line in lines]
     write_text(output, "".join(f"{line}\n" for line in outputs))

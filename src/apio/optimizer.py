@@ -109,7 +109,9 @@ def select_dev_subsample(dev: Sequence[SamplePair], cfg: OptimizerConfig, seed: 
 class PromptOptimizer:
     """Holds the search context and runs one beam step per ``run_epoch``,
     which starts every request of the epoch in ``executor``. ``improve``
-    and ``rephrase`` only collect the children of the requests it started."""
+    and ``rephrase`` only collect the children of the requests it started.
+    ``score_seed`` and ``run_epoch`` make every ``Candidate`` through
+    ``_candidate``, which numbers them from ``next_id``."""
 
     def __init__(
         self,
@@ -133,13 +135,6 @@ class PromptOptimizer:
         self.history: list[dict] = []
         self.next_id = 0
         self.dev_eval = select_dev_subsample(self.dev, self.cfg, seed)
-
-    # -- plumbing -----------------------------------------------------------
-
-    def _take_id(self) -> int:
-        out = self.next_id
-        self.next_id += 1
-        return out
 
     # -- fitness ------------------------------------------------------------
 
@@ -283,18 +278,21 @@ class PromptOptimizer:
 
     # -- epoch loop ----------------------------------------------------------
 
+    def _candidate(
+        self, prompt: Prompt, parent: Candidate | None, operator: str, epoch: int, scoring: list[Future]
+    ) -> Candidate:
+        """The candidate of ``prompt`` scored by ``fitness`` from ``scoring``,
+        numbered with the next id only once its scoring succeeds, so a
+        child whose scoring fails uses up no id."""
+        parent_prompt, parent_id = (None, None) if parent is None else (parent.prompt, parent.id)
+        fit, raw, drift = self.fitness(prompt, parent_prompt, scoring)
+        self.next_id += 1
+        return Candidate(self.next_id - 1, prompt, fit, raw, drift, parent_id, operator, epoch)
+
     def score_seed(self, prompt: Prompt) -> Candidate:
-        fit, raw, drift = self.fitness(prompt, None, self.submit_fitness(prompt, 0))
-        return Candidate(
-            id=self._take_id(),
-            prompt=prompt,
-            fitness=fit,
-            raw_error=raw,
-            drift_penalty=drift,
-            parent_id=None,
-            operator="init",
-            epoch=0,
-        )
+        """The seed prompt as the epoch-0 candidate, of operator ``init``,
+        scored on the fixed dev subsample with no drift penalty."""
+        return self._candidate(prompt, None, "init", 0, self.submit_fitness(prompt, 0))
 
     def run_epoch(self, pool: list[Candidate], epoch: int) -> list[Candidate]:
         """One beam step, whose requests all go out on ``executor``. It
@@ -350,22 +348,9 @@ class PromptOptimizer:
         scored: list[Candidate] = []
         for prompt, op, parent, scoring in proposals:
             try:
-                fit, raw, drift = self.fitness(prompt, parent.prompt, scoring)
+                scored.append(self._candidate(prompt, parent, op, epoch, scoring))
             except GatewayError as exc:
                 log.warning("scoring failed for %s child of %d: %s", op, parent.id, exc)
-                continue
-            scored.append(
-                Candidate(
-                    id=self._take_id(),
-                    prompt=prompt,
-                    fitness=fit,
-                    raw_error=raw,
-                    drift_penalty=drift,
-                    parent_id=parent.id,
-                    operator=op,
-                    epoch=epoch,
-                )
-            )
         if not scored:
             log.warning("epoch %d produced no successful candidates; pool unchanged", epoch)
         merged = sorted(pool + scored, key=rank_key)

@@ -33,8 +33,8 @@ class Instruction(str):
             return text
         if not isinstance(text, str) or not text.strip():
             raise PromptError("instruction text must be a non-empty string")
-        if "\n" in text:
-            raise PromptError("instruction text must not contain newlines")
+        if "\n" in text or "\r" in text:
+            raise PromptError("instruction text must not contain line breaks")
         if len(re.findall(r"[.!?](?:\s|$)", text)) > 2:
             log.warning("instruction exceeds the two-sentence target: %r", text)
         return super().__new__(cls, text)
@@ -231,9 +231,9 @@ def parse_new_instruction(completion: str) -> str:
 
 
 def postprocess_output(text: str) -> str:
-    """Normalize an inference completion: trim whitespace, keep text up to
-    the first blank line."""
-    s = text.strip()
+    r"""Normalize an inference completion: make each ``\r\n`` or ``\r`` a
+    ``\n``, trim whitespace, keep text up to the first blank line."""
+    s = re.sub(r"\r\n?", "\n", text).strip()
     cut = s.find("\n\n")
     if cut != -1:
         s = s[:cut].strip()
@@ -250,15 +250,16 @@ _LABEL_RE = re.compile(r"^(?:new |updated )?instruction\s*:\s*", re.IGNORECASE)
 
 
 def clean_completion(text: str) -> str:
-    """The one line of instruction text in an LLM's answer: the induce,
+    r"""The one line of instruction text in an LLM's answer: the induce,
     improve and rephrase answers alike.
 
-    Newlines collapse to single spaces, then these decorations are
-    stripped until stable: surrounding whitespace, matching quote pairs,
-    leading bullet markers, and leading "Instruction:"-style echoes.
+    Line breaks (``\n``, ``\r\n`` or ``\r``) collapse to single spaces,
+    then these decorations are stripped until stable: surrounding
+    whitespace, matching quote pairs, leading bullet markers, and leading
+    "Instruction:"-style echoes.
     Raises ``PromptError`` when nothing is left.
     """
-    s = re.sub(r"\s*\n+\s*", " ", text.strip())
+    s = re.sub(r"\s*[\r\n]+\s*", " ", text.strip())
     while True:
         before = s
         s = s.strip()

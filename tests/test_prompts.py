@@ -111,6 +111,8 @@ def test_instruction_invariants():
         Instruction("")
     with pytest.raises(PromptError):
         Instruction("two\nlines")
+    with pytest.raises(PromptError, match="line breaks"):
+        Instruction("two\rlines")  # a prompt file read back would split it
 
 
 def test_instruction_over_two_sentences_logged_not_rejected(caplog):
@@ -213,6 +215,7 @@ def test_clean_completion_collapse_newlines():
     assert clean_completion("a\nb") == "a b"
     assert clean_completion("a\n\n  b") == "a b"
     assert clean_completion('"Fix it\r\n  now."') == "Fix it now."
+    assert clean_completion("Keep the verb.\rKeep the rest.") == "Keep the verb. Keep the rest."
 
 
 @pytest.mark.parametrize("raw", ["", "  \n ", '""', '"\n"', "'* '", "Instruction:", "'- '"])
@@ -225,3 +228,7 @@ def test_postprocess_output():
     assert postprocess_output("  fixed text \n") == "fixed text"
     assert postprocess_output("first paragraph\n\nsecond paragraph") == "first paragraph"
     assert postprocess_output("keep\nsingle newline") == "keep\nsingle newline"
+    # \r\n and a bare \r break lines as \n does
+    assert postprocess_output("Fixed.\r\n\r\nExplanation") == "Fixed."
+    assert postprocess_output("Fixed.\r\rExplanation") == "Fixed."
+    assert postprocess_output("one\r\ntwo\rthree") == "one\ntwo\nthree"

@@ -532,6 +532,18 @@ def test_optimize_reaches_planted_optimum(tmp_path, no_network):
     assert no_network["n"] == 0
 
 
+def test_an_induced_instruction_with_a_carriage_return_stays_one_bullet(tmp_path):
+    # a bare \r would split the bullet once prompt.txt is read back
+    paths = make_workspace(tmp_path, n_epochs=1, beam_b=4)
+    entries = script_entries()
+    entries[0]["response"] = "Keep the verb.\rKeep the rest."
+    paths["script"].write_text(json.dumps(entries), encoding="utf-8")
+    assert _induce(paths) == 0
+    prompt = (paths["runs"] / "r1" / "prompt.txt").read_text(encoding="utf-8")
+    assert prompt.count("* Keep the verb. Keep the rest.\n") == 2
+    assert _optimize(paths) == 0
+
+
 def test_optimize_requires_prompt_or_induced_run(tmp_path):
     paths = make_workspace(tmp_path)
     assert _optimize(paths, run_id="fresh") == 2
@@ -738,6 +750,10 @@ def test_failed_child_scoring_drops_only_that_child(tmp_path, monkeypatch, caplo
     assert epoch_one(history) == [c for c in clean if failing not in c]
     assert len(epoch_one(history)) == len(clean) - 1
     assert "scoring failed for improve child of 0" in caplog.text
+    # the dropped child used up no id: the seed is 0 and the children follow it
+    ids = [c["id"] for epoch in json.loads(history)["epochs"] for c in epoch["candidates"]]
+    next_id = json.loads((tmp_path / "one" / "runs" / "r1" / "state.json").read_text())["next_id"]
+    assert ids == list(range(1, next_id))
 
 
 def test_interrupted_epoch_cancels_queued_scoring(tmp_path, monkeypatch):
@@ -1213,6 +1229,23 @@ def test_infer_joins_a_multi_line_answer_into_one_output_line(tmp_path):
     assert main(["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out),
                  "--script", str(script)]) == 0
     assert out.read_text(encoding="utf-8") == "one two\n"
+
+
+def test_crlf_answers_infer_one_line_each_and_evaluate(tmp_path):
+    prompt, source, script, out = (tmp_path / name for name in ("p.txt", "in.txt", "s.json", "out.txt"))
+    gold, report = tmp_path / "gold.jsonl", tmp_path / "report.json"
+    _write_prompt(prompt)
+    source.write_text("a foo\nb foo\n", encoding="utf-8")
+    script.write_text(json.dumps([{"match": "Input: a foo", "response": "Fixed.\r\n\r\nExplanation"},
+                                  {"match": "Input: b foo", "response": "one\rtwo"}]))
+    assert main(["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out),
+                 "--script", str(script)]) == 0
+    assert out.read_bytes() == b"Fixed.\none two\n"
+    gold.write_text('{"source": "a foo", "references": ["Fixed."]}\n{"source": "b foo", "references": ["one"]}\n',
+                    encoding="utf-8")
+    assert main(["evaluate", "--task", "generic", "--predictions", str(out), "--gold", str(gold),
+                 "--output", str(report)]) == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["per_sample"] == [0, 1]
 
 
 def test_script_alone_selects_the_scripted_backend(tmp_path, no_network):
