@@ -57,11 +57,14 @@ def main() -> None:
             _time(lambda: [min_ref_levenshtein(o, batch) for o in batch]))
 
     # sanity: the bit-parallel distance agrees with the DP table, and the
-    # multi-reference distance with the nearest single one
+    # multi-reference distance with the nearest single one, whose index
+    # names a reference at that distance
     for (a, b), (ta, tb) in zip(pairs, tokens):
         assert word_levenshtein(a, b) == alignment_table(ta, tb)[-1][-1]
     for output, refs in multi:
-        assert min_ref_levenshtein(output, refs) == min(word_levenshtein(output, r) for r in refs)
+        distance, nearest = min_ref_levenshtein(output, refs)
+        assert distance == min(word_levenshtein(output, r) for r in refs)
+        assert word_levenshtein(output, refs[nearest]) == distance
     print(f"\nsanity check: {len(tokens)} distances match the DP table,"
           f" {len(multi)} nearest-reference distances match the single ones")
 

@@ -322,8 +322,8 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
                     for c in top]
     top_report = []
     for cand, scoring in zip(top, top_scorings):
-        _, _, outputs = gather_scoring(scoring)
-        score = _task_score(cfg.task, engine.dev_eval, outputs)
+        _, scored = gather_scoring(scoring)
+        score = _task_score(cfg.task, engine.dev_eval, [output for output, _, _ in scored])
         top_report.append(
             {
                 "id": cand.id,
@@ -335,7 +335,7 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
                 "task_metric": None if score is None else {"name": score[0], "value": score[1]},
             }
         )
-    full_raw, _, _ = gather_scoring(full)
+    full_raw, _ = gather_scoring(full)
     run.write_json(
         run.final_report_path,
         {
@@ -391,7 +391,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     score = _task_score(args.task, gold, predictions)
     reports = [] if score is None else [(output, *score)]
     if args.task != "simplify":  # the word distance, beside the F0.5 for gec
-        lev = [min_ref_levenshtein(o, p.references) for o, p in zip(predictions, gold)]
+        lev = [min_ref_levenshtein(o, p.references)[0] for o, p in zip(predictions, gold)]
         path = output if score is None else _levenshtein_path(output)
         reports.insert(0, (path, "word-levenshtein-min-ref", sum(lev) / len(lev), lev))
     for path, metric, aggregate, per_sample in reports:

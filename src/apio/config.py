@@ -126,8 +126,9 @@ class BackendConfig:
             raise ConfigurationError("base_url must hold no user name or password ('user:password@')")
         try:
             url = urlsplit(self.base_url)
-            valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
-        except ValueError:  # a port that is not a number from 1 to 65535
+            valid = (url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+                     and bool(url.hostname.encode("idna")))
+        except ValueError:  # a port that is not a number from 1 to 65535, or a label IDNA refuses
             valid = False
         if not valid:
             raise ConfigurationError(f"base_url must be an http(s) URL with a host, got {self.base_url!r}")

@@ -59,13 +59,14 @@ def word_levenshtein(a: str, b: str) -> int:
     return _distance(_match_masks(pattern), len(pattern), b.split())
 
 
-def min_ref_levenshtein(output: str, references: Sequence[str]) -> int:
-    """Distance from ``output`` to the closest reference."""
+def min_ref_levenshtein(output: str, references: Sequence[str]) -> tuple[int, int]:
+    """(distance, index) of the reference closest to ``output``; of
+    several at that distance, the first."""
     if not references:
         raise ValueError("references must be non-empty")
     pattern = output.split()
     masks = _match_masks(pattern)
-    return min(_distance(masks, len(pattern), ref.split()) for ref in references)
+    return min((_distance(masks, len(pattern), ref.split()), i) for i, ref in enumerate(references))
 
 
 def alignment_table(src_tokens: Sequence[str], hyp_tokens: Sequence[str]) -> list[list[int]]:

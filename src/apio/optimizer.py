@@ -67,23 +67,24 @@ def submit_scoring(
     """Start scoring ``prompt`` on ``pairs`` in ``executor``: one future
     per pair, in input order, each rendering the source, completing it
     in an INFER request of ``purpose`` and ``step``, postprocessing, and
-    taking the word distance to the nearest reference. An empty source
-    scores the empty output. Pass the result to ``gather_scoring``.
+    holding (output, nearest reference, word distance to it). An empty
+    source scores the empty output. Pass the result to ``gather_scoring``.
     """
 
-    def one(pair: SamplePair) -> tuple[str, int]:
+    def one(pair: SamplePair) -> tuple[str, str, int]:
         output = ""
         if pair.source:
             raw = backend.complete(ChatRequest(prompt.render(pair.source), INFER, purpose=purpose, step=step))
             output = postprocess_output(raw)
-        return output, min_ref_levenshtein(output, pair.references)
+        error, nearest = min_ref_levenshtein(output, pair.references)
+        return output, pair.references[nearest], error
 
     return [executor.submit(one, pair) for pair in pairs]
 
 
-def gather_scoring(scoring: list[Future]) -> tuple[float, list[int], list[str]]:
-    """Wait for a ``submit_scoring`` result and return (mean error,
-    per-pair errors, outputs) in input order; the mean over no pairs is 0.
+def gather_scoring(scoring: list[Future]) -> tuple[float, list[tuple[str, str, int]]]:
+    """Wait for a ``submit_scoring`` result and return (mean error, its
+    per-pair tuples) in input order; the mean over no pairs is 0.
 
     Every request completes before the first failure in input order is
     raised, so the calls a scoring makes do not depend on scheduling and
@@ -91,8 +92,7 @@ def gather_scoring(scoring: list[Future]) -> tuple[float, list[int], list[str]]:
     """
     wait(scoring)
     scored = [future.result() for future in scoring]
-    errors = [error for _, error in scored]
-    return sum(errors) / max(len(errors), 1), errors, [output for output, _ in scored]
+    return sum(error for _, _, error in scored) / max(len(scored), 1), scored
 
 
 def select_dev_subsample(dev: Sequence[SamplePair], cfg: OptimizerConfig, seed: int) -> list[SamplePair]:
@@ -147,7 +147,7 @@ class PromptOptimizer:
     ) -> tuple[float, float, float]:
         """(fitness, raw_error, drift_penalty) on the fixed dev subsample,
         from the ``scoring`` that ``submit_fitness(prompt)`` started."""
-        raw, _, _ = gather_scoring(scoring)
+        raw, _ = gather_scoring(scoring)
         if parent is None:
             drift = 0.0
         else:
@@ -172,14 +172,9 @@ class PromptOptimizer:
         is the nearest reference; rows keep window order for determinism.
         """
         pairs, scoring = window
-        _, errors, outputs = gather_scoring(scoring)
-        worst = sorted(range(len(pairs)), key=lambda pos: (-errors[pos], pos))
-        rows = []
-        for pos in sorted(worst[: self.cfg.improve_batch]):
-            pair, output, error = pairs[pos], outputs[pos], errors[pos]
-            gold = next(ref for ref in pair.references if word_levenshtein(output, ref) == error)
-            rows.append((pair.source, output, gold, error))
-        return rows
+        _, scored = gather_scoring(scoring)
+        worst = sorted(range(len(pairs)), key=lambda pos: (-scored[pos][2], pos))
+        return [(pairs[pos].source, *scored[pos]) for pos in sorted(worst[: self.cfg.improve_batch])]
 
     def _sample_improvements(
         self, parent: Candidate, epoch: int, window: Window, start: Callable[[Prompt], None]
@@ -303,9 +298,10 @@ class PromptOptimizer:
         samples in tag order. Each child's dev scoring is queued where the
         child is made, once per text. Children are proposed, gathered,
         numbered and admitted in proposal order, parent by parent, which
-        none of this changes; proposing alone drops a child whose text is a
-        pool member's or an earlier proposal's. ``backend_calls`` counts the
-        epoch's score, improve and rephrase requests, all of them finished."""
+        none of this changes; the proposals table keeps each new child
+        text's first proposal, so a pool member's text or a repeated one
+        drops out. ``backend_calls`` counts the epoch's score, improve and
+        rephrase requests, all of them finished."""
         parents = sorted(pool, key=lambda c: c.id)
         pool_texts = {c.prompt.text() for c in pool}
         scorings: dict[str, list[Future]] = {}  # dev scoring by child text
@@ -328,14 +324,12 @@ class PromptOptimizer:
         improvements = {p.id: self.executor.submit(self._sample_improvements, p, epoch, windows[p.id], start)
                         for p in parents}
 
-        seen = set(pool_texts)
-        proposals: list[tuple[Prompt, str, Candidate, list[Future]]] = []
+        proposals: dict[str, tuple[Prompt, str, Candidate]] = {}  # first proposal by new child text
 
         def propose(prompt: Prompt, op: str, parent: Candidate) -> None:
             text = prompt.text()
-            if text not in seen:
-                seen.add(text)
-                proposals.append((prompt, op, parent, scorings[text]))
+            if text not in pool_texts:
+                proposals.setdefault(text, (prompt, op, parent))
 
         for parent in parents:
             for child in self.improve(parent, improvements[parent.id]):
@@ -346,9 +340,9 @@ class PromptOptimizer:
                 propose(permuted[parent.id], "permute", parent)
 
         scored: list[Candidate] = []
-        for prompt, op, parent, scoring in proposals:
+        for text, (prompt, op, parent) in proposals.items():
             try:
-                scored.append(self._candidate(prompt, parent, op, epoch, scoring))
+                scored.append(self._candidate(prompt, parent, op, epoch, scorings[text]))
             except GatewayError as exc:
                 log.warning("scoring failed for %s child of %d: %s", op, parent.id, exc)
         if not scored:

@@ -79,10 +79,12 @@ def test_identity_of_indiscernibles(a, b):
 
 
 def test_min_ref_examples():
-    assert min_ref_levenshtein("a b c", ["x y", "a b c", "q"]) == 0
+    assert min_ref_levenshtein("a b c", ["x y", "a b c", "q"]) == (0, 1)
     # two hand DP tables: d(output, "a b") = 2, d(output, "a b c") = 1
-    assert min_ref_levenshtein("a b c d", ["a b", "a b c"]) == 1
-    assert min_ref_levenshtein("a b", ["x y"]) == word_levenshtein("a b", "x y")
+    assert min_ref_levenshtein("a b c d", ["a b", "a b c"]) == (1, 1)
+    assert min_ref_levenshtein("a b", ["x y"]) == (word_levenshtein("a b", "x y"), 0)
+    # every reference is one edit away: the tie goes to the first
+    assert min_ref_levenshtein("a b", ["a c", "x b", "a b c"]) == (1, 0)
 
 
 def test_min_ref_rejects_empty():
@@ -118,7 +120,7 @@ def test_long_sequences_match_dp_table(output, references):
     expected = [alignment_table(output, ref)[-1][-1] for ref in references]
     texts = [" ".join(ref) for ref in references]
     assert [word_levenshtein(" ".join(output), t) for t in texts] == expected
-    assert min_ref_levenshtein(" ".join(output), texts) == min(expected)
+    assert min_ref_levenshtein(" ".join(output), texts) == min((d, i) for i, d in enumerate(expected))
     assert pairwise_word_levenshtein([" ".join(output)], texts) == [expected]
 
 

@@ -101,14 +101,17 @@ def score_prompt(prompt, pairs, backend, executor):
 
 
 def test_score_prompt_concurrent_keeps_input_order():
-    pairs = _indexed_pairs() + [SamplePair("empty", "", ("x y",))]
+    # the empty output is 2 words from both "x y" and "w v": the first is its gold
+    pairs = _indexed_pairs() + [SamplePair("empty", "", ("x y z", "x y", "w v"))]
     sequential = score_prompt(_prompt(DECOY), pairs, SlowEchoBackend(), SEQUENTIAL)
     backend = SlowEchoBackend()
     with ThreadPoolExecutor(max_workers=8) as pool:
         concurrent = score_prompt(_prompt(DECOY), pairs, backend, pool)
     assert concurrent == sequential
-    mean, errors, outputs = concurrent
+    mean, scored = concurrent
+    outputs, golds, errors = (list(column) for column in zip(*scored))
     assert outputs == [p.source for p in pairs]
+    assert golds == [f"item {i} ok" for i in range(20)] + ["x y"]
     assert errors == [0] * 20 + [2]
     assert mean == pytest.approx(2 / 21)
     assert len(backend.threads) > 1

@@ -1178,9 +1178,11 @@ def test_dev_subsample_flag_all_overrides_a_config_count(tmp_path, capsys):
         {"base_url": "http:///v1"},
         {"base_url": "http://127.0.0.1:99999/v1"},
         {"base_url": "http://127.0.0.1:port/v1"},
+        {"base_url": "http://a..b/v1"},
+        {"base_url": f"http://{'a' * 64}.test/v1"},
     ],
     ids=["retry_max", "timeout_s", "max_tokens", "no-scheme", "ftp", "no-host", "port-out-of-range",
-         "port-not-a-number"],
+         "port-not-a-number", "empty-label", "label-over-63"],
 )
 @pytest.mark.parametrize("command", ["induce", "infer"])
 def test_invalid_backend_config_exits_2(tmp_path, command, backend, capsys):
@@ -1198,6 +1200,7 @@ def test_invalid_backend_config_exits_2(tmp_path, command, backend, capsys):
         source.write_text("a foo\n", encoding="utf-8")
         assert main(["infer", "--config", str(paths["config"]), "--prompt", str(prompt),
                      "--input", str(source), "--output", str(tmp_path / "out.txt")]) == 2
+        assert not (tmp_path / "out.txt").exists()
     assert f"backend.{next(iter(backend))}" in capsys.readouterr().err
 
 
