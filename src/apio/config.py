@@ -8,6 +8,8 @@ bound, so a section the program makes itself is not checked again.
 """
 
 import re
+import sys
+import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -26,7 +28,7 @@ from .corpus import (
 )
 from .prompts import TASK_TEMPLATES, Instruction
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
                list[str]: "a list of strings", list[int]: "a list of integers",
                tuple[Instruction, ...]: "a list of strings"}
 
@@ -38,12 +40,14 @@ def bounded(default, op: str, low: int, **metadata):
 
 def _admits(kind: type, value: object) -> bool:
     """Whether the JSON ``value`` reads as ``kind``: an int field refuses a
-    bool, a float field admits an int, a ``str`` subclass reads a string,
-    and a list or a ``tuple[X, ...]`` is a list whose items read as ``X``."""
+    bool, a float field admits a finite number, an int too if a float can
+    hold it, a ``str`` subclass reads a string, and a list or a
+    ``tuple[X, ...]`` is a list whose items read as ``X``."""
     if getattr(kind, "__origin__", None) in (list, tuple):
         return type(value) is list and all(_admits(kind.__args__[0], item) for item in value)
     if kind is float:
-        return type(value) in (int, float)
+        # JSON reads Infinity and 1e400 as inf, and NaN as nan; abs() of either is not <= max
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
     return type(value) is (str if issubclass(kind, str) else kind)
 
 
@@ -140,6 +144,8 @@ class BackendConfig:
                 "base_url must hold no whitespace or control character, and no non-ASCII one in its path"
                 f" or query, got {self.base_url!r}"
             )
+        if self.timeout_s > threading.TIMEOUT_MAX:  # socket.settimeout overflows past it
+            raise ConfigurationError(f"timeout_s must be at most {threading.TIMEOUT_MAX:.0f}, got {self.timeout_s!r}")
 
 
 # a run needs training pairs for induction and dev pairs for every fitness

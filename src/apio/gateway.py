@@ -476,18 +476,24 @@ class CachedBackend(Backend):
 
     def _store(self, key: str, text: str) -> str:
         """Store ``text`` for ``key`` unless it holds one, and return the text
-        stored first; a write that fails keeps ``text``."""
-        with self._write_lock:
-            try:
-                self._writer = self._writer or self._connect()
-                self._writer.execute("INSERT OR IGNORE INTO completions VALUES (?, ?)", (key, text))
-                row = self._writer.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
-            except (sqlite3.Error, ValueError) as exc:  # ValueError: the writer could not be opened
-                log.warning("completion cache write failed: %s", exc)
-                if self._writer is not None:  # reopened on next use, as a lookup's is
-                    self._writer.close()
-                    self._writer = None
-                return text
+        stored first; a write that fails keeps ``text``, and so does one that
+        waits out ``CACHE_BUSY_TIMEOUT_S`` behind another thread's write, so
+        that writes held up by another process do not queue up their waits."""
+        if not self._write_lock.acquire(timeout=CACHE_BUSY_TIMEOUT_S):
+            log.warning("completion cache write failed: another write held the cache for %s s", CACHE_BUSY_TIMEOUT_S)
+            return text
+        try:
+            self._writer = self._writer or self._connect()
+            self._writer.execute("INSERT OR IGNORE INTO completions VALUES (?, ?)", (key, text))
+            row = self._writer.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
+        except (sqlite3.Error, ValueError) as exc:  # ValueError: the writer could not be opened
+            log.warning("completion cache write failed: %s", exc)
+            if self._writer is not None:  # reopened on next use, as a lookup's is
+                self._writer.close()
+                self._writer = None
+            return text
+        finally:
+            self._write_lock.release()
         return row[0] if row else text
 
     def _complete(self, request: ChatRequest) -> str:

@@ -35,10 +35,6 @@ from .seeding import derived_rng
 
 log = logging.getLogger(__name__)
 
-# a train window and the futures of its scoring under one parent
-Window = tuple[list[SamplePair], list[Future]]
-
-
 @dataclass
 class Candidate:
     id: int
@@ -157,35 +153,33 @@ class PromptOptimizer:
 
     # -- operators ----------------------------------------------------------
 
-    def _submit_window(self, parent: Candidate, epoch: int) -> Window:
-        """Start scoring the parent on its seeded train window, which
-        depends only on (seed, epoch, parent id, parent prompt)."""
+    def _submit_improvements(self, parent: Candidate, epoch: int, start: Callable[[Prompt], None]) -> Future:
+        """Start the parent's improve samples in ``executor``: first the
+        scoring of its seeded train window, which depends only on (seed,
+        epoch, parent id, parent prompt), then the ``_sample_improvements``
+        task that reads it. The task is queued behind every request it
+        waits on, so no pool thread waits on a request queued behind it."""
         window_size = min(len(self.train), 2 * self.cfg.improve_batch)
         rng = derived_rng(self.seed, "improve-batch", epoch, parent.id)
         pairs = [self.train[idx] for idx in rng.sample(range(len(self.train)), window_size)]
-        return pairs, submit_scoring(parent.prompt, pairs, self.backend, self.executor, epoch)
-
-    def _improve_examples(self, window: Window) -> list[tuple[str, str, str, int]]:
-        """The rows of a ``_submit_window`` scoring with the worst errors.
-
-        Returns improve_batch (input, output, gold, error) rows where gold
-        is the nearest reference; rows keep window order for determinism.
-        """
-        pairs, scoring = window
-        _, scored = gather_scoring(scoring)
-        worst = sorted(range(len(pairs)), key=lambda pos: (-scored[pos][2], pos))
-        return [(pairs[pos].source, *scored[pos]) for pos in sorted(worst[: self.cfg.improve_batch])]
+        scoring = submit_scoring(parent.prompt, pairs, self.backend, self.executor, epoch)
+        return self.executor.submit(self._sample_improvements, parent, epoch, pairs, scoring, start)
 
     def _sample_improvements(
-        self, parent: Candidate, epoch: int, window: Window, start: Callable[[Prompt], None]
+        self, parent: Candidate, epoch: int, pairs: list[SamplePair], scoring: list[Future],
+        start: Callable[[Prompt], None],
     ) -> list[Prompt | Exception]:
         """Each improve sample of the parent: the child that its proposed
         instruction makes, passed to ``start`` once known, or the error
-        that dropped it. A window that failed to score raises. The samples
-        share one request body, so they go out one at a time in tag order.
-        Run it in ``executor`` after the window's requests are queued, so
-        that no pool thread waits on a request queued behind it."""
-        meta = improve_meta_prompt(self.template, parent.prompt.instruction_texts(), self._improve_examples(window))
+        that dropped it. The meta prompt shows the improve_batch rows of
+        the window ``scoring`` with the worst errors, as (input, output,
+        nearest reference, error) in window order; a window that failed to
+        score raises. The samples share one request body, so they go out
+        one at a time in tag order."""
+        _, scored = gather_scoring(scoring)
+        worst = sorted(range(len(pairs)), key=lambda pos: (-scored[pos][2], pos))
+        examples = [(pairs[pos].source, *scored[pos]) for pos in sorted(worst[: self.cfg.improve_batch])]
+        meta = improve_meta_prompt(self.template, parent.prompt.instruction_texts(), examples)
         samples: list[Prompt | Exception] = []
         for s in range(self.cfg.improve_samples):
             tag = epoch * self.cfg.improve_samples + s
@@ -202,7 +196,8 @@ class PromptOptimizer:
     def improve(self, parent: Candidate, samples: Future) -> list[Prompt]:
         """Children extending the parent by one proposed instruction,
         collected from the ``samples`` of the ``_sample_improvements`` task
-        that ``run_epoch`` started; it sends no request of its own."""
+        that ``run_epoch`` started with ``_submit_improvements``; it sends no
+        request of its own."""
         try:
             outcomes = samples.result()
         except GatewayError as exc:
@@ -290,18 +285,17 @@ class PromptOptimizer:
         return self._candidate(prompt, None, "init", 0, self.submit_fitness(prompt, 0))
 
     def run_epoch(self, pool: list[Candidate], epoch: int) -> list[Candidate]:
-        """One beam step, whose requests all go out on ``executor``. It
-        first queues, parent by parent in id order, the scoring of each
-        parent's improve window and permute child. Then it starts one
-        rephrase request per distinct instruction among the parents, and
-        per parent a task that waits for its window and sends its improve
-        samples in tag order. Each child's dev scoring is queued where the
-        child is made, once per text. Children are proposed, gathered,
-        numbered and admitted in proposal order, parent by parent, which
-        none of this changes; the proposals table keeps each new child
-        text's first proposal, so a pool member's text or a repeated one
-        drops out. ``backend_calls`` counts the epoch's score, improve and
-        rephrase requests, all of them finished."""
+        """One beam step, whose requests all go out on ``executor``. In
+        one pass over the parents in id order, it queues each parent's
+        improve window and improve task (``_submit_improvements``), then
+        its permute child's scoring. Then it starts one rephrase request
+        per distinct instruction among the parents. Each child's dev
+        scoring is queued where the child is made, once per text. Children
+        are proposed, gathered, numbered and admitted in proposal order,
+        parent by parent, which none of this changes; the proposals table
+        keeps each new child text's first proposal, so a pool member's
+        text or a repeated one drops out. ``backend_calls`` counts the
+        epoch's score, improve and rephrase requests, all of them finished."""
         parents = sorted(pool, key=lambda c: c.id)
         pool_texts = {c.prompt.text() for c in pool}
         scorings: dict[str, list[Future]] = {}  # dev scoring by child text
@@ -313,16 +307,14 @@ class PromptOptimizer:
                 if text not in pool_texts and text not in scorings:
                     scorings[text] = self.submit_fitness(child, epoch)
 
-        windows: dict[int, Window] = {}
-        permuted: dict[int, Prompt | None] = {}
+        expansions: list[tuple[Candidate, Future, Prompt | None]] = []  # (parent, samples, permuted)
         for parent in parents:
-            windows[parent.id] = self._submit_window(parent, epoch)
-            child = permuted[parent.id] = self.permute(parent, epoch)
-            if child is not None:
-                start(child)
+            samples = self._submit_improvements(parent, epoch, start)
+            permuted = self.permute(parent, epoch)
+            if permuted is not None:
+                start(permuted)
+            expansions.append((parent, samples, permuted))
         rephrasings = self._submit_rephrasings(parents, epoch, start)
-        improvements = {p.id: self.executor.submit(self._sample_improvements, p, epoch, windows[p.id], start)
-                        for p in parents}
 
         proposals: dict[str, tuple[Prompt, str, Candidate]] = {}  # first proposal by new child text
 
@@ -331,13 +323,13 @@ class PromptOptimizer:
             if text not in pool_texts:
                 proposals.setdefault(text, (prompt, op, parent))
 
-        for parent in parents:
-            for child in self.improve(parent, improvements[parent.id]):
+        for parent, samples, permuted in expansions:
+            for child in self.improve(parent, samples):
                 propose(child, "improve", parent)
             for child in self.rephrase(parent, rephrasings):
                 propose(child, "rephrase", parent)
-            if permuted[parent.id] is not None:
-                propose(permuted[parent.id], "permute", parent)
+            if permuted is not None:
+                propose(permuted, "permute", parent)
 
         scored: list[Candidate] = []
         for text, (prompt, op, parent) in proposals.items():

@@ -453,6 +453,36 @@ def test_a_write_waiting_for_the_lock_does_not_stall_lookups(tmp_path, monkeypat
     assert "completion cache write failed: database is locked" in caplog.text
 
 
+def test_misses_behind_a_locked_cache_do_not_wait_out_the_timeout_one_after_another(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(gateway, "CACHE_BUSY_TIMEOUT_S", 0.2)
+    backend = CachedBackend(CountingBackend(), tmp_path / "c")
+    n_threads = 16
+    barrier = threading.Barrier(n_threads + 1)
+    answers = {}
+
+    def miss(i):
+        barrier.wait(timeout=10)
+        answers[i] = backend.complete(ChatRequest(f"new {i}", INFER))
+
+    with contextlib.closing(sqlite3.connect(backend.cache_dir / "completions.sqlite3", isolation_level=None)) as db:
+        db.execute("BEGIN IMMEDIATE")  # another process's write lock
+        threads = [threading.Thread(target=miss, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        barrier.wait(timeout=10)
+        start = time.monotonic()
+        for t in threads:
+            t.join(timeout=30)
+        elapsed = time.monotonic() - start
+        db.execute("ROLLBACK")
+    backend.close()
+    assert not any(t.is_alive() for t in threads)
+    # one after another, the 16 waits would take 16 x 0.2 s
+    assert elapsed < 1.6
+    assert answers == {i: "pong" for i in range(n_threads)}
+    assert "completion cache write failed: " in caplog.text
+
+
 # -- openai-compatible http ----------------------------------------------------
 
 

@@ -658,7 +658,7 @@ def _rendered(prompt: Prompt) -> str:
     return prompt.render("x").split("\nInput: ")[0]
 
 
-def test_run_epoch_submits_windows_and_permute_children_before_exploring(toy_pairs):
+def test_run_epoch_queues_each_parents_window_improve_task_and_permute_child_in_turn(toy_pairs):
     def engine_for(executor):
         backend = RecordingBackend(ScriptedBackend([ScriptEntry(**e) for e in script_entries()]))
         cfg = OptimizerConfig(beam_b=6, improve_samples=3, improve_batch=2, dev_subsample=3)
@@ -670,19 +670,28 @@ def test_run_epoch_submits_windows_and_permute_children_before_exploring(toy_pai
     start = len(engine.backend.requests)
     engine.run_epoch(pool, 2)
     calls = engine.backend.requests[start:]
-    first_explore = next(i for i, c in enumerate(calls) if c.profile == EXPLORE)
+    prompts = [_prompt_of(c) for c in calls]
+    parents = sorted(pool, key=lambda c: c.id)
+    pool_texts = {c.prompt.text() for c in pool}
 
-    # per parent in id order: its window (2 x improve_batch train pairs),
-    # then its permute child's dev subsample unless the text is not new
-    expected, seen = [], {c.prompt.text() for c in pool}
-    for parent in sorted(pool, key=lambda c: c.id):
-        expected += [_rendered(parent.prompt)] * 4
+    # each parent's turn opens with its window (2 x improve_batch train
+    # pairs) and ends where the next parent's window or the rephrasing starts
+    bounds = [prompts.index(_rendered(p.prompt)) for p in parents]
+    bounds.append(next(i for i, c in enumerate(calls) if c.purpose == "rephrase"))
+    assert bounds == sorted(bounds)
+    improve_calls = 0
+    for parent, lo, hi in zip(parents, bounds, bounds[1:]):
+        turn = calls[lo:hi]
+        assert prompts[lo:lo + 4] == [_rendered(parent.prompt)] * 4
+        improves = [i for i, c in enumerate(turn) if c.purpose == "improve"]
+        assert improves[0] == 4
+        improve_calls += len(improves)
+        # its permute child, when the text is new, is scored on the dev
+        # subsample after the window and before the next parent's window
         child = engine.permute(parent, 2)
-        if child is not None and child.text() not in seen:
-            seen.add(child.text())
-            expected += [_rendered(child)] * 3
-    assert [_prompt_of(c) for c in calls[:first_explore]] == expected
-    assert any(c.profile == INFER for c in calls[first_explore:])
+        if child is not None and child.text() not in pool_texts and _rendered(child) not in prompts[:lo]:
+            assert prompts[lo + 4:hi].count(_rendered(child)) == 3
+    assert improve_calls == sum(c.purpose == "improve" for c in calls)
 
     # submitting early changes no result
     reference = engine_for(SEQUENTIAL)

@@ -939,6 +939,7 @@ MALFORMED_CONFIG_VALUES = [
     ("optimizer.beam_b", "2"),
     ("induction.n_trials", "2"),
     ("optimizer.lambda", "x"),
+    ("optimizer.lambda", float("inf")),
     ("backend.retry_max", "3"),
     ("optimizer.beam_b", 2.5),
     ("optimizer.improve_batch", 1.5),
@@ -980,6 +981,13 @@ def test_check_fields_evaluates_postponed_annotations():
         from_object(_Postponed, {"count": "3"})
     with pytest.raises(ConfigurationError, match="^s.label must be a string or null, got 5$"):
         from_object(_Postponed, {"count": 3, "label": 5}, "s")
+
+
+def test_number_field_refuses_what_no_float_holds():
+    for value in (float("inf"), float("-inf"), float("nan"), 10**400):
+        with pytest.raises(ConfigurationError, match="^lambda must be a finite number >= 0, got "):
+            from_object(OptimizerConfig, {"lambda": value})
+    assert from_object(OptimizerConfig, {"lambda": 10**300}).drift_weight == 10**300
 
 
 def test_unknown_key_or_non_object_config_exits_2(tmp_path, capsys):
@@ -1172,6 +1180,8 @@ def test_dev_subsample_flag_all_overrides_a_config_count(tmp_path, capsys):
     [
         {"retry_max": -1},
         {"timeout_s": 0},
+        {"timeout_s": 1e10},
+        {"timeout_s": float("inf")},
         {"max_tokens": 0},
         {"base_url": "api.openai.com/v1"},
         {"base_url": "ftp://llm.test/v1"},
@@ -1181,7 +1191,7 @@ def test_dev_subsample_flag_all_overrides_a_config_count(tmp_path, capsys):
         {"base_url": "http://a..b/v1"},
         {"base_url": f"http://{'a' * 64}.test/v1"},
     ],
-    ids=["retry_max", "timeout_s", "max_tokens", "no-scheme", "ftp", "no-host", "port-out-of-range",
+    ids=["retry_max", "timeout_s", "timeout_s-past-TIMEOUT_MAX", "timeout_s-Infinity", "max_tokens", "no-scheme", "ftp", "no-host", "port-out-of-range",
          "port-not-a-number", "empty-label", "label-over-63"],
 )
 @pytest.mark.parametrize("command", ["induce", "infer"])
