@@ -416,6 +416,9 @@ class CachedBackend(Backend):
     ``<cache_dir>/completions.sqlite3``, that processes can share. A request is looked
     up, and on a miss sent to the inner backend and stored. An entry is never replaced, so
     identical misses that overlap each send a request, and all get the first text stored.
+    Lookups and writes each run on a connection of their own through ``_execute``, the one
+    recovery path: a failed statement closes only its own connection, which its next use
+    reopens, so a failed lookup is a miss and a failed write keeps its text.
     The cache hits number ``calls.total() - inner.calls.total()``."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path) -> None:
@@ -461,43 +464,39 @@ class CachedBackend(Backend):
             self._db = self._writer = None
         self.inner.close()
 
-    def _lookup(self, key: str) -> str | None:
-        """The text stored for ``key``; a lookup that fails is a miss. Hold ``_lock``."""
+    def _execute(self, db: sqlite3.Connection | None, step: str, *statements: tuple) -> tuple:
+        """Run ``statements``, each (SQL, parameters), on ``db``, opened first
+        when None, and return it with the last one's row. A failure is logged
+        as a failed ``step`` and closes ``db``, which its next use reopens,
+        making a dropped table again; it returns (None, None)."""
         try:
-            self._db = self._db or self._connect()
-            row = self._db.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
+            db = db or self._connect()
+            for sql, parameters in statements:
+                cursor = db.execute(sql, parameters)
+            return db, cursor.fetchone()
         except (sqlite3.Error, ValueError) as exc:  # ValueError: the connection could not be opened
-            log.warning("completion cache lookup failed: %s", exc)
-            if self._db is not None:  # reopened on next use, which makes a dropped table again
-                self._db.close()
-                self._db = None
-            return None
-        return row[0] if row else None
+            log.warning("completion cache %s failed: %s", step, exc)
+            if db is not None:
+                db.close()
+            return None, None
 
-    def _store(self, key: str, text: str) -> str:
-        """Store ``text`` for ``key`` unless it holds one, and return the text
-        stored first; a write that fails keeps ``text``, and so does one that
-        waits out ``CACHE_BUSY_TIMEOUT_S`` behind another thread's write, so
-        that writes held up by another process do not queue up their waits."""
+    def _complete(self, request: ChatRequest) -> str:
+        key = request_key(request, self.inner.model, self.inner.max_tokens)
+        select = ("SELECT response_text FROM completions WHERE key = ?", (key,))
+        with self._lock:
+            self._db, row = self._execute(self._db, "lookup", select)
+        if row is not None:
+            return row[0]
+        text = self.inner.complete(request)
+        # a write that waits out CACHE_BUSY_TIMEOUT_S behind another thread's
+        # write keeps its text, so that writes held up by another process do
+        # not queue up their waits
         if not self._write_lock.acquire(timeout=CACHE_BUSY_TIMEOUT_S):
             log.warning("completion cache write failed: another write held the cache for %s s", CACHE_BUSY_TIMEOUT_S)
             return text
         try:
-            self._writer = self._writer or self._connect()
-            self._writer.execute("INSERT OR IGNORE INTO completions VALUES (?, ?)", (key, text))
-            row = self._writer.execute("SELECT response_text FROM completions WHERE key = ?", (key,)).fetchone()
-        except (sqlite3.Error, ValueError) as exc:  # ValueError: the writer could not be opened
-            log.warning("completion cache write failed: %s", exc)
-            if self._writer is not None:  # reopened on next use, as a lookup's is
-                self._writer.close()
-                self._writer = None
-            return text
+            insert = ("INSERT OR IGNORE INTO completions VALUES (?, ?)", (key, text))
+            self._writer, row = self._execute(self._writer, "write", insert, select)
         finally:
             self._write_lock.release()
         return row[0] if row else text
-
-    def _complete(self, request: ChatRequest) -> str:
-        key = request_key(request, self.inner.model, self.inner.max_tokens)
-        with self._lock:
-            text = self._lookup(key)
-        return text if text is not None else self._store(key, self.inner.complete(request))

@@ -397,6 +397,33 @@ def test_identical_misses_that_overlap_all_get_the_first_text_stored(tmp_path):
         backend.close()
 
 
+def test_each_cache_connection_recovers_on_its_own(tmp_path, caplog):
+    """A failed statement closes only its own connection, which its next
+    use reopens: lookups fail while writes still store, and the other way
+    round."""
+    backend = CachedBackend(Numbering(), tmp_path / "c")
+    first, second = ChatRequest("first", INFER), ChatRequest("second", INFER)
+
+    def failures() -> list[str]:
+        return [message.partition(":")[0] for message in _cache_warnings(caplog)]
+
+    with caplog.at_level(logging.WARNING, logger="apio.gateway"):
+        backend._db.close()
+        assert backend.complete(first) == "first 0"  # a miss, stored by the writer
+        assert failures() == ["completion cache lookup failed"]
+        assert backend.complete(first) == "first 0"  # a hit on the reopened lookup connection
+        caplog.clear()
+        backend._writer.close()
+        assert backend.complete(second) == "second 1"  # the write fails, the answer is kept
+        assert failures() == ["completion cache write failed"]
+        assert backend.complete(second) == "second 2"  # a miss again, stored by the reopened writer
+        assert backend.complete(second) == "second 2"  # a hit
+        assert failures() == ["completion cache write failed"]
+    assert (backend.inner.calls.total(), _hits(backend)) == (3, 2)
+    assert sorted(text for _, text in _stored(backend.cache_dir)) == ["first 0", "second 2"]
+    backend.close()
+
+
 def test_cache_hits_counted_exactly_across_threads(tmp_path):
     backend = CachedBackend(CountingBackend(), tmp_path / "c")
     request = ChatRequest("shared", INFER)
