@@ -96,13 +96,14 @@ def _build_backend(args: argparse.Namespace, cfg: RunConfig, run: RunDir | None)
 
 @contextlib.contextmanager
 def _open_run(
-    args: argparse.Namespace, cfg: RunConfig, run: RunDir | None = None, overwrite: bool = False
+    args: argparse.Namespace, cfg: RunConfig, run: RunDir | None = None, phase: str | None = None
 ) -> Iterator[tuple[Backend, ThreadPoolExecutor]]:
     """The session of every command that sends requests: build the
-    backend, then, given a ``run``, make it (its state is kept unless
-    ``overwrite``) and hold its lock, and yield the backend and the
-    command's pool of ``--workers`` threads. A usage error of the backend
-    leaves no run.
+    backend, then, given a ``run``, make it and hold its lock, and yield
+    the backend and the command's pool of ``--workers`` threads. A usage
+    error of the backend leaves no run. A command that starts ``phase`` in
+    the run refuses, under the lock, the state it finds there, unless
+    ``--force`` is given or the state is induced and ``phase`` optimizes it.
 
     The pool sends every inference request, and every request of an
     ``optimize`` epoch: the epoch's improve and rephrase requests too. An
@@ -116,9 +117,10 @@ def _open_run(
             stack.callback(run.release_lock)
         stack.callback(backend.close)
         if run is not None:
-            if run.state_path.exists() and not overwrite:
-                raise ConfigurationError(f"run {run.run_id!r} already exists at {run.path}; --force overwrites it")
             run.acquire_lock()
+            if phase is not None and not args.force and run.state_path.exists():
+                if phase == "induction" or run.read_state().phase != "induction":
+                    raise ConfigurationError(f"run {run.run_id!r} already exists at {run.path}; --force overwrites it")
         pool = ThreadPoolExecutor(max_workers=args.workers, thread_name_prefix="apio-infer")
         stack.callback(pool.shutdown, cancel_futures=True)
         yield backend, pool
@@ -206,7 +208,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     train, dev = split_pairs(cfg)
     run = RunDir(args.runs_dir, _run_id(args))
     dev_eval = select_dev_subsample(dev, cfg.optimizer, cfg.seed)
-    with _open_run(args, cfg, run, args.force) as (backend, pool):
+    with _open_run(args, cfg, run, "induction") as (backend, pool):
 
         def fitness_fn(prompt: Prompt, pairs, trial: int) -> Callable[[], float]:
             scoring = submit_scoring(prompt, pairs, backend, pool, trial)
@@ -216,8 +218,6 @@ def cmd_induce(args: argparse.Namespace) -> int:
         write_text(run.prompt_path, prompt.text() + "\n")
         run.write_json(run.trials_path, {"trials": to_object(trials)})
         run.write_state(RunState(run.run_id, "induction", cfg, _backend_state(args)))
-        for stale in (run.history_path, run.best_prompt_path, run.final_report_path):  # of the run it replaces
-            stale.unlink(missing_ok=True)
     best_fitness = max(t.fitness for t in trials if t.fitness is not None)
     print(f"induced prompt written to {run.prompt_path} (dev fitness {best_fitness:.4f})")
     return 0
@@ -248,7 +248,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         state = run.read_state()
         if state.phase == "induction":
             raise ConfigurationError(f"run {args.resume!r} is in phase 'induction', nothing to resume")
-        cfg, overwrite = state.config, True  # a resumed run rewrites its own state
+        cfg, phase = state.config, None  # a resume starts no phase: it goes on with its state
         args.script = args.script or state.backend.script
         state = replace(state, backend=_backend_state(args))  # a --script given to the resume is recorded
     else:
@@ -258,14 +258,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         prompt_file = args.prompt or (run.prompt_path if run.prompt_path.exists() else None)
         if prompt_file is None:
             raise ConfigurationError("no --prompt file given and the run has no induced prompt")
-        seed_prompt = _read_prompt(prompt_file)
-        # continuing an induction run in place is fine; clobbering a prior
-        # optimization needs --force (or --resume to continue it)
-        overwrite = args.force or not run.state_path.exists() or run.read_state().phase == "induction"
+        seed_prompt, phase = _read_prompt(prompt_file), "optimization"
     train, dev = split_pairs(cfg)
     template = TASK_TEMPLATES[cfg.task]
     n_epochs = cfg.optimizer.n_epochs
-    with _open_run(args, cfg, run, overwrite) as (backend, executor):
+    with _open_run(args, cfg, run, phase) as (backend, executor):
         engine = PromptOptimizer(train, dev, cfg.optimizer, cfg.seed, backend, template, executor)
         if state is None:
             pool = [engine.score_seed(seed_prompt)]
@@ -273,8 +270,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                              epoch=0, next_id=engine.next_id, pool=pool, seed_prompt=seed_prompt.text())
             run.write_history(engine.history)
             run.write_state(state)
-            for stale in (run.best_prompt_path, run.final_report_path):  # of the run it replaces
-                stale.unlink(missing_ok=True)
         else:
             engine.history = run.read_history(state.epoch)
             engine.next_id = state.next_id

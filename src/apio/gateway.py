@@ -430,30 +430,46 @@ class CachedBackend(Backend):
         except (FileExistsError, NotADirectoryError) as exc:
             raise ValueError(f"cache directory {self.cache_dir} is a file or lies under one") from exc
         self._lock = threading.Lock()  # guards _db
-        self._db: sqlite3.Connection | None = self._connect()  # for lookups
+        try:
+            self._db: sqlite3.Connection | None = self._connect()  # for lookups
+        except sqlite3.OperationalError as exc:  # still locked: the first lookup opens it
+            log.warning("completion cache lookup failed: %s", exc)
+            self._db = None
         # writes wait out other processes' write locks on a connection of
         # their own, one at a time, so that no lookup waits behind them
         self._write_lock = threading.Lock()  # guards _writer
         self._writer: sqlite3.Connection | None = None
 
     def _connect(self) -> sqlite3.Connection:
+        """A connection to the cache file, put in WAL mode, with its table
+        made. Another connection's lock is waited out for up to
+        ``CACHE_BUSY_TIMEOUT_S`` and then raises its ``OperationalError``;
+        any other fault is a ``ValueError`` naming the file."""
         path = self.cache_dir / "completions.sqlite3"
-        db = None
-        try:
-            db = sqlite3.connect(path, timeout=CACHE_BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False)
-            # a table of another shape is refused before the file is changed
-            columns = [row[1] for row in db.execute("PRAGMA table_info(completions)")]
-            if columns not in ([], ["key", "response_text"]):
-                raise sqlite3.DatabaseError(f"its completions table has the columns {columns}")
-            db.executescript(
-                "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS"
-                " completions (key TEXT PRIMARY KEY, response_text TEXT NOT NULL);"
-            )
-        except sqlite3.DatabaseError as exc:  # an OperationalError too, when the file cannot be opened
-            if db is not None:
-                db.close()
-            raise ValueError(f"cache file {path} is not a usable SQLite database: {exc}") from exc
-        return db
+        deadline = time.monotonic() + CACHE_BUSY_TIMEOUT_S
+        while True:
+            db = None
+            try:
+                db = sqlite3.connect(path, timeout=CACHE_BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False)
+                # a table of another shape is refused before the file is changed
+                columns = [row[1] for row in db.execute("PRAGMA table_info(completions)")]
+                if columns not in ([], ["key", "response_text"]):
+                    raise sqlite3.DatabaseError(f"its completions table has the columns {columns}")
+                db.executescript(
+                    "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS"
+                    " completions (key TEXT PRIMARY KEY, response_text TEXT NOT NULL);"
+                )
+                return db
+            except sqlite3.DatabaseError as exc:  # an OperationalError too, when the file cannot be opened
+                if db is not None:
+                    db.close()
+                # SQLite refuses at once, without waiting, a file that is locked
+                # while it leaves rollback mode for WAL, so that is retried here
+                if str(exc) != "database is locked":
+                    raise ValueError(f"cache file {path} is not a usable SQLite database: {exc}") from exc
+                if time.monotonic() >= deadline:
+                    raise
+            time.sleep(0.01)
 
     def close(self) -> None:
         """Close the database, folding its log into the file, and the inner backend; all reopen on use."""

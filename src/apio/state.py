@@ -119,10 +119,14 @@ class RunDir:
             self._lock_fd = None
 
     def write_state(self, state: RunState) -> None:
-        """Write the fields of ``state``, and of its backend, that are not None."""
+        """Write the fields of ``state``, and of its backend, that are not None. Then remove
+        the files that a run writes after its last state, and the history of an induced one."""
         data = to_object(state)
         data["backend"] = {key: value for key, value in data["backend"].items() if value is not None}
         write_json(self.state_path, {key: value for key, value in data.items() if value is not None})
+        stale = [self.best_prompt_path, self.final_report_path]
+        for path in stale + [self.history_path] if state.phase == "induction" else stale:
+            path.unlink(missing_ok=True)
 
     def read_state(self) -> RunState:
         data = read_json(self.state_path)

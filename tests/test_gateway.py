@@ -510,6 +510,51 @@ def test_misses_behind_a_locked_cache_do_not_wait_out_the_timeout_one_after_anot
     assert "completion cache write failed: " in caplog.text
 
 
+@contextlib.contextmanager
+def _fresh_cache_being_written(cache_dir: pathlib.Path, request: ChatRequest, text: str):
+    """Another process making a new cache: its table exists, the file is
+    still in rollback mode, and it holds the write lock of a transaction
+    that stores ``text`` for ``request``. Yields that connection."""
+    cache_dir.mkdir()
+    with contextlib.closing(sqlite3.connect(cache_dir / "completions.sqlite3", isolation_level=None,
+                                            check_same_thread=False)) as db:
+        db.execute("CREATE TABLE completions (key TEXT PRIMARY KEY, response_text TEXT NOT NULL)")
+        db.execute("BEGIN IMMEDIATE")
+        db.execute("INSERT INTO completions VALUES (?, ?)",
+                   (request_key(request, CountingBackend.model, CountingBackend.max_tokens), text))
+        yield db
+
+
+def test_a_new_cache_that_another_process_holds_locked_is_opened_once_the_lock_goes(tmp_path, caplog):
+    request = ChatRequest("stored", INFER)
+    with caplog.at_level(logging.WARNING), _fresh_cache_being_written(tmp_path / "c", request, "kept") as db:
+        release = threading.Timer(0.2, db.execute, args=("COMMIT",))
+        start = time.monotonic()
+        release.start()
+        try:
+            backend = CachedBackend(CountingBackend(), tmp_path / "c")
+            waited = time.monotonic() - start
+        finally:
+            release.join(timeout=10)
+    assert waited >= 0.15
+    assert backend.complete(request) == "kept"
+    assert (backend.inner.calls.total(), _hits(backend)) == (0, 1)
+    backend.close()
+    assert "completion cache" not in caplog.text
+
+
+def test_a_new_cache_locked_past_the_busy_timeout_is_opened_by_its_first_lookup(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(gateway, "CACHE_BUSY_TIMEOUT_S", 0.05)
+    request = ChatRequest("stored", INFER)
+    with caplog.at_level(logging.WARNING), _fresh_cache_being_written(tmp_path / "c", request, "kept") as db:
+        backend = CachedBackend(CountingBackend(), tmp_path / "c")
+        db.execute("COMMIT")
+    assert [r.getMessage() for r in caplog.records] == ["completion cache lookup failed: database is locked"]
+    assert backend.complete(request) == "kept"
+    assert (backend.inner.calls.total(), _hits(backend)) == (0, 1)
+    backend.close()
+
+
 # -- openai-compatible http ----------------------------------------------------
 
 

@@ -13,6 +13,7 @@ import os
 import pkgutil
 import random
 import re
+import shutil
 import signal
 import socket
 import sqlite3
@@ -32,7 +33,7 @@ from apio.cli import DEFAULT_WORKERS, entrypoint, main
 from apio.config import ConfigurationError, OptimizerConfig, RunConfig, from_object, load_config, to_object
 from apio.corpus import apply_edits, load_m2
 from apio.gateway import INFER, CredentialError, GatewayError, ScriptedBackend, ScriptEntry
-from apio.optimizer import Candidate
+from apio.optimizer import Candidate, PromptOptimizer
 from apio.prompts import GENERIC_TEMPLATE, Prompt
 from apio.state import BackendState, RunDir, RunState
 from conftest import Reply, answered_by, completion, rewrite_backend
@@ -94,7 +95,7 @@ def test_induce_refuses_existing_run_id(tmp_path, no_network):
     assert _induce(paths, extra=("--force",)) == 0
 
 
-def test_a_run_that_starts_over_removes_the_files_of_the_run_it_replaces(tmp_path):
+def test_a_run_that_starts_over_removes_the_files_of_the_run_it_replaces(tmp_path, monkeypatch):
     paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
     run = paths["runs"] / "r1"
     results = ("history.json", "best_prompt.txt", "final_report.json")
@@ -110,6 +111,72 @@ def test_a_run_that_starts_over_removes_the_files_of_the_run_it_replaces(tmp_pat
     assert [(run / name).exists() for name in results] == [True, False, False]
     assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 0
     assert all((run / name).exists() for name in results)
+    # a fresh optimization killed after its epoch-0 state, with the results
+    # of the run it replaces still beside that state: the next state write,
+    # a resume's, removes them
+    class Killed(BaseException):
+        pass
+
+    def killed(*args):
+        raise Killed
+
+    monkeypatch.setattr(PromptOptimizer, "run_epoch", killed)
+    with pytest.raises(Killed):
+        _optimize(paths, extra=("--force",))
+    monkeypatch.undo()
+    state = json.loads((run / "state.json").read_text(encoding="utf-8"))
+    assert (state["phase"], state["epoch"]) == ("optimization", 0)
+    for name in results[1:]:
+        (run / name).write_text("of the run replaced\n", encoding="utf-8")
+    assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"]), "--stop-after-epoch", "1"]) == 0
+    assert json.loads((run / "state.json").read_text(encoding="utf-8"))["epoch"] == 1
+    assert [(run / name).exists() for name in results] == [True, False, False]
+# the exit code of a command that starts a phase, over each state its run
+# holds: (induce, induce --force, optimize, optimize --force). A fresh
+# optimize goes on from an induced state; without --force, no command
+# replaces any other state
+REPLACE_RULE = {
+    "none": (0, 0, 0, 0),
+    "induction": (2, 0, 0, 0),
+    "optimization": (2, 0, 2, 0),
+    "done": (2, 0, 2, 0),
+    # another process finishes the run between the command's start and its lock
+    "done-as-the-lock-is-taken": (2, 0, 2, 0),
+}
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["without-force", "force"])
+@pytest.mark.parametrize("command", ["induce", "optimize"])
+@pytest.mark.parametrize("existing", list(REPLACE_RULE))
+def test_a_command_replaces_the_state_of_its_run_by_one_rule(tmp_path, monkeypatch, capsys, existing, command, force):
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    run = paths["runs"] / "r1"
+    assert _induce(paths) == 0
+    prompt = shutil.copy(run / "prompt.txt", tmp_path / "prompt.txt")
+    if existing.startswith(("optimization", "done")):
+        assert _optimize(paths, extra=("--stop-after-epoch", "1") if existing == "optimization" else ()) == 0
+    state = (run / "state.json").read_bytes()
+    if existing in ("none", "done-as-the-lock-is-taken"):
+        shutil.rmtree(run)
+    if existing == "done-as-the-lock-is-taken":
+        acquire_lock = RunDir.acquire_lock
+
+        def finished_first(run_dir):
+            run_dir.path.mkdir(parents=True)
+            run_dir.state_path.write_bytes(state)
+            acquire_lock(run_dir)
+
+        monkeypatch.setattr(RunDir, "acquire_lock", finished_first)
+    capsys.readouterr()
+    extra = ("--force",) if force else ()
+    if command == "induce":
+        code = _induce(paths, extra=extra)
+    else:
+        code = _optimize(paths, extra=("--prompt", str(prompt), *extra))
+    assert code == REPLACE_RULE[existing][2 * (command == "optimize") + force]
+    if code == 2:
+        assert capsys.readouterr().err == f"error: run 'r1' already exists at {run}; --force overwrites it\n"
+        assert (run / "state.json").read_bytes() == state
 
 
 def test_induce_missing_dataset_path_exits_2(tmp_path, capsys):
