@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.resources
 import logging
 import sys
 import time
@@ -234,9 +233,9 @@ _FROM_STATE = ("config", "task", "seed", "dev_subsample", "prompt", "run_id", "f
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    """Optimize a run on one ``RunState``: the state a resume reads, or
-    for a fresh run the epoch-0 state made once its prompt is scored.
-    Each epoch writes the history, then that state at the new epoch."""
+    """Optimize a run on one ``RunState``: the state a resume reads, and finds
+    unchanged under the lock, or for a fresh run the epoch-0 state made once
+    its prompt is scored. Each epoch writes the history, then its new state."""
     if args.resume is not None:
         given = [name for name in _FROM_STATE if (value := getattr(args, name)) is not None and value is not False]
         if given:
@@ -245,14 +244,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 f"drop --{given[0].replace('_', '-')}"
             )
         run = RunDir(args.runs_dir, args.resume)
-        state = run.read_state()
-        if state.phase == "induction":
+        found = run.read_state()
+        if found.phase == "induction":
             raise ConfigurationError(f"run {args.resume!r} is in phase 'induction', nothing to resume")
-        cfg, phase = state.config, None  # a resume starts no phase: it goes on with its state
-        args.script = args.script or state.backend.script
-        state = replace(state, backend=_backend_state(args))  # a --script given to the resume is recorded
+        cfg, phase = found.config, None  # a resume starts no phase: it goes on with its state
+        args.script = args.script or found.backend.script
+        state = replace(found, backend=_backend_state(args))  # a --script given to the resume is recorded
     else:
-        state = None
+        found = state = None
         cfg = load_config(args.config, _overrides(args))
         run = RunDir(args.runs_dir, _run_id(args))
         prompt_file = args.prompt or (run.prompt_path if run.prompt_path.exists() else None)
@@ -263,6 +262,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     template = TASK_TEMPLATES[cfg.task]
     n_epochs = cfg.optimizer.n_epochs
     with _open_run(args, cfg, run, phase) as (backend, executor):
+        if found is not None and run.read_state() != found:
+            raise ConfigurationError(f"run {run.run_id!r} changed before its resume took the lock; resume it again")
         engine = PromptOptimizer(train, dev, cfg.optimizer, cfg.seed, backend, template, executor)
         if state is None:
             pool = [engine.score_seed(seed_prompt)]
@@ -400,13 +401,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _zero_shot_text(args: argparse.Namespace, task: str) -> str:
-    if args.prompt_file:
-        return read_text(args.prompt_file).strip()
-    resource = importlib.resources.files("apio") / "templates" / f"zero_shot_{task}.txt"
-    return resource.read_text(encoding="utf-8").strip()
-
-
 def cmd_baseline(args: argparse.Namespace) -> int:
     output = _output_path(args, _meta_path)
     cfg = load_config(args.config, _overrides(args))
@@ -418,9 +412,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         print(f"copied {len(lines)} lines to {output}")
         code = 0
     else:
-        text = _zero_shot_text(args, cfg.task)
-        meta["prompt_text"] = text
-        blocks = [text]
+        instruction = read_text(args.prompt_file).strip() if args.prompt_file else template.zero_shot
+        meta["prompt_text"] = instruction
+        exemplars = []
         if args.kind == "few_shot":
             train, _ = split_pairs(cfg)
             if len(train) < args.shots:
@@ -429,12 +423,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             exemplars = [train[i] for i in sorted(rng.sample(range(len(train)), args.shots))]
             meta["shots"] = args.shots
             meta["exemplar_ids"] = [p.id for p in exemplars]
-            for pair in exemplars:
-                blocks.append(
-                    f"{template.input_label}: {pair.source}\n{template.output_label}: {pair.references[0]}"
-                )
-        # zero/few-shot prompts have no instruction bullets; render directly
-        prompt_text = "\n\n".join(blocks) + "\n\n" + template.footer
+        prompt_text = template.baseline_prompt(instruction, [(p.source, p.references[0]) for p in exemplars])
         code = _infer_file(args, cfg, lambda line: prompt_text.replace(INPUT_SLOT, line), output)
     write_json(_meta_path(output), meta)
     return code
@@ -514,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("--input", required=True)
     baseline.add_argument("--output", required=True)
     baseline.add_argument("--shots", type=_positive_int, default=3)
-    baseline.add_argument("--prompt-file", help="override the zero-shot prompt template")
+    baseline.add_argument("--prompt-file", help="instruction to send in place of the task's zero-shot one")
     baseline.set_defaults(func=cmd_baseline)
 
     return parser

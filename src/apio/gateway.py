@@ -269,8 +269,8 @@ class OpenAIChatBackend(Backend):
     own, opened on first use. A connection that the server closed while it
     sat idle is replaced before it is reused, without spending a retry.
     A retry waits ``backoff_base_s * 2**k``, or longer when a 429 or 503
-    reply's ``Retry-After`` asks for more, in delta-seconds, up to
-    ``timeout_s``; an HTTP-date there is not read.
+    reply's ``Retry-After`` asks for more, in delta-seconds; an HTTP-date
+    there is not read. No wait is longer than ``timeout_s``.
     Proxies come from the environment (``HTTPS_PROXY``, ``HTTP_PROXY``,
     ``ALL_PROXY``, ``NO_PROXY``): an ``https`` endpoint is reached through
     a CONNECT tunnel and an ``http`` one by sending the proxy the absolute
@@ -359,11 +359,11 @@ class OpenAIChatBackend(Backend):
         }
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
-        retry_after = 0.0
+        backoff, retry_after = self.backoff_base_s, 0.0
         for attempt in range(self.retry_max + 1):
             if attempt:
-                time.sleep(max(self.backoff_base_s * (2 ** (attempt - 1)), retry_after))
-                retry_after = 0.0
+                time.sleep(min(max(backoff, retry_after), self.timeout_s))
+                backoff, retry_after = 2 * backoff, 0.0
             conn = self._connection()
             try:
                 conn.request("POST", self._target, body, self._headers)
@@ -382,7 +382,7 @@ class OpenAIChatBackend(Backend):
                 last_error = GatewayError(f"transient status {status}")
                 wait = response.getheader("Retry-After", "").strip()
                 if status in (429, 503) and wait.isdigit() and wait.isascii():
-                    retry_after = min(float(wait), self.timeout_s)
+                    retry_after = float(wait)
                 continue
             if status != 200:
                 raise GatewayError(f"unexpected status {status}: {data.decode('utf-8', 'replace')[:200]}")

@@ -112,6 +112,13 @@ class TaskTemplate:
     input_label: str
     output_label: str
     footer: str
+    zero_shot: str  # the instruction of the zero- and few-shot baselines
+
+    def baseline_prompt(self, instruction: str, exemplars: list[tuple[str, str]]) -> str:
+        """A baseline's prompt, slot in place: ``instruction``, each (input,
+        output) exemplar as two labelled lines, the footer, a blank line apart."""
+        shots = [f"{self.input_label}: {source}\n{self.output_label}: {target}" for source, target in exemplars]
+        return "\n\n".join([instruction, *shots, self.footer])
 
 
 GEC_TEMPLATE = TaskTemplate(
@@ -119,6 +126,8 @@ GEC_TEMPLATE = TaskTemplate(
     input_label="Sentence",
     output_label="Corrected sentence",
     footer="Sentence: {input_text}\nCorrected sentence:",
+    zero_shot="Correct all grammatical errors in the given sentence. Output only the corrected sentence; "
+    "if the sentence is already correct, output it unchanged.",
 )
 
 SIMPLIFY_TEMPLATE = TaskTemplate(
@@ -126,6 +135,8 @@ SIMPLIFY_TEMPLATE = TaskTemplate(
     input_label="Complex sentence",
     output_label="Simple sentence",
     footer="Complex sentence: {input_text}\nSimple sentence:",
+    zero_shot="Rewrite the given complex sentence as simpler, easier-to-understand text while preserving "
+    "its original meaning. Output only the simplified text.",
 )
 
 GENERIC_TEMPLATE = TaskTemplate(
@@ -133,6 +144,8 @@ GENERIC_TEMPLATE = TaskTemplate(
     input_label="Input",
     output_label="Output",
     footer="Input: {input_text}\nOutput:",
+    zero_shot="Rewrite the given input according to the task demonstrated by the data. "
+    "Output only the rewritten text.",
 )
 
 TASK_TEMPLATES = {

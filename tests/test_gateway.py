@@ -632,6 +632,17 @@ def test_openai_retry_waits_as_retry_after_asks(chat_server, openai, monkeypatch
     assert sleeps == [slept, 2 * backoff]
 
 
+def test_openai_retry_waits_at_most_timeout_s(chat_server, openai, monkeypatch):
+    # the doubling backoff is capped as a Retry-After is, so a long retry budget
+    # keeps each wait within timeout_s
+    sleeps = []
+    monkeypatch.setattr(gateway, "time", SimpleNamespace(sleep=sleeps.append))
+    chat_server.fallback = Reply(status=500)
+    with pytest.raises(GatewayError, match="after 5 attempts"):
+        openai(retry_max=4, timeout_s=10.0, backoff_base_s=4.0).complete(ChatRequest("x", INFER))
+    assert sleeps == [4.0, 8.0, 10.0, 10.0]
+
+
 def test_openai_retry_budget_exhausted(chat_server, openai):
     chat_server.fallback = Reply(status=500)
     with pytest.raises(GatewayError, match="after 3 attempts"):

@@ -131,6 +131,21 @@ def test_a_run_that_starts_over_removes_the_files_of_the_run_it_replaces(tmp_pat
     assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"]), "--stop-after-epoch", "1"]) == 0
     assert json.loads((run / "state.json").read_text(encoding="utf-8"))["epoch"] == 1
     assert [(run / name).exists() for name in results] == [True, False, False]
+
+
+def _written_as_the_lock_is_taken(monkeypatch, state: bytes) -> None:
+    """Have another process write ``state`` as a run's state just before a
+    command takes the run's lock."""
+    acquire_lock = RunDir.acquire_lock
+
+    def finished_first(run_dir):
+        run_dir.path.mkdir(parents=True, exist_ok=True)
+        run_dir.state_path.write_bytes(state)
+        acquire_lock(run_dir)
+
+    monkeypatch.setattr(RunDir, "acquire_lock", finished_first)
+
+
 # the exit code of a command that starts a phase, over each state its run
 # holds: (induce, induce --force, optimize, optimize --force). A fresh
 # optimize goes on from an induced state; without --force, no command
@@ -159,14 +174,7 @@ def test_a_command_replaces_the_state_of_its_run_by_one_rule(tmp_path, monkeypat
     if existing in ("none", "done-as-the-lock-is-taken"):
         shutil.rmtree(run)
     if existing == "done-as-the-lock-is-taken":
-        acquire_lock = RunDir.acquire_lock
-
-        def finished_first(run_dir):
-            run_dir.path.mkdir(parents=True)
-            run_dir.state_path.write_bytes(state)
-            acquire_lock(run_dir)
-
-        monkeypatch.setattr(RunDir, "acquire_lock", finished_first)
+        _written_as_the_lock_is_taken(monkeypatch, state)
     capsys.readouterr()
     extra = ("--force",) if force else ()
     if command == "induce":
@@ -177,6 +185,24 @@ def test_a_command_replaces_the_state_of_its_run_by_one_rule(tmp_path, monkeypat
     if code == 2:
         assert capsys.readouterr().err == f"error: run 'r1' already exists at {run}; --force overwrites it\n"
         assert (run / "state.json").read_bytes() == state
+
+
+def test_a_resume_refuses_a_state_replaced_before_it_took_the_lock(tmp_path, monkeypatch, capsys):
+    paths = make_workspace(tmp_path, n_epochs=2, beam_b=4)
+    run = paths["runs"] / "r1"
+    assert _induce(paths) == 0
+    assert _optimize(paths, extra=("--stop-after-epoch", "1")) == 0
+    files = {name: (run / name).read_bytes() for name in ("state.json", "history.json")}
+    # the state of another process that starts the run over at another seed
+    assert _optimize(paths, extra=("--force", "--seed", "8", "--stop-after-epoch", "1")) == 0
+    replaced = (run / "state.json").read_bytes()
+    for name, data in files.items():
+        (run / name).write_bytes(data)
+    _written_as_the_lock_is_taken(monkeypatch, replaced)
+    capsys.readouterr()
+    assert main(["optimize", "--resume", "r1", "--runs-dir", str(paths["runs"])]) == 2
+    assert capsys.readouterr().err == "error: run 'r1' changed before its resume took the lock; resume it again\n"
+    assert (run / "state.json").read_bytes() == replaced
 
 
 def test_induce_missing_dataset_path_exits_2(tmp_path, capsys):
@@ -2075,19 +2101,56 @@ def test_baseline_zero_shot_records_prompt_verbatim(tmp_path, chat_server):
     assert out.read_text() == "out\n"
 
 
-def test_baseline_zero_shot_default_template_by_task(tmp_path, chat_server):
+# each task's default zero-shot instruction, and the footer its request ends with
+ZERO_SHOT = {
+    "gec": ("Correct all grammatical errors in the given sentence. Output only the corrected sentence; "
+            "if the sentence is already correct, output it unchanged.",
+            "Sentence: She go home\nCorrected sentence:"),
+    "simplify": ("Rewrite the given complex sentence as simpler, easier-to-understand text while preserving "
+                 "its original meaning. Output only the simplified text.",
+                 "Complex sentence: She go home\nSimple sentence:"),
+    "generic": ("Rewrite the given input according to the task demonstrated by the data. "
+                "Output only the rewritten text.",
+                "Input: She go home\nOutput:"),
+}
+
+
+@pytest.mark.parametrize("task", list(ZERO_SHOT))
+def test_baseline_zero_shot_default_template_by_task(tmp_path, chat_server, task):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"backend": {"base_url": chat_server.url}}))
     source = tmp_path / "in.txt"
     source.write_text("She go home\n", encoding="utf-8")
     out = tmp_path / "out.txt"
-    assert main(["baseline", "--kind", "zero_shot", "--task", "gec", "--config", str(config),
+    assert main(["baseline", "--kind", "zero_shot", "--task", task, "--config", str(config),
                  "--input", str(source), "--output", str(out)]) == 0
-    sent = chat_server.requests[0]["json"]["messages"][0]["content"]
-    assert "grammatical errors" in sent  # packaged gec template
-    assert sent.endswith("Sentence: She go home\nCorrected sentence:")
+    instruction, footer = ZERO_SHOT[task]
+    assert [r["json"]["messages"][0]["content"] for r in chat_server.requests] == [f"{instruction}\n\n{footer}"]
     meta = json.loads(Path(str(out) + ".meta.json").read_text())
-    assert "grammatical errors" in meta["prompt_text"]
+    assert meta == {"kind": "zero_shot", "task": task, "seed": 0, "prompt_text": instruction}
+
+
+def test_baseline_few_shot_request_bytes(tmp_path, chat_server):
+    """A few-shot request is the instruction, each exemplar as an input and
+    an output line, then the footer, one blank line apart."""
+    paths = make_workspace(tmp_path)
+    config = json.loads(paths["config"].read_text())
+    config["backend"] = {"base_url": chat_server.url}
+    paths["config"].write_text(json.dumps(config))
+    source, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    source.write_text("a foo here\n", encoding="utf-8")
+    assert main(["baseline", "--kind", "few_shot", "--shots", "2", "--seed", "3", "--input", str(source),
+                 "--output", str(out), "--config", str(paths["config"])]) == 0
+    assert [r["json"]["messages"][0]["content"] for r in chat_server.requests] == [
+        f"{ZERO_SHOT['generic'][0]}\n\n"
+        "Input: foo here now\nOutput: bar here now\n\n"
+        "Input: foo on the mat\nOutput: bar on the mat\n\n"
+        "Input: a foo here\nOutput:"
+    ]
+    assert json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8")) == {
+        "kind": "few_shot", "task": "generic", "seed": 3, "prompt_text": ZERO_SHOT["generic"][0],
+        "shots": 2, "exemplar_ids": ["toy-2", "toy-9"],
+    }
 
 
 def test_baseline_few_shot_exemplars_recorded_and_rendered(tmp_path):
