@@ -166,6 +166,10 @@ def _parse_m2_block(lines: list[tuple[int, str]], path: str | Path) -> M2Record:
         raise ConfigurationError(f"{path}:{lineno}: record must start with an 'S ' line")
     rest = first[2:]
     tokens = tuple(rest.split(" ")) if rest else ()
+    if "" in tokens:
+        raise ConfigurationError(
+            f"{path}:{lineno}: sentence holds an empty token; separate tokens by single spaces"
+        )
     edits: list[M2Edit] = []
     noops: set[int] = set()
     for lineno, line in lines[1:]:

@@ -27,45 +27,24 @@ def extract_edits(source: str, hypothesis: str) -> frozenset[Edit]:
     table = alignment_table(src, hyp)
 
     # Backtrace, preferring match, then substitution, then deletion, then
-    # insertion on cost ties; ops are collected end-to-start.
-    ops: list[str] = []
-    i, j = len(src), len(hyp)
+    # insertion on cost ties. (end_i, end_j) is where the current run of
+    # non-match steps ends; a match step, or the start of the sentence,
+    # closes the run into one edit.
+    edits: list[Edit] = []
+    i, j = end_i, end_j = len(src), len(hyp)
     while i > 0 or j > 0:
         if i > 0 and j > 0 and src[i - 1] == hyp[j - 1] and table[i][j] == table[i - 1][j - 1]:
-            ops.append("eq")
-            i, j = i - 1, j - 1
+            if (i, j) != (end_i, end_j):
+                edits.append((i, end_i, " ".join(hyp[j:end_j])))
+            i, j = end_i, end_j = i - 1, j - 1
         elif i > 0 and j > 0 and table[i][j] == table[i - 1][j - 1] + 1:
-            ops.append("sub")
             i, j = i - 1, j - 1
         elif i > 0 and table[i][j] == table[i - 1][j] + 1:
-            ops.append("del")
             i -= 1
         else:
-            ops.append("ins")
             j -= 1
-    ops.reverse()
-
-    edits: list[Edit] = []
-    si = hj = 0
-    run_start: tuple[int, int] | None = None
-    for op in ops + ["eq"]:
-        if op == "eq":
-            if run_start is not None:
-                s0, h0 = run_start
-                edits.append((s0, si, " ".join(hyp[h0:hj])))
-                run_start = None
-            si += 1
-            hj += 1
-        else:
-            if run_start is None:
-                run_start = (si, hj)
-            if op == "sub":
-                si += 1
-                hj += 1
-            elif op == "del":
-                si += 1
-            else:
-                hj += 1
+    if (end_i, end_j) != (0, 0):
+        edits.append((0, end_i, " ".join(hyp[:end_j])))
     return frozenset(edits)
 
 
@@ -85,17 +64,12 @@ def sentence_counts(record: M2Record, hypothesis: str) -> tuple[int, int, int]:
     """
     hyp_edits = extract_edits(record.source_text(), hypothesis)
     by_annotator = record.edits_by_annotator()
-    best: tuple[float, int, int, tuple[int, int, int]] | None = None
+    counts: list[tuple[int, int, int]] = []
     for annotator in record.annotator_ids():
         gold = frozenset((e.start, e.end, e.correction) for e in by_annotator.get(annotator, ()))
-        tp = len(hyp_edits & gold)
-        fp = len(hyp_edits - gold)
-        fn = len(gold - hyp_edits)
-        key = (f05_from_counts(tp, fp, fn), -(fp + fn), -annotator, (tp, fp, fn))
-        if best is None or key[:3] > best[:3]:
-            best = key
-    assert best is not None
-    return best[3]
+        counts.append((len(hyp_edits & gold), len(hyp_edits - gold), len(gold - hyp_edits)))
+    # max keeps the first of equal keys, so the lowest annotator id wins a tie
+    return max(counts, key=lambda c: (f05_from_counts(*c), -(c[1] + c[2])))
 
 
 def f05_with_counts(

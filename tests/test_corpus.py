@@ -182,6 +182,26 @@ def test_parse_m2_errors_carry_line_numbers(tmp_path):
         load_m2(out_of_range)
 
 
+@pytest.mark.parametrize("sentence", ["S The  cat sat", "S  The cat sat", "S The cat sat "])
+def test_m2_sentence_with_an_empty_token_is_refused(tmp_path, sentence):
+    # the scorer splits on whitespace, so an empty token would shift every
+    # gold span after it
+    path = tmp_path / "e.m2"
+    path.write_text(
+        f"S a b\nA 0 1|||R:X|||x|||REQUIRED|||-NONE-|||0\n\n{sentence}\nA 2 3|||R:NOUN|||dog|||REQUIRED|||-NONE-|||0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigurationError, match=r"e\.m2:4: .*empty token"):
+        load_m2(path)
+
+
+@pytest.mark.parametrize("sentence", ["S", "S "])
+def test_m2_bare_sentence_line_is_an_empty_sentence(tmp_path, sentence):
+    path = tmp_path / "b.m2"
+    path.write_text(f"{sentence}\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
+    assert load_m2(path) == [M2Record((), (), frozenset({0}))]
+
+
 def test_noop_conflict_rejected(tmp_path):
     path = tmp_path / "c.m2"
     path.write_text(

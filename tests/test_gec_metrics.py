@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apio.corpus import M2Edit, M2Record
+from apio.corpus import M2Edit, M2Record, apply_edits
 from apio.metrics.gec import (
     Edit,
     extract_edits,
@@ -12,6 +16,7 @@ from apio.metrics.gec import (
     f05_with_counts,
     sentence_counts,
 )
+from m2gen import VOCAB, random_record
 
 
 def test_single_substitution_span():
@@ -51,6 +56,36 @@ def test_round_trip(src, hyp):
     source, hypothesis = " ".join(src), " ".join(hyp)
     edits = extract_edits(source, hypothesis)
     assert apply_edit_set(source, edits) == hypothesis
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+
+
+def test_extract_edits_pinned_on_every_short_pair():
+    # the round trip holds for any minimum-cost alignment; this pins which
+    # one is chosen on cost ties, over all 40 x 40 sequences of 0-3 tokens
+    # from {a, b, c}
+    texts = [" ".join(t) for n in range(4) for t in itertools.product("abc", repeat=n)]
+    results = [(s, h, sorted(extract_edits(s, h))) for s in texts for h in texts]
+    assert len(results) == 1600
+    assert _sha256(results) == "b60f997156737cbc97eef3bd4663334407fc09a5b9963223b38115b8d159d515"
+
+
+def test_sentence_counts_pinned_on_random_records():
+    # hypotheses are an annotator's reference, the source, or random tokens,
+    # so hits, misses and ties in F0.5 between annotators all occur
+    rng = random.Random(0)
+    counts = []
+    for _ in range(2000):
+        record = random_record(rng)
+        hypotheses = [
+            apply_edits(record, rng.choice(record.annotator_ids())),
+            record.source_text(),
+            " ".join(rng.choice(VOCAB) for _ in range(rng.randint(0, 12))),
+        ]
+        counts.extend(sentence_counts(record, h) for h in hypotheses)
+    assert _sha256(counts) == "cc90206baa89e367e500c8dee4f33ef768d1b6a60cb01d18eb4b6599366c5bdd"
 
 
 def test_f05_formula_values():
@@ -110,6 +145,14 @@ def test_noop_annotator_preferred_when_hypothesis_is_source():
     # annotator 1 says the source is already correct; copying it should
     # contribute nothing rather than false negatives
     assert sentence_counts(record, "a b c") == (0, 0, 0)
+
+
+def test_adjacent_gold_edits_do_not_match_one_merged_edit():
+    # a known limit of exact-span matching: the gold corrections score zero
+    # when the gold splits one contiguous change into adjacent edits
+    record = _record("the cat", (0, 1, "a", 0), (1, 2, "dog", 0))
+    assert sentence_counts(record, "a dog") == (0, 1, 2)
+    assert f05_with_counts([record], ["a dog"])[0] == 0.0
 
 
 def test_length_mismatch_rejected():
