@@ -528,3 +528,7 @@ def main(argv: list[str] | None = None) -> int:
 def entrypoint() -> None:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -4,7 +4,7 @@ lines or JSON of any other file, each refused naming its path.
 
 All loaders are pure functions over file contents; text is used verbatim
 apart from stripping surrounding whitespace per line. Token operations
-split and re-join on single spaces; no detokenizer is involved.
+split on any whitespace and join by single spaces; no detokenizer is involved.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ class M2Edit:
 
 @dataclass(frozen=True)
 class M2Record:
+    """A record from ``load_m2`` keeps ``source_text().split() == list(source_tokens)``."""
     source_tokens: tuple[str, ...]
     edits: tuple[M2Edit, ...] = ()
     noop_annotators: frozenset[int] = field(default_factory=frozenset)
@@ -164,11 +165,10 @@ def _parse_m2_block(lines: list[tuple[int, str]], path: str | Path) -> M2Record:
     lineno, first = lines[0]
     if not first.startswith("S ") and first != "S":
         raise ConfigurationError(f"{path}:{lineno}: record must start with an 'S ' line")
-    rest = first[2:]
-    tokens = tuple(rest.split(" ")) if rest else ()
-    if "" in tokens:
+    tokens = tuple(first[2:].split())
+    if " ".join(tokens) != first[2:]:
         raise ConfigurationError(
-            f"{path}:{lineno}: sentence holds an empty token; separate tokens by single spaces"
+            f"{path}:{lineno}: sentence holds an empty token or other whitespace; separate tokens by single spaces"
         )
     edits: list[M2Edit] = []
     noops: set[int] = set()
@@ -199,8 +199,14 @@ def _parse_m2_block(lines: list[tuple[int, str]], path: str | Path) -> M2Record:
             raise ConfigurationError(
                 f"{path}:{lineno}: span {start} {end} outside 0..{len(tokens)}"
             )
-        correction = "" if fields[2] == _NONE_FIELD else fields[2]
-        edits.append(M2Edit(start, end, type_label, correction, annotator))
+        for prev in edits:
+            (s0, e0), (s1, e1) = sorted([(prev.start, prev.end), (start, end)])
+            if prev.annotator == annotator and s1 < e0:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: overlapping edits for annotator {annotator}: ({s0},{e0}) and ({s1},{e1})"
+                )
+        correction = " ".join(fields[2].split())
+        edits.append(M2Edit(start, end, type_label, "" if correction == _NONE_FIELD else correction, annotator))
     conflict = noops & {e.annotator for e in edits}
     if conflict:
         raise ConfigurationError(
@@ -214,15 +220,12 @@ def load_m2(path: str | Path) -> list[M2Record]:
     """Parse an M2 file into records split on blank lines."""
     records = []
     block: list[tuple[int, str]] = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            if block:
-                records.append(_parse_m2_block(block, path))
-                block = []
-            continue
-        block.append((lineno, line))
-    if block:
-        records.append(_parse_m2_block(block, path))
+    for lineno, line in enumerate([*read_text(path).split("\n"), ""], start=1):
+        if line.strip():
+            block.append((lineno, line))
+        elif block:
+            records.append(_parse_m2_block(block, path))
+            block = []
     if not records:
         raise ConfigurationError(f"{path}: file is empty")
     return records
@@ -234,17 +237,9 @@ def apply_edits(record: M2Record, annotator: int) -> str:
     known = set(grouped) | record.noop_annotators
     if known and annotator not in known:
         raise LookupError(f"unknown annotator {annotator}; record has {sorted(known)}")
-    edits = grouped.get(annotator, [])
-    ordered = sorted(edits, key=lambda e: (e.start, e.end))
-    for prev, nxt in zip(ordered, ordered[1:]):
-        if nxt.start < prev.end:
-            raise ConfigurationError(
-                f"overlapping edits for annotator {annotator}: "
-                f"({prev.start},{prev.end}) and ({nxt.start},{nxt.end})"
-            )
     tokens = list(record.source_tokens)
-    for edit in reversed(ordered):
-        tokens[edit.start: edit.end] = edit.correction.split() if edit.correction else []
+    for edit in reversed(sorted(grouped.get(annotator, []), key=lambda e: (e.start, e.end))):
+        tokens[edit.start: edit.end] = edit.correction.split()
     return " ".join(tokens)
 
 

@@ -182,10 +182,12 @@ def test_parse_m2_errors_carry_line_numbers(tmp_path):
         load_m2(out_of_range)
 
 
-@pytest.mark.parametrize("sentence", ["S The  cat sat", "S  The cat sat", "S The cat sat "])
+@pytest.mark.parametrize(
+    "sentence", ["S The  cat sat", "S  The cat sat", "S The cat sat ", "S The\tcat sat", "S The\u00a0cat sat"]
+)
 def test_m2_sentence_with_an_empty_token_is_refused(tmp_path, sentence):
-    # the scorer splits on whitespace, so an empty token would shift every
-    # gold span after it
+    # the scorer splits on any whitespace, so an empty token or one holding
+    # a tab would shift every gold span after it
     path = tmp_path / "e.m2"
     path.write_text(
         f"S a b\nA 0 1|||R:X|||x|||REQUIRED|||-NONE-|||0\n\n{sentence}\nA 2 3|||R:NOUN|||dog|||REQUIRED|||-NONE-|||0\n",
@@ -262,13 +264,34 @@ def test_apply_unknown_annotator():
         apply_edits(record, 3)
 
 
-def test_overlapping_edits_rejected():
-    record = M2Record(
-        ("a", "b", "c"),
-        (M2Edit(0, 2, "R:X", "x", 0), M2Edit(1, 3, "R:Y", "y", 0)),
-    )
-    with pytest.raises(ConfigurationError, match="overlapping edits"):
-        apply_edits(record, 0)
+def test_overlapping_edits_rejected(tmp_path):
+    # the reader refuses the later-listed of two overlapping spans of one
+    # annotator; an insertion inside a replaced span overlaps it too
+    path = tmp_path / "o.m2"
+    for spans in (["0 2", "1 3"], ["0 2", "1 1"], ["1 3", "0 2"]):
+        edits = "".join(f"A {span}|||R:X|||x|||REQUIRED|||-NONE-|||0\n" for span in spans)
+        path.write_text(f"S a b\n\nS a b c\nA 0 3|||R:X|||x|||REQUIRED|||-NONE-|||1\n{edits}", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=r"o\.m2:6: overlapping edits for annotator 0: \(0,2\) and \(1,"):
+            load_m2(path)
+
+
+def test_overlap_refusal_is_the_sorted_neighbour_rule(tmp_path):
+    # sort one annotator's spans by (start, end); a neighbour that starts
+    # before the previous span ends is an overlap
+    rng = random.Random(7)
+    path = tmp_path / "r.m2"
+    for _ in range(300):
+        spans = [tuple(sorted((rng.randint(0, 4), rng.randint(0, 4)))) for _ in range(rng.randint(2, 4))]
+        edits = "".join(f"A {s} {e}|||R:X|||x|||REQUIRED|||-NONE-|||0\n" for s, e in spans)
+        path.write_text(f"S a b c d\n{edits}", encoding="utf-8")
+        ordered = sorted(spans)
+        overlaps = any(nxt[0] < prev[1] for prev, nxt in zip(ordered, ordered[1:]))
+        try:
+            m2_pairs(load_m2(path))
+        except ConfigurationError as exc:
+            assert overlaps and "overlapping edits" in str(exc), spans
+        else:
+            assert not overlaps, spans
 
 
 def test_same_position_inserts_apply_in_listed_order():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apio.corpus import M2Edit, M2Record, apply_edits
+from apio.corpus import M2Edit, M2Record, apply_edits, load_m2
 from apio.metrics.gec import (
     Edit,
     extract_edits,
@@ -145,6 +145,20 @@ def test_noop_annotator_preferred_when_hypothesis_is_source():
     # annotator 1 says the source is already correct; copying it should
     # contribute nothing rather than false negatives
     assert sentence_counts(record, "a b c") == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    ("correction", "hypothesis"),
+    [("sits  down", "The cat sits down"), (" sits down", "The cat sits down"),
+     ("sits\tdown ", "The cat sits down"), (" -NONE- ", "The cat")],
+)
+def test_gold_correction_is_compared_by_its_tokens(tmp_path, correction, hypothesis):
+    # the reader joins a correction's tokens by single spaces, as the scorer
+    # joins the hypothesis tokens it compares them with
+    path = tmp_path / "g.m2"
+    path.write_text(f"S The cat sat\nA 2 3|||R:VERB|||{correction}|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
+    [record] = load_m2(path)
+    assert sentence_counts(record, hypothesis) == (1, 0, 0)
 
 
 def test_adjacent_gold_edits_do_not_match_one_merged_edit():

@@ -2472,6 +2472,17 @@ def test_entrypoint_exits_with_mains_code(tmp_path, monkeypatch, capsys):
     assert "error: run id '..' must be one path component" in capsys.readouterr().err
 
 
+def test_module_run_of_the_cli_is_the_apio_command(tmp_path):
+    # `python -m apio.cli` runs the same entry point as the `apio` script
+    missing = tmp_path / "missing.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "apio.cli", "induce", "--config", str(missing)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "missing.json" in done.stderr
+
+
 def _apio_exception_classes() -> list[type[Exception]]:
     """Every ``Exception`` subclass defined in an ``apio`` module, once all are imported."""
     for module in pkgutil.walk_packages(apio.__path__, "apio."):
