@@ -165,16 +165,16 @@ def _infer_file(args: argparse.Namespace, cfg: RunConfig, render: Callable[[str]
     and write the outputs to ``output`` in input order, one line each. The
     input is read first; then ``_open_run``, given no run, builds the
     backend and the ``--workers`` pool. Empty lines pass through untouched; every
-    other distinct line is one request, whose postprocessed answer has its
-    line breaks made spaces, and each copy of a line whose request fails
-    becomes ``<FAILED>``, which exits 1."""
+    other distinct line is one request, whose answer is postprocessed to
+    one line, and each copy of a line whose request fails becomes
+    ``<FAILED>``, which exits 1."""
     lines = read_lines(args.input)
 
     def one(line: str) -> str:
         if not line.strip():
             return ""
         try:
-            return postprocess_output(backend.complete(ChatRequest(render(line), INFER))).replace("\n", " ")
+            return postprocess_output(backend.complete(ChatRequest(render(line), INFER)))
         except GatewayError as exc:
             log.warning("inference failed: %s", exc)
             return FAILED_PLACEHOLDER

@@ -156,59 +156,50 @@ class PromptOptimizer:
     def _submit_improvements(self, parent: Candidate, epoch: int, start: Callable[[Prompt], None]) -> Future:
         """Start the parent's improve samples in ``executor``: first the
         scoring of its seeded train window, which depends only on (seed,
-        epoch, parent id, parent prompt), then the ``_sample_improvements``
-        task that reads it. The task is queued behind every request it
-        waits on, so no pool thread waits on a request queued behind it."""
+        epoch, parent id, parent prompt), then the task that reads it. The
+        task is queued behind every request it waits on, so no pool thread
+        waits on a request queued behind it. Its future holds the children
+        that the samples' proposed instructions make, each passed to
+        ``start`` once known; a sample whose request fails or whose answer
+        makes no instruction is logged and dropped, and a window that failed
+        to score raises. The meta prompt shows the improve_batch rows of the
+        window with the worst errors, as (input, output, nearest reference,
+        error) in window order. The samples share one request body, so they
+        go out one at a time in tag order."""
         window_size = min(len(self.train), 2 * self.cfg.improve_batch)
         rng = derived_rng(self.seed, "improve-batch", epoch, parent.id)
         pairs = [self.train[idx] for idx in rng.sample(range(len(self.train)), window_size)]
         scoring = submit_scoring(parent.prompt, pairs, self.backend, self.executor, epoch)
-        return self.executor.submit(self._sample_improvements, parent, epoch, pairs, scoring, start)
 
-    def _sample_improvements(
-        self, parent: Candidate, epoch: int, pairs: list[SamplePair], scoring: list[Future],
-        start: Callable[[Prompt], None],
-    ) -> list[Prompt | Exception]:
-        """Each improve sample of the parent: the child that its proposed
-        instruction makes, passed to ``start`` once known, or the error
-        that dropped it. The meta prompt shows the improve_batch rows of
-        the window ``scoring`` with the worst errors, as (input, output,
-        nearest reference, error) in window order; a window that failed to
-        score raises. The samples share one request body, so they go out
-        one at a time in tag order."""
-        _, scored = gather_scoring(scoring)
-        worst = sorted(range(len(pairs)), key=lambda pos: (-scored[pos][2], pos))
-        examples = [(pairs[pos].source, *scored[pos]) for pos in sorted(worst[: self.cfg.improve_batch])]
-        meta = improve_meta_prompt(self.template, parent.prompt.instruction_texts(), examples)
-        samples: list[Prompt | Exception] = []
-        for s in range(self.cfg.improve_samples):
-            tag = epoch * self.cfg.improve_samples + s
-            try:
-                raw = self.backend.complete(ChatRequest(meta, EXPLORE, attempt_tag=tag, purpose="improve", step=epoch))
-                child = parent.prompt.append_instruction(parse_new_instruction(raw))
-            except (GatewayError, PromptError) as exc:
-                samples.append(exc)
-                continue
-            start(child)
-            samples.append(child)
-        return samples
+        def sample() -> list[Prompt]:
+            _, scored = gather_scoring(scoring)
+            worst = sorted(range(len(pairs)), key=lambda pos: (-scored[pos][2], pos))
+            examples = [(pairs[pos].source, *scored[pos]) for pos in sorted(worst[: self.cfg.improve_batch])]
+            meta = improve_meta_prompt(self.template, parent.prompt.instruction_texts(), examples)
+            children = []
+            for s in range(self.cfg.improve_samples):
+                tag = epoch * self.cfg.improve_samples + s
+                request = ChatRequest(meta, EXPLORE, attempt_tag=tag, purpose="improve", step=epoch)
+                try:
+                    child = parent.prompt.append_instruction(parse_new_instruction(self.backend.complete(request)))
+                except (GatewayError, PromptError) as exc:
+                    log.warning("improve sample %d failed for candidate %d: %s", s, parent.id, exc)
+                    continue
+                start(child)
+                children.append(child)
+            return children
+
+        return self.executor.submit(sample)
 
     def improve(self, parent: Candidate, samples: Future) -> list[Prompt]:
-        """Children extending the parent by one proposed instruction,
-        collected from the ``samples`` of the ``_sample_improvements`` task
-        that ``run_epoch`` started with ``_submit_improvements``; it sends no
-        request of its own."""
+        """Children extending the parent by one proposed instruction, read
+        from the ``samples`` task that ``run_epoch`` started with
+        ``_submit_improvements``; it sends no request of its own."""
         try:
-            outcomes = samples.result()
+            children = samples.result()
         except GatewayError as exc:
             log.warning("improve failed for candidate %d: %s", parent.id, exc)
             return []
-        children = []
-        for s, outcome in enumerate(outcomes):
-            if isinstance(outcome, Exception):
-                log.warning("improve sample %d failed for candidate %d: %s", s, parent.id, outcome)
-            else:
-                children.append(outcome)
         if not children:
             log.warning("improve yielded zero children for candidate %d", parent.id)
         return children

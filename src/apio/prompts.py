@@ -244,13 +244,14 @@ def parse_new_instruction(completion: str) -> str:
 
 
 def postprocess_output(text: str) -> str:
-    r"""Normalize an inference completion: make each ``\r\n`` or ``\r`` a
-    ``\n``, trim whitespace, keep text up to the first blank line."""
+    r"""Normalize an inference completion to one line: make each ``\r\n``
+    or ``\r`` a ``\n``, trim whitespace, keep text up to the first blank
+    line, and make each line break left a space."""
     s = re.sub(r"\r\n?", "\n", text).strip()
     cut = s.find("\n\n")
     if cut != -1:
         s = s[:cut].strip()
-    return s
+    return s.replace("\n", " ")
 
 
 # ---------------------------------------------------------------------------

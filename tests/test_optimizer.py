@@ -266,6 +266,18 @@ def test_improve_meta_shows_worst_error_examples(toy_pairs):
     assert ": 2 different words." in meta
 
 
+def test_improve_meta_shows_a_multi_line_output_on_one_line(toy_pairs):
+    entries = [
+        ScriptEntry(match=IMPROVE_MATCH, response="<new_instruction>X y.</new_instruction>"),
+        ScriptEntry(match="\nOutput:", response="a\nb"),
+    ]
+    backend = RecordingBackend(ScriptedBackend(entries))
+    engine = _engine(toy_pairs, backend, improve_batch=1)
+    engine.run_epoch([_seed_candidate(engine, _prompt(DECOY))], 1)
+    meta = next(r.content for r in backend.requests if r.purpose == "improve")
+    assert "System's Output 1: a b\n" in meta
+
+
 def test_rephrase_replaces_one_position(toy_pairs):
     entries = [
         ScriptEntry(match="Instruction:First rule.", response="Rewritten first."),

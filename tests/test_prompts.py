@@ -227,8 +227,9 @@ def test_clean_completion_with_nothing_left_raises(raw):
 def test_postprocess_output():
     assert postprocess_output("  fixed text \n") == "fixed text"
     assert postprocess_output("first paragraph\n\nsecond paragraph") == "first paragraph"
-    assert postprocess_output("keep\nsingle newline") == "keep\nsingle newline"
+    # a single line break left is a space, so the output is one line
+    assert postprocess_output("keep\nsingle newline") == "keep single newline"
     # \r\n and a bare \r break lines as \n does
     assert postprocess_output("Fixed.\r\n\r\nExplanation") == "Fixed."
     assert postprocess_output("Fixed.\r\rExplanation") == "Fixed."
-    assert postprocess_output("one\r\ntwo\rthree") == "one\ntwo\nthree"
+    assert postprocess_output("one\r\ntwo\rthree") == "one two three"
