@@ -313,8 +313,8 @@ def _final_report(run: RunDir, cfg: RunConfig, engine: PromptOptimizer, pool: li
     top = sorted(pool, key=rank_key)[:5]
     best = top[0]
     write_text(run.best_prompt_path, best.prompt.text() + "\n")
-    full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor, 0, "report")
-    top_scorings = [submit_scoring(c.prompt, engine.dev_eval, engine.backend, engine.executor, 0, "report")
+    full = submit_scoring(best.prompt, engine.dev, engine.backend, engine.executor, 0)
+    top_scorings = [submit_scoring(c.prompt, engine.dev_eval, engine.backend, engine.executor, 0)
                     for c in top]
     top_report = []
     for cand, scoring in zip(top, top_scorings):

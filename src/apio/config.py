@@ -28,8 +28,7 @@ from .corpus import (
 )
 from .prompts import TASK_TEMPLATES, Instruction
 
-_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
-               list[str]: "a list of strings", list[int]: "a list of integers",
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", list[str]: "a list of strings",
                tuple[Instruction, ...]: "a list of strings"}
 
 

@@ -70,7 +70,7 @@ class ChatRequest:
     content: str  # the one user message
     profile: GenerationProfile
     attempt_tag: int = 0
-    purpose: str = "infer"  # induce, improve, rephrase, score, report or infer; Backend.calls counts by it and step
+    purpose: str = "infer"  # induce, improve, rephrase, score or infer; Backend.calls counts by it and step
     step: int = 0  # the induction trial or optimize epoch; 0 for the seed scoring, the report and elsewhere
 
     def __post_init__(self):

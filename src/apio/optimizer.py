@@ -58,11 +58,10 @@ def submit_scoring(
     backend: Backend,
     executor: Executor,
     step: int,
-    purpose: str = "score",
 ) -> list[Future]:
     """Start scoring ``prompt`` on ``pairs`` in ``executor``: one future
     per pair, in input order, each rendering the source, completing it
-    in an INFER request of ``purpose`` and ``step``, postprocessing, and
+    in an INFER "score" request of ``step``, postprocessing, and
     holding (output, nearest reference, word distance to it). An empty
     source scores the empty output. Pass the result to ``gather_scoring``.
     """
@@ -70,7 +69,7 @@ def submit_scoring(
     def one(pair: SamplePair) -> tuple[str, str, int]:
         output = ""
         if pair.source:
-            raw = backend.complete(ChatRequest(prompt.render(pair.source), INFER, purpose=purpose, step=step))
+            raw = backend.complete(ChatRequest(prompt.render(pair.source), INFER, purpose="score", step=step))
             output = postprocess_output(raw)
         error, nearest = min_ref_levenshtein(output, pair.references)
         return output, pair.references[nearest], error
@@ -175,7 +174,7 @@ class PromptOptimizer:
             _, scored = gather_scoring(scoring)
             worst = sorted(range(len(pairs)), key=lambda pos: (-scored[pos][2], pos))
             examples = [(pairs[pos].source, *scored[pos]) for pos in sorted(worst[: self.cfg.improve_batch])]
-            meta = improve_meta_prompt(self.template, parent.prompt.instruction_texts(), examples)
+            meta = improve_meta_prompt(self.template, parent.prompt.instructions, examples)
             children = []
             for s in range(self.cfg.improve_samples):
                 tag = epoch * self.cfg.improve_samples + s

@@ -71,9 +71,6 @@ class Prompt:
         lines.append(footer)
         return "\n".join(lines)
 
-    def instruction_texts(self) -> list[str]:
-        return list(self.instructions)
-
     def replace_instruction(self, index: int, text: str) -> "Prompt":
         instructions = list(self.instructions)
         instructions[index] = text
@@ -111,21 +108,27 @@ class TaskTemplate:
     task_name: str
     input_label: str
     output_label: str
-    footer: str
     zero_shot: str  # the instruction of the zero- and few-shot baselines
+
+    def pair(self, source: str, target: str) -> str:
+        """An (input, output) pair as two labelled lines."""
+        return f"{self.input_label}: {source}\n{self.output_label}: {target}"
+
+    @property
+    def footer(self) -> str:
+        """The pair with the input slot as its input, closed by the output label."""
+        return self.pair(INPUT_SLOT, "").rstrip(" ")
 
     def baseline_prompt(self, instruction: str, exemplars: list[tuple[str, str]]) -> str:
         """A baseline's prompt, slot in place: ``instruction``, each (input,
-        output) exemplar as two labelled lines, the footer, a blank line apart."""
-        shots = [f"{self.input_label}: {source}\n{self.output_label}: {target}" for source, target in exemplars]
-        return "\n\n".join([instruction, *shots, self.footer])
+        output) exemplar as a labelled pair, the footer, a blank line apart."""
+        return "\n\n".join([instruction, *(self.pair(*shot) for shot in exemplars), self.footer])
 
 
 GEC_TEMPLATE = TaskTemplate(
     task_name="Grammatical Error Correction",
     input_label="Sentence",
     output_label="Corrected sentence",
-    footer="Sentence: {input_text}\nCorrected sentence:",
     zero_shot="Correct all grammatical errors in the given sentence. Output only the corrected sentence; "
     "if the sentence is already correct, output it unchanged.",
 )
@@ -134,7 +137,6 @@ SIMPLIFY_TEMPLATE = TaskTemplate(
     task_name="Text Simplification",
     input_label="Complex sentence",
     output_label="Simple sentence",
-    footer="Complex sentence: {input_text}\nSimple sentence:",
     zero_shot="Rewrite the given complex sentence as simpler, easier-to-understand text while preserving "
     "its original meaning. Output only the simplified text.",
 )
@@ -143,7 +145,6 @@ GENERIC_TEMPLATE = TaskTemplate(
     task_name="Text Rewriting",
     input_label="Input",
     output_label="Output",
-    footer="Input: {input_text}\nOutput:",
     zero_shot="Rewrite the given input according to the task demonstrated by the data. "
     "Output only the rewritten text.",
 )
@@ -161,8 +162,7 @@ TASK_TEMPLATES = {
 
 _INDUCTION_META = """Below is an example of an input-output pair for the {task_name} task.
 
-{input_label}: {input_text}
-{output_label}: {output_text}
+{pair}
 
 You are the prompt engineer. Could you give an instruction for this example? Do not mention any part of the considered texts."""
 
@@ -194,18 +194,12 @@ NEW_INSTRUCTION_RE = re.compile(r"<new_instruction>(.*?)</new_instruction>", re.
 
 
 def induction_meta_prompt(template: TaskTemplate, source: str, target: str) -> str:
-    return _INDUCTION_META.format(
-        task_name=template.task_name,
-        input_label=template.input_label,
-        output_label=template.output_label,
-        input_text=source,
-        output_text=target,
-    )
+    return _INDUCTION_META.format(task_name=template.task_name, pair=template.pair(source, target))
 
 
 def improve_meta_prompt(
     template: TaskTemplate,
-    instructions: list[str],
+    instructions: tuple[str, ...],
     examples: list[tuple[str, str, str, int]],
 ) -> str:
     """Meta-prompt asking for one new instruction given observed errors.
@@ -246,11 +240,10 @@ def parse_new_instruction(completion: str) -> str:
 def postprocess_output(text: str) -> str:
     r"""Normalize an inference completion to one line: make each ``\r\n``
     or ``\r`` a ``\n``, trim whitespace, keep text up to the first blank
-    line, and make each line break left a space."""
+    line (one holding only whitespace), and make each line break left a
+    space."""
     s = re.sub(r"\r\n?", "\n", text).strip()
-    cut = s.find("\n\n")
-    if cut != -1:
-        s = s[:cut].strip()
+    s = re.split(r"\n[^\S\n]*\n", s, maxsplit=1)[0].strip()
     return s.replace("\n", " ")
 
 

@@ -339,15 +339,15 @@ def test_c6_operator_contracts_fuzz():
             assert len(diffs) == 1
 
         permuted = engine.permute(parent, epoch=parent_idx)
-        assert sorted(permuted.instruction_texts()) == sorted(texts)
-        assert permuted.instruction_texts() != texts
+        assert sorted(permuted.instructions) == sorted(texts)
+        assert list(permuted.instructions) != texts
 
     # duplicate instruction texts: the position permutation may be invisible
     # at text level, but the multiset contract still holds
     twin = Prompt("", (Instruction("Same rule."), Instruction("Same rule.")), GENERIC_TEMPLATE.footer)
     twin_parent = Candidate(10_000, twin, 0.0, 0.0, 0.0, None, "init", 0)
     permuted = engine.permute(twin_parent, epoch=0)
-    assert sorted(permuted.instruction_texts()) == ["Same rule.", "Same rule."]
+    assert sorted(permuted.instructions) == ["Same rule.", "Same rule."]
 
     # pool invariants after truncation, over a multi-epoch scripted run
     paths_entries = [ScriptEntry(**e) for e in script_entries()]

@@ -118,11 +118,11 @@ def test_best_of_trials_argmax_and_tiebreak(toy_pairs):
     )
     assert [r.fitness for r in reports][4] == -0.25
     assert best == induced[4]
-    assert best.instruction_texts() == reports[4].instructions == [f"Rewrite {i}." for i in reports[4].pair_ids]
+    assert list(best.instructions) == reports[4].instructions == [f"Rewrite {i}." for i in reports[4].pair_ids]
 
     flat, reports = _induced(toy_pairs, cfg, 5, _per_pair_backend(toy_pairs))
     assert reports[0].pair_ids != reports[1].pair_ids  # so the tie is not trivially met
-    assert flat.instruction_texts() == reports[0].instructions
+    assert list(flat.instructions) == reports[0].instructions
     assert all(r.fitness == 0.0 for r in reports)
 
 
@@ -208,7 +208,7 @@ def test_best_of_trials_skips_failed_trials(toy_pairs):
     best, reports = _induced(toy_pairs, cfg, 9, backend)
     assert reports[0].error is not None
     assert reports[1].error is None
-    assert best.instruction_texts() == ["Fine instruction."]
+    assert list(best.instructions) == ["Fine instruction."]
 
 
 class _SecondAnswer(Backend):

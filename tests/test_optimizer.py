@@ -351,7 +351,7 @@ def test_epoch_scores_each_new_child_text_once(toy_pairs):
         ["First rule.", "Rewritten second."],
         ["Second rule.", "First rule."],
     ]
-    assert parent.instruction_texts() not in children
+    assert list(parent.instructions) not in children
     window = min(len(engine.train), 2 * engine.cfg.improve_batch)
     assert engine.backend.calls["improve", 1] == 2
     assert engine.backend.calls["score", 1] == len(children) * len(engine.dev_eval) + window
@@ -370,8 +370,8 @@ def test_permute_is_seeded_transposition(toy_pairs):
     child = engine.permute(parent, epoch=1)
     again = engine.permute(parent, epoch=1)
     assert child == again
-    original = parent.prompt.instruction_texts()
-    permuted = child.instruction_texts()
+    original = list(parent.prompt.instructions)
+    permuted = list(child.instructions)
     assert sorted(original) == sorted(permuted)
     changed = [i for i, (a, b) in enumerate(zip(original, permuted)) if a != b]
     assert len(changed) == 2  # n_permute=2 selects a transposition
@@ -393,8 +393,8 @@ def test_permute_preserves_multiset(labels, epoch):
     prompt = _prompt(*[f"Rule {n}." for n in labels])
     parent = Candidate(0, prompt, 0.0, 0.0, 0.0, None, "init", 0)
     child = engine.permute(parent, epoch)
-    assert sorted(child.instruction_texts()) == sorted(prompt.instruction_texts())
-    assert child.instruction_texts() != prompt.instruction_texts()
+    assert sorted(child.instructions) == sorted(prompt.instructions)
+    assert child.instructions != prompt.instructions
 
 
 # -- epoch loop ---------------------------------------------------------------
@@ -412,7 +412,7 @@ def test_run_epoch_planted_child_ranks_first(toy_pairs):
     new_pool = engine.run_epoch(pool, epoch=1)
     best = new_pool[0]
     assert best.raw_error == 0.0
-    assert PLANTED in best.prompt.instruction_texts()
+    assert PLANTED in best.prompt.instructions
     assert best.operator == "improve"
     assert len(new_pool) <= engine.cfg.beam_b
 

@@ -136,12 +136,20 @@ def test_children_of_a_prompt_do_not_log_its_long_instruction_again(caplog):
 
 
 def test_induction_meta_prompt_shape():
-    meta = induction_meta_prompt(SIMPLIFY_TEMPLATE, "complex text", "simple text")
-    assert "input-output pair for the Text Simplification task" in meta
-    assert "Complex sentence: complex text" in meta
-    assert "Simple sentence: simple text" in meta
-    assert "You are the prompt engineer." in meta
-    assert "Do not mention any part of the considered texts." in meta
+    """Each task's induction request, byte for byte: the task name, the
+    labelled pair, then the ask."""
+    ask = ("You are the prompt engineer. Could you give an instruction for this example? "
+           "Do not mention any part of the considered texts.")
+    expected = {
+        GEC_TEMPLATE: "Below is an example of an input-output pair for the Grammatical Error Correction task.\n\n"
+                      "Sentence: src text\nCorrected sentence: tgt text\n\n",
+        SIMPLIFY_TEMPLATE: "Below is an example of an input-output pair for the Text Simplification task.\n\n"
+                           "Complex sentence: src text\nSimple sentence: tgt text\n\n",
+        GENERIC_TEMPLATE: "Below is an example of an input-output pair for the Text Rewriting task.\n\n"
+                          "Input: src text\nOutput: tgt text\n\n",
+    }
+    for template, head in expected.items():
+        assert induction_meta_prompt(template, "src text", "tgt text") == head + ask
 
 
 def test_improve_meta_prompt_shape():
@@ -233,3 +241,6 @@ def test_postprocess_output():
     assert postprocess_output("Fixed.\r\n\r\nExplanation") == "Fixed."
     assert postprocess_output("Fixed.\r\rExplanation") == "Fixed."
     assert postprocess_output("one\r\ntwo\rthree") == "one two three"
+    # a line holding only spaces or a tab is a blank line too
+    assert postprocess_output("Fixed.\n \nExplanation: typo") == "Fixed."
+    assert postprocess_output("Fixed.\r\n\t \r\nExplanation") == "Fixed."

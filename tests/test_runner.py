@@ -1810,6 +1810,53 @@ def test_live_induce_killed_at_seeded_requests_reruns_to_the_uninterrupted_files
         assert full <= sent <= full + workers + 1, (kill_at, sent, full)
 
 
+def test_infer_killed_while_its_cache_write_waits_on_another_process_leaves_the_cache_sound(tmp_path, chat_server):
+    """An ``infer`` process SIGKILLed while its cache write waits on the
+    write lock another process holds on the shared cache leaves the file
+    sound: once the holder rolls back, it passes SQLite's integrity check,
+    and a rerun sends the one request again and writes the uninterrupted
+    output."""
+    chat_server.fallback = Reply(body=completion("rewritten"))
+    prompt, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    _write_prompt(prompt)
+    source.write_text("only line\n", encoding="utf-8")
+    cache = tmp_path / "cache"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"backend": {"base_url": chat_server.url, "cache_dir": str(cache)}}))
+    argv = ["infer", "--prompt", str(prompt), "--input", str(source), "--output", str(out), "--config", str(config)]
+    gateway.CachedBackend(rewrite_backend(), cache).close()  # the shared cache file, in WAL mode
+
+    def answer(request: dict) -> Reply:
+        chat_server.changed.notify_all()  # respond is called under this condition's lock
+        return chat_server.fallback
+
+    chat_server.respond = answer
+    with _write_locked(cache / "completions.sqlite3"):
+        process = subprocess.Popen(
+            [sys.executable, "-c", "from apio.cli import entrypoint; entrypoint()", *argv],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        try:
+            with chat_server.changed:
+                assert chat_server.changed.wait_for(lambda: chat_server.requests, timeout=60)
+            # answered: its write now waits up to CACHE_BUSY_TIMEOUT_S (5 s) on the lock
+            time.sleep(0.5)
+            assert process.poll() is None
+            process.send_signal(signal.SIGKILL)
+            _, errors = process.communicate(timeout=10)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+    assert process.returncode == -signal.SIGKILL, errors
+    assert not out.exists() and len(chat_server.requests) == 1
+    with contextlib.closing(sqlite3.connect(cache / "completions.sqlite3")) as db:
+        assert db.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+    assert main(argv) == 0
+    assert len(chat_server.requests) == 2
+    assert out.read_text(encoding="utf-8") == "rewritten\n"
+
+
 def test_infer_failures_yield_placeholder_and_exit_1(tmp_path, capsys):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -2472,11 +2519,12 @@ def test_entrypoint_exits_with_mains_code(tmp_path, monkeypatch, capsys):
     assert "error: run id '..' must be one path component" in capsys.readouterr().err
 
 
-def test_module_run_of_the_cli_is_the_apio_command(tmp_path):
-    # `python -m apio.cli` runs the same entry point as the `apio` script
+@pytest.mark.parametrize("module", ["apio.cli", "apio"])
+def test_module_run_of_the_cli_is_the_apio_command(tmp_path, module):
+    # `python -m apio.cli` and `python -m apio` run the same entry point as the `apio` script
     missing = tmp_path / "missing.json"
     done = subprocess.run(
-        [sys.executable, "-m", "apio.cli", "induce", "--config", str(missing)],
+        [sys.executable, "-m", module, "induce", "--config", str(missing)],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert done.returncode == 2
