@@ -56,7 +56,7 @@ def _gec_cases(rng: random.Random, count: int) -> tuple[list[M2Record], list[str
     hypotheses: list[str] = []
     for i, record in enumerate(records):
         if i % 3 == 0:
-            hypotheses.append(apply_edits(record, rng.choice(record.annotator_ids())))
+            hypotheses.append(apply_edits(record, rng.choice(list(record.gold))))
         elif i % 3 == 1:
             hypotheses.append(record.source_text())
         else:

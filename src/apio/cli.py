@@ -423,8 +423,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             exemplars = [train[i] for i in sorted(rng.sample(range(len(train)), args.shots))]
             meta["shots"] = args.shots
             meta["exemplar_ids"] = [p.id for p in exemplars]
-        prompt_text = template.baseline_prompt(instruction, [(p.source, p.references[0]) for p in exemplars])
-        code = _infer_file(args, cfg, lambda line: prompt_text.replace(INPUT_SLOT, line), output)
+        shots = [(p.source, p.references[0]) for p in exemplars]
+        # the footer comes last, so its slot is the last one, the only one a line fills
+        head, _, tail = template.baseline_prompt(instruction, shots).rpartition(INPUT_SLOT)
+        code = _infer_file(args, cfg, lambda line: head + line + tail, output)
     write_json(_meta_path(output), meta)
     return code
 

@@ -40,29 +40,22 @@ class M2Edit:
     end: int
     type_label: str
     correction: str
-    annotator: int
 
 
 @dataclass(frozen=True)
 class M2Record:
-    """A record from ``load_m2`` keeps ``source_text().split() == list(source_tokens)``."""
+    """``gold`` maps each annotator id, ascending, to its edits in file
+    order; a noop annotator has none, and a record without annotators has
+    annotator 0 with none. A record from ``load_m2`` keeps
+    ``source_text().split() == list(source_tokens)``."""
     source_tokens: tuple[str, ...]
-    edits: tuple[M2Edit, ...] = ()
-    noop_annotators: frozenset[int] = field(default_factory=frozenset)
+    gold: dict[int, tuple[M2Edit, ...]] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gold", {a: tuple(edits) for a, edits in sorted(self.gold.items())} or {0: ()})
 
     def source_text(self) -> str:
         return " ".join(self.source_tokens)
-
-    def edits_by_annotator(self) -> dict[int, list[M2Edit]]:
-        grouped: dict[int, list[M2Edit]] = {}
-        for edit in self.edits:
-            grouped.setdefault(edit.annotator, []).append(edit)
-        return grouped
-
-    def annotator_ids(self) -> list[int]:
-        ids = set(self.noop_annotators)
-        ids.update(e.annotator for e in self.edits)
-        return sorted(ids) if ids else [0]
 
 
 def read_text(path: str | Path) -> str:
@@ -170,7 +163,7 @@ def _parse_m2_block(lines: list[tuple[int, str]], path: str | Path) -> M2Record:
         raise ConfigurationError(
             f"{path}:{lineno}: sentence holds an empty token or other whitespace; separate tokens by single spaces"
         )
-    edits: list[M2Edit] = []
+    gold: dict[int, list[M2Edit]] = {}
     noops: set[int] = set()
     for lineno, line in lines[1:]:
         if not line.startswith("A "):
@@ -191,6 +184,7 @@ def _parse_m2_block(lines: list[tuple[int, str]], path: str | Path) -> M2Record:
             annotator = int(fields[5])
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: non-integer annotator id") from exc
+        edits = gold.setdefault(annotator, [])
         type_label = fields[1]
         if type_label == _NOOP_TYPE or (start, end) == (-1, -1):
             noops.add(annotator)
@@ -201,19 +195,19 @@ def _parse_m2_block(lines: list[tuple[int, str]], path: str | Path) -> M2Record:
             )
         for prev in edits:
             (s0, e0), (s1, e1) = sorted([(prev.start, prev.end), (start, end)])
-            if prev.annotator == annotator and s1 < e0:
+            if s1 < e0:
                 raise ConfigurationError(
                     f"{path}:{lineno}: overlapping edits for annotator {annotator}: ({s0},{e0}) and ({s1},{e1})"
                 )
         correction = " ".join(fields[2].split())
-        edits.append(M2Edit(start, end, type_label, "" if correction == _NONE_FIELD else correction, annotator))
-    conflict = noops & {e.annotator for e in edits}
+        edits.append(M2Edit(start, end, type_label, "" if correction == _NONE_FIELD else correction))
+    conflict = [a for a in sorted(noops) if gold[a]]
     if conflict:
         raise ConfigurationError(
             f"{path}:{lines[0][0]}: noop coexists with substantive edits "
-            f"for annotator(s) {sorted(conflict)}"
+            f"for annotator(s) {conflict}"
         )
-    return M2Record(tokens, tuple(edits), frozenset(noops))
+    return M2Record(tokens, gold)
 
 
 def load_m2(path: str | Path) -> list[M2Record]:
@@ -233,19 +227,17 @@ def load_m2(path: str | Path) -> list[M2Record]:
 
 def apply_edits(record: M2Record, annotator: int) -> str:
     """Materialize one annotator's reference by applying edits right-to-left."""
-    grouped = record.edits_by_annotator()
-    known = set(grouped) | record.noop_annotators
-    if known and annotator not in known:
-        raise LookupError(f"unknown annotator {annotator}; record has {sorted(known)}")
+    if annotator not in record.gold:
+        raise LookupError(f"unknown annotator {annotator}; record has {list(record.gold)}")
     tokens = list(record.source_tokens)
-    for edit in reversed(sorted(grouped.get(annotator, []), key=lambda e: (e.start, e.end))):
+    for edit in reversed(sorted(record.gold[annotator], key=lambda e: (e.start, e.end))):
         tokens[edit.start: edit.end] = edit.correction.split()
     return " ".join(tokens)
 
 
 def reference_texts(record: M2Record) -> list[str]:
     """All annotator references for a record, in annotator-id order."""
-    return [apply_edits(record, a) for a in record.annotator_ids()]
+    return [apply_edits(record, a) for a in record.gold]
 
 
 def m2_pairs(records: Sequence[M2Record]) -> list[SamplePair]:

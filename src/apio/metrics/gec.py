@@ -63,10 +63,9 @@ def sentence_counts(record: M2Record, hypothesis: str) -> tuple[int, int, int]:
     FP+FN, then the lowest annotator id.
     """
     hyp_edits = extract_edits(record.source_text(), hypothesis)
-    by_annotator = record.edits_by_annotator()
     counts: list[tuple[int, int, int]] = []
-    for annotator in record.annotator_ids():
-        gold = frozenset((e.start, e.end, e.correction) for e in by_annotator.get(annotator, ()))
+    for edits in record.gold.values():
+        gold = frozenset((e.start, e.end, e.correction) for e in edits)
         counts.append((len(hyp_edits & gold), len(hyp_edits - gold), len(gold - hyp_edits)))
     # max keeps the first of equal keys, so the lowest annotator id wins a tie
     return max(counts, key=lambda c: (f05_from_counts(*c), -(c[1] + c[2])))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -150,9 +151,8 @@ def test_parse_m2_record(tmp_path):
     records = load_m2(path)
     assert len(records) == 2
     assert records[0].source_tokens == ("a", "b", "c")
-    assert records[0].edits == (M2Edit(1, 2, "R:X", "x", 0),)
-    assert records[1].edits == ()
-    assert records[1].noop_annotators == frozenset({0})
+    assert records[0].gold == {0: (M2Edit(1, 2, "R:X", "x"),)}
+    assert records[1].gold == {0: ()}
 
 
 def test_m2_file_without_a_trailing_newline_keeps_its_last_record(tmp_path):
@@ -162,7 +162,7 @@ def test_m2_file_without_a_trailing_newline_keeps_its_last_record(tmp_path):
     unended.write_text(text, encoding="utf-8")
     records = load_m2(unended)
     assert records == load_m2(ended)
-    assert records[1].edits == (M2Edit(0, 1, "R:Y", "f", 1),)
+    assert records[1].gold == {1: (M2Edit(0, 1, "R:Y", "f"),)}
 
 
 def test_parse_m2_errors_carry_line_numbers(tmp_path):
@@ -201,7 +201,7 @@ def test_m2_sentence_with_an_empty_token_is_refused(tmp_path, sentence):
 def test_m2_bare_sentence_line_is_an_empty_sentence(tmp_path, sentence):
     path = tmp_path / "b.m2"
     path.write_text(f"{sentence}\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
-    assert load_m2(path) == [M2Record((), (), frozenset({0}))]
+    assert load_m2(path) == [M2Record((), {0: ()})]
 
 
 def test_noop_conflict_rejected(tmp_path):
@@ -217,11 +217,7 @@ def test_noop_conflict_rejected(tmp_path):
 
 
 def test_serialize_parse_round_trip_explicit(tmp_path):
-    record = M2Record(
-        ("a", "b", "c"),
-        (M2Edit(0, 1, "R:X", "A", 0), M2Edit(2, 3, "U:DEL", "", 1)),
-        frozenset({2}),
-    )
+    record = M2Record(("a", "b", "c"), {0: (M2Edit(0, 1, "R:X", "A"),), 1: (M2Edit(2, 3, "U:DEL", ""),), 2: ()})
     path = tmp_path / "rt.m2"
     path.write_text(serialize_m2(record) + "\n", encoding="utf-8")
     assert load_m2(path) == [record]
@@ -239,27 +235,26 @@ def test_serialize_parse_round_trip_fuzz(tmp_path):
 
 
 def test_apply_single_substitution():
-    record = M2Record(("a", "b", "c"), (M2Edit(1, 2, "R:X", "x", 0),))
+    record = M2Record(("a", "b", "c"), {0: (M2Edit(1, 2, "R:X", "x"),)})
     assert apply_edits(record, 0) == "a x c"
 
 
 def test_apply_noop_and_absent_edits():
-    noop = M2Record(("a", "b", "c"), (), frozenset({0}))
+    noop = M2Record(("a", "b", "c"), {0: ()})
     assert apply_edits(noop, 0) == "a b c"
-    empty = M2Record(("a", "b"), ())
-    assert apply_edits(empty, 5) == "a b"
+    # a record without annotators has annotator 0, whose reference is the source
+    empty = M2Record(("a", "b"))
+    assert empty.gold == {0: ()}
+    assert apply_edits(empty, 0) == "a b"
 
 
 def test_apply_deletion_and_insertion():
-    record = M2Record(
-        ("a", "b", "c"),
-        (M2Edit(0, 1, "U:DEL", "", 0), M2Edit(3, 3, "M:ADD", "d e", 0)),
-    )
+    record = M2Record(("a", "b", "c"), {0: (M2Edit(0, 1, "U:DEL", ""), M2Edit(3, 3, "M:ADD", "d e"))})
     assert apply_edits(record, 0) == "b c d e"
 
 
 def test_apply_unknown_annotator():
-    record = M2Record(("a",), (M2Edit(0, 1, "R:X", "x", 0),))
+    record = M2Record(("a",), {0: (M2Edit(0, 1, "R:X", "x"),)})
     with pytest.raises(LookupError, match="unknown annotator"):
         apply_edits(record, 3)
 
@@ -295,10 +290,7 @@ def test_overlap_refusal_is_the_sorted_neighbour_rule(tmp_path):
 
 
 def test_same_position_inserts_apply_in_listed_order():
-    record = M2Record(
-        ("a",),
-        (M2Edit(1, 1, "M:A", "x", 0), M2Edit(1, 1, "M:B", "y", 0)),
-    )
+    record = M2Record(("a",), {0: (M2Edit(1, 1, "M:A", "x"), M2Edit(1, 1, "M:B", "y"))})
     assert apply_edits(record, 0) == "a x y"
 
 
@@ -306,18 +298,23 @@ def test_same_position_inserts_apply_in_listed_order():
 @settings(max_examples=50)
 def test_zero_edit_apply_is_identity(seed):
     record = random_record(random.Random(seed))
-    stripped = M2Record(record.source_tokens, (), record.noop_annotators)
-    for annotator in stripped.annotator_ids():
+    stripped = M2Record(record.source_tokens, dict.fromkeys(record.gold, ()))
+    for annotator in stripped.gold:
         assert apply_edits(stripped, annotator) == stripped.source_text()
 
 
 def test_reference_texts_orders_annotators():
-    record = M2Record(
-        ("a", "b"),
-        (M2Edit(0, 1, "R:X", "x", 1),),
-        frozenset({0}),
-    )
+    record = M2Record(("a", "b"), {1: (M2Edit(0, 1, "R:X", "x"),), 0: ()})
     assert reference_texts(record) == ["a b", "x b"]
+
+
+def test_reference_texts_pinned_on_random_records():
+    # every annotator's reference, in annotator-id order, for records with
+    # noop annotators, insertions, deletions and replacements
+    rng = random.Random(0)
+    references = [reference_texts(random_record(rng)) for _ in range(2000)]
+    digest = hashlib.sha256(repr(references).encode("utf-8")).hexdigest()
+    assert digest == "606fb9a8f3422c1c81724df83b07ed6cb3881bdece7e678a4bbf716be5ed7be3"
 
 
 def test_m2_pairs_carry_their_records_and_jsonl_pairs_none(tmp_path):

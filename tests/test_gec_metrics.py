@@ -80,7 +80,7 @@ def test_sentence_counts_pinned_on_random_records():
     for _ in range(2000):
         record = random_record(rng)
         hypotheses = [
-            apply_edits(record, rng.choice(record.annotator_ids())),
+            apply_edits(record, rng.choice(list(record.gold))),
             record.source_text(),
             " ".join(rng.choice(VOCAB) for _ in range(rng.randint(0, 12))),
         ]
@@ -99,10 +99,10 @@ def test_f05_formula_values():
 
 
 def _record(tokens: str, *edits: tuple[int, int, str, int]) -> M2Record:
-    return M2Record(
-        tuple(tokens.split()),
-        tuple(M2Edit(s, e, "R:X", c, a) for s, e, c, a in edits),
-    )
+    gold: dict[int, list[M2Edit]] = {}
+    for s, e, c, a in edits:
+        gold.setdefault(a, []).append(M2Edit(s, e, "R:X", c))
+    return M2Record(tuple(tokens.split()), gold)
 
 
 def test_toy_corpus_known_counts():
@@ -137,11 +137,7 @@ def test_best_annotator_chosen_per_sentence():
 
 
 def test_noop_annotator_preferred_when_hypothesis_is_source():
-    record = M2Record(
-        ("a", "b", "c"),
-        (M2Edit(1, 2, "R:X", "x", 0),),
-        frozenset({1}),
-    )
+    record = M2Record(("a", "b", "c"), {0: (M2Edit(1, 2, "R:X", "x"),), 1: ()})
     # annotator 1 says the source is already correct; copying it should
     # contribute nothing rather than false negatives
     assert sentence_counts(record, "a b c") == (0, 0, 0)

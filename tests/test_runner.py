@@ -2200,6 +2200,24 @@ def test_baseline_few_shot_request_bytes(tmp_path, chat_server):
     }
 
 
+def test_baseline_fills_only_the_footer_slot(tmp_path, chat_server):
+    """An input line fills only the footer's slot; a slot written in the
+    instruction or in an exemplar is sent as it is written."""
+    data = tmp_path / "data.jsonl"
+    data.write_text(2 * (json.dumps({"source": "a {input_text} b", "references": ["a b"]}) + "\n"), encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"backend": {"base_url": chat_server.url},
+                                  "data": {"format": "jsonl", "path": str(data), "train_size": 1, "dev_size": 1}}))
+    prompt_file, source, out = tmp_path / "p.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    prompt_file.write_text("Fix the sentence {input_text} below.\n", encoding="utf-8")
+    source.write_text("LINE\n", encoding="utf-8")
+    assert main(["baseline", "--kind", "few_shot", "--shots", "1", "--prompt-file", str(prompt_file),
+                 "--config", str(config), "--input", str(source), "--output", str(out)]) == 0
+    assert [r["json"]["messages"][0]["content"] for r in chat_server.requests] == [
+        "Fix the sentence {input_text} below.\n\nInput: a {input_text} b\nOutput: a b\n\nInput: LINE\nOutput:"
+    ]
+
+
 def test_baseline_few_shot_exemplars_recorded_and_rendered(tmp_path):
     paths = make_workspace(tmp_path)
     source = tmp_path / "in.txt"
