@@ -25,6 +25,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 import stub  # noqa: E402 - perfbench/ is put on the import path above
 
+from apio.config import BackendConfig  # noqa: E402
 from apio.gateway import INFER, ChatRequest, OpenAIChatBackend  # noqa: E402
 
 N_REQUESTS = 2000
@@ -46,7 +47,7 @@ def _requests() -> list[ChatRequest]:
 def _run(url: str, requests: list[ChatRequest]) -> tuple[float, float]:
     """Client CPU seconds and wall seconds for ``requests`` sent one after
     another on a fresh backend."""
-    backend = OpenAIChatBackend(base_url=f"{url}/v1", model="stub", api_key="bench")
+    backend = OpenAIChatBackend(BackendConfig(base_url=f"{url}/v1", model="stub"))
     try:
         cpu, wall = time.process_time(), time.perf_counter()
         answers = [backend.complete(request) for request in requests]

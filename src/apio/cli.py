@@ -79,16 +79,9 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _build_backend(args: argparse.Namespace, cfg: RunConfig, run: RunDir | None) -> Backend:
-    script = getattr(args, "script", None)
-    if script:
-        return ScriptedBackend.from_file(script)
-    inner = OpenAIChatBackend(
-        base_url=cfg.backend.base_url,
-        model=cfg.backend.model,
-        retry_max=cfg.backend.retry_max,
-        timeout_s=cfg.backend.timeout_s,
-        max_tokens=cfg.backend.max_tokens,
-    )
+    if args.script:
+        return ScriptedBackend.from_file(args.script)
+    inner = OpenAIChatBackend(cfg.backend)
     cache_dir = cfg.backend.cache_dir or (run.cache_path if run is not None else None)
     return CachedBackend(inner, cache_dir) if cache_dir else inner
 

@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_type_hints
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 from .corpus import (
     ConfigurationError,
@@ -112,6 +112,18 @@ def to_object(obj: object) -> object:
     return obj
 
 
+def http_url(text: str) -> SplitResult | None:
+    """``text`` split, if it is an http(s) URL that can be dialled: its host
+    is one IDNA can encode, and its port is absent or from 1 to 65535."""
+    try:
+        url = urlsplit(text)
+        if url.scheme in ("http", "https") and url.hostname and url.port != 0 and url.hostname.encode("idna"):
+            return url
+    except ValueError:  # a port that is not a number from 1 to 65535, or a label IDNA refuses
+        pass
+    return None
+
+
 @dataclass
 class BackendConfig:
     base_url: str = "https://api.openai.com/v1"
@@ -127,13 +139,8 @@ class BackendConfig:
         authority = re.match(r"[^/?#]*//([^/?#]*)", self.base_url)
         if authority and "@" in authority[1]:
             raise ConfigurationError("base_url must hold no user name or password ('user:password@')")
-        try:
-            url = urlsplit(self.base_url)
-            valid = (url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
-                     and bool(url.hostname.encode("idna")))
-        except ValueError:  # a port that is not a number from 1 to 65535, or a label IDNA refuses
-            valid = False
-        if not valid:
+        url = http_url(self.base_url)
+        if url is None:
             raise ConfigurationError(f"base_url must be an http(s) URL with a host, got {self.base_url!r}")
         if "#" in self.base_url:  # a fragment never reaches the endpoint
             raise ConfigurationError(f"base_url must hold no fragment ('#'), got {self.base_url!r}")

@@ -112,8 +112,10 @@ def load_asset(source_path: str | Path, reference_paths: Sequence[str | Path]) -
 
 
 def load_jsonl(path: str | Path) -> list[SamplePair]:
-    """One JSON object per line with "source" and "references" keys."""
-    pairs = []
+    """One JSON object per line with "source" and "references" keys, and
+    an optional "id", a string or an integer that no other line's id
+    repeats; a line without one is ``jsonl-<index>``."""
+    pairs: dict[str, SamplePair] = {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -133,21 +135,16 @@ def load_jsonl(path: str | Path) -> list[SamplePair]:
                 f"{path}:{lineno}: expected an object with a string 'source'"
                 " and a non-empty list of strings 'references'"
             )
-        pairs.append(
-            SamplePair(
-                id=str(obj.get("id", f"jsonl-{lineno - 1}")),
-                source=obj["source"].strip(),
-                references=tuple(r.strip() for r in refs),
-            )
-        )
+        sample_id = obj.get("id", f"jsonl-{lineno - 1}")
+        if type(sample_id) not in (str, int):
+            raise ConfigurationError(f"{path}:{lineno}: 'id' must be a string or an integer, got {sample_id!r}")
+        sample_id = str(sample_id)
+        if sample_id in pairs:
+            raise ConfigurationError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
+        pairs[sample_id] = SamplePair(sample_id, obj["source"].strip(), tuple(r.strip() for r in refs))
     if not pairs:
         raise ConfigurationError(f"{path}: file is empty")
-    seen: set[str] = set()
-    for pair in pairs:
-        if pair.id in seen:
-            raise ConfigurationError(f"{path}: duplicate sample id {pair.id!r}")
-        seen.add(pair.id)
-    return pairs
+    return list(pairs.values())
 
 
 _NOOP_TYPE = "noop"

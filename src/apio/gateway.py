@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import SplitResult, unquote, urlsplit
 
-from .config import from_object
+from .config import BackendConfig, from_object, http_url
 from .corpus import ConfigurationError, read_json
 
 log = logging.getLogger(__name__)
@@ -215,6 +215,7 @@ class ScriptedBackend(Backend):
 # ---------------------------------------------------------------------------
 
 _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
+BACKOFF_BASE_S = 0.5  # the first retry's wait, doubled for each later one
 
 
 def _bypassed(endpoint: SplitResult, no_proxy: str) -> bool:
@@ -240,14 +241,22 @@ def _environment_proxy(endpoint: SplitResult) -> tuple[SplitResult | None, dict[
     """The proxy that the environment names for ``endpoint``
     (``urllib.request.getproxies``, with ``NO_PROXY`` applied by
     ``_bypassed``), and the ``Proxy-Authorization`` header for
-    credentials given in the proxy URL."""
+    credentials given in the proxy URL. A proxy that is not an ``http``
+    URL that ``http_url`` admits is refused, named without its
+    credentials."""
     proxies = urllib.request.getproxies()
     url = proxies.get(endpoint.scheme) or proxies.get("all")
     if not url or _bypassed(endpoint, proxies.get("no", "")):
         return None, {}
-    proxy = urlsplit(url if "://" in url else f"http://{url}")
-    if proxy.scheme != "http" or not proxy.hostname:
-        raise ValueError(f"unsupported proxy {url!r}: only http:// proxies are supported")
+    url = url if "://" in url else f"http://{url}"
+    proxy = http_url(url)
+    if proxy is None or proxy.scheme != "http":
+        scheme, _, rest = url.partition("://")
+        shown = f"{scheme}://{re.match('[^/?#]*', rest)[0].rpartition('@')[2]}"
+        raise ConfigurationError(
+            f"unsupported proxy {shown}: only http:// proxies are supported, with a host that IDNA can encode"
+            " and a port from 1 to 65535"
+        )
     if proxy.username is None:
         return proxy, {}
     credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}".encode("utf-8")
@@ -268,7 +277,7 @@ class OpenAIChatBackend(Backend):
     Each thread sends its requests over one persistent connection of its
     own, opened on first use. A connection that the server closed while it
     sat idle is replaced before it is reused, without spending a retry.
-    A retry waits ``backoff_base_s * 2**k``, or longer when a 429 or 503
+    A retry waits ``BACKOFF_BASE_S * 2**k``, or longer when a 429 or 503
     reply's ``Retry-After`` asks for more, in delta-seconds; an HTTP-date
     there is not read. No wait is longer than ``timeout_s``.
     Proxies come from the environment (``HTTPS_PROXY``, ``HTTP_PROXY``,
@@ -277,32 +286,21 @@ class OpenAIChatBackend(Backend):
     URL. TLS uses Python's default verified context.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key: str | None = None,
-        retry_max: int = 5,
-        timeout_s: float = 60.0,
-        max_tokens: int = 1024,
-        backoff_base_s: float = 0.5,
-    ) -> None:
+    def __init__(self, config: BackendConfig) -> None:
         super().__init__()
-        self.model = model
-        self.max_tokens = max_tokens
-        self.api_key = api_key if api_key is not None else os.environ.get("APIO_API_KEY", "")
+        self.config = config
+        self.model = config.model
+        self.max_tokens = config.max_tokens
+        api_key = os.environ.get("APIO_API_KEY", "")
         # a header carries Latin-1 text without control characters; the key is not echoed
-        if any(c < " " or "\x7f" <= c <= "\x9f" or c > "\xff" for c in self.api_key):
+        if any(c < " " or "\x7f" <= c <= "\x9f" or c > "\xff" for c in api_key):
             raise ConfigurationError(
                 "APIO_API_KEY holds a control character or one outside Latin-1, which an HTTP header cannot carry"
             )
-        self.retry_max = retry_max
-        self.timeout_s = timeout_s
-        self.backoff_base_s = backoff_base_s
-        base = urlsplit(base_url)
+        base = urlsplit(config.base_url)
         self._endpoint = endpoint = base._replace(path=base.path.rstrip("/") + "/chat/completions")
         self._proxy, self._proxy_auth = _environment_proxy(endpoint)
-        self._headers = {"Content-Type": "application/json", "Authorization": f"Bearer {self.api_key}"}
+        self._headers = {"Content-Type": "application/json", "Authorization": f"Bearer {api_key}"}
         self._target = endpoint.path + (f"?{endpoint.query}" if endpoint.query else "")
         if self._proxy is not None and endpoint.scheme == "http":
             # a plain-HTTP proxy is sent the absolute URL, its host IDNA-encoded as
@@ -320,12 +318,12 @@ class OpenAIChatBackend(Backend):
     def _open(self) -> http.client.HTTPConnection:
         """A new connection to the endpoint or its proxy; ``http.client``
         connects it on the first request and again after ``close``."""
-        endpoint, proxy = self._endpoint, self._proxy
+        endpoint, proxy, timeout_s = self._endpoint, self._proxy, self.config.timeout_s
         https = endpoint.scheme == "https"
         cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
         if proxy is None:
-            return cls(endpoint.hostname, endpoint.port or cls.default_port, timeout=self.timeout_s)
-        conn = cls(proxy.hostname, proxy.port or http.client.HTTP_PORT, timeout=self.timeout_s)
+            return cls(endpoint.hostname, endpoint.port or cls.default_port, timeout=timeout_s)
+        conn = cls(proxy.hostname, proxy.port or http.client.HTTP_PORT, timeout=timeout_s)
         if https:
             conn.set_tunnel(endpoint.hostname, endpoint.port or http.client.HTTPS_PORT, self._proxy_auth)
         return conn
@@ -359,10 +357,10 @@ class OpenAIChatBackend(Backend):
         }
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
-        backoff, retry_after = self.backoff_base_s, 0.0
-        for attempt in range(self.retry_max + 1):
+        backoff, retry_after = BACKOFF_BASE_S, 0.0
+        for attempt in range(self.config.retry_max + 1):
             if attempt:
-                time.sleep(min(max(backoff, retry_after), self.timeout_s))
+                time.sleep(min(max(backoff, retry_after), self.config.timeout_s))
                 backoff, retry_after = 2 * backoff, 0.0
             conn = self._connection()
             try:
@@ -401,7 +399,7 @@ class OpenAIChatBackend(Backend):
             except UnicodeEncodeError as exc:  # a lone surrogate, which JSON can escape
                 raise GatewayError(f"backend returned a completion that is not Unicode text: {exc}") from None
             return content
-        raise GatewayError(f"retry budget exhausted after {self.retry_max + 1} attempts: {last_error}")
+        raise GatewayError(f"retry budget exhausted after {self.config.retry_max + 1} attempts: {last_error}")
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,11 @@ def test_load_jsonl_rejects_missing_keys(tmp_path):
         '{"source": "a b", "references": []}',
         '{"source": "a b", "references": ["ok", 3]}',
         '{"source": 7, "references": ["a"]}',
+        '{"id": null, "source": "a", "references": ["b"]}',
+        '{"id": true, "source": "a", "references": ["b"]}',
+        '{"id": 1.5, "source": "a", "references": ["b"]}',
+        '{"id": ["a"], "source": "a", "references": ["b"]}',
+        '{"id": "jsonl-0", "source": "a", "references": ["b"]}',  # the default id of line 1
     ],
 )
 def test_load_jsonl_rejects_malformed_objects(tmp_path, line):

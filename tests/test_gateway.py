@@ -24,6 +24,7 @@ import pytest
 
 from apio import gateway
 from apio.cli import main
+from apio.config import BackendConfig
 from apio.gateway import (
     Backend,
     CachedBackend,
@@ -559,14 +560,16 @@ def test_a_new_cache_locked_past_the_busy_timeout_is_opened_by_its_first_lookup(
 
 
 @pytest.fixture
-def openai(chat_server):
-    """Makes clients of ``chat_server`` (or of ``base_url``) and closes
-    them after the test."""
+def openai(chat_server, monkeypatch):
+    """Makes clients of ``chat_server`` (or of ``base_url``), configured by
+    the ``BackendConfig`` fields given, with the key ``sk-test`` and no
+    backoff, and closes them after the test."""
     made = []
+    monkeypatch.setenv("APIO_API_KEY", "sk-test")
+    monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
 
     def make(base_url=chat_server.url, **kwargs) -> OpenAIChatBackend:
-        kwargs = {"model": "test-model", "api_key": "sk-test", "backoff_base_s": 0.0, **kwargs}
-        made.append(OpenAIChatBackend(base_url=base_url, **kwargs))
+        made.append(OpenAIChatBackend(BackendConfig(base_url=base_url, model="test-model", **kwargs)))
         return made[-1]
 
     yield make
@@ -626,7 +629,8 @@ def test_openai_retry_waits_as_retry_after_asks(chat_server, openai, monkeypatch
     monkeypatch.setattr(gateway, "time", SimpleNamespace(sleep=sleeps.append))
     chat_server.script = [Reply(status=status, headers={"Retry-After": retry_after}), Reply(status=500),
                           Reply(body=completion("done"))]
-    backend = openai(retry_max=2, timeout_s=10.0, backoff_base_s=backoff)
+    monkeypatch.setattr(gateway, "BACKOFF_BASE_S", backoff)
+    backend = openai(retry_max=2, timeout_s=10.0)
     assert backend.complete(ChatRequest("x", INFER)) == "done"
     # the header holds for the one retry after its reply
     assert sleeps == [slept, 2 * backoff]
@@ -637,9 +641,10 @@ def test_openai_retry_waits_at_most_timeout_s(chat_server, openai, monkeypatch):
     # keeps each wait within timeout_s
     sleeps = []
     monkeypatch.setattr(gateway, "time", SimpleNamespace(sleep=sleeps.append))
+    monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 4.0)
     chat_server.fallback = Reply(status=500)
     with pytest.raises(GatewayError, match="after 5 attempts"):
-        openai(retry_max=4, timeout_s=10.0, backoff_base_s=4.0).complete(ChatRequest("x", INFER))
+        openai(retry_max=4, timeout_s=10.0).complete(ChatRequest("x", INFER))
     assert sleeps == [4.0, 8.0, 10.0, 10.0]
 
 
@@ -734,10 +739,9 @@ def test_openai_transport_error_reconnects(chat_server, openai, monkeypatch, fai
     assert sleeps == [0.0]
 
 
-def test_openai_unreachable_endpoint_exhausts_budget():
-    backend = OpenAIChatBackend(
-        base_url=f"http://127.0.0.1:{_closed_port()}/v1", model="m", retry_max=1, backoff_base_s=0.0
-    )
+def test_openai_unreachable_endpoint_exhausts_budget(monkeypatch):
+    monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
+    backend = OpenAIChatBackend(BackendConfig(base_url=f"http://127.0.0.1:{_closed_port()}/v1", retry_max=1))
     with pytest.raises(GatewayError, match="after 2 attempts"):
         backend.complete(ChatRequest("x", INFER))
 
@@ -837,7 +841,8 @@ def test_openai_https_handshake_through_connect_tunnel(tmp_path, no_proxy_env):
     relay = threading.Thread(target=_relay_one_tunnel, args=(listener, heads))
     port = server.server_address[1]
     no_proxy_env.setenv("HTTPS_PROXY", f"http://user:pw@127.0.0.1:{listener.getsockname()[1]}")
-    backend = OpenAIChatBackend(f"https://127.0.0.1:{port}/v1", "test-model", api_key="sk-test", retry_max=0)
+    no_proxy_env.setenv("APIO_API_KEY", "sk-test")
+    backend = OpenAIChatBackend(BackendConfig(base_url=f"https://127.0.0.1:{port}/v1", retry_max=0))
     serving.start()
     relay.start()
     try:
@@ -913,7 +918,7 @@ def test_openai_no_proxy_network_bypasses_proxy(chat_server, openai, monkeypatch
 def test_openai_no_proxy_network_elsewhere_keeps_proxy(no_proxy_env, no_proxy):
     no_proxy_env.setenv("HTTP_PROXY", "http://proxy.test:3128")
     no_proxy_env.setenv("NO_PROXY", no_proxy)
-    backend = OpenAIChatBackend(base_url="http://127.0.0.1:8000/v1", model="m")
+    backend = OpenAIChatBackend(BackendConfig(base_url="http://127.0.0.1:8000/v1"))
     assert (backend._proxy.hostname, backend._proxy.port) == ("proxy.test", 3128)
     assert backend._target == "http://127.0.0.1:8000/v1/chat/completions"
 
@@ -921,4 +926,4 @@ def test_openai_no_proxy_network_elsewhere_keeps_proxy(no_proxy_env, no_proxy):
 def test_openai_refuses_proxy_it_cannot_speak(no_proxy_env):
     no_proxy_env.setenv("HTTPS_PROXY", "https://proxy.test:8443")
     with pytest.raises(ValueError, match="only http:// proxies"):
-        OpenAIChatBackend(base_url="https://llm.test/v1", model="m")
+        OpenAIChatBackend(BackendConfig(base_url="https://llm.test/v1"))
